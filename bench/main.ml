@@ -515,7 +515,7 @@ let table_ablation () =
         trusted_total;
       Thc_util.Table.add_row t
         [
-          "f+1 quorums, plain signatures";
+          "MinBFT, unattested world (no monotonicity)";
           string_of_int f;
           string_of_int (List.length split.violations);
           string_of_int split.distinct_ops_at_seq1;
@@ -523,7 +523,7 @@ let table_ablation () =
         ];
       Thc_util.Table.add_row t
         [
-          "f+1 quorums, attested links (MinBFT)";
+          "MinBFT, TrInc world";
           string_of_int f;
           string_of_int (List.length held.violations);
           string_of_int held.distinct_ops_at_seq1;
@@ -539,6 +539,17 @@ let table_ablation () =
 (* BYZ: the scripted attack catalog against both targets                     *)
 (* ----------------------------------------------------------------------- *)
 
+(* The in-catalog (attack, target) pairs of the MinBFT rig's two worlds. *)
+let catalog_cells attacks =
+  List.concat_map
+    (fun attack ->
+      List.filter_map
+        (fun target ->
+          if Thc_byz.Attack.applies ~target ~attack then Some (attack, target)
+          else None)
+        [ Thc_byz.Attack.Minbft; Thc_byz.Attack.Unattested ])
+    attacks
+
 let table_byz () =
   section "BYZ — attack catalog: six active adversaries, attested vs not";
   let t =
@@ -549,15 +560,7 @@ let table_byz () =
       ]
   in
   let all_hold = ref true in
-  let cells =
-    count_keys
-      (List.concat_map
-         (fun attack ->
-           List.map
-             (fun target -> (attack, target))
-             [ Thc_byz.Attack.Minbft; Thc_byz.Attack.Unattested ])
-         Thc_byz.Attack.all)
-  in
+  let cells = count_keys (catalog_cells Thc_byz.Attack.all) in
   let rows =
     pool_run ~jobs:!jobs
       (fun (attack, target) -> Thc_byz.Attack.run ~seed:1L ~target ~attack ())
@@ -598,7 +601,8 @@ let table_byz () =
   Thc_util.Table.print t;
   print_endline
     "(every attack bounces off the attested protocol leaving a ledger\n\
-    \ entry, and forks the same message flow once attestation is removed)"
+    \ entry; on the unattested world equivocation forks the same MinBFT,\n\
+    \ and the other kinds meet non-hardware defences — see ATTACKS.md)"
 
 (* ----------------------------------------------------------------------- *)
 (* S1: MinBFT (2f+1) vs PBFT (3f+1)                                          *)
@@ -1118,28 +1122,6 @@ let table_s4 () =
 (* S5: request-span phase breakdown — where time and trusted ops go         *)
 (* ----------------------------------------------------------------------- *)
 
-(* The unattested rig wires pid 0 as an attacker slot; for the phase
-   baseline we install a well-behaved leader in it — propose one request
-   per slot to every replica and let the honest quorum machinery run. *)
-let s5_honest_unattested_leader (env : Thc_replication.Ablation.Unattested.env)
-    : Thc_replication.Ablation.Unattested.wire Thc_sim.Engine.behavior =
-  let module U = Thc_replication.Ablation.Unattested in
-  let everyone = env.U.group_a @ env.U.group_b in
-  let send_all (ctx : _ Thc_sim.Engine.ctx) wire =
-    List.iter (fun dst -> ctx.Thc_sim.Engine.send dst wire) everyone
-  in
-  {
-    Thc_sim.Engine.init =
-      (fun ctx ->
-        ctx.set_timer ~delay:1_000L ~tag:1;
-        ctx.set_timer ~delay:21_000L ~tag:2);
-    on_message = (fun _ ~src:_ _ -> ());
-    on_timer =
-      (fun ctx tag ->
-        if tag = 1 then send_all ctx (U.prepare env ~seq:1 env.U.req_a)
-        else if tag = 2 then send_all ctx (U.prepare env ~seq:2 env.U.req_b));
-  }
-
 let table_s5 () =
   section "S5 — request-span phase breakdown: where time and trusted ops go";
   let t =
@@ -1194,20 +1176,14 @@ let table_s5 () =
       let _, views, ops = Thc_replication.Harness.run_spans (setup protocol) in
       add_rows vname (Thc_obsv.Span.summarize ~ops views))
     (with_names [ Thc_replication.Protocol.Minbft; Thc_replication.Protocol.Pbft ]);
-  let spans = Thc_obsv.Span.create () in
-  ignore
-    (Thc_replication.Ablation.Unattested.run ~f:1 ~spans ~seed:17L
-       ~attacker:s5_honest_unattested_leader
-       ~detail:"honest leader over the unattested protocol (phase baseline)"
-       ());
-  add_rows "unattested" (Thc_obsv.Span.summarize (Thc_obsv.Span.views spans));
   Thc_util.Table.print t;
   print_endline
     "(the prepare and commit phases carry MinBFT's whole trusted-op bill —\n\
     \ one attest per sealed batch plus a check per receiving replica —\n\
     \ while PBFT spends comparable virtual time with zero trusted ops and\n\
-    \ f extra replicas; the unattested rig has no client, so only its\n\
-    \ prepare/commit/execute slice reports)"
+    \ f extra replicas.  No unattested row: MinBFT on the unattested world\n\
+    \ runs these exact phases in the same virtual time by construction,\n\
+    \ with 0 in the trusted-ops column)"
 
 (* ----------------------------------------------------------------------- *)
 (* S6: the "strictly stronger" edge, measured — MinBFT vs PBFT vs uBFT-sim  *)
@@ -1455,22 +1431,15 @@ let table_s8 () =
     r4.Thc_replication.Harness.durability.Thc_replication.Durability.stable_upto
     (if r4.safety_violations = [] then "intact" else "VIOLATED");
   (* Part 3: the checkpoint attack family — forged certificates, stale
-     replays and join-time equivocation bounce off the attested protocol
-     and fork the unattested one, exactly like the live-protocol catalog. *)
+     replays and join-time equivocation bounce off the attested protocol.
+     None of them forks the unattested world (f+1 certificates, the NVRAM
+     floor and the donor quorum are not hardware), so only minbft runs. *)
   let t =
     Thc_util.Table.create
       [ "attack"; "target"; "violations"; "hw rejections"; "verdict" ]
   in
   let all_hold = ref true in
-  let cells =
-    count_keys
-      (List.concat_map
-         (fun attack ->
-           List.map
-             (fun target -> (attack, target))
-             [ Thc_byz.Attack.Minbft; Thc_byz.Attack.Unattested ])
-         Thc_byz.Attack.ckpt_all)
-  in
+  let cells = count_keys (catalog_cells Thc_byz.Attack.ckpt_all) in
   let rows =
     pool_run ~jobs:!jobs
       (fun (attack, target) -> Thc_byz.Attack.run ~seed:1L ~target ~attack ())

@@ -1149,7 +1149,8 @@ let attack_cmd =
       & info [] ~docv:"TARGET"
           ~doc:
             "Protocol to attack: $(b,minbft) (trusted counters), \
-             $(b,unattested) (the 2f+1 ablation), $(b,ubft) (SWMR \
+             $(b,unattested) (MinBFT on a TrInc world without \
+             monotonicity), $(b,ubft) (SWMR \
              registers), $(b,both) (minbft + unattested) or $(b,all).")
   in
   let attack =
@@ -1226,10 +1227,12 @@ let attack_cmd =
               (A.describe k) "" (A.paper_claim k))
           kinds
       in
-      pp_catalog "trusted-log catalog (minbft / unattested):" A.all;
+      pp_catalog
+        "trusted-log catalog (minbft; equivocation also forks unattested):"
+        A.all;
       pp_catalog "register catalog (ubft):" A.ubft_all;
       pp_catalog
-        "checkpoint catalog (minbft / unattested; named runs only — kept \
+        "checkpoint catalog (minbft; named runs only — kept \
          out of the 'all' sweep so its cell grid stays pinned):"
         A.ckpt_all
     end
@@ -1294,12 +1297,13 @@ let attack_cmd =
        ~doc:
          "Run the Byzantine attack catalog: scripted active adversaries \
           (equivocation, replay, attestation reuse, forged view-change \
-          certificates, selective send, silent-then-lie) against MinBFT and \
-          against the unattested 2f+1 ablation, plus a register catalog \
-          (forged slots/acks, frozen reads, withheld appends) against \
-          uBFT-sim.  Expected outcome, checked: the attested protocols stay \
-          safe and the hardware ledger records the rejection; the \
-          unattested one commits a divergent operation.")
+          certificates, selective send, silent-then-lie) against MinBFT, \
+          equivocation also against MinBFT on a TrInc world without \
+          monotonicity, plus a register catalog (forged slots/acks, frozen \
+          reads, withheld appends) against uBFT-sim.  Expected outcome, \
+          checked: the attested protocols stay safe and the hardware ledger \
+          records the rejection; the unattested one commits a divergent \
+          operation.")
     Term.(
       const run $ target $ attack $ seed $ f $ corrupt_at $ runs $ export
       $ jobs $ top $ list_only $ Cli.network ())

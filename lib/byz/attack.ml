@@ -147,8 +147,8 @@ let paper_claim = function
 type target = Minbft | Unattested | Ubft
 
 (* Target names ride the one protocol codec; "unattested" is the ablation's
-   own label (deliberately not a Protocol.t — it is MinBFT minus the
-   hardware, not a protocol the harness runs). *)
+   own label (deliberately not a Protocol.t — it is MinBFT on a TrInc world
+   without monotonicity, not a protocol of its own). *)
 let target_name = function
   | Minbft -> R.Protocol.to_string R.Protocol.Minbft
   | Unattested -> "unattested"
@@ -162,9 +162,14 @@ let target_of_name s =
     | Some R.Protocol.Ubft -> Some Ubft
     | Some R.Protocol.Pbft | None -> None
 
+(* The unattested world removes only monotonicity, so its catalog holds
+   only the kinds that fork it at every sweep cell; every other kind is
+   stopped there by a mechanism that is not hardware (ATTACKS.md names
+   each). *)
 let applies ~target ~attack =
   match target with
-  | Minbft | Unattested -> List.mem attack all || List.mem attack ckpt_all
+  | Minbft -> List.mem attack all || List.mem attack ckpt_all
+  | Unattested -> attack = Equivocate
   | Ubft -> List.mem attack ubft_all
 
 type result = {
@@ -218,18 +223,6 @@ let pp_result ppf r =
 
 (* --- shared helpers ----------------------------------------------------- *)
 
-let distinct_ops_at_seq1 trace ~replicas =
-  List.filter_map
-    (fun pid ->
-      List.find_map
-        (fun obs ->
-          match (obs : Thc_sim.Obs.t) with
-          | Executed { seq = 1; op; _ } -> Some op
-          | _ -> None)
-        (Thc_sim.Trace.outputs_of trace pid))
-    (List.filter (fun p -> p < replicas) (Thc_sim.Trace.correct_pids trace))
-  |> List.sort_uniq compare |> List.length
-
 let client_finished trace ~pid ~expected =
   let done_count =
     List.length
@@ -239,21 +232,41 @@ let client_finished trace ~pid ~expected =
   in
   done_count >= expected
 
+(* The verdict every rig reports, read off its trace and ledger.  Stalled
+   spans are the requests that never reached their reply — the injected
+   conflicting writes and any honest request the attack starved; their
+   views show which phase the pipeline stopped at. *)
+let result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger ~spans ~plan
+    ~detail trace =
+  {
+    attack;
+    target;
+    seed;
+    corrupt_at;
+    safety_violations = List.length (R.Smr_spec.check_safety trace ~replicas:n);
+    distinct_ops_at_seq1 = R.Smr_spec.distinct_ops_at_seq1 trace ~replicas:n;
+    commits = R.Smr_spec.commits trace ~replicas:n;
+    rejections = Thc_obsv.Ledger.rejections ledger;
+    trusted_ops = Thc_obsv.Ledger.rows ledger;
+    messages = Thc_sim.Trace.messages_sent trace;
+    duration_us = trace.Thc_sim.Trace.end_time;
+    client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
+    detail;
+    stalled_spans =
+      List.filter
+        (fun v -> not (Thc_obsv.Span.complete v))
+        (Thc_obsv.Span.views spans);
+  }
+
 (* --- the MinBFT side ----------------------------------------------------- *)
 
-(* Every corruption starts with the same probe: the attacker asks its own
-   trinket to re-attest at an already-consumed counter value.  The trinket
+(* Every corruption starts with a rewind: the attacker asks its own trinket
+   to re-attest its next message at an already-used counter value.  TrInc
    refuses (charging [trinc.attest_denied]), which is the direct form of the
-   non-equivocation guarantee; the rest of each attack is the attacker's
-   fallback once the rewind is denied. *)
-let rewind_probe trinket =
-  ignore
-    (Trinc.attest trinket
-       ~counter:(Trinc.last_counter trinket)
-       ~message:"rewind probe")
-
-let minbft_inject ~attack ~engine ~wrap ~trinket ~replica ~attacker_ident ~n ()
-    =
+   non-equivocation guarantee, and the rest of each attack is the
+   attacker's fallback.  The unattested world grants it, and the attacker
+   sends the rewound message instead. *)
+let minbft_inject ~attack ~engine ~wrap ~replica ~attacker_ident ~n () =
   let ctx = Wrap.raw_ctx wrap in
   let out = R.Minbft.attack_out replica in
   let conflicting () =
@@ -273,57 +286,73 @@ let minbft_inject ~attack ~engine ~wrap ~trinket ~replica ~attacker_ident ~n ()
   let first_sealed () =
     List.find_map (fun (_, m) -> R.Minbft.attestation_of m) (Wrap.sent wrap)
   in
+  (* A conflicting proposal re-attested at the last used counter — a value
+     every receiver has normally released already. *)
+  let rewind ~seq =
+    R.Minbft.rewound_prepare ~out ~view:(R.Minbft.view_of replica) ~seq
+      ~request:(snd (conflicting ()))
+  in
+  (* Seal A, then rewind B onto A's counter.  Refused, B takes the next
+     counter and hides behind a gap; granted, the two receivers hold
+     different proposals under one counter. *)
   let equivocate_now () =
     let req_a, req_b = conflicting () in
     let view = R.Minbft.view_of replica in
     let seq = next_slot () in
-    ctx.E.send 1 (R.Minbft.adversarial_prepare ~out ~view ~seq ~request:req_a);
-    ctx.E.send (n - 1)
-      (R.Minbft.adversarial_prepare ~out ~view ~seq ~request:req_b)
+    let wire_a = R.Minbft.adversarial_prepare ~out ~view ~seq ~request:req_a in
+    let wire_b =
+      match rewind ~seq with
+      | Some w -> w
+      | None -> R.Minbft.adversarial_prepare ~out ~view ~seq ~request:req_b
+    in
+    ctx.E.send 1 wire_a;
+    ctx.E.send (n - 1) wire_b
   in
   match attack with
-  | Equivocate ->
-    rewind_probe trinket;
-    equivocate_now ()
+  | Equivocate -> equivocate_now ()
   | Replay_stale -> (
-    rewind_probe trinket;
-    match first_sealed () with
-    | Some a -> ctx.E.broadcast (R.Minbft.adversarial_wire a)
-    | None -> ())
+    (* Granted: slot 1 proposed again with different content on a fresh
+       tag.  Refused: the old attestation verbatim. *)
+    match (rewind ~seq:1, first_sealed ()) with
+    | Some w, _ -> ctx.E.broadcast w
+    | None, Some a -> ctx.E.broadcast (R.Minbft.adversarial_wire a)
+    | None, None -> ())
   | Reuse_attestation -> (
-    rewind_probe trinket;
-    match first_sealed () with
-    | Some a ->
+    (* Granted: a genuine attestation for a different slot at the reused
+       counter.  Refused: the first attestation relabelled by hand. *)
+    match (rewind ~seq:(next_slot ()), first_sealed ()) with
+    | Some w, _ -> ctx.E.broadcast w
+    | None, Some a ->
       let forged =
         Trinc.counterfeit ~owner:a.owner ~prev:a.prev ~counter:a.counter
           ~message:"reused in a different slot" ~tag:a.tag
       in
       ctx.E.broadcast (R.Minbft.adversarial_wire forged)
-    | None -> ())
+    | None, None -> ())
   | Mismatched_vc ->
-    rewind_probe trinket;
-    let new_view = R.Minbft.view_of replica + 1 in
+    (* Granted: the fabricated history entry carries a verifying tag. *)
     let fabricated =
-      Trinc.counterfeit ~owner:ctx.E.self ~prev:0 ~counter:1
-        ~message:"fabricated history" ~tag:0L
+      match Option.bind (rewind ~seq:1) R.Minbft.attestation_of with
+      | Some a -> a
+      | None ->
+        Trinc.counterfeit ~owner:ctx.E.self ~prev:0 ~counter:1
+          ~message:"fabricated history" ~tag:0L
     in
+    let new_view = R.Minbft.view_of replica + 1 in
     ctx.E.broadcast
       (R.Minbft.adversarial_view_change ~out ~new_view ~log:[ fabricated ])
   | Selective_send ->
-    rewind_probe trinket;
+    (* Granted: the starved replica is fed a conflicting proposal before
+       the stream to it goes dark. *)
+    Option.iter (ctx.E.send (n - 1)) (rewind ~seq:(next_slot ()));
     Wrap.drop_to wrap (n - 1)
   | Silent_then_lie ->
     Wrap.mute wrap;
-    E.at engine
-      (Int64.add (ctx.E.now ()) 60_000L)
-      (fun () ->
-        rewind_probe trinket;
-        equivocate_now ())
+    E.at engine (Int64.add (ctx.E.now ()) 60_000L) equivocate_now
   | Register_forge | Ack_forge | Stale_read | Withheld_append
   | Forged_checkpoint | Stale_transfer | Join_equivocation ->
-    (* Register- and durability-catalog kinds never reach this rig:
-       [applies] filters the former, [run] routes the latter to the
-       checkpoint rig. *)
+    (* Register-catalog kinds never reach this rig ([applies] filters
+       them); checkpoint kinds go to [ckpt_inject]. *)
     ()
 
 let minbft_detail = function
@@ -364,227 +393,18 @@ let minbft_detail = function
      f+1 distinct donors (ckpt.reject_suffix_equivocation); the contested \
      slot stays out until the next certified checkpoint jumps it"
 
-(* Lower the optional network model onto a rig's engine.  Installed after
-   every [Adversary.install] so the re-lowering scheduled at each heal time
-   runs after the heal itself (the engine breaks same-time ties by
-   installation order).  Rational client strategies are skipped: the rigs'
-   scripted clients are part of the attack fixture, not a workload. *)
-let install_network network engine ~replicas ~script =
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas ?script ())
-    network
-
-let run_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
-  let config = R.Minbft.default_config ~f in
-  let n = config.R.Minbft.n in
-  (* pids: replicas 0..n-1, honest client n, attacker's client identity n+1
-     (a colluding client whose signing key the corrupted replica holds). *)
-  let total = n + 2 in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Trinc.create_world rng ~n in
-  let net =
-    Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
-  in
-  let spans = Thc_obsv.Span.create () in
-  let engine = E.create ~seed ~spans ~n:total ~net () in
-  let byz_pid = match attack with Mismatched_vc -> n - 1 | _ -> 0 in
-  let trinkets = Array.init n (fun owner -> Trinc.trinket world ~owner) in
-  let replicas =
-    Array.init n (fun pid ->
-        R.Minbft.create_replica ~config ~keyring ~world ~trinket:trinkets.(pid)
-          ~self:pid)
-  in
-  let wrap = Wrap.create () in
-  for pid = 0 to n - 1 do
-    let honest = R.Minbft.replica replicas.(pid) in
-    E.set_behavior engine pid
-      (if pid = byz_pid then Wrap.behavior wrap honest else honest)
-  done;
-  let plan =
-    [
-      (0L, R.Kv_store.Put ("x", "1"));
-      (10_000L, R.Kv_store.Put ("y", "2"));
-      (40_000L, R.Kv_store.Put ("x", "3"));
-      (90_000L, R.Kv_store.Get "x");
-    ]
-  in
-  E.set_behavior engine n
-    (R.Minbft.client ~rid_base:0 ~config ~keyring
-       ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
-       ~plan);
-  let attacker_ident = Thc_crypto.Keyring.secret keyring ~pid:(n + 1) in
-  E.on_corrupt engine ~pid:byz_pid (fun _ ->
-      minbft_inject ~attack ~engine ~wrap ~trinket:trinkets.(byz_pid)
-        ~replica:replicas.(byz_pid) ~attacker_ident ~n ());
-  (* Corruption rides the ordinary adversary machinery: a [Corrupt] event
-     marks the pid Byzantine and fires the handler above at [corrupt_at]. *)
-  Thc_sim.Adversary.install
-    {
-      Thc_sim.Adversary.events =
-        [
-          {
-            Thc_sim.Adversary.at = corrupt_at;
-            action =
-              Thc_sim.Adversary.Corrupt { pid = byz_pid; attack = name attack };
-          };
-        ];
-      horizon = corrupt_at;
-    }
-    engine;
-  Option.iter (fun s -> Thc_sim.Adversary.install s engine) script;
-  install_network network engine ~replicas:n ~script;
-  Thc_obsv.Ledger.set_observer (Trinc.ledger world)
-    (Thc_obsv.Span.attribute spans);
-  let trace = E.run ~until engine in
-  let ledger = Trinc.ledger world in
-  ( {
-    attack;
-    target = Minbft;
-    seed;
-    corrupt_at;
-    safety_violations = List.length (R.Smr_spec.check_safety trace ~replicas:n);
-    distinct_ops_at_seq1 = distinct_ops_at_seq1 trace ~replicas:n;
-    commits = R.Smr_spec.commits trace ~replicas:n;
-    rejections = Thc_obsv.Ledger.rejections ledger;
-    trusted_ops = Thc_obsv.Ledger.rows ledger;
-    messages = Thc_sim.Trace.messages_sent trace;
-    duration_us = trace.Thc_sim.Trace.end_time;
-    client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
-    detail = minbft_detail attack;
-    (* Requests that never reached their reply — the injected conflicting
-       writes (rids 9000/9001) and any honest request the attack starved.
-       Their span views show exactly which phase the pipeline stopped at. *)
-    stalled_spans =
-      List.filter
-        (fun v -> not (Thc_obsv.Span.complete v))
-        (Thc_obsv.Span.views spans);
-  },
-    trace )
-
-(* --- the unattested side ------------------------------------------------- *)
-
 let unattested_detail = function
   | Equivocate ->
-    "nothing orders the leader's stream: each half adopts its proposal and \
-     finds an f+1 quorum, committing different operations at slot 1"
-  | Replay_stale ->
-    "the leader rewinds its history and proposes slot 1 again later with \
-     different content; the late half has no way to tell"
-  | Reuse_attestation ->
-    "the same signed proposal is replayed into a second slot while slot 1 \
-     diverges — plain signatures bind content, not position"
-  | Mismatched_vc ->
-    "the leader hands each half a self-consistent certificate (proposal \
-     plus its own commit vote) for conflicting operations"
-  | Selective_send ->
-    "a bare quorum commits one operation while the starved side is later \
-     fed another; no counter gap exists to expose the omission"
-  | Silent_then_lie ->
-    "after the silent phase the comeback equivocation works exactly as at \
-     time zero — without attested history, silence erases nothing"
-  | Register_forge | Ack_forge | Stale_read | Withheld_append ->
-    "not part of the unattested catalog"
-  | Forged_checkpoint ->
-    "nothing certifies the snapshot: the joiner installs the fabricated \
-     state wholesale and its next read diverges from its peers"
-  | Stale_transfer ->
-    "the rolled-back snapshot erases a committed slot and the leader \
-     rewrites it with different content; order diverges at the rewritten \
-     slot"
-  | Join_equivocation ->
-    "each restarted replica is handed a different state; the next read \
-     commits at one slot with different results on each"
-
-let unattested_attacker ?network ~attack ~corrupt_at ~script
-    (env : R.Ablation.Unattested.env) :
-    R.Ablation.Unattested.wire E.behavior =
-  Option.iter (fun s -> Thc_sim.Adversary.install s env.R.Ablation.Unattested.engine) script;
-  install_network network env.R.Ablation.Unattested.engine
-    ~replicas:env.R.Ablation.Unattested.n ~script;
-  let module U = R.Ablation.Unattested in
-  let send_to (ctx : _ E.ctx) group wire =
-    List.iter (fun dst -> ctx.E.send dst wire) group
-  in
-  let phase1 = 777 and phase2 = 778 in
-  let split ctx =
-    send_to ctx env.U.group_a (U.prepare env ~seq:1 env.U.req_a);
-    send_to ctx env.U.group_b (U.prepare env ~seq:1 env.U.req_b)
-  in
-  let arm (ctx : _ E.ctx) ~delay ~tag = ctx.E.set_timer ~delay ~tag in
-  let on_timer ctx tag =
-    match (attack, tag) with
-    | Equivocate, t when t = phase1 -> split ctx
-    | Replay_stale, t when t = phase1 ->
-      send_to ctx env.U.group_a (U.prepare env ~seq:1 env.U.req_a)
-    | Replay_stale, t when t = phase2 ->
-      (* the "rewound" second proposal for an already-used slot *)
-      send_to ctx env.U.group_b (U.prepare env ~seq:1 env.U.req_b)
-    | Reuse_attestation, t when t = phase1 ->
-      send_to ctx env.U.group_a (U.prepare env ~seq:1 env.U.req_a);
-      send_to ctx env.U.group_b (U.prepare env ~seq:1 env.U.req_b);
-      (* the slot-1 proposal reused verbatim as the slot-2 proposal *)
-      send_to ctx env.U.group_b (U.prepare env ~seq:2 env.U.req_a)
-    | Mismatched_vc, t when t = phase1 ->
-      send_to ctx env.U.group_a (U.prepare env ~seq:1 env.U.req_a);
-      send_to ctx env.U.group_a
-        (U.commit env ~seq:1 ~digest:(U.digest env.U.req_a));
-      send_to ctx env.U.group_b (U.prepare env ~seq:1 env.U.req_b);
-      send_to ctx env.U.group_b
-        (U.commit env ~seq:1 ~digest:(U.digest env.U.req_b))
-    | Selective_send, t when t = phase1 ->
-      send_to ctx env.U.group_a (U.prepare env ~seq:1 env.U.req_a)
-    | Selective_send, t when t = phase2 ->
-      send_to ctx env.U.group_b (U.prepare env ~seq:1 env.U.req_b)
-    | Silent_then_lie, t when t = phase1 -> split ctx
-    | _ -> ()
-  in
-  {
-    init =
-      (fun ctx ->
-        (match attack with
-        | Equivocate | Reuse_attestation | Mismatched_vc ->
-          arm ctx ~delay:corrupt_at ~tag:phase1
-        | Replay_stale | Selective_send ->
-          arm ctx ~delay:corrupt_at ~tag:phase1;
-          arm ctx ~delay:(Int64.add corrupt_at 20_000L) ~tag:phase2
-        | Silent_then_lie ->
-          arm ctx ~delay:(Int64.add corrupt_at 50_000L) ~tag:phase1
-        | Register_forge | Ack_forge | Stale_read | Withheld_append
-        | Forged_checkpoint | Stale_transfer | Join_equivocation ->
-          ()));
-    on_message = (fun _ ~src:_ _ -> ());
-    on_timer;
-  }
-
-let run_unattested ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
-  let r =
-    R.Ablation.Unattested.run ~f ~seed
-      ~attacker:(unattested_attacker ?network ~attack ~corrupt_at ~script)
-      ~detail:(unattested_detail attack) ~until ()
-  in
-  {
-    attack;
-    target = Unattested;
-    seed;
-    corrupt_at;
-    safety_violations = List.length r.R.Ablation.violations;
-    distinct_ops_at_seq1 = r.R.Ablation.distinct_ops_at_seq1;
-    commits = r.R.Ablation.commits;
-    rejections = 0;
-    trusted_ops = [];
-    messages = r.R.Ablation.messages;
-    duration_us = r.R.Ablation.duration_us;
-    client_finished = false;
-    detail = r.R.Ablation.detail;
-    stalled_spans = [];
-  }
+    "the trinket grants the rewind: both prepares carry one counter, each \
+     receiver adopts its own and finds an f+1 quorum, committing different \
+     operations at one slot"
+  | _ -> "not part of the unattested catalog"
 
 (* --- the durability/checkpoint side --------------------------------------- *)
 
-(* One shared timeline for the checkpoint rigs.  Checkpoints every 2 slots:
-   the five pre-crash operations put the cluster at stable(4) with prev(2);
-   the joiner crashes at 120ms, the attack window runs to the heal at 150ms,
+(* The checkpoint family's timeline.  Checkpoints every 2 slots: the five
+   pre-crash operations put the cluster at stable(4) with prev(2); the
+   joiner crashes at 120ms, the attack window runs to the heal at 150ms,
    and the post-crash operations (slots 6..9) give the joiner two more
    certified boundaries to finish recovering against. *)
 let ckpt_interval = 2
@@ -606,13 +426,29 @@ let ckpt_plan =
     (180_000L, R.Kv_store.Get "x");
   ]
 
-let ckpt_minbft_inject ~attack ~engine ~wrap ~trinket ~f ~(byz : R.Minbft.t)
-    ~attacker_ident ~joiner () =
+let live_plan =
+  [
+    (0L, R.Kv_store.Put ("x", "1"));
+    (10_000L, R.Kv_store.Put ("y", "2"));
+    (40_000L, R.Kv_store.Put ("x", "3"));
+    (90_000L, R.Kv_store.Get "x");
+  ]
+
+let ckpt_inject ~attack ~engine ~wrap ~f ~(byz : R.Minbft.t) ~attacker_ident
+    ~joiner () =
   let ctx = Wrap.raw_ctx wrap in
-  rewind_probe trinket;
+  (* The rewind: a Checkpoint vote for the fabricated boundary, re-attested
+     at the donor's last counter.  Granted, it is the one genuine share of
+     the forged certificate below — one signer short of f+1. *)
+  let forged_vote () =
+    let upto = R.Minbft.stable_upto byz + ckpt_interval in
+    R.Minbft.rewound_checkpoint ~out:(R.Minbft.attack_out byz) ~upto
+      ~digest:0xDEAD_BEEFL ~exec_count:upto
+  in
+  let granted = Option.is_some (forged_vote ()) in
   (* The byz donor suppresses its own genuine replies to the joiner while
-     the link script holds the honest donors' (see [run_ckpt_minbft]):
-     during the window the only snapshots the joiner sees are the attack's.
+     the link script holds the honest donors' (see [run_minbft]): during
+     the window the only snapshots the joiner sees are the attack's.
      Everything opens again at the heal. *)
   Wrap.drop_to wrap joiner;
   E.at engine ckpt_heal_at (fun () -> Wrap.allow_all wrap);
@@ -630,11 +466,15 @@ let ckpt_minbft_inject ~attack ~engine ~wrap ~trinket ~f ~(byz : R.Minbft.t)
             (* A fabricated boundary above the joiner's NVRAM floor, so only
                the certificate verification stands in the way. *)
             let upto = R.Minbft.stable_upto byz + ckpt_interval in
+            let own = if granted then forged_vote () else None in
             let cert =
               List.init (f + 1) (fun owner ->
-                  Trinc.counterfeit ~owner ~prev:(900 + owner)
-                    ~counter:(901 + owner) ~message:"forged checkpoint vote"
-                    ~tag:0L)
+                  match own with
+                  | Some a when a.Trinc.owner = owner -> a
+                  | _ ->
+                    Trinc.counterfeit ~owner ~prev:(900 + owner)
+                      ~counter:(901 + owner) ~message:"forged checkpoint vote"
+                      ~tag:0L)
             in
             Some
               (R.Minbft.adversarial_snapshot ~upto ~digest:0xDEAD_BEEFL
@@ -658,60 +498,96 @@ let ckpt_minbft_inject ~attack ~engine ~wrap ~trinket ~f ~(byz : R.Minbft.t)
       | _ -> ())
     [ 6_000L; 12_000L; 18_000L ]
 
-let run_ckpt_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
+(* Lower the optional network model onto a rig's engine.  Installed after
+   every [Adversary.install] so the re-lowering scheduled at each heal time
+   runs after the heal itself (the engine breaks same-time ties by
+   installation order).  Rational client strategies are skipped: the rigs'
+   scripted clients are part of the attack fixture, not a workload. *)
+let install_network network engine ~replicas ~script =
+  Option.iter
+    (fun m -> Thc_network.Model.install m engine ~replicas ?script ())
+    network
+
+(* The one MinBFT rig.  [target] picks the world the trinkets come from;
+   the attack family picks the fixture.  pids: replicas 0..n-1, honest
+   client n, and n+1 the identity of a colluding client whose signing key
+   the corrupted replica holds.
+
+   Live kinds corrupt the leader (a view-change member for mismatched-vc)
+   under a four-request plan.  Checkpoint kinds corrupt donor 1, with
+   checkpoints every [ckpt_interval] slots and joiner n-1 restarting at
+   [ckpt_restart_at]; the leader stays honest so the service keeps running.
+   Every honest donor's link to the joiner is held from the crash to the
+   heal, so the byz donor's replies are the only snapshots arriving while
+   the joiner awaits — the rejection is a deterministic fact of the rig,
+   not a delivery race.  At the heal the held genuine snapshots flow and
+   recovery completes. *)
+let run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ()
+    =
+  let ckpt = List.mem attack ckpt_all in
   let config =
     {
       (R.Minbft.default_config ~f) with
-      R.Minbft.checkpoint_interval = ckpt_interval;
+      R.Minbft.checkpoint_interval = (if ckpt then ckpt_interval else 0);
     }
   in
   let n = config.R.Minbft.n in
-  (* Same pid layout as [run_minbft]: replicas 0..n-1, honest client n,
-     colluding-client identity n+1.  The corrupted donor and the restarting
-     joiner must differ, and the leader stays honest so the service keeps
-     running through the window. *)
   let total = n + 2 in
-  let byz_pid = 1 in
+  let byz_pid =
+    if ckpt then 1 else match attack with Mismatched_vc -> n - 1 | _ -> 0
+  in
   let joiner = n - 1 in
-  (* The rig needs the corruption in place before the crash it preys on. *)
-  let corrupt_at = min corrupt_at 60_000L in
+  let plan = if ckpt then ckpt_plan else live_plan in
+  (* The checkpoint fixture needs the corruption in place before the crash
+     it preys on. *)
+  let corrupt_at = if ckpt then min corrupt_at 60_000L else corrupt_at in
+  let world_of =
+    match target with
+    | Unattested -> Trinc.create_unattested_world
+    | Minbft | Ubft -> Trinc.create_world
+  in
   let rng = Thc_util.Rng.create seed in
   let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Trinc.create_world rng ~n in
+  let world = world_of rng ~n in
   let net =
     Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
   in
   let spans = Thc_obsv.Span.create () in
   let engine = E.create ~seed ~spans ~n:total ~net () in
-  let trinkets = Array.init n (fun owner -> Trinc.trinket world ~owner) in
   let replicas =
     Array.init n (fun pid ->
-        R.Minbft.create_replica ~config ~keyring ~world ~trinket:trinkets.(pid)
-          ~self:pid)
+        R.Minbft.create_replica ~config ~keyring ~world
+          ~trinket:(Trinc.trinket world ~owner:pid) ~self:pid)
   in
   let wrap = Wrap.create () in
   for pid = 0 to n - 1 do
-    let honest =
-      if pid = joiner then
-        R.Minbft.replica ~restart_at:ckpt_restart_at replicas.(pid)
-      else R.Minbft.replica replicas.(pid)
+    let restart_at =
+      if ckpt && pid = joiner then Some ckpt_restart_at else None
     in
+    let honest = R.Minbft.replica ?restart_at replicas.(pid) in
     E.set_behavior engine pid
       (if pid = byz_pid then Wrap.behavior wrap honest else honest)
   done;
   E.set_behavior engine n
     (R.Minbft.client ~rid_base:0 ~config ~keyring
        ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
-       ~plan:ckpt_plan);
+       ~plan);
   let attacker_ident = Thc_crypto.Keyring.secret keyring ~pid:(n + 1) in
   E.on_corrupt engine ~pid:byz_pid (fun _ ->
-      ckpt_minbft_inject ~attack ~engine ~wrap ~trinket:trinkets.(byz_pid) ~f
-        ~byz:replicas.(byz_pid) ~attacker_ident ~joiner ());
-  (* Corruption plus the delivery window: every honest donor's link to the
-     joiner is held from the crash to the heal, so the byz donor's replies
-     are the only snapshots arriving while the joiner awaits — the
-     rejection is a deterministic fact of the rig, not a delivery race.  At
-     the heal the held genuine snapshots flow and recovery completes. *)
+      if ckpt then
+        ckpt_inject ~attack ~engine ~wrap ~f ~byz:replicas.(byz_pid)
+          ~attacker_ident ~joiner ()
+      else
+        minbft_inject ~attack ~engine ~wrap ~replica:replicas.(byz_pid)
+          ~attacker_ident ~n ());
+  (* Corruption rides the ordinary adversary machinery: a [Corrupt] event
+     marks the pid Byzantine and fires the handler above at [corrupt_at]. *)
+  let corrupt =
+    {
+      Thc_sim.Adversary.at = corrupt_at;
+      action = Thc_sim.Adversary.Corrupt { pid = byz_pid; attack = name attack };
+    }
+  in
   let window =
     List.filter_map
       (fun donor ->
@@ -725,154 +601,28 @@ let run_ckpt_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
       (List.init n Fun.id)
   in
   Thc_sim.Adversary.install
-    {
-      Thc_sim.Adversary.events =
-        ({
-           Thc_sim.Adversary.at = corrupt_at;
-           action =
-             Thc_sim.Adversary.Corrupt { pid = byz_pid; attack = name attack };
-         }
-        :: window)
-        @ [
-            {
-              Thc_sim.Adversary.at = ckpt_heal_at;
-              action = Thc_sim.Adversary.Heal;
-            };
-          ];
-      horizon = ckpt_heal_at;
-    }
+    (if ckpt then
+       {
+         Thc_sim.Adversary.events =
+           (corrupt :: window)
+           @ [ { Thc_sim.Adversary.at = ckpt_heal_at; action = Thc_sim.Adversary.Heal } ];
+         horizon = ckpt_heal_at;
+       }
+     else { Thc_sim.Adversary.events = [ corrupt ]; horizon = corrupt_at })
     engine;
   Option.iter (fun s -> Thc_sim.Adversary.install s engine) script;
   install_network network engine ~replicas:n ~script;
   Thc_obsv.Ledger.set_observer (Trinc.ledger world)
     (Thc_obsv.Span.attribute spans);
   let trace = E.run ~until engine in
-  let ledger = Trinc.ledger world in
-  ( {
-      attack;
-      target = Minbft;
-      seed;
-      corrupt_at;
-      safety_violations =
-        List.length (R.Smr_spec.check_safety trace ~replicas:n);
-      distinct_ops_at_seq1 = distinct_ops_at_seq1 trace ~replicas:n;
-      commits = R.Smr_spec.commits trace ~replicas:n;
-      rejections = Thc_obsv.Ledger.rejections ledger;
-      trusted_ops = Thc_obsv.Ledger.rows ledger;
-      messages = Thc_sim.Trace.messages_sent trace;
-      duration_us = trace.Thc_sim.Trace.end_time;
-      client_finished =
-        client_finished trace ~pid:n ~expected:(List.length ckpt_plan);
-      detail = minbft_detail attack;
-      stalled_spans =
-        List.filter
-          (fun v -> not (Thc_obsv.Span.complete v))
-          (Thc_obsv.Span.views spans);
-    },
+  ( result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger:(Trinc.ledger world)
+      ~spans ~plan
+      ~detail:
+        (match target with
+        | Unattested -> unattested_detail attack
+        | Minbft | Ubft -> minbft_detail attack)
+      trace,
     trace )
-
-(* The same three attacks against the unattested strawman, where state
-   transfer is the leader's unverifiable word.  The attacker is the leader:
-   it runs a normal prefix (slots 1-2), waits out the scripted restarts,
-   serves each joiner whatever snapshot the kind calls for, and then drives
-   one more slot whose execution makes the divergence observable. *)
-let ckpt_unattested_attacker ?network ~attack ~script ~joiners
-    (env : R.Ablation.Unattested.env) : R.Ablation.Unattested.wire E.behavior =
-  Option.iter
-    (fun s -> Thc_sim.Adversary.install s env.R.Ablation.Unattested.engine)
-    script;
-  install_network network env.R.Ablation.Unattested.engine
-    ~replicas:env.R.Ablation.Unattested.n ~script;
-  let module U = R.Ablation.Unattested in
-  let propose = 801 and serve = 802 and rewrite = 803 in
-  let send_all (ctx : _ E.ctx) wire =
-    List.iter (fun dst -> ctx.E.send dst wire) (env.U.group_a @ env.U.group_b)
-  in
-  let req_c () = U.request env ~rid:9_200 (R.Kv_store.Put ("k", "C")) in
-  let on_timer (ctx : _ E.ctx) tag =
-    if tag = propose then begin
-      send_all ctx (U.prepare env ~seq:1 env.U.req_a);
-      send_all ctx (U.prepare env ~seq:2 (req_c ()))
-    end
-    else if tag = serve then begin
-      match attack with
-      | Forged_checkpoint ->
-        List.iter
-          (fun j ->
-            ctx.E.send j (U.snapshot env ~state:[ ("k", "forged") ] ~upto:2))
-          joiners
-      | Stale_transfer ->
-        (* Roll the joiner back behind the committed slot 2. *)
-        List.iter
-          (fun j -> ctx.E.send j (U.snapshot env ~state:[ ("k", "A") ] ~upto:1))
-          joiners
-      | Join_equivocation ->
-        List.iteri
-          (fun i j ->
-            ctx.E.send j
-              (U.snapshot env
-                 ~state:[ ("k", "fork" ^ string_of_int i) ]
-                 ~upto:2))
-          joiners
-      | _ -> ()
-    end
-    else if tag = rewrite then begin
-      (match attack with
-      | Stale_transfer ->
-        (* Rewrite the erased slot at the rolled-back joiner only. *)
-        let req_d = U.request env ~rid:9_201 (R.Kv_store.Put ("k", "D")) in
-        List.iter
-          (fun j ->
-            ctx.E.send j (U.prepare env ~seq:2 req_d);
-            ctx.E.send j (U.commit env ~seq:2 ~digest:(U.digest req_d)))
-          joiners
-      | _ -> ());
-      (* A read everyone commits: its result pins the divergence. *)
-      send_all ctx (U.prepare env ~seq:3 (U.request env ~rid:9_202 (R.Kv_store.Get "k")))
-    end
-  in
-  {
-    init =
-      (fun ctx ->
-        ctx.E.set_timer ~delay:1_000L ~tag:propose;
-        ctx.E.set_timer ~delay:55_000L ~tag:serve;
-        ctx.E.set_timer ~delay:80_000L ~tag:rewrite);
-    on_message = (fun _ ~src:_ _ -> ());
-    on_timer;
-  }
-
-let ckpt_unattested_restart_at = 50_000L
-
-let run_ckpt_unattested ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
-    =
-  let n = (2 * f) + 1 in
-  let joiners =
-    match attack with
-    | Join_equivocation -> List.init (n - 1) (fun i -> i + 1)
-    | _ -> [ n - 1 ]
-  in
-  let restarts = List.map (fun pid -> (pid, ckpt_unattested_restart_at)) joiners in
-  let r =
-    R.Ablation.Unattested.run ~f ~seed ~restarts
-      ~attacker:(ckpt_unattested_attacker ?network ~attack ~script ~joiners)
-      ~detail:(unattested_detail attack) ~until ()
-  in
-  {
-    attack;
-    target = Unattested;
-    seed;
-    corrupt_at;
-    safety_violations = List.length r.R.Ablation.violations;
-    distinct_ops_at_seq1 = r.R.Ablation.distinct_ops_at_seq1;
-    commits = r.R.Ablation.commits;
-    rejections = 0;
-    trusted_ops = [];
-    messages = r.R.Ablation.messages;
-    duration_us = r.R.Ablation.duration_us;
-    client_finished = false;
-    detail = r.R.Ablation.detail;
-    stalled_spans = [];
-  }
 
 (* --- the uBFT-sim side --------------------------------------------------- *)
 
@@ -1007,57 +757,31 @@ let run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
   Option.iter (fun s -> Thc_sim.Adversary.install s engine) script;
   install_network network engine ~replicas:n ~script;
   let trace = E.run ~until engine in
-  {
-    attack;
-    target = Ubft;
-    seed;
-    corrupt_at;
-    safety_violations = List.length (R.Smr_spec.check_safety trace ~replicas:n);
-    distinct_ops_at_seq1 = distinct_ops_at_seq1 trace ~replicas:n;
-    commits = R.Smr_spec.commits trace ~replicas:n;
-    rejections = Thc_obsv.Ledger.rejections hw;
-    trusted_ops = Thc_obsv.Ledger.rows hw;
-    messages = Thc_sim.Trace.messages_sent trace;
-    duration_us = trace.Thc_sim.Trace.end_time;
-    client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
-    detail = ubft_detail attack;
-    stalled_spans =
-      List.filter
-        (fun v -> not (Thc_obsv.Span.complete v))
-        (Thc_obsv.Span.views spans);
-  }
+  result_of ~attack ~target:Ubft ~seed ~corrupt_at ~n ~ledger:hw ~spans ~plan
+    ~detail:(ubft_detail attack) trace
 
 let script_slack = function
   | None -> 0L
   | Some s -> s.Thc_sim.Adversary.horizon
 
+let until_of ~corrupt_at ~script =
+  Int64.add 500_000L (Int64.add corrupt_at (script_slack script))
+
 let run ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network ~target
     ~attack () =
   let corrupt_at = if corrupt_at < 1L then 1L else corrupt_at in
-  let slack = script_slack script in
-  let ckpt = List.mem attack ckpt_all in
+  let until = until_of ~corrupt_at ~script in
   match target with
-  | Minbft ->
-    let until = Int64.add 500_000L (Int64.add corrupt_at slack) in
-    if ckpt then
-      fst (run_ckpt_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ())
-    else fst (run_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ())
-  | Unattested ->
-    let until = Int64.add 1_000_000L (Int64.add corrupt_at slack) in
-    if ckpt then
-      run_ckpt_unattested ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
-    else run_unattested ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
-  | Ubft ->
-    let until = Int64.add 500_000L (Int64.add corrupt_at slack) in
-    run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
+  | Minbft | Unattested ->
+    fst
+      (run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ())
+  | Ubft -> run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
 
 let run_export ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network
     ~attack () =
   let corrupt_at = if corrupt_at < 1L then 1L else corrupt_at in
-  let until = Int64.add 500_000L (Int64.add corrupt_at (script_slack script)) in
   let result, trace =
-    if List.mem attack ckpt_all then
-      run_ckpt_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
-    else run_minbft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
+    run_minbft ?network ~target:Minbft ~attack ~f ~seed ~corrupt_at ~script
+      ~until:(until_of ~corrupt_at ~script) ()
   in
   (result, Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace)

@@ -1,14 +1,18 @@
 (** The Byzantine attack catalog.
 
-    Two attack families over three targets.  The original six scripted
-    active-adversary behaviors run against real MinBFT on trusted
-    counters ([Minbft]) and the unattested 2f+1 ablation ([Unattested]);
-    together they turn the paper's central claim — non-equivocation is
-    what the trusted-log class buys — from an asserted ablation into a
-    demonstrated one: every attack that merely bounces off the attested
-    protocol (safety intact, the hardware ledger recording the rejected
-    operation) forks the unattested protocol into a concrete divergent
-    commit.
+    Three attack families over three targets.  The original six scripted
+    active-adversary behaviors and the three checkpoint kinds run against
+    real MinBFT on trusted counters ([Minbft]).  [Unattested] is the same
+    MinBFT rig on {!Thc_hardware.Trinc.create_unattested_world}, which
+    keeps authentication and drops only monotonicity: every MinBFT attack
+    opens by asking its trinket to re-attest at a used counter, TrInc
+    refuses (the ledger records it) and the unattested world grants it.
+    Equivocation then forks the unattested world into a concrete
+    divergent commit — the paper's central claim, non-equivocation is what
+    the trusted-log class buys, demonstrated rather than asserted.  The
+    other kinds are stopped there by mechanisms that are not hardware
+    (release watermarks, view numbers, f+1 certificates, the NVRAM floor,
+    the f+1-donor suffix rule), so they stay out of its catalog.
 
     The register catalog ([ubft_all]) targets [Ubft], the SWMR-register
     protocol one level {e up} Figure 1's order: equivocation there is not
@@ -53,15 +57,15 @@ type kind =
 
 val all : kind list
 (** The trusted-log catalog (the original six), in order — what runs
-    against [Minbft] and [Unattested].  Stable: sweep cell counts in the
+    against [Minbft] ([Unattested] takes only [Equivocate]).  Stable: sweep cell counts in the
     thc-attack/v1 export depend on its length. *)
 
 val ubft_all : kind list
 (** The register catalog — what runs against [Ubft]. *)
 
 val ckpt_all : kind list
-(** The checkpoint/state-transfer catalog — what the durability rigs run
-    against [Minbft] and [Unattested].  Kept separate from {!all} so the
+(** The checkpoint/state-transfer catalog — what the MinBFT rig runs
+    against [Minbft] with a scripted restart.  Kept separate from {!all} so the
     sweep cell counts pinned to its length stay valid. *)
 
 val name : kind -> string
@@ -83,8 +87,10 @@ val target_name : target -> string
 val target_of_name : string -> target option
 
 val applies : target:target -> attack:kind -> bool
-(** Whether the attack belongs to the target's catalog ({!all} for
-    [Minbft]/[Unattested], {!ubft_all} for [Ubft]).  {!Matrix} sweeps
+(** Whether the attack belongs to the target's catalog ({!all} and
+    {!ckpt_all} for [Minbft], [Equivocate] alone for [Unattested] — the
+    one kind that forks it at every sweep cell — and {!ubft_all} for
+    [Ubft]).  {!Matrix} sweeps
     filter their cell grid through this. *)
 
 type result = {
@@ -102,17 +108,16 @@ type result = {
       (** {!Thc_obsv.Ledger.rejections} of the run's hardware ledger —
           refused attest/check/link operations under [Minbft], refused
           register writes/appends ([swmr.append_denied]) under [Ubft];
-          0 for unattested runs, which have no hardware to refuse
-          anything. *)
+          under [Unattested] only the non-hardware refusals ([link.*],
+          [ckpt.*]), since its world charges no [trinc.*] op. *)
   trusted_ops : (string * int) list;  (** Full ledger rows. *)
   messages : int;
   duration_us : int64;  (** Virtual end time of the run. *)
   client_finished : bool;
-      (** Did the honest client get all its replies (MinBFT runs only)? *)
+      (** Did the honest client get all its replies? *)
   detail : string;  (** What mechanically happened, for the report. *)
   stalled_spans : Thc_obsv.Span.view list;
-      (** Request spans that never reached their reply (MinBFT runs only;
-          [[]] for unattested) — the attacker's injected conflicting
+      (** Request spans that never reached their reply — the attacker's injected conflicting
           writes and any honest request the attack starved.  Each view's
           last mark names the phase where the hardware discipline stopped
           the request; rendered by [thc attack]'s span drill-down.  Not

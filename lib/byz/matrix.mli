@@ -1,12 +1,13 @@
 (** Attack-sweep matrix: every attack fanned across seeds and corruption
-    timings, against both targets, with a pass/fail verdict per cell.
+    timings, against every target whose catalog holds it
+    ({!Attack.applies}), with a pass/fail verdict per cell.
 
     A cell {e passes} when {!Attack.holds} — the paper's prediction for
     that (attack, target) pair came true.  The whole matrix passing is the
     strongest statement this repository makes about the systems payoff:
     it is not one lucky schedule; across every sampled seed and timing the
     attested protocol shrugs the attack off with an auditable hardware
-    rejection while the unattested one forks.
+    rejection while the unattested world forks under equivocation.
 
     Exports as thc-attack/v1 JSONL: one header object
     [{"type":"attack-sweep","schema":"thc-attack/v1",...}] followed by one

@@ -98,11 +98,12 @@ let agreement_run ~start ?network ~seed ~script () =
 
 (* --- byzantine attack catalog ------------------------------------------- *)
 
-(* The twelve (attack x target) cells from lib/byz, each under the same
-   adversary-script exploration as every other harness.  The MinBFT side is
-   [Clean]: whatever the network does on top of the corruption, safety must
-   hold and the hardware ledger must record at least one refused operation.
-   The unattested side is [Broken]: the same behavior forks it. *)
+(* Every in-catalog (attack x target) cell from lib/byz, each under the same
+   adversary-script exploration as every other harness.  The MinBFT and
+   uBFT sides are [Clean]: whatever the network does on top of the
+   corruption, safety must hold and the hardware ledger must record at
+   least one refused operation.  The unattested side is [Broken]: the same
+   behavior forks it. *)
 
 let byz_violations (r : Thc_byz.Attack.result) =
   match r.Thc_byz.Attack.target with
@@ -149,69 +150,29 @@ let byz_harnesses =
   List.concat_map
     (fun attack ->
       let aname = Thc_byz.Attack.name attack in
-      [
-        {
-          name = "minbft-" ^ aname;
-          summary =
-            Printf.sprintf "MinBFT under %s: %s" aname
-              (Thc_byz.Attack.describe attack);
-          profile = byz_profile;
-          expect = Clean;
-          run = attack_run ~target:Thc_byz.Attack.Minbft attack;
-        };
-        {
-          name = "unattested-" ^ aname;
-          summary =
-            Printf.sprintf "unattested 2f+1 under %s: %s" aname
-              (Thc_byz.Attack.describe attack);
-          profile = byz_profile;
-          expect = Broken;
-          run = attack_run ~target:Thc_byz.Attack.Unattested attack;
-        };
-      ])
-    Thc_byz.Attack.all
-  @ List.map
-      (fun attack ->
-        let aname = Thc_byz.Attack.name attack in
-        {
-          name = "ubft-" ^ aname;
-          summary =
-            Printf.sprintf "uBFT-sim (SWMR registers) under %s: %s" aname
-              (Thc_byz.Attack.describe attack);
-          profile = byz_profile;
-          expect = Clean;
-          run = attack_run ~target:Thc_byz.Attack.Ubft attack;
-        })
-      Thc_byz.Attack.ubft_all
-
-(* The durability/state-transfer cells, same Clean/Broken split.  A separate
-   list (like [ckpt_all] itself) so nothing pinned to the size of
-   [Attack.all]'s grid moves. *)
-let ckpt_harnesses =
-  List.concat_map
-    (fun attack ->
-      let aname = Thc_byz.Attack.name attack in
-      [
-        {
-          name = "minbft-" ^ aname;
-          summary =
-            Printf.sprintf "MinBFT durability under %s: %s" aname
-              (Thc_byz.Attack.describe attack);
-          profile = byz_profile;
-          expect = Clean;
-          run = attack_run ~target:Thc_byz.Attack.Minbft attack;
-        };
-        {
-          name = "unattested-" ^ aname;
-          summary =
-            Printf.sprintf "unattested state transfer under %s: %s" aname
-              (Thc_byz.Attack.describe attack);
-          profile = byz_profile;
-          expect = Broken;
-          run = attack_run ~target:Thc_byz.Attack.Unattested attack;
-        };
-      ])
-    Thc_byz.Attack.ckpt_all
+      List.filter_map
+        (fun (target, prefix, what, expect) ->
+          if Thc_byz.Attack.applies ~target ~attack then
+            Some
+              {
+                name = prefix ^ "-" ^ aname;
+                summary =
+                  Printf.sprintf "%s under %s: %s" what aname
+                    (Thc_byz.Attack.describe attack);
+                profile = byz_profile;
+                expect;
+                run = attack_run ~target attack;
+              }
+          else None)
+        [
+          (Thc_byz.Attack.Minbft, "minbft", "MinBFT", Clean);
+          ( Thc_byz.Attack.Unattested,
+            "unattested",
+            "MinBFT on the unattested world",
+            Broken );
+          (Thc_byz.Attack.Ubft, "ubft", "uBFT-sim (SWMR registers)", Clean);
+        ])
+    (Thc_byz.Attack.all @ Thc_byz.Attack.ubft_all @ Thc_byz.Attack.ckpt_all)
 
 (* --- registry ----------------------------------------------------------- *)
 
@@ -285,7 +246,7 @@ let all =
     };
   ]
 
-let all = all @ byz_harnesses @ ckpt_harnesses
+let all = all @ byz_harnesses
 
 let find name = List.find_opt (fun h -> h.name = name) all
 

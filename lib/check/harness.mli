@@ -49,21 +49,21 @@ type t = {
 val all : t list
 (** [minbft], [pbft] (scripted faults against the replicated KV, SMR
     safety + KV replay + liveness-by-horizon monitors); [minbft-unattested]
-    (the ablated protocol of {!Thc_replication.Ablation} — non-equivocation
-    disabled, equivocating leader baked in, expected to fork);
+    (the ablation of {!Thc_replication.Ablation} — MinBFT on a TrInc world
+    without monotonicity, equivocating leader baked in, expected to fork);
     [srb-trinc] and [srb-uni] (both SRB implementations under the full
     four-property spec); [agreement] (strong validity, crash-only profile)
     and [agreement-partition] (same protocol with partitions that violate
     its synchrony assumption — the explorer finds the separation).
 
     The Byzantine attack catalog ({!Thc_byz.Attack}) contributes one
-    harness per (attack, target) cell: [minbft-<attack>] ([Clean] — safety
-    holds and the hardware ledger records a refused operation under every
-    admissible script, monitors [byz-safety] / [byz-rejection]) and
-    [unattested-<attack>] ([Broken] — the same behavior forks the 2f+1
-    ablation, monitor [byz-divergence]) for each of [equivocation],
-    [replay], [reuse], [mismatched-vc], [selective-send],
-    [silent-then-lie]. *)
+    harness per in-catalog (attack, target) cell
+    ({!Thc_byz.Attack.applies}): [minbft-<attack>] and [ubft-<attack>]
+    ([Clean] — safety holds and the hardware ledger records a refused
+    operation under every admissible script, monitors [byz-safety] /
+    [byz-rejection]) and [unattested-equivocation] ([Broken] — the same
+    behavior forks MinBFT on the unattested world, monitor
+    [byz-divergence]). *)
 
 val find : string -> t option
 val names : unit -> string list

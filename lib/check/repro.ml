@@ -98,12 +98,32 @@ let matches expect (verdict : Monitor.verdict) =
   | `Fail [], _ -> false
   | `Fail (primary :: _), v -> List.mem primary (Monitor.monitors_of v)
 
+let script_pids (script : Thc_sim.Adversary.t) =
+  List.concat_map
+    (fun (e : Thc_sim.Adversary.event) ->
+      match e.action with
+      | Thc_sim.Adversary.Crash pid | Thc_sim.Adversary.Corrupt { pid; _ } ->
+        [ pid ]
+      | Thc_sim.Adversary.Block_groups groups -> List.concat groups
+      | Thc_sim.Adversary.Block_link (src, dst) -> [ src; dst ]
+      | Thc_sim.Adversary.Heal -> [])
+    script.events
+
+(* A hand-written repro may name any pid; the harness's engine would raise
+   on one outside its replicas, so refuse it up front. *)
 let replay r =
   match Harness.find r.protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" r.protocol)
-  | Some h ->
-    let report = h.Harness.run ~seed:r.seed ~script:r.script () in
-    Ok { repro = r; report; matched = matches r.expect report.Harness.verdict }
+  | Some h -> (
+    let n = h.Harness.profile.Harness.n in
+    match List.find_opt (fun pid -> pid < 0 || pid >= n) (script_pids r.script) with
+    | Some pid ->
+      Error
+        (Printf.sprintf "script names pid %d, outside %s's replicas 0..%d" pid
+           r.protocol (n - 1))
+    | None ->
+      let report = h.Harness.run ~seed:r.seed ~script:r.script () in
+      Ok { repro = r; report; matched = matches r.expect report.Harness.verdict })
 
 let pp_replay ppf { repro; report; matched } =
   let pp_expect ppf = function

@@ -44,7 +44,8 @@ type replay = {
 
 val replay : t -> (replay, string) result
 (** Re-run the repro deterministically against the registry harness.
-    [Error] only for an unknown protocol name; a verdict mismatch is
+    [Error] for an unknown protocol name or a script naming a pid outside
+    the harness's replicas [0 .. profile.n - 1]; a verdict mismatch is
     [Ok { matched = false; _ }]. *)
 
 val pp_replay : Format.formatter -> replay -> unit

@@ -10,6 +10,7 @@ type world = {
   nonces : int64 array;
   claimed : bool array;
   ops : Thc_obsv.Ledger.t;
+  monotonic : bool;
 }
 
 type t = {
@@ -17,15 +18,26 @@ type t = {
   nonce : int64;
   mutable last : int;
   ops : Thc_obsv.Ledger.t;
+  monotonic : bool;
 }
 
-let create_world rng ~n =
+let make_world ~monotonic rng ~n =
   if n <= 0 then invalid_arg "Trinc.create_world: n must be positive";
   {
     nonces = Array.init n (fun _ -> Thc_util.Rng.next_int64 rng);
     claimed = Array.make n false;
     ops = Thc_obsv.Ledger.create ();
+    monotonic;
   }
+
+let create_world rng ~n = make_world ~monotonic:true rng ~n
+
+let create_unattested_world rng ~n = make_world ~monotonic:false rng ~n
+
+(* The unattested world is no trusted hardware at all: it charges nothing,
+   so its runs report 0 trusted ops. *)
+let charge ~monotonic ops label =
+  if monotonic then Thc_obsv.Ledger.bump ops label
 
 let ledger (world : world) = world.ops
 
@@ -37,21 +49,29 @@ let trinket world ~owner =
   if world.claimed.(owner) then
     invalid_arg "Trinc.trinket: trinket already claimed";
   world.claimed.(owner) <- true;
-  { owner; nonce = world.nonces.(owner); last = 0; ops = world.ops }
+  {
+    owner;
+    nonce = world.nonces.(owner);
+    last = 0;
+    ops = world.ops;
+    monotonic = world.monotonic;
+  }
 
 let tag_of ~nonce ~owner ~prev ~counter ~message =
   Thc_crypto.Digest.to_int64
     (Thc_crypto.Digest.of_value (nonce, owner, prev, counter, message))
 
 let attest t ~counter ~message =
-  if counter <= t.last then begin
+  if t.monotonic && counter <= t.last then begin
     Thc_obsv.Ledger.bump t.ops "trinc.attest_denied";
     None
   end
   else begin
-    Thc_obsv.Ledger.bump t.ops "trinc.attest";
-    let prev = t.last in
-    t.last <- counter;
+    charge ~monotonic:t.monotonic t.ops "trinc.attest";
+    (* Without monotonicity the previous counter is whatever the caller's
+       counter implies — on a dense stream the same value TrInc records. *)
+    let prev = if t.monotonic then t.last else counter - 1 in
+    t.last <- max t.last counter;
     Some
       {
         owner = t.owner;
@@ -63,7 +83,7 @@ let attest t ~counter ~message =
   end
 
 let check (world : world) (a : attestation) ~id =
-  Thc_obsv.Ledger.bump world.ops "trinc.check";
+  charge ~monotonic:world.monotonic world.ops "trinc.check";
   let ok =
     a.owner = id
     && id >= 0
@@ -72,7 +92,7 @@ let check (world : world) (a : attestation) ~id =
          (tag_of ~nonce:world.nonces.(id) ~owner:a.owner ~prev:a.prev
             ~counter:a.counter ~message:a.message)
   in
-  if not ok then Thc_obsv.Ledger.bump world.ops "trinc.check_fail";
+  if not ok then charge ~monotonic:world.monotonic world.ops "trinc.check_fail";
   ok
 
 let last_counter t = t.last

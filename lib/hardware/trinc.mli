@@ -32,6 +32,16 @@ type attestation = {
 val create_world : Thc_util.Rng.t -> n:int -> world
 (** Provision trinkets for processes [0 .. n-1]. *)
 
+val create_unattested_world : Thc_util.Rng.t -> n:int -> world
+(** The same world with monotonicity removed — the ablation's hardware.
+    Draws exactly the RNG values {!create_world} draws.  Its trinkets
+    attest {e any} counter, including one already used, with
+    [prev = counter - 1]; {!check} still verifies the tag, so
+    authentication stays and only non-equivocation goes.  It charges no
+    [trinc.*] ledger ops, so runs on it report 0 trusted ops.  On a dense
+    counter stream (every correct replica's) the attestations are
+    byte-identical to {!create_world}'s. *)
+
 val ledger : world -> Thc_obsv.Ledger.t
 (** Trusted-op accounting shared by the world and every trinket claimed
     from it: ["trinc.attest"], ["trinc.attest_denied"] (stale counter),

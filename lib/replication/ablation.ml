@@ -15,332 +15,21 @@ let pp_result ppf r =
     (List.fold_left (fun acc (_, c) -> acc + c) 0 r.trusted_ops)
     r.detail
 
-(* ----------------------------------------------------------------------- *)
-(* The unattested variant: MinBFT's normal case over plain signatures.      *)
-(* ----------------------------------------------------------------------- *)
-
-type uproto =
-  | Uprepare of { seq : int; request : Command.signed_request }
-  | Ucommit of { seq : int; digest : int64 }
-  | Ufetch
-  | Usnapshot of { state : (string * string) list; upto : int }
-      (* appended last: encoded protos keep their bytes.  Ufetch/Usnapshot
-         are the unattested strawman of state transfer: the payload carries
-         no certificate, so a joiner can only install it on faith. *)
-
-type umsg = uproto Thc_crypto.Signature.signed
-
-let urestart_timer_tag = 901
-
-(* A correct replica of the unattested protocol (fixed leader 0, no view
-   change — the attack only needs the normal case).  [restart_at] models a
-   crash-and-restart: all state is lost and the replica re-joins by asking
-   the leader for a snapshot — which, lacking any attestation, it has no
-   choice but to install blindly. *)
-let unattested_replica ?restart_at ~keyring ~ident ~f ~self () :
-    umsg Thc_sim.Engine.behavior =
-  let store = Kv_store.create () in
-  let proposals : (int, Command.signed_request) Hashtbl.t = Hashtbl.create 8 in
-  let votes : (int * int64, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let committed : (int, Command.signed_request) Hashtbl.t = Hashtbl.create 8 in
-  let commit_sent : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let exec_upto = ref 0 in
-  let awaiting = ref false in
-  let rec try_execute (ctx : umsg Thc_sim.Engine.ctx) =
-    if !awaiting then ()
-    else
-    match Hashtbl.find_opt committed (!exec_upto + 1) with
-    | None -> ()
-    | Some sr ->
-      incr exec_upto;
-      let resultv =
-        Kv_store.encode_result (Kv_store.apply store (Kv_store.decode_op sr.value.op))
-      in
-      if Thc_obsv.Span.enabled ctx.spans then
-        Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid
-          Thc_obsv.Span.Executed ~at:(ctx.now ());
-      ctx.output
-        (Thc_sim.Obs.Executed { seq = !exec_upto; op = sr.value.op; result = resultv });
-      try_execute ctx
-  in
-  let record ctx ~seq ~digest ~voter =
-    let tbl =
-      match Hashtbl.find_opt votes (seq, digest) with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.add votes (seq, digest) tbl;
-        tbl
-    in
-    Hashtbl.replace tbl voter ();
-    match Hashtbl.find_opt proposals seq with
-    | Some sr
-      when Command.digest sr.Thc_crypto.Signature.value = digest
-           && Hashtbl.length tbl >= f + 1
-           && not (Hashtbl.mem committed seq) ->
-      Hashtbl.replace committed seq sr;
-      if Thc_obsv.Span.enabled ctx.Thc_sim.Engine.spans then
-        Thc_obsv.Span.mark ctx.Thc_sim.Engine.spans ~client:sr.value.client
-          ~rid:sr.value.rid ~seq Thc_obsv.Span.Committed ~at:(ctx.Thc_sim.Engine.now ());
-      ctx.Thc_sim.Engine.output
-        (Thc_sim.Obs.Committed { view = 0; seq; op = sr.value.op });
-      try_execute ctx
-    | Some _ | None -> ()
-  in
-  {
-    init =
-      (fun ctx ->
-        match restart_at with
-        | Some delay -> ctx.set_timer ~delay ~tag:urestart_timer_tag
-        | None -> ());
-    on_message =
-      (fun ctx ~src (w : umsg) ->
-        if Thc_crypto.Signature.sealed_ok keyring w then
-          match w.value with
-          | Ufetch ->
-            (* Only the leader serves state transfer in this strawman —
-               which is exactly what hands a Byzantine leader the joiner. *)
-            if self = 0 && not !awaiting then
-              ctx.send src
-                (Thc_crypto.Signature.seal ident
-                   (Usnapshot
-                      { state = Kv_store.snapshot store; upto = !exec_upto }))
-          | Usnapshot { state; upto } ->
-            (* Nothing certifies the payload: first answer wins, wholesale.
-               This blind install is the ablation's point — compare the
-               certificate/floor/quorum ladder in {!Minbft}. *)
-            if !awaiting then begin
-              Kv_store.reset_to store state;
-              exec_upto := upto;
-              awaiting := false;
-              ctx.output
-                (Thc_sim.Obs.Recovered { upto; exec_count = upto });
-              try_execute ctx
-            end
-          | Uprepare { seq; request } ->
-            (* Without non-equivocation all a replica can do is adopt the
-               first leader proposal it sees. *)
-            if
-              w.signature.signer = 0
-              && Command.valid keyring request
-              && not (Hashtbl.mem proposals seq)
-            then begin
-              Hashtbl.replace proposals seq request;
-              if Thc_obsv.Span.enabled ctx.spans then
-                Thc_obsv.Span.mark ctx.spans ~client:request.value.client
-                  ~rid:request.value.rid ~seq Thc_obsv.Span.Propose ~at:(ctx.now ());
-              let digest = Command.digest request.value in
-              record ctx ~seq ~digest ~voter:0;
-              if self <> 0 && not (Hashtbl.mem commit_sent seq) then begin
-                Hashtbl.replace commit_sent seq ();
-                if Thc_obsv.Span.enabled ctx.spans then
-                  Thc_obsv.Span.mark ctx.spans ~rid:request.value.rid ~seq
-                    Thc_obsv.Span.Commit_send ~at:(ctx.now ());
-                ctx.broadcast
-                  (Thc_crypto.Signature.seal ident (Ucommit { seq; digest }));
-                record ctx ~seq ~digest ~voter:self
-              end
-            end
-          | Ucommit { seq; digest } ->
-            record ctx ~seq ~digest ~voter:w.signature.signer);
-    on_timer =
-      (fun ctx tag ->
-        if tag = urestart_timer_tag then begin
-          (* Crash-and-restart: everything volatile is gone — and unlike
-             the attested protocol there is no NVRAM floor to keep. *)
-          Hashtbl.reset proposals;
-          Hashtbl.reset votes;
-          Hashtbl.reset committed;
-          Hashtbl.reset commit_sent;
-          Kv_store.reset_to store [];
-          exec_upto := 0;
-          awaiting := true;
-          ctx.broadcast (Thc_crypto.Signature.seal ident Ufetch)
-        end);
-  }
-
-(* The equivocating leader: proposal A to the first half, proposal B to the
-   second half.  [wire_a]/[wire_b] abstract over how proposals are built so
-   the identical attack runs against both protocols. *)
-let split_attack (type m) ~(engine : m Thc_sim.Engine.t) ~n ~group_a ~group_b
-    ~(wire_a : m) ~(wire_b : m) =
-  ignore n;
-  Thc_sim.Engine.mark_byzantine engine 0;
-  let byz : m Thc_sim.Engine.behavior =
-    {
-      init =
-        (fun ctx ->
-          List.iter (fun dst -> ctx.send dst wire_a) group_a;
-          List.iter (fun dst -> ctx.send dst wire_b) group_b);
-      on_message = (fun _ ~src:_ _ -> ());
-      on_timer = (fun _ _ -> ());
-    }
-  in
-  Thc_sim.Engine.set_behavior engine 0 byz
-
-let groups ~f =
-  ( List.init f (fun i -> i + 1),  (* replicas 1..f *)
-    List.init f (fun i -> i + f + 1) (* replicas f+1..2f *) )
-
-let requests ~keyring ~client_pid =
-  let ident = Thc_crypto.Keyring.secret keyring ~pid:client_pid in
-  ( Command.make ~ident ~rid:0 (Kv_store.Put ("k", "A")),
-    Command.make ~ident ~rid:1 (Kv_store.Put ("k", "B")) )
-
-let distinct_at_seq1 trace ~replicas =
-  List.filter_map
-    (fun pid ->
-      List.find_map
-        (fun obs ->
-          match (obs : Thc_sim.Obs.t) with
-          | Executed { seq = 1; op; _ } -> Some op
-          | _ -> None)
-        (Thc_sim.Trace.outputs_of trace pid))
-    (List.filter (fun p -> p < replicas) (Thc_sim.Trace.correct_pids trace))
-  |> List.sort_uniq compare |> List.length
-
-let run_unattested ?(f = 1) ~seed ~configure ~until () =
-  let n = (2 * f) + 1 in
+(* One body for both worlds.  Correct replicas 1..2f run real MinBFT; the
+   leader's trinket goes to the attacker, which seals proposal A for slot 1
+   and then re-attests proposal B at the counter A just used.  TrInc refuses
+   that rewind, so B takes the next counter and hides behind a gap; the
+   unattested world grants it, and each half holds a proposal at the same
+   counter. *)
+let split_run ~world_of ~f ~seed ~configure ~until =
+  let config = Minbft.default_config ~f in
+  let n = config.Minbft.n in
   let total = n + 1 (* one client identity for signing requests *) in
   let rng = Thc_util.Rng.create seed in
   let keyring = Thc_crypto.Keyring.create rng ~n:total in
+  let world = world_of rng ~n in
   let net = Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L)) in
   let engine = Thc_sim.Engine.create ~seed ~n:total ~net () in
-  for pid = 1 to n - 1 do
-    Thc_sim.Engine.set_behavior engine pid
-      (unattested_replica ~keyring
-         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-         ~f ~self:pid ())
-  done;
-  let req_a, req_b = requests ~keyring ~client_pid:n in
-  let leader_ident = Thc_crypto.Keyring.secret keyring ~pid:0 in
-  let group_a, group_b = groups ~f in
-  split_attack ~engine ~n ~group_a ~group_b
-    ~wire_a:(Thc_crypto.Signature.seal leader_ident (Uprepare { seq = 1; request = req_a }))
-    ~wire_b:(Thc_crypto.Signature.seal leader_ident (Uprepare { seq = 1; request = req_b }));
-  configure engine;
-  let trace = Thc_sim.Engine.run ~until engine in
-  let violations = Smr_spec.check_safety trace ~replicas:n in
-  {
-    violations;
-    distinct_ops_at_seq1 = distinct_at_seq1 trace ~replicas:n;
-    messages = Thc_sim.Trace.messages_sent trace;
-    duration_us = trace.Thc_sim.Trace.end_time;
-    commits = Smr_spec.commits trace ~replicas:n;
-    trusted_ops = [];  (* nothing attested: the whole point of the ablation *)
-    detail =
-      "f+1 quorums over plain signatures: the equivocating leader commits \
-       two different operations at sequence 1";
-  }
-
-let equivocation_splits_unattested ?(f = 1) ?(seed = 3L) () =
-  run_unattested ~f ~seed ~configure:(fun _ -> ()) ~until:1_000_000L ()
-
-(* ----------------------------------------------------------------------- *)
-(* Scriptable attacker interface: the byz catalog runs arbitrary leader     *)
-(* behaviors against the same unattested protocol.  A separate entry point  *)
-(* so the legacy runs above (replayed from the checked-in repro corpus)     *)
-(* keep their exact event order.                                            *)
-(* ----------------------------------------------------------------------- *)
-
-module Unattested = struct
-  type wire = umsg
-
-  type env = {
-    engine : wire Thc_sim.Engine.t;
-    f : int;
-    n : int;
-    group_a : int list;
-    group_b : int list;
-    req_a : Command.signed_request;
-    req_b : Command.signed_request;
-    leader_ident : Thc_crypto.Keyring.secret;
-    client_ident : Thc_crypto.Keyring.secret;
-  }
-
-  let prepare env ~seq request =
-    Thc_crypto.Signature.seal env.leader_ident (Uprepare { seq; request })
-
-  let commit env ~seq ~digest =
-    Thc_crypto.Signature.seal env.leader_ident (Ucommit { seq; digest })
-
-  let request env ~rid op = Command.make ~ident:env.client_ident ~rid op
-
-  let snapshot env ~state ~upto =
-    Thc_crypto.Signature.seal env.leader_ident (Usnapshot { state; upto })
-
-  let digest req = Command.digest req.Thc_crypto.Signature.value
-
-  let run ?(f = 1) ?(spans = Thc_obsv.Span.nop) ?(restarts = []) ~seed ~attacker
-      ~detail ?(until = 1_000_000L) () =
-    let n = (2 * f) + 1 in
-    let total = n + 1 (* one client identity for signing requests *) in
-    let rng = Thc_util.Rng.create seed in
-    let keyring = Thc_crypto.Keyring.create rng ~n:total in
-    let net =
-      Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
-    in
-    let engine = Thc_sim.Engine.create ~seed ~spans ~n:total ~net () in
-    for pid = 1 to n - 1 do
-      Thc_sim.Engine.set_behavior engine pid
-        (unattested_replica
-           ?restart_at:(List.assoc_opt pid restarts)
-           ~keyring
-           ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-           ~f ~self:pid ())
-    done;
-    let req_a, req_b = requests ~keyring ~client_pid:n in
-    let group_a, group_b = groups ~f in
-    let env =
-      {
-        engine;
-        f;
-        n;
-        group_a;
-        group_b;
-        req_a;
-        req_b;
-        leader_ident = Thc_crypto.Keyring.secret keyring ~pid:0;
-        client_ident = Thc_crypto.Keyring.secret keyring ~pid:n;
-      }
-    in
-    Thc_sim.Engine.mark_byzantine engine 0;
-    Thc_sim.Engine.set_behavior engine 0 (attacker env);
-    let trace = Thc_sim.Engine.run ~until engine in
-    let violations = Smr_spec.check_safety trace ~replicas:n in
-    {
-      violations;
-      distinct_ops_at_seq1 = distinct_at_seq1 trace ~replicas:n;
-      messages = Thc_sim.Trace.messages_sent trace;
-      duration_us = trace.Thc_sim.Trace.end_time;
-      commits = Smr_spec.commits trace ~replicas:n;
-      trusted_ops = [];
-      detail;
-    }
-end
-
-let unattested_under_script ?(f = 1) ?network ~seed ~script () =
-  run_unattested ~f ~seed
-    ~configure:(fun engine ->
-      Thc_sim.Adversary.install script engine;
-      Option.iter
-        (fun m ->
-          Thc_network.Model.install m engine ~replicas:((2 * f) + 1) ~script ())
-        network)
-    ~until:(max 1_000_000L (Int64.add script.Thc_sim.Adversary.horizon 1_000_000L))
-    ()
-
-let equivocation_fails_against_minbft ?(f = 1) ?(seed = 3L) () =
-  let config = Minbft.default_config ~f in
-  let n = config.Minbft.n in
-  let total = n + 1 in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L)) in
-  let engine = Thc_sim.Engine.create ~seed ~n:total ~net () in
-  (* Correct replicas 1..n-1 run real MinBFT; the leader's trinket goes to
-     the attacker. *)
   for pid = 1 to n - 1 do
     Thc_sim.Engine.set_behavior engine pid
       (Minbft.replica
@@ -348,24 +37,60 @@ let equivocation_fails_against_minbft ?(f = 1) ?(seed = 3L) () =
             ~trinket:(Thc_hardware.Trinc.trinket world ~owner:pid)
             ~self:pid))
   done;
-  let req_a, req_b = requests ~keyring ~client_pid:n in
+  let ident = Thc_crypto.Keyring.secret keyring ~pid:n in
+  let req_a = Command.make ~ident ~rid:0 (Kv_store.Put ("k", "A")) in
+  let req_b = Command.make ~ident ~rid:1 (Kv_store.Put ("k", "B")) in
   let out = Attested_link.Out.create (Thc_hardware.Trinc.trinket world ~owner:0) in
-  (* The strongest sealable equivocation: two prepares for seq 1 — the
-     trinket forces them onto distinct counters. *)
   let wire_a = Minbft.adversarial_prepare ~out ~view:0 ~seq:1 ~request:req_a in
-  let wire_b = Minbft.adversarial_prepare ~out ~view:0 ~seq:1 ~request:req_b in
-  let group_a, group_b = groups ~f in
-  split_attack ~engine ~n ~group_a ~group_b ~wire_a ~wire_b;
-  let trace = Thc_sim.Engine.run ~until:1_000_000L engine in
-  let violations = Smr_spec.check_safety trace ~replicas:n in
+  let rewound = Minbft.rewound_prepare ~out ~view:0 ~seq:1 ~request:req_b in
+  let wire_b =
+    match rewound with
+    | Some w -> w
+    | None -> Minbft.adversarial_prepare ~out ~view:0 ~seq:1 ~request:req_b
+  in
+  (* The equivocating leader: A to replicas 1..f, B to f+1..2f. *)
+  Thc_sim.Engine.mark_byzantine engine 0;
+  Thc_sim.Engine.set_behavior engine 0
+    {
+      init =
+        (fun ctx ->
+          for dst = 1 to f do ctx.send dst wire_a done;
+          for dst = f + 1 to n - 1 do ctx.send dst wire_b done);
+      on_message = (fun _ ~src:_ _ -> ());
+      on_timer = (fun _ _ -> ());
+    };
+  configure engine;
+  let trace = Thc_sim.Engine.run ~until engine in
   {
-    violations;
-    distinct_ops_at_seq1 = distinct_at_seq1 trace ~replicas:n;
+    violations = Smr_spec.check_safety trace ~replicas:n;
+    distinct_ops_at_seq1 = Smr_spec.distinct_ops_at_seq1 trace ~replicas:n;
     messages = Thc_sim.Trace.messages_sent trace;
     duration_us = trace.Thc_sim.Trace.end_time;
     commits = Smr_spec.commits trace ~replicas:n;
     trusted_ops = Thc_obsv.Ledger.rows (Thc_hardware.Trinc.ledger world);
     detail =
-      "same attack against attested links: the second proposal hides behind \
-       a counter gap, at most one operation can commit";
+      (if Option.is_some rewound then
+         "the rewind is granted: both proposals carry one counter, each half \
+          finds an f+1 quorum and commits a different operation at sequence 1"
+       else
+         "the rewind is refused: the second proposal hides behind a counter \
+          gap, at most one operation can commit");
   }
+
+let equivocation_splits_unattested ?(f = 1) ?(seed = 3L) () =
+  split_run ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed
+    ~configure:ignore ~until:1_000_000L
+
+let equivocation_fails_against_minbft ?(f = 1) ?(seed = 3L) () =
+  split_run ~world_of:Thc_hardware.Trinc.create_world ~f ~seed
+    ~configure:ignore ~until:1_000_000L
+
+let unattested_under_script ?(f = 1) ?network ~seed ~script () =
+  split_run ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed
+    ~configure:(fun engine ->
+      Thc_sim.Adversary.install script engine;
+      Option.iter
+        (fun m ->
+          Thc_network.Model.install m engine ~replicas:((2 * f) + 1) ~script ())
+        network)
+    ~until:(max 1_000_000L (Int64.add script.Thc_sim.Adversary.horizon 1_000_000L))

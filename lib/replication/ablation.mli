@@ -2,21 +2,24 @@
 
     The classification's systems-level payoff is that non-equivocation lets
     BFT replication run f+1-of-2f+1 quorums.  This module removes exactly
-    that ingredient and keeps everything else fixed: the {e unattested}
-    variant runs MinBFT's normal-case message flow (Prepare, Commit, f+1
-    quorums, 2f+1 replicas) over plain signed messages, so a Byzantine
-    leader can once again send different proposals to different halves.
+    that ingredient and keeps everything else fixed {e by construction}:
+    both experiments run the same {!Minbft} replicas, {!Attested_link}s and
+    attack, and differ only in the world their trinkets come from.  The
+    unattested world ({!Thc_hardware.Trinc.create_unattested_world}) keeps
+    authentication (tags still verify) but attests any counter, including
+    one already used — so a Byzantine leader can once again send different
+    proposals to different halves under one counter.
 
-    Two experiments, same attack:
+    The attack: the leader seals proposal A for slot 1 and re-attests a
+    conflicting proposal B at the same counter (a rewind), showing A to
+    replicas [1..f] and B to replicas [f+1..2f].
 
-    - {!equivocation_splits_unattested} — against the unattested variant the
-      split succeeds: correct replicas execute different operations at one
+    - {!equivocation_splits_unattested} — the unattested world grants the
+      rewind: correct replicas execute different operations at one
       sequence number, and the safety monitor reports it.
-    - {!equivocation_fails_against_minbft} — the identical attack against
-      real MinBFT (the attacker even gets {!Minbft.adversarial_prepare}, the
-      strongest thing its trinket will seal): selective delivery only
-      creates counter gaps that receivers hold back, so at most one of the
-      two proposals can ever commit.
+    - {!equivocation_fails_against_minbft} — TrInc refuses the rewind
+      ([trinc.attest_denied]); B can only take the next counter, a gap that
+      receivers hold back, so at most one proposal can ever commit.
 
     Together they certify that the hardware — not the quorum arithmetic —
     carries the safety argument. *)
@@ -30,8 +33,8 @@ type result = {
   duration_us : int64;  (** Virtual end time. *)
   commits : int;  (** Distinct committed sequence numbers ({!Smr_spec.commits}). *)
   trusted_ops : (string * int) list;
-      (** Hardware-op ledger rows; [[]] for the unattested variant, whose
-          per-commit trusted-op cost is therefore exactly 0. *)
+      (** Hardware-op ledger rows; [[]] on the unattested world, which
+          charges nothing. *)
   detail : string;
 }
 
@@ -52,73 +55,3 @@ val unattested_under_script :
     exactly what script shrinking strips away. *)
 
 val pp_result : Format.formatter -> result -> unit
-
-(** Scriptable attacker interface over the unattested protocol, for the
-    [Thc_byz] attack catalog: the honest side (2f correct replicas, f+1
-    quorums, plain signatures, fixed leader 0) is wired exactly as in the
-    legacy runs above, but pid 0 runs an arbitrary caller-supplied behavior
-    built from the leader's own signing capability. *)
-module Unattested : sig
-  type wire
-  (** A signed protocol message; construct with {!prepare} / {!commit}. *)
-
-  type env = {
-    engine : wire Thc_sim.Engine.t;
-    f : int;
-    n : int;  (** Replica count [2f+1]; the leader under attack is pid 0. *)
-    group_a : int list;  (** Replicas [1..f] — one side of a split. *)
-    group_b : int list;  (** Replicas [f+1..2f] — the other side. *)
-    req_a : Command.signed_request;  (** Client request writing ["A"]. *)
-    req_b : Command.signed_request;  (** Conflicting request writing ["B"]. *)
-    leader_ident : Thc_crypto.Keyring.secret;
-    client_ident : Thc_crypto.Keyring.secret;
-        (** A colluding client's signing key: lets the attacker mint
-            arbitrary validly-signed requests (see {!request}). *)
-  }
-  (** What the attacker gets: exactly the leader's legitimate capabilities
-      plus knowledge of two conflicting signed client requests. *)
-
-  val prepare : env -> seq:int -> Command.signed_request -> wire
-  (** A leader-signed proposal for slot [seq]. *)
-
-  val commit : env -> seq:int -> digest:int64 -> wire
-  (** A leader-signed commit vote. *)
-
-  val request : env -> rid:int -> Kv_store.op -> Command.signed_request
-  (** A fresh validly-signed request from the colluding client. *)
-
-  val snapshot : env -> state:(string * string) list -> upto:int -> wire
-  (** A leader-signed state-transfer reply carrying an arbitrary claim.
-      Nothing in the unattested protocol certifies it: a restarted replica
-      installs the first one it receives wholesale, which is what the
-      checkpoint attack family exploits (compare the certificate, NVRAM
-      floor and donor-quorum checks in {!Minbft}). *)
-
-  val digest : Command.signed_request -> int64
-  (** The digest replicas vote on for a request. *)
-
-  val run :
-    ?f:int ->
-    ?spans:Thc_obsv.Span.t ->
-    ?restarts:(int * int64) list ->
-    seed:int64 ->
-    attacker:(env -> wire Thc_sim.Engine.behavior) ->
-    detail:string ->
-    ?until:int64 ->
-    unit ->
-    result
-  (** Run the unattested protocol with [attacker env] installed as pid 0
-      (marked Byzantine for the monitors).  Deterministic in [seed].
-
-      [restarts] maps replica pids to crash-and-restart times (µs): each
-      listed replica wipes all state at its time and re-joins by asking the
-      leader — i.e. the attacker — for a snapshot it must install blindly.
-
-      [spans] (default {!Thc_obsv.Span.nop}) collects request spans from
-      the correct replicas: [Propose] on proposal adoption, [Commit_send]
-      on the first commit vote, [Committed] at quorum, [Executed] on apply.
-      There is no client behavior in this rig, so [Submit]/[Ingress]/
-      reply marks stay unset and only the prepare → commit → execute
-      phases report — exactly the slice the S5 phase-breakdown bench
-      compares against the attested protocols. *)
-end

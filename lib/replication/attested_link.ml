@@ -15,6 +15,13 @@ module Out = struct
     | None -> assert false (* last + 1 is always attestable *)
 
   let sent_log t = List.rev t.log
+
+  (* Off the sent-log: a rewind is the attacker's side channel, not part of
+     the replica's history. *)
+  let rewind t payload =
+    Thc_hardware.Trinc.attest t.trinket
+      ~counter:(Thc_hardware.Trinc.last_counter t.trinket)
+      ~message:payload
 end
 
 module In = struct

@@ -29,6 +29,12 @@ module Out : sig
   (** Everything sealed so far, counter-ascending — the view-change
       evidence.  A correct replica ships this; a Byzantine one cannot forge
       an alternative (see {!check_log}). *)
+
+  val rewind : t -> string -> Thc_hardware.Trinc.attestation option
+  (** Re-attest a payload at the counter sealed last — a rewind of the
+      stream.  TrInc refuses ([None], charging [trinc.attest_denied]); the
+      unattested world ({!Thc_hardware.Trinc.create_unattested_world})
+      grants it.  The result is not added to {!sent_log}. *)
 end
 
 module In : sig

@@ -5,9 +5,10 @@
     by quorum, not by hope), log truncation to the last stable checkpoint
     (bounded memory), and state transfer (so a restarted or lagging
     replica can rejoin from a certified snapshot instead of replaying an
-    unbounded log).  MinBFT attests its checkpoints with trusted counters;
-    the unattested ablation carries plain-signed ones; uBFT's register
-    truncation predates this module — all three report through the same
+    unbounded log).  MinBFT attests its checkpoints with trusted counters
+    (the unattested ablation runs the same code on a world without
+    monotonicity); uBFT's register truncation predates this module — both
+    report through the same
     {!stats} rows so harness outcomes, the soak workload and bench S8 read
     one vocabulary.
 

@@ -986,6 +986,16 @@ let adversarial_prepare ~out ~view ~seq ~request =
     (Attested_link.Out.seal out
        (encode_proto (Prepare { view; seq; batch = [ request ] })))
 
+let rewound_prepare ~out ~view ~seq ~request =
+  Option.map
+    (fun a -> Sealed a)
+    (Attested_link.Out.rewind out
+       (encode_proto (Prepare { view; seq; batch = [ request ] })))
+
+let rewound_checkpoint ~out ~upto ~digest ~exec_count =
+  Attested_link.Out.rewind out
+    (encode_proto (Checkpoint { upto; digest; exec_count }))
+
 let classify_msg = function
   | Request _ -> "request"
   | Reply _ -> "reply"

@@ -122,6 +122,27 @@ val adversarial_prepare :
     only creates counter gaps that receivers refuse to process, so safety
     holds (see {!Ablation}). *)
 
+val rewound_prepare :
+  out:Attested_link.Out.t ->
+  view:int ->
+  seq:int ->
+  request:Command.signed_request ->
+  msg option
+(** A Prepare re-attested at the counter [out] sealed last
+    ({!Attested_link.Out.rewind}) — a second message on a used counter.
+    [None] when the hardware refuses, which TrInc always does; on the
+    unattested world it is the equivocation the ablation is about. *)
+
+val rewound_checkpoint :
+  out:Attested_link.Out.t ->
+  upto:int ->
+  digest:int64 ->
+  exec_count:int ->
+  Thc_hardware.Trinc.attestation option
+(** A Checkpoint vote over an arbitrary claim, re-attested at the counter
+    [out] sealed last — on the unattested world, the one genuine share a
+    forged certificate can carry.  [None] under TrInc. *)
+
 val adversarial_wire : Thc_hardware.Trinc.attestation -> msg
 (** Wrap any attestation as a wire message — lets tests inject replays,
     counterfeits and garbage payloads at the transport level. *)

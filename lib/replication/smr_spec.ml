@@ -162,3 +162,15 @@ let commits trace ~replicas =
       | _ -> None)
     (Thc_sim.Trace.outputs trace)
   |> List.sort_uniq compare |> List.length
+
+let distinct_ops_at_seq1 trace ~replicas =
+  List.filter_map
+    (fun pid ->
+      List.find_map
+        (fun obs ->
+          match (obs : Thc_sim.Obs.t) with
+          | Executed { seq = 1; op; _ } -> Some op
+          | _ -> None)
+        (Thc_sim.Trace.outputs_of trace pid))
+    (List.filter (fun p -> p < replicas) (Thc_sim.Trace.correct_pids trace))
+  |> List.sort_uniq compare |> List.length

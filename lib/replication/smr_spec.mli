@@ -50,3 +50,7 @@ val executed_count : 'm Thc_sim.Trace.t -> pid:int -> int
 val commits : 'm Thc_sim.Trace.t -> replicas:int -> int
 (** Distinct sequence numbers committed by at least one correct replica —
     the denominator of the trusted-ops-per-commit rate. *)
+
+val distinct_ops_at_seq1 : 'm Thc_sim.Trace.t -> replicas:int -> int
+(** How many different operations correct replicas executed at sequence 1
+    — more than one is an equivocation fork made concrete. *)

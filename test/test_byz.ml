@@ -61,10 +61,12 @@ let test_attack_bounces_off_minbft () =
   Alcotest.(check bool) "prediction holds" true (A.holds r)
 
 let test_attack_forks_unattested () =
+  (* The same MinBFT rig on the unattested world: the rewind is granted, so
+     the fork lands at the slot the leader was about to assign. *)
   let r = A.run ~target:A.Unattested ~attack:A.Equivocate () in
   Alcotest.(check bool) "safety violated" true (r.A.safety_violations > 0);
-  Alcotest.(check bool) "divergent commit is concrete" true
-    (r.A.distinct_ops_at_seq1 > 1);
+  Alcotest.(check (list (pair string int))) "no hardware to charge" []
+    r.A.trusted_ops;
   Alcotest.(check bool) "prediction holds" true (A.holds r)
 
 let test_run_deterministic () =
@@ -106,14 +108,16 @@ let test_matrix_export_deterministic () =
 
 let test_matrix_applies_filter () =
   (* A mixed sweep produces cells only for catalog-matching pairs: the six
-     log kinds x {minbft, unattested} plus the four register kinds x ubft —
-     never a register kind against minbft or vice versa. *)
+     log kinds x minbft, equivocation x unattested, and the four register
+     kinds x ubft — never a register kind against minbft or vice versa. *)
   let m =
     M.sweep ~seeds:[ 1L ] ~timings:[ 5_000L ]
       ~attacks:(A.all @ A.ubft_all)
       ~targets:[ A.Minbft; A.Unattested; A.Ubft ] ()
   in
-  Alcotest.(check int) "cells" (List.length A.all * 2 + List.length A.ubft_all)
+  Alcotest.(check int) "cells"
+    (List.length A.all + 1 (* unattested equivocation *)
+    + List.length A.ubft_all)
     (List.length m.M.cells);
   Alcotest.(check bool) "all cells hold" true (M.all_hold m);
   List.iter
@@ -124,7 +128,8 @@ let test_matrix_applies_filter () =
 
 let test_matrix_schema () =
   let m = small_sweep () in
-  Alcotest.(check int) "cell count" 4 (List.length m.M.cells);
+  (* reuse is out of the unattested catalog: 2 minbft cells + 1. *)
+  Alcotest.(check int) "cell count" 3 (List.length m.M.cells);
   Alcotest.(check bool) "all cells hold" true (M.all_hold m);
   match M.to_jsonl m with
   | [] -> Alcotest.fail "empty export"
@@ -144,31 +149,38 @@ let test_matrix_schema () =
 
 let empty_script = { Thc_sim.Adversary.events = []; horizon = 0L }
 
+let get_harness n =
+  match Thc_check.Harness.find n with
+  | Some h -> h
+  | None -> Alcotest.failf "harness %s not registered" n
+
+let run_empty (h : Thc_check.Harness.t) =
+  (h.Thc_check.Harness.run ~seed:1L ~script:empty_script ())
+    .Thc_check.Harness.verdict
+
 let test_harness_registration () =
-  (* Every (attack, target) cell is also a fault-explorer harness; the
-     MinBFT side must pass under the empty script, the ablated side fail. *)
+  (* Every in-catalog (attack, target) cell is also a fault-explorer
+     harness; the MinBFT side must pass under the empty script, the ablated
+     side fail, and an attack the unattested world does not break has no
+     unattested harness at all. *)
   List.iter
     (fun attack ->
       let aname = A.name attack in
-      let get n =
-        match Thc_check.Harness.find n with
-        | Some h -> h
-        | None -> Alcotest.failf "harness %s not registered" n
-      in
-      let clean = get ("minbft-" ^ aname) in
-      let broken = get ("unattested-" ^ aname) in
-      let run (h : Thc_check.Harness.t) =
-        (h.Thc_check.Harness.run ~seed:1L ~script:empty_script ())
-          .Thc_check.Harness.verdict
-      in
       Alcotest.(check bool)
         (aname ^ " clean side passes")
         false
-        (Thc_check.Monitor.failed (run clean));
-      Alcotest.(check bool)
-        (aname ^ " broken side fails")
-        true
-        (Thc_check.Monitor.failed (run broken)))
+        (Thc_check.Monitor.failed (run_empty (get_harness ("minbft-" ^ aname))));
+      match Thc_check.Harness.find ("unattested-" ^ aname) with
+      | Some broken ->
+        Alcotest.(check bool) (aname ^ " in the unattested catalog") true
+          (A.applies ~target:A.Unattested ~attack);
+        Alcotest.(check bool)
+          (aname ^ " broken side fails")
+          true
+          (Thc_check.Monitor.failed (run_empty broken))
+      | None ->
+        Alcotest.(check bool) (aname ^ " out of the unattested catalog") false
+          (A.applies ~target:A.Unattested ~attack))
     [ A.Equivocate; A.Selective_send ]
 
 let test_ubft_harness_registration () =
@@ -199,7 +211,7 @@ let test_ckpt_catalog () =
         (A.of_name (A.name k) = Some k);
       Alcotest.(check bool) "hits minbft" true
         (A.applies ~target:A.Minbft ~attack:k);
-      Alcotest.(check bool) "hits unattested" true
+      Alcotest.(check bool) "skips unattested" false
         (A.applies ~target:A.Unattested ~attack:k);
       Alcotest.(check bool) "skips ubft" false
         (A.applies ~target:A.Ubft ~attack:k))
@@ -237,17 +249,26 @@ let test_ckpt_bounces_off_minbft () =
         (A.holds r))
     A.ckpt_all
 
-let test_ckpt_forks_unattested () =
+let test_ckpt_safe_on_unattested_world () =
+  (* The same rig on the unattested world: the rewind is granted, yet the
+     defence that stops each kind is not the hardware — f+1 distinct
+     signers per certificate, the NVRAM floor, f+1 donors per suffix slot —
+     so safety holds and the same ckpt.* row records the refusal, while no
+     trinc.* op is charged. *)
   List.iter
     (fun attack ->
       let aname = A.name attack in
       let r = A.run ~target:A.Unattested ~attack () in
-      Alcotest.(check bool) (aname ^ ": state transfer forked the service")
+      Alcotest.(check int) (aname ^ ": no safety violation") 0
+        r.A.safety_violations;
+      Alcotest.(check bool)
+        (aname ^ ": " ^ ckpt_label attack ^ " in the ledger")
         true
-        (r.A.safety_violations > 0);
-      Alcotest.(check int) (aname ^ ": nothing to refuse") 0 r.A.rejections;
-      Alcotest.(check bool) (aname ^ ": paper prediction holds") true
-        (A.holds r))
+        (List.mem_assoc (ckpt_label attack) r.A.trusted_ops);
+      Alcotest.(check bool) (aname ^ ": no trinc op charged") false
+        (List.exists
+           (fun (k, _) -> String.starts_with ~prefix:"trinc." k)
+           r.A.trusted_ops))
     A.ckpt_all
 
 let test_ckpt_deterministic () =
@@ -266,25 +287,14 @@ let test_ckpt_harness_registration () =
   List.iter
     (fun attack ->
       let aname = A.name attack in
-      let get n =
-        match Thc_check.Harness.find n with
-        | Some h -> h
-        | None -> Alcotest.failf "harness %s not registered" n
-      in
-      let clean = get ("minbft-" ^ aname) in
-      let broken = get ("unattested-" ^ aname) in
-      let run (h : Thc_check.Harness.t) =
-        (h.Thc_check.Harness.run ~seed:1L ~script:empty_script ())
-          .Thc_check.Harness.verdict
-      in
       Alcotest.(check bool)
         (aname ^ " clean side passes")
         false
-        (Thc_check.Monitor.failed (run clean));
+        (Thc_check.Monitor.failed (run_empty (get_harness ("minbft-" ^ aname))));
       Alcotest.(check bool)
-        (aname ^ " broken side fails")
+        (aname ^ " has no unattested harness")
         true
-        (Thc_check.Monitor.failed (run broken)))
+        (Thc_check.Harness.find ("unattested-" ^ aname) = None))
     A.ckpt_all
 
 let () =
@@ -324,8 +334,8 @@ let () =
           Alcotest.test_case "catalog stable" `Quick test_ckpt_catalog;
           Alcotest.test_case "bounces off minbft" `Quick
             test_ckpt_bounces_off_minbft;
-          Alcotest.test_case "forks unattested" `Quick
-            test_ckpt_forks_unattested;
+          Alcotest.test_case "safe on unattested world" `Quick
+            test_ckpt_safe_on_unattested_world;
           Alcotest.test_case "deterministic" `Quick test_ckpt_deterministic;
           Alcotest.test_case "registered in explorer" `Quick
             test_ckpt_harness_registration;

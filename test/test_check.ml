@@ -176,6 +176,29 @@ let test_repro_unknown_protocol () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replayed an unknown protocol"
 
+let test_repro_out_of_range_pids () =
+  (* Each action shape that names pids, with pid 9 outside minbft's three
+     replicas: replay must refuse the script, not raise from the engine. *)
+  List.iter
+    (fun action ->
+      let r =
+        {
+          Thc_check.Repro.protocol = "minbft";
+          seed = 1L;
+          expect = `Pass;
+          script =
+            { Thc_sim.Adversary.events = [ { at = 1_000L; action } ]; horizon = 2_000L };
+        }
+      in
+      match Thc_check.Repro.replay r with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "replayed a script naming an unknown pid")
+    [
+      Thc_sim.Adversary.Crash 9;
+      Thc_sim.Adversary.Block_link (0, 9);
+      Thc_sim.Adversary.Block_groups [ [ 0; 1 ]; [ 2; 9 ] ];
+    ]
+
 (* --- corpus --------------------------------------------------------------- *)
 
 (* `dune runtest` runs the suite from the test build directory; `dune exec
@@ -240,6 +263,8 @@ let () =
           Alcotest.test_case "sexp roundtrip" `Quick test_repro_sexp_roundtrip;
           Alcotest.test_case "save/load" `Quick test_repro_save_load;
           Alcotest.test_case "unknown protocol" `Quick test_repro_unknown_protocol;
+          Alcotest.test_case "out-of-range pids" `Quick
+            test_repro_out_of_range_pids;
         ] );
       ( "corpus",
         [

@@ -71,6 +71,37 @@ let test_trinc_counterfeit () =
   Alcotest.(check bool) "counterfeit rejected" false
     (Thc_hardware.Trinc.check world fake ~id:0)
 
+let test_trinc_unattested_world () =
+  (* The ablation's world: monotonicity gone, authentication kept, nothing
+     charged. *)
+  let world = Thc_hardware.Trinc.create_unattested_world (Thc_util.Rng.create 21L) ~n:3 in
+  let t = Thc_hardware.Trinc.trinket world ~owner:0 in
+  let attest counter message =
+    match Thc_hardware.Trinc.attest t ~counter ~message with
+    | Some a -> a
+    | None -> Alcotest.failf "counter %d refused" counter
+  in
+  let first = attest 1 "m1" in
+  let again = attest 1 "m2" in
+  Alcotest.(check int) "re-attested counter" 1 again.counter;
+  Alcotest.(check int) "prev is counter - 1" 0 again.prev;
+  Alcotest.(check bool) "both verify" true
+    (Thc_hardware.Trinc.check world first ~id:0
+    && Thc_hardware.Trinc.check world again ~id:0);
+  let fake =
+    Thc_hardware.Trinc.counterfeit ~owner:0 ~prev:0 ~counter:1 ~message:"m3"
+      ~tag:again.tag
+  in
+  Alcotest.(check bool) "counterfeit still rejected" false
+    (Thc_hardware.Trinc.check world fake ~id:0);
+  Alcotest.(check bool) "ledger stays empty" true
+    (Thc_obsv.Ledger.is_empty (Thc_hardware.Trinc.ledger world));
+  (* Same RNG draws as TrInc: a dense stream attests byte-identically. *)
+  let trinc = fresh_trinc () in
+  let u = Thc_hardware.Trinc.trinket trinc ~owner:0 in
+  Alcotest.(check bool) "dense stream identical to TrInc" true
+    (Thc_hardware.Trinc.attest u ~counter:1 ~message:"m1" = Some first)
+
 let prop_trinc_no_counter_reuse =
   QCheck.Test.make ~name:"a counter can never be attested twice" ~count:100
     QCheck.(list_of_size Gen.(1 -- 30) (int_bound 20))
@@ -288,6 +319,7 @@ let () =
           Alcotest.test_case "claim once" `Quick test_trinc_claim_once;
           Alcotest.test_case "tamper detection" `Quick test_trinc_tamper_detection;
           Alcotest.test_case "counterfeit" `Quick test_trinc_counterfeit;
+          Alcotest.test_case "unattested world" `Quick test_trinc_unattested_world;
           qcheck prop_trinc_no_counter_reuse;
         ] );
       ( "a2m",

@@ -638,6 +638,44 @@ let test_ablation_minbft_holds () =
   Alcotest.(check int) "no safety violations" 0 (List.length r.violations);
   Alcotest.(check bool) "at most one op at seq 1" true (r.distinct_ops_at_seq1 <= 1)
 
+(* The unattested world changes nothing a correct run can observe: on a
+   dense counter stream its attestations are TrInc's, so fault-free MinBFT
+   traces are byte-identical on both worlds. *)
+let test_ablation_worlds_identical_fault_free () =
+  let trace ~world_of ~f ~seed =
+    let config = Thc_replication.Minbft.default_config ~f in
+    let n = config.Thc_replication.Minbft.n in
+    let rng = Thc_util.Rng.create seed in
+    let keyring = Thc_crypto.Keyring.create rng ~n:(n + 1) in
+    let world = world_of rng ~n in
+    let net =
+      Thc_sim.Net.create ~n:(n + 1) ~default:(Thc_sim.Delay.Uniform (50L, 500L))
+    in
+    let engine = Thc_sim.Engine.create ~seed ~n:(n + 1) ~net () in
+    for pid = 0 to n - 1 do
+      Thc_sim.Engine.set_behavior engine pid
+        (Thc_replication.Minbft.replica
+           (Thc_replication.Minbft.create_replica ~config ~keyring ~world
+              ~trinket:(Thc_hardware.Trinc.trinket world ~owner:pid)
+              ~self:pid))
+    done;
+    Thc_sim.Engine.set_behavior engine n
+      (Thc_replication.Minbft.client ~rid_base:0 ~config ~keyring
+         ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
+         ~plan:
+           (List.init 8 (fun i ->
+                (Int64.of_int (i * 4_000), Thc_replication.Kv_store.Incr "c"))));
+    Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode
+      (Thc_sim.Engine.run ~until:200_000L engine)
+  in
+  List.iter
+    (fun (f, seed) ->
+      Alcotest.(check string)
+        (Printf.sprintf "f=%d seed=%Ld" f seed)
+        (trace ~world_of:Thc_hardware.Trinc.create_world ~f ~seed)
+        (trace ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed))
+    [ (1, 1L); (1, 7L); (2, 1L); (2, 7L) ]
+
 let prop_ablation_across_f =
   QCheck.Test.make ~name:"ablation holds for f in 1..3" ~count:3
     QCheck.(int_range 1 3)
@@ -943,6 +981,8 @@ let () =
         [
           Alcotest.test_case "unattested splits" `Quick test_ablation_unattested_splits;
           Alcotest.test_case "minbft holds" `Quick test_ablation_minbft_holds;
+          Alcotest.test_case "worlds identical fault-free" `Quick
+            test_ablation_worlds_identical_fault_free;
           qcheck prop_ablation_across_f;
         ] );
       ( "scripted",
