@@ -27,15 +27,28 @@ let check_safety trace ~replicas =
   let correct =
     List.filter (fun p -> p < replicas) (Thc_sim.Trace.correct_pids trace)
   in
-  let execs = List.map (fun pid -> (pid, executions trace pid)) correct in
+  (* Each replica's executions in trace order, and indexed by seq with the
+     first execution of a seq deciding. *)
+  let execs =
+    List.map
+      (fun pid ->
+        let ep = executions trace pid in
+        let by_seq = Hashtbl.create 64 in
+        List.iter
+          (fun (seq, e) ->
+            if not (Hashtbl.mem by_seq seq) then Hashtbl.add by_seq seq e)
+          ep;
+        (pid, ep, by_seq))
+      correct
+  in
   List.iter
-    (fun (p, ep) ->
+    (fun (p, ep, _) ->
       List.iter
-        (fun (q, eq) ->
+        (fun (q, _, eq) ->
           if p < q then
             List.iter
               (fun (seq, (op, result)) ->
-                match List.assoc_opt seq eq with
+                match Hashtbl.find_opt eq seq with
                 | None -> ()  (* prefix difference is fine mid-run *)
                 | Some (op', result') ->
                   if not (String.equal op op') then
@@ -99,30 +112,27 @@ let check_state_determinism trace ~replicas =
   List.rev !violations
 
 let check_liveness trace ~expected =
-  let violations = ref [] in
+  let completed = Hashtbl.create 64 in
   List.iter
+    (fun (_, pid, obs) ->
+      match (obs : Thc_sim.Obs.t) with
+      | Client_done { rid; _ } -> Hashtbl.replace completed (pid, rid) ()
+      | _ -> ())
+    (Thc_sim.Trace.outputs trace);
+  List.concat_map
     (fun (client, rids) ->
-      let done_rids =
-        List.filter_map
-          (fun obs ->
-            match (obs : Thc_sim.Obs.t) with
-            | Client_done { rid; _ } -> Some rid
-            | _ -> None)
-          (Thc_sim.Trace.outputs_of trace client)
-      in
-      List.iter
+      List.filter_map
         (fun rid ->
-          if not (List.mem rid done_rids) then
-            violations :=
+          if Hashtbl.mem completed (client, rid) then None
+          else
+            Some
               {
                 property = `Liveness;
                 info =
                   Printf.sprintf "client p%d request #%d incomplete" client rid;
-              }
-              :: !violations)
+              })
         rids)
-    expected;
-  List.rev !violations
+    expected
 
 let expect_range ~clients ~per_client ~first_client_pid =
   List.init clients (fun i ->
@@ -153,11 +163,11 @@ let client_latencies trace =
 let executed_count trace ~pid = List.length (executions trace pid)
 
 let commits trace ~replicas =
+  let correct = Thc_sim.Trace.correct_pids trace in
   List.filter_map
     (fun (_, pid, obs) ->
       match (obs : Thc_sim.Obs.t) with
-      | Committed { seq; _ } when pid < replicas && Thc_sim.Trace.correct trace pid
-        ->
+      | Committed { seq; _ } when pid < replicas && List.mem pid correct ->
         Some seq
       | _ -> None)
     (Thc_sim.Trace.outputs trace)

@@ -1,7 +1,9 @@
 (** Safety/liveness monitors for the replicated state machines.
 
     Judged on [Obs.Executed] / [Obs.Client_done] observations, uniformly for
-    {!Minbft} and {!Pbft}. *)
+    {!Minbft} and {!Pbft}.  Every monitor is linear in the trace: it walks
+    the trace at most once per process and looks seqs and rids up in hash
+    tables. *)
 
 type violation = {
   property : [ `Order | `Result | `Liveness | `Replay ];
@@ -17,7 +19,8 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check_safety : 'm Thc_sim.Trace.t -> replicas:int -> violation list
 (** Pairwise execution-prefix consistency across correct replicas
-    (pids [0 .. replicas-1]). *)
+    (pids [0 .. replicas-1]).  Where a replica executed one seq more than
+    once, its first execution of that seq is the one compared against. *)
 
 val check_state_determinism : 'm Thc_sim.Trace.t -> replicas:int -> violation list
 (** Single-writer-order assertion per replica (the linearizability half the

@@ -22,7 +22,11 @@ let crashed_pids t =
 let correct t pid =
   (not (List.mem pid t.byzantine)) && not (List.mem pid (crashed_pids t))
 
-let correct_pids t = List.filter (correct t) (List.init t.n (fun i -> i))
+let correct_pids t =
+  let crashed = crashed_pids t in
+  List.filter
+    (fun pid -> not (List.mem pid t.byzantine || List.mem pid crashed))
+    (List.init t.n (fun i -> i))
 
 let outputs t =
   List.filter_map
@@ -157,6 +161,13 @@ let of_jsonl s =
     | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
   in
   let time j = Result.map Int64.of_int (field "time" J.to_int j) in
+  (* [Codec.decode] raises on bytes that are not a marshalled value. *)
+  let obs_of_bytes b =
+    match (Thc_util.Codec.decode b : Obs.t) with
+    | obs -> Ok obs
+    | exception (Invalid_argument _ | Failure _) ->
+      Error "field \"obs\" is not codec bytes"
+  in
   let entry_of_json j =
     let* kind = field "type" J.to_str j in
     let wire () =
@@ -193,16 +204,18 @@ let of_jsonl s =
     | "output" ->
       let* time = time j in
       let* pid = field "pid" J.to_int j in
-      let* obs = field "obs" J.to_str j in
-      Ok (Some (Output { time; pid; obs = (Thc_util.Codec.decode obs : Obs.t) }))
+      let* obs = Result.bind (field "obs" J.to_str j) obs_of_bytes in
+      Ok (Some (Output { time; pid; obs }))
     | _ -> Ok None (* foreign line (metrics snapshot, ledger, ...) — skip *)
   in
   let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+    String.split_on_char '\n' s
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
   in
   match lines with
   | [] -> Error "empty input"
-  | header :: rest ->
+  | (_, header) :: rest ->
     let* h = J.parse header in
     let* kind = field "type" J.to_str h in
     if kind <> "trace" then Error "first line is not a trace header"
@@ -224,11 +237,12 @@ let of_jsonl s =
       in
       let* entries =
         List.fold_left
-          (fun acc line ->
+          (fun acc (lineno, line) ->
             let* acc = acc in
-            let* j = J.parse line in
-            let* entry = entry_of_json j in
-            match entry with Some e -> Ok (e :: acc) | None -> Ok acc)
+            match Result.bind (J.parse line) entry_of_json with
+            | Ok (Some e) -> Ok (e :: acc)
+            | Ok None -> Ok acc
+            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
           (Ok []) rest
         |> Result.map List.rev
       in

@@ -23,9 +23,13 @@ type 'm t = {
 }
 
 val correct : 'm t -> int -> bool
-(** Not marked Byzantine and never crashed. *)
+(** Not marked Byzantine and never crashed.  Walks the whole trace on every
+    call, so a loop over pids or outputs should call {!correct_pids} once
+    instead. *)
 
 val correct_pids : 'm t -> int list
+(** The pids [0 .. n-1] that are {!correct}, ascending, from one walk of
+    the trace. *)
 
 val outputs : 'm t -> (int64 * int * Obs.t) list
 (** All [(time, pid, obs)] outputs in order. *)
@@ -75,4 +79,6 @@ val of_jsonl : string -> (string t, string) result
 (** Parse a {!to_jsonl} export back into a trace whose messages are the
     encoded strings; lines of unknown [type] (metrics snapshots appended
     to the same file) are skipped.  Round trip:
-    [of_jsonl (to_jsonl ~encode_msg t) = Ok (map_msg encode_msg t)]. *)
+    [of_jsonl (to_jsonl ~encode_msg t) = Ok (map_msg encode_msg t)].
+    A malformed entry, including an output whose ["obs"] is not codec
+    bytes, is an [Error] naming its line number. *)

@@ -927,6 +927,262 @@ let test_state_determinism_rejects_gap () =
   | [ { property = `Replay; _ } ] -> ()
   | vs -> Alcotest.failf "expected one replay violation, got %d" (List.length vs))
 
+(* --- linear monitors --------------------------------------------------------------- *)
+
+(* The list-scanning monitor bodies the linear ones replaced, kept as
+   references: each linear fold must return exactly what its reference
+   returns, violations and their order included. *)
+module Reference = struct
+  module Trace = Thc_sim.Trace
+  module S = Thc_replication.Smr_spec
+
+  let crashed_pids (t : _ Trace.t) =
+    List.filter_map
+      (function Trace.Crashed { pid; _ } -> Some pid | _ -> None)
+      t.entries
+
+  let correct (t : _ Trace.t) pid =
+    (not (List.mem pid t.byzantine)) && not (List.mem pid (crashed_pids t))
+
+  let correct_pids (t : _ Trace.t) =
+    List.filter (correct t) (List.init t.n (fun i -> i))
+
+  let executions trace pid =
+    List.filter_map
+      (fun obs ->
+        match (obs : Thc_sim.Obs.t) with
+        | Executed { seq; op; result } -> Some (seq, (op, result))
+        | _ -> None)
+      (Trace.outputs_of trace pid)
+
+  let check_safety trace ~replicas =
+    let violations = ref [] in
+    let add property info = violations := { S.property; info } :: !violations in
+    let correct = List.filter (fun p -> p < replicas) (correct_pids trace) in
+    let execs = List.map (fun pid -> (pid, executions trace pid)) correct in
+    List.iter
+      (fun (p, ep) ->
+        List.iter
+          (fun (q, eq) ->
+            if p < q then
+              List.iter
+                (fun (seq, (op, result)) ->
+                  match List.assoc_opt seq eq with
+                  | None -> ()
+                  | Some (op', result') ->
+                    if not (String.equal op op') then
+                      add `Order (Printf.sprintf "p%d/p%d differ at seq %d" p q seq)
+                    else if not (String.equal result result') then
+                      add `Result
+                        (Printf.sprintf "p%d/p%d diverge at seq %d" p q seq))
+                ep)
+          execs)
+      execs;
+    List.rev !violations
+
+  let check_liveness trace ~expected =
+    let violations = ref [] in
+    List.iter
+      (fun (client, rids) ->
+        let done_rids =
+          List.filter_map
+            (fun obs ->
+              match (obs : Thc_sim.Obs.t) with
+              | Client_done { rid; _ } -> Some rid
+              | _ -> None)
+            (Trace.outputs_of trace client)
+        in
+        List.iter
+          (fun rid ->
+            if not (List.mem rid done_rids) then
+              violations :=
+                {
+                  S.property = `Liveness;
+                  info = Printf.sprintf "client p%d request #%d incomplete" client rid;
+                }
+                :: !violations)
+          rids)
+      expected;
+    List.rev !violations
+
+  let commits trace ~replicas =
+    List.filter_map
+      (fun (_, pid, obs) ->
+        match (obs : Thc_sim.Obs.t) with
+        | Committed { seq; _ } when pid < replicas && correct trace pid ->
+          Some seq
+        | _ -> None)
+      (Trace.outputs trace)
+    |> List.sort_uniq compare |> List.length
+end
+
+let violation = Alcotest.testable Thc_replication.Smr_spec.pp_violation ( = )
+
+(* Every linear monitor against its reference at every replica count the
+   trace admits.  Each pid is expected to have completed rids
+   0 .. max rid + 2, so completed and missing requests are both judged. *)
+let check_matches_reference name (trace : _ Thc_sim.Trace.t) =
+  let module S = Thc_replication.Smr_spec in
+  let at what = name ^ ": " ^ what in
+  Alcotest.(check (list int)) (at "correct_pids")
+    (Reference.correct_pids trace) (Thc_sim.Trace.correct_pids trace);
+  for replicas = 0 to trace.n do
+    let at what = at (Printf.sprintf "%s, %d replicas" what replicas) in
+    Alcotest.(check int) (at "commits")
+      (Reference.commits trace ~replicas) (S.commits trace ~replicas);
+    Alcotest.(check (list violation)) (at "check_safety")
+      (Reference.check_safety trace ~replicas) (S.check_safety trace ~replicas)
+  done;
+  let max_rid =
+    List.fold_left
+      (fun acc (_, _, obs) ->
+        match (obs : Thc_sim.Obs.t) with Client_done { rid; _ } -> max acc rid | _ -> acc)
+      0 (Thc_sim.Trace.outputs trace)
+  in
+  let expected = List.init trace.n (fun pid -> (pid, List.init (max_rid + 3) Fun.id)) in
+  Alcotest.(check (list violation)) (at "check_liveness")
+    (Reference.check_liveness trace ~expected) (S.check_liveness trace ~expected)
+
+let test_monitors_match_reference_golden () =
+  let dir = List.find Sys.file_exists [ "corpus/golden"; "test/corpus/golden" ] in
+  let parse name =
+    let path = Filename.concat dir (name ^ ".jsonl") in
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    match Thc_sim.Trace.of_jsonl data with
+    | Ok trace -> trace
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let traces =
+    List.map
+      (fun name -> (name, parse name))
+      [ "attack"; "bench_s1"; "explore"; "loadtest" ]
+  in
+  (* The faults the references must be matched under. *)
+  Alcotest.(check (list int)) "attack export has Byzantine p0" [ 0 ]
+    (List.assoc "attack" traces).byzantine;
+  Alcotest.(check bool) "explore export has a crash" true
+    (List.exists
+       (function Thc_sim.Trace.Crashed _ -> true | _ -> false)
+       (List.assoc "explore" traces).entries);
+  List.iter (fun (name, trace) -> check_matches_reference name trace) traces
+
+(* Pids 0..3 are replicas and 4, 5 clients.  Outputs come from the Byzantine
+   and the crashed replica (before its crash), p0 and p1 each execute seq 3
+   twice with different ops, seq 4 diverges on result only, p2 installs a
+   state transfer, and client p4 never completes rid 2. *)
+let hand_trace ~byzantine ~crashed =
+  let op k = Thc_replication.Kv_store.encode_op (Put ("k", string_of_int k)) in
+  let exec pid seq k r =
+    `Out (pid, Thc_sim.Obs.Executed { seq; op = op k; result = string_of_int r })
+  in
+  let commit pid seq k = `Out (pid, Thc_sim.Obs.Committed { view = 0; seq; op = op k }) in
+  let both pid seq k = [ commit pid seq k; exec pid seq k k ] in
+  let client_done pid rid =
+    `Out (pid, Thc_sim.Obs.Client_done { rid; latency_us = 10L })
+  in
+  let events =
+    List.concat
+      [
+        both 0 1 1; both 1 1 1; both 2 1 1; both 3 1 9;
+        both 0 2 2; both 1 2 2; both 2 2 2; both 3 2 2;
+        [ client_done 4 0 ];
+        List.map (fun pid -> `Crash pid) (Option.to_list crashed);
+        [ exec 0 3 3 3; exec 1 3 3 3; exec 1 3 7 7; exec 2 3 8 8; exec 3 3 8 8 ];
+        [ exec 0 3 6 6 ];
+        [ exec 0 4 4 4; exec 1 4 4 5; exec 2 4 4 4 ];
+        [ `Out (2, Thc_sim.Obs.Recovered { upto = 4; exec_count = 4 }) ];
+        [ commit 2 5 5; exec 2 5 5 5; commit 3 5 6; exec 3 5 6 6 ];
+        [ client_done 4 1; client_done 4 3; client_done 5 10 ];
+      ]
+  in
+  let entries =
+    List.mapi
+      (fun i event ->
+        let time = Int64.of_int i in
+        match event with
+        | `Out (pid, obs) -> Thc_sim.Trace.Output { time; pid; obs }
+        | `Crash pid -> Thc_sim.Trace.Crashed { time; pid })
+      events
+  in
+  { Thc_sim.Trace.n = 6; byzantine; entries;
+    end_time = Int64.of_int (List.length entries) }
+
+let test_monitors_match_reference_hand_built () =
+  List.iter
+    (fun (name, byzantine, crashed) ->
+      check_matches_reference name (hand_trace ~byzantine ~crashed))
+    [
+      ("fault-free", [], None);
+      ("byzantine p3, p2 crashed", [ 3 ], Some 2);
+      ("byzantine p0, p1 crashed", [ 0 ], Some 1);
+    ];
+  (* p0's second seq-3 op is checked against p1's first, which matches
+     p0's first: one order violation, where a last-wins index gives two. *)
+  let safety =
+    Thc_replication.Smr_spec.check_safety
+      (hand_trace ~byzantine:[] ~crashed:None)
+      ~replicas:4
+  in
+  Alcotest.(check int) "first execution of a seq decides" 1
+    (List.length
+       (List.filter
+          (fun (v : Thc_replication.Smr_spec.violation) ->
+            v.info = "p0/p1 differ at seq 3")
+          safety))
+
+(* 6000 slots on replicas 0..3 and client 4, padded with message traffic to
+   240k entries; p3 crashes half way.  The list-scanning [commits] walked
+   the whole trace once per commit here (~5e9 steps). *)
+let test_monitors_linear_at_scale () =
+  let module S = Thc_replication.Smr_spec in
+  let slots = 6000 and replicas = 4 and client = 4 in
+  let entries = ref [] and clock = ref 0L in
+  let now () = clock := Int64.succ !clock; !clock in
+  let push (e : unit Thc_sim.Trace.entry) = entries := e :: !entries in
+  for seq = 1 to slots do
+    for src = 0 to replicas - 1 do
+      for dst = 0 to replicas - 1 do
+        push (Sent { time = now (); src; dst; seq; msg = () });
+        push (Delivered { time = now (); src; dst; seq; msg = () })
+      done
+    done;
+    let op = string_of_int seq in
+    for pid = 0 to replicas - 1 do
+      if pid <> 3 || seq <= slots / 2 then begin
+        push (Output { time = now (); pid; obs = Committed { view = 0; seq; op } });
+        push (Output { time = now (); pid; obs = Executed { seq; op; result = op } })
+      end
+    done;
+    if seq = slots / 2 then push (Crashed { time = now (); pid = 3 });
+    let obs = Thc_sim.Obs.Client_done { rid = seq - 1; latency_us = 1L } in
+    push (Output { time = now (); pid = client; obs })
+  done;
+  let trace =
+    { Thc_sim.Trace.n = replicas + 1; byzantine = []; entries = List.rev !entries;
+      end_time = now () }
+  in
+  let size = List.length trace.entries in
+  let decided =
+    Thc_sim.Trace.outputs_matching trace (fun _ obs ->
+        match obs with Committed _ | Executed _ -> Some () | _ -> None)
+  in
+  Alcotest.(check bool) ">= 200k entries" true (size >= 200_000);
+  Alcotest.(check bool) ">= 20k Committed/Executed" true (List.length decided >= 20_000);
+  let within_a_second name f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt >= 1.0 then Alcotest.failf "%s took %.2f s on %d entries" name dt size;
+    r
+  in
+  Alcotest.(check int) "commits" slots
+    (within_a_second "commits" (fun () -> S.commits trace ~replicas));
+  Alcotest.(check (list violation)) "check_safety" []
+    (within_a_second "check_safety" (fun () -> S.check_safety trace ~replicas));
+  Alcotest.(check (list violation)) "check_liveness" []
+    (within_a_second "check_liveness" (fun () ->
+         S.check_liveness trace ~expected:[ (client, List.init slots Fun.id) ]))
+
 let () =
   Alcotest.run "thc_replication"
     [
@@ -1009,5 +1265,14 @@ let () =
           Alcotest.test_case "rejects stale result" `Quick
             test_state_determinism_rejects_stale_result;
           Alcotest.test_case "rejects gap" `Quick test_state_determinism_rejects_gap;
+        ] );
+      ( "linear-monitor",
+        [
+          Alcotest.test_case "match reference on golden exports" `Quick
+            test_monitors_match_reference_golden;
+          Alcotest.test_case "match reference on hand-built traces" `Quick
+            test_monitors_match_reference_hand_built;
+          Alcotest.test_case "linear at 240k entries" `Quick
+            test_monitors_linear_at_scale;
         ] );
     ]

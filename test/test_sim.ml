@@ -382,6 +382,23 @@ let test_reception_transcript () =
   Alcotest.(check int) "p0 received nothing" 0
     (List.length (Thc_sim.Trace.reception_transcript trace 0))
 
+(* An output line whose "obs" is not codec bytes is an [Error] naming its
+   line, not an exception out of the decoder. *)
+let test_of_jsonl_rejects_obs obs () =
+  let input =
+    String.concat "\n"
+      [
+        {|{"type":"trace","n":2,"byzantine":[],"end_time":10}|};
+        {|{"type":"timer","time":0,"pid":0,"tag":1}|};
+        {|{"type":"output","time":5,"pid":1,"obs":|} ^ obs ^ {|,"show":"?"}|};
+      ]
+  in
+  match Thc_sim.Trace.of_jsonl input with
+  | Ok _ -> Alcotest.failf "obs %s accepted" obs
+  | Error e ->
+    Alcotest.(check bool) ("error names line 3: " ^ e) true
+      (String.starts_with ~prefix:"line 3:" e)
+
 (* --- delay distributions -------------------------------------------------------------- *)
 
 let prop_delay_uniform_bounds =
@@ -730,6 +747,10 @@ let () =
           Alcotest.test_case "until bound" `Quick test_until_bound;
           Alcotest.test_case "event limit" `Quick test_event_limit;
           Alcotest.test_case "reception transcript" `Quick test_reception_transcript;
+          Alcotest.test_case "of_jsonl rejects non-codec obs" `Quick
+            (test_of_jsonl_rejects_obs {|"x"|});
+          Alcotest.test_case "of_jsonl rejects empty obs" `Quick
+            (test_of_jsonl_rejects_obs {|""|});
         ] );
       ( "delays",
         [ qcheck prop_delay_uniform_bounds; qcheck prop_delay_exponential_positive ] );
