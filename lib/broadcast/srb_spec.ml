@@ -31,15 +31,42 @@ let broadcasts trace ~sender =
       | _ -> None)
     (Thc_sim.Trace.outputs_of trace sender)
 
-let check trace ~sender =
+(* Each seq's first value, as [List.assoc_opt] would find it. *)
+let first_by_seq pairs =
+  let t = Hashtbl.create (List.length pairs) in
+  List.iter (fun (seq, v) -> if not (Hashtbl.mem t seq) then Hashtbl.add t seq v) pairs;
+  t
+
+let check (trace : _ Thc_sim.Trace.t) ~sender =
   let violations = ref [] in
   let add property info = violations := { property; info } :: !violations in
-  let correct = Thc_sim.Trace.correct_pids trace in
-  let sender_correct = Thc_sim.Trace.correct trace sender in
-  let delivered = List.map (fun pid -> (pid, deliveries trace ~sender ~pid)) correct in
+  (* One walk collects the crashes, every pid's deliveries from [sender]
+     and the sender's broadcasts, each list newest first. *)
+  let crashed = Hashtbl.create 8 in
+  let received = Array.make trace.n [] and sent = ref [] in
+  List.iter
+    (function
+      | Thc_sim.Trace.Crashed { pid; _ } -> Hashtbl.replace crashed pid ()
+      | Output { pid; obs = Thc_sim.Obs.Srb_delivered { sender = s; seq; value }; _ }
+        when s = sender && pid >= 0 && pid < trace.n ->
+        received.(pid) <- (seq, value) :: received.(pid)
+      | Output { pid; obs = Thc_sim.Obs.Srb_broadcast { seq; value }; _ } when pid = sender ->
+        sent := (seq, value) :: !sent
+      | _ -> ())
+    trace.entries;
+  let correct pid = not (List.mem pid trace.byzantine || Hashtbl.mem crashed pid) in
+  let delivered =
+    List.filter_map
+      (fun pid ->
+        if correct pid then
+          let ds = List.rev received.(pid) in
+          Some (pid, ds, first_by_seq ds)
+        else None)
+      (List.init trace.n Fun.id)
+  in
   (* Sequencing: each correct process delivers 1, 2, 3, ... in order. *)
   List.iter
-    (fun (pid, ds) ->
+    (fun (pid, ds, _) ->
       List.iteri
         (fun i (seq, _) ->
           if seq <> i + 1 then
@@ -49,13 +76,13 @@ let check trace ~sender =
     delivered;
   (* Agreement + totality: pairwise prefix consistency and equal coverage. *)
   List.iter
-    (fun (p, dp) ->
+    (fun (p, dp, by_p) ->
       List.iter
-        (fun (q, dq) ->
+        (fun (q, dq, by_q) ->
           if p < q then begin
             List.iter
               (fun (seq, v) ->
-                match List.assoc_opt seq dq with
+                match Hashtbl.find_opt by_q seq with
                 | Some v' when not (String.equal v v') ->
                   add `Agreement
                     (Printf.sprintf "p%d and p%d disagree at seq %d" p q seq)
@@ -67,7 +94,7 @@ let check trace ~sender =
               dp;
             List.iter
               (fun (seq, _) ->
-                if not (List.mem_assoc seq dp) then
+                if not (Hashtbl.mem by_p seq) then
                   add `Totality
                     (Printf.sprintf "p%d delivered seq %d but p%d did not" q seq
                        p))
@@ -75,14 +102,15 @@ let check trace ~sender =
           end)
         delivered)
     delivered;
-  if sender_correct then begin
-    let bs = broadcasts trace ~sender in
+  if correct sender then begin
+    let bs = List.rev !sent in
+    let by_seq = first_by_seq bs in
     (* Validity: everything broadcast is delivered everywhere. *)
     List.iter
       (fun (seq, value) ->
         List.iter
-          (fun (pid, ds) ->
-            match List.assoc_opt seq ds with
+          (fun (pid, _, by_pid) ->
+            match Hashtbl.find_opt by_pid seq with
             | Some v when String.equal v value -> ()
             | Some _ ->
               add `Validity
@@ -95,10 +123,10 @@ let check trace ~sender =
       bs;
     (* Integrity: nothing delivered that was not broadcast. *)
     List.iter
-      (fun (pid, ds) ->
+      (fun (pid, ds, _) ->
         List.iter
           (fun (seq, value) ->
-            match List.assoc_opt seq bs with
+            match Hashtbl.find_opt by_seq seq with
             | Some v when String.equal v value -> ()
             | Some _ | None ->
               add `Integrity

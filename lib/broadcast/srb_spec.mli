@@ -30,7 +30,12 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check : 'm Thc_sim.Trace.t -> sender:int -> violation list
 (** All violations of the four properties (plus agreement) for deliveries
-    attributed to [sender].  Empty list = the execution satisfies SRB. *)
+    attributed to [sender].  Empty list = the execution satisfies SRB.
+    [sender] is judged by {!Thc_sim.Trace.correct}, so a pid outside
+    [0 .. n-1] counts as correct unless marked Byzantine or crashed.
+    One walk of the trace; seqs are matched through per-process hash
+    tables, where a process's first delivery of a seq (and the sender's
+    first broadcast of it) decides. *)
 
 val deliveries : 'm Thc_sim.Trace.t -> sender:int -> pid:int -> (int * string) list
 (** [(seq, value)] deliveries from [sender] at [pid], in delivery order. *)

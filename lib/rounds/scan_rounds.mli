@@ -20,9 +20,20 @@ type board = {
           identity capability; raises {!Thc_sharedmem.Acl.Violation} if the
           capability does not own the slot). *)
   read : int -> (int * int * string) list;
-      (** Read location [j]: visible entries as [(owner, round, payload)]. *)
+      (** Read location [j]: visible entries as [(owner, round, payload)].
+          It may omit entries this reader already received from location
+          [j] ({!Swmr_rounds} returns only the entries new to it), but
+          must return every entry it has not. *)
   targets : int;  (** Number of locations a sweep must read. *)
 }
+(** The driver keeps a table of every [(owner, round, payload)] it has
+    received and hands the app only entries not in it.  The table stays
+    even though a board may omit old entries: the sticky and PEATS boards
+    return every visible entry on each read, an owner that rewrites its
+    SWMR log makes {!Swmr_rounds} return every current entry again, and
+    the table's iteration order decides the order of the
+    [Round_received] outputs emitted when a round starts with entries
+    already received for it. *)
 
 val behavior :
   board:board ->

@@ -1,4 +1,7 @@
 let behavior ~registers ~ident ?scan_delay ?poll_delay app =
+  (* One cursor per register: a read hands over only the entries this
+     process has not been handed yet, still one register read each. *)
+  let cursors = Array.map Thc_sharedmem.Swmr.cursor registers in
   let board =
     {
       Scan_rounds.publish =
@@ -9,7 +12,7 @@ let behavior ~registers ~ident ?scan_delay ?poll_delay app =
         (fun j ->
           List.map
             (fun (round, payload) -> (j, round, payload))
-            (Thc_sharedmem.Swmr.entries registers.(j)));
+            (Thc_sharedmem.Swmr.read_new cursors.(j)));
       targets = Array.length registers;
     }
   in

@@ -20,7 +20,9 @@
     with its round), deduplicated per distinct (owner, round, payload) — a
     Byzantine owner {e can} append two different payloads for one round, and
     honest readers then see both, which is how shared memory exposes
-    equivocation. *)
+    equivocation.  Each process reads a register through its own
+    {!Thc_sharedmem.Swmr.cursor}, so one read costs one [swmr.read] and
+    host work in the entries new to that process only. *)
 
 val behavior :
   registers:(int * string) Thc_sharedmem.Swmr.log array ->

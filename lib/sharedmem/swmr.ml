@@ -48,6 +48,22 @@ let append t ~ident v =
 
 let entries t = List.rev (read t)
 
+type 'a cursor = { log : 'a log; mutable seen : 'a list }
+
+let cursor log = { log; seen = [] }
+
+(* Walk the newest-first list down to the one the last read returned,
+   collecting oldest first; an owner [write] that dropped it yields every
+   entry, as the walk then ends at [[]]. *)
+let read_new c =
+  let current = read c.log and seen = c.seen in
+  let rec fresh acc l =
+    if l == seen then acc
+    else match l with [] -> acc | x :: older -> fresh (x :: acc) older
+  in
+  c.seen <- current;
+  fresh [] current
+
 let array ~n ~init = Array.init n (fun i -> create ~owner:i ~init:(init i))
 
 let log_array ~n = Array.init n (fun i -> create_log ~owner:i)

@@ -57,6 +57,25 @@ val append : 'a log -> ident:Thc_crypto.Keyring.secret -> 'a -> unit
 val entries : 'a log -> 'a list
 (** Oldest first. *)
 
+type 'a cursor
+(** One reader's position in one {!log}: the entries that reader has
+    already been handed.  Creating a cursor reads nothing and charges
+    nothing. *)
+
+val cursor : 'a log -> 'a cursor
+
+val read_new : 'a cursor -> 'a list
+(** The entries appended since this cursor's last [read_new], oldest
+    first ([[]] if none), from exactly one {!read}, so it costs what
+    {!entries} costs: one [swmr.read] ledger charge.  It walks the
+    register's newest-first list only until it meets, by [==], the list
+    its last read returned.  If an owner {!write} has since dropped that
+    list, so that it is no longer a tail of the register's list (a list
+    cut below it, reordered, or rebuilt from a copy), the walk runs to
+    the end and every current entry is returned.  Either way the reader
+    misses no entry; after a rewrite it may be handed one again.
+    Cursors are independent: each reader keeps its own. *)
+
 val array : n:int -> init:(int -> 'a) -> 'a t array
 (** One register per process, [o.(i)] owned by [i] — the standard layout. *)
 

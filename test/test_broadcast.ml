@@ -281,12 +281,16 @@ let test_rb_tolerates_silent_fault () =
 
 (* --- Algorithm 1: SRB from unidirectional rounds ------------------------------------------- *)
 
-let run_srb_from_uni ~seed ~values ~configure_byz =
+(* Algorithm 1's cell (n=5, t=2, 2 s of virtual time) with [driver] running
+   every correct process's rounds and a ledger on the registers. *)
+let srb_uni_cell ~driver ~seed ~values ~configure_byz =
   let n = 5 and faults = 2 in
   let keyring = keyring ~n ~seed () in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
   let registers = Thc_sharedmem.Swmr.log_array ~n in
+  let ledger = Thc_obsv.Ledger.create () in
+  Thc_sharedmem.Swmr.attach_ledger_all registers ledger;
   let srbs =
     Array.init n (fun pid ->
         Thc_broadcast.Srb_from_uni.create ~keyring
@@ -298,11 +302,17 @@ let run_srb_from_uni ~seed ~values ~configure_byz =
   for pid = 0 to n - 1 do
     if not (List.mem pid byz) then
       Thc_sim.Engine.set_behavior engine pid
-        (Thc_rounds.Swmr_rounds.behavior ~registers
+        (driver ~registers
            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
            (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
   done;
-  (Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine, srbs)
+  (Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine, srbs, ledger)
+
+let swmr_driver ~registers ~ident app = Thc_rounds.Swmr_rounds.behavior ~registers ~ident app
+
+let run_srb_from_uni ~seed ~values ~configure_byz =
+  let trace, srbs, _ = srb_uni_cell ~driver:swmr_driver ~seed ~values ~configure_byz in
+  (trace, srbs)
 
 let no_byz ~keyring:_ ~registers:_ ~engine:_ = []
 
@@ -428,6 +438,300 @@ let test_srb_uni_over_lockstep_driver () =
     (List.length (Thc_broadcast.Srb_spec.check trace ~sender:0));
   Alcotest.(check int) "both delivered at p2" 2
     (List.length (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid:2))
+
+(* --- SWMR rounds through cursors --------------------------------------------------- *)
+
+(* The board [Swmr_rounds] had before cursors, kept as the reference: every
+   read rebuilds the whole log, and the driver's table drops what this
+   process has already received. *)
+let full_scan_driver ~registers ~ident app =
+  let board =
+    {
+      Thc_rounds.Scan_rounds.publish =
+        (fun ~round ~payload ->
+          let self = Thc_crypto.Keyring.pid_of_secret ident in
+          Thc_sharedmem.Swmr.append registers.(self) ~ident (round, payload));
+      read =
+        (fun j ->
+          List.map
+            (fun (round, payload) -> (j, round, payload))
+            (Thc_sharedmem.Swmr.entries registers.(j)));
+      targets = Array.length registers;
+    }
+  in
+  Thc_rounds.Scan_rounds.behavior ~board app
+
+(* At 1.5 ms p3 drops the newest entry of its own log; at 2.5 ms it writes
+   back a copy of the whole log it had, so the dropped entry returns. *)
+let rewriting_owner ~keyring ~registers ~engine =
+  let ident = Thc_crypto.Keyring.secret keyring ~pid:3 in
+  let log = registers.(3) in
+  let before = ref [] in
+  Thc_sim.Engine.at engine 1_500L (fun () ->
+      before := Thc_sharedmem.Swmr.read log;
+      match !before with
+      | _ :: older -> Thc_sharedmem.Swmr.write log ~ident older
+      | [] -> Alcotest.fail "p3 has not appended by 1.5 ms");
+  Thc_sim.Engine.at engine 2_500L (fun () ->
+      Thc_sharedmem.Swmr.write log ~ident (List.map Fun.id !before));
+  []
+
+let first_difference a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go i = function
+    | x :: xs, y :: ys -> if String.equal x y then go (i + 1) (xs, ys) else Some (i, x, y)
+    | [], [] -> None
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+  in
+  go 1 (la, lb)
+
+(* The cases the cursor board must run exactly as the full-scan board:
+   Algorithm 1 at five seeds, a Byzantine sender equivocating in the copy
+   round, and an owner rewriting its log mid-run. *)
+let cursor_cases =
+  List.map (fun seed -> (Printf.sprintf "seed %Ld" seed, seed, no_byz)) [ 1L; 2L; 3L; 4L; 5L ]
+  @ [ ("equivocating sender", 63L, equivocating_sender);
+      ("owner rewrites its log", 7L, rewriting_owner) ]
+
+let test_cursor_board_matches_full_scan () =
+  List.iter
+    (fun (name, seed, configure_byz) ->
+      let run driver =
+        let trace, _, ledger =
+          srb_uni_cell ~driver ~seed ~values:[ "alpha"; "beta"; "gamma" ] ~configure_byz
+        in
+        (Thc_sim.Trace.to_jsonl ~encode_msg:(fun () -> "") trace, Thc_obsv.Ledger.rows ledger)
+      in
+      let ref_bytes, ref_rows = run full_scan_driver in
+      let bytes, rows = run swmr_driver in
+      (match first_difference ref_bytes bytes with
+      | None -> ()
+      | Some (line, a, b) ->
+        Alcotest.failf "%s: traces differ at line %d:\n  full scan: %s\n  cursor:    %s"
+          name line a b);
+      Alcotest.(check (list (pair string int))) (name ^ ": ledger rows") ref_rows rows)
+    cursor_cases
+
+(* One process polls five registers pre-filled with 2,000 entries each for
+   100 ms of virtual time, one read per virtual microsecond (~83k reads).
+   The cursor board hands over each entry once and took 0.06 s on a 2-vCPU
+   x86 VM; the full-scan board rebuilds every log on every read and took
+   26 s there. *)
+let test_cursor_polling_bound () =
+  let n = 5 and prefill = 2_000 in
+  let keyring = keyring ~n ~seed:71L () in
+  let registers = Thc_sharedmem.Swmr.log_array ~n in
+  let payload = String.make 64 'p' in
+  Array.iteri
+    (fun owner log ->
+      let ident = Thc_crypto.Keyring.secret keyring ~pid:owner in
+      for round = 1 to prefill do
+        Thc_sharedmem.Swmr.append log ~ident (round, payload)
+      done)
+    registers;
+  let received = ref 0 in
+  let poller : Thc_rounds.Round_app.app =
+    {
+      first_payload = (fun _ -> None);
+      on_receive = (fun _ ~round:_ ~from:_ _ -> incr received);
+      on_round_check = (fun _ ~round:_ -> Thc_rounds.Round_app.Hold);
+    }
+  in
+  let net = Thc_sim.Net.create ~n ~default:fast in
+  let engine = Thc_sim.Engine.create ~seed:71L ~n ~net () in
+  let one = Thc_sim.Delay.Const 1L in
+  Thc_sim.Engine.set_behavior engine 0
+    (Thc_rounds.Swmr_rounds.behavior ~registers
+       ~ident:(Thc_crypto.Keyring.secret keyring ~pid:0)
+       ~scan_delay:one ~poll_delay:one poller);
+  let t0 = Unix.gettimeofday () in
+  ignore (Thc_sim.Engine.run ~until:100_000L ~max_events:10_000_000 engine : unit Thc_sim.Trace.t);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "every entry received once" (n * prefill) !received;
+  Alcotest.(check bool) ">= 80k events" true (Thc_sim.Engine.events_processed engine >= 80_000);
+  if dt >= 1.0 then Alcotest.failf "polling took %.2f s" dt
+
+(* --- the SRB monitor against its list-scanning reference --------------------------- *)
+
+(* The [Srb_spec.check] body that matched seqs with [List.assoc_opt] across
+   delivery lists, kept as the reference: the one-walk monitor must return
+   exactly its violations, in its order. *)
+module Reference = struct
+  module S = Thc_broadcast.Srb_spec
+
+  let check trace ~sender =
+    let violations = ref [] in
+    let add property info = violations := { S.property; info } :: !violations in
+    let correct = Thc_sim.Trace.correct_pids trace in
+    let sender_correct = Thc_sim.Trace.correct trace sender in
+    let delivered = List.map (fun pid -> (pid, S.deliveries trace ~sender ~pid)) correct in
+    List.iter
+      (fun (pid, ds) ->
+        List.iteri
+          (fun i (seq, _) ->
+            if seq <> i + 1 then
+              add `Sequencing (Printf.sprintf "p%d delivery #%d has seq %d" pid (i + 1) seq))
+          ds)
+      delivered;
+    List.iter
+      (fun (p, dp) ->
+        List.iter
+          (fun (q, dq) ->
+            if p < q then begin
+              List.iter
+                (fun (seq, v) ->
+                  match List.assoc_opt seq dq with
+                  | Some v' when not (String.equal v v') ->
+                    add `Agreement (Printf.sprintf "p%d and p%d disagree at seq %d" p q seq)
+                  | Some _ -> ()
+                  | None ->
+                    add `Totality
+                      (Printf.sprintf "p%d delivered seq %d but p%d did not" p seq q))
+                dp;
+              List.iter
+                (fun (seq, _) ->
+                  if not (List.mem_assoc seq dp) then
+                    add `Totality
+                      (Printf.sprintf "p%d delivered seq %d but p%d did not" q seq p))
+                dq
+            end)
+          delivered)
+      delivered;
+    if sender_correct then begin
+      let bs = S.broadcasts trace ~sender in
+      List.iter
+        (fun (seq, value) ->
+          List.iter
+            (fun (pid, ds) ->
+              match List.assoc_opt seq ds with
+              | Some v when String.equal v value -> ()
+              | Some _ ->
+                add `Validity
+                  (Printf.sprintf "p%d delivered a different value at seq %d" pid seq)
+              | None ->
+                add `Validity (Printf.sprintf "p%d never delivered broadcast seq %d" pid seq))
+            delivered)
+        bs;
+      List.iter
+        (fun (pid, ds) ->
+          List.iter
+            (fun (seq, value) ->
+              match List.assoc_opt seq bs with
+              | Some v when String.equal v value -> ()
+              | Some _ | None ->
+                add `Integrity
+                  (Printf.sprintf "p%d delivered (%d, ...) never broadcast by p%d" pid seq
+                     sender))
+            ds)
+        delivered
+    end;
+    List.rev !violations
+end
+
+let srb_violation = Alcotest.testable Thc_broadcast.Srb_spec.pp_violation ( = )
+
+let check_srb_matches_reference name trace ~sender =
+  Alcotest.(check (list srb_violation)) name
+    (Reference.check trace ~sender)
+    (Thc_broadcast.Srb_spec.check trace ~sender)
+
+let test_srb_spec_matches_reference_algorithm1 () =
+  List.iter
+    (fun (name, seed, configure_byz) ->
+      let trace, _, _ =
+        srb_uni_cell ~driver:swmr_driver ~seed ~values:[ "alpha"; "beta"; "gamma" ]
+          ~configure_byz
+      in
+      check_srb_matches_reference name trace ~sender:0)
+    cursor_cases
+
+(* n = 5.  [sender] broadcasts seqs 1, 2, 3, 2 again with another value, and
+   5; another sender broadcasts seq 6.  p0 delivers cleanly, p1 out of
+   order, p2 seq 2 twice (a wrong value first), p3 only seq 1 and p4 an
+   unbroadcast seq 4; p0 and p3 also deliver from the other sender.  The
+   crashes come after every output. *)
+let srb_hand_trace ~sender ~byzantine ~crashed =
+  let other = sender + 1 in
+  let d ?(from = sender) pid seq value =
+    (pid, Thc_sim.Obs.Srb_delivered { sender = from; seq; value })
+  in
+  let b seq value = (sender, Thc_sim.Obs.Srb_broadcast { seq; value }) in
+  let outputs =
+    [ b 1 "a"; d 0 1 "a"; d 1 1 "a"; d 2 1 "a"; d 3 1 "a"; d 4 1 "a";
+      b 2 "b"; b 3 "c"; d 0 2 "b"; d 1 3 "c"; d 2 2 "x"; d 4 2 "b";
+      d ~from:other 0 9 "z"; d 0 3 "c"; d 1 2 "b"; d 2 2 "b"; d 4 3 "c";
+      b 2 "b'"; d 4 4 "d"; b 5 "e"; d ~from:other 3 2 "b";
+      (other, Thc_sim.Obs.Srb_broadcast { seq = 6; value = "f" }) ]
+  in
+  let entries =
+    List.mapi
+      (fun i (pid, obs) -> Thc_sim.Trace.Output { time = Int64.of_int i; pid; obs })
+      outputs
+    @ List.map (fun pid -> Thc_sim.Trace.Crashed { time = 100L; pid }) crashed
+  in
+  { Thc_sim.Trace.n = 5; byzantine; entries; end_time = 101L }
+
+let test_srb_spec_matches_reference_hand_built () =
+  let cases =
+    [
+      ("fault-free", 0, [], []);
+      ("byzantine p3, p1 crashed", 0, [ 3 ], [ 1 ]);
+      ("byzantine sender", 0, [ 0 ], []);
+      ("crashed sender", 0, [], [ 0 ]);
+      ("sender p7 >= n", 7, [], []);
+      ("sender p7 crashed", 7, [], [ 7 ]);
+      ("sender p7 byzantine", 7, [ 7 ], []);
+      ("sender p2, p4 crashed", 2, [], [ 4 ]);
+    ]
+  in
+  let kinds =
+    List.concat_map
+      (fun (name, sender, byzantine, crashed) ->
+        let trace = srb_hand_trace ~sender ~byzantine ~crashed in
+        check_srb_matches_reference name trace ~sender;
+        List.map
+          (fun (v : Thc_broadcast.Srb_spec.violation) -> v.property)
+          (Thc_broadcast.Srb_spec.check trace ~sender))
+      cases
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) "every violation kind covered" true (List.mem kind kinds))
+    [ `Validity; `Totality; `Sequencing; `Integrity; `Agreement ];
+  (* p2 delivers seq 2 as "x" and then as "b": its first delivery decides,
+     so it disagrees with p0 there, where a last-wins index would not. *)
+  Alcotest.(check bool) "first delivery of a seq decides" true
+    (List.exists
+       (fun (v : Thc_broadcast.Srb_spec.violation) -> v.info = "p0 and p2 disagree at seq 2")
+       (Thc_broadcast.Srb_spec.check (srb_hand_trace ~sender:0 ~byzantine:[] ~crashed:[])
+          ~sender:0))
+
+(* Five processes each deliver the sender's 20,000 broadcasts.  The
+   reference's pairwise [List.assoc_opt] matching is quadratic here: it took
+   67 s on a 2-vCPU x86 VM, the one-walk monitor 0.09 s. *)
+let test_srb_spec_linear_at_scale () =
+  let n = 5 and seqs = 20_000 in
+  let entries = ref [] and clock = ref 0L in
+  let push pid obs =
+    clock := Int64.succ !clock;
+    entries := Thc_sim.Trace.Output { time = !clock; pid; obs } :: !entries
+  in
+  for seq = 1 to seqs do
+    let value = string_of_int seq in
+    push 0 (Thc_sim.Obs.Srb_broadcast { seq; value });
+    for pid = 0 to n - 1 do
+      push pid (Thc_sim.Obs.Srb_delivered { sender = 0; seq; value })
+    done
+  done;
+  let trace : unit Thc_sim.Trace.t =
+    { n; byzantine = []; entries = List.rev !entries; end_time = !clock }
+  in
+  let t0 = Unix.gettimeofday () in
+  let violations = Thc_broadcast.Srb_spec.check trace ~sender:0 in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list srb_violation)) "clean" [] violations;
+  if dt >= 1.0 then Alcotest.failf "check took %.2f s" dt
 
 (* --- NEB -------------------------------------------------------------------------------- *)
 
@@ -633,6 +937,19 @@ let () =
           Alcotest.test_case "over sticky driver" `Quick test_srb_uni_over_sticky_driver;
           Alcotest.test_case "over lock-step driver" `Quick test_srb_uni_over_lockstep_driver;
           qcheck prop_srb_uni_schedules;
+        ] );
+      ( "cursor-rounds",
+        [
+          Alcotest.test_case "same run as full scan" `Quick test_cursor_board_matches_full_scan;
+          Alcotest.test_case "polling bound" `Quick test_cursor_polling_bound;
+        ] );
+      ( "linear-monitor",
+        [
+          Alcotest.test_case "match reference on Algorithm 1" `Quick
+            test_srb_spec_matches_reference_algorithm1;
+          Alcotest.test_case "match reference on hand-built" `Quick
+            test_srb_spec_matches_reference_hand_built;
+          Alcotest.test_case "linear at scale" `Quick test_srb_spec_linear_at_scale;
         ] );
       ( "neb",
         [

@@ -160,6 +160,140 @@ let test_swmr_ledger_denials_are_rejections () =
     (Thc_obsv.Ledger.count ledger "swmr.append"
     + Thc_obsv.Ledger.count ledger "swmr.write")
 
+(* --- SWMR cursors ------------------------------------------------------------------ *)
+
+let test_swmr_cursor_reads_new () =
+  let k = keyring () in
+  let l = Thc_sharedmem.Swmr.create_log ~owner:0 in
+  let c = Thc_sharedmem.Swmr.cursor l in
+  let append = Thc_sharedmem.Swmr.append l ~ident:(ident k 0) in
+  let read_new () = Thc_sharedmem.Swmr.read_new c in
+  Alcotest.(check (list string)) "empty log" [] (read_new ());
+  append "a";
+  append "b";
+  Alcotest.(check (list string)) "both appends, oldest first" [ "a"; "b" ] (read_new ());
+  Alcotest.(check (list string)) "nothing appended since" [] (read_new ());
+  append "c";
+  Alcotest.(check (list string)) "only the new entry" [ "c" ] (read_new ());
+  Alcotest.(check (list string)) "entries untouched" [ "a"; "b"; "c" ]
+    (Thc_sharedmem.Swmr.entries l)
+
+(* Each case reads [a; b; c] through a cursor, lets the owner [write] a new
+   newest-first list, and expects the next [read_new] to return it all. *)
+let test_swmr_cursor_after_write () =
+  let k = keyring () in
+  List.iter
+    (fun (name, rewrite, expected) ->
+      let l = Thc_sharedmem.Swmr.create_log ~owner:1 in
+      List.iter (Thc_sharedmem.Swmr.append l ~ident:(ident k 1)) [ "a"; "b"; "c" ];
+      let c = Thc_sharedmem.Swmr.cursor l in
+      ignore (Thc_sharedmem.Swmr.read_new c);
+      Thc_sharedmem.Swmr.write l ~ident:(ident k 1) (rewrite (Thc_sharedmem.Swmr.read l));
+      Alcotest.(check (list string)) name expected (Thc_sharedmem.Swmr.read_new c);
+      Alcotest.(check (list string)) (name ^ ", then nothing new") []
+        (Thc_sharedmem.Swmr.read_new c))
+    [
+      ("shorter, a tail of the old list", List.tl, [ "a"; "b" ]);
+      ("shorter, rebuilt", (fun _ -> [ "a" ]), [ "a" ]);
+      ("reordered", List.rev, [ "c"; "b"; "a" ]);
+      ("extended from a copy", (fun l -> "d" :: List.map Fun.id l), [ "a"; "b"; "c"; "d" ]);
+      ("emptied", (fun _ -> []), []);
+    ]
+
+let test_swmr_cursor_one_read_charge () =
+  let k = keyring () in
+  let l = Thc_sharedmem.Swmr.create_log ~owner:0 in
+  let ledger = Thc_obsv.Ledger.create () in
+  Thc_sharedmem.Swmr.attach_ledger l ledger;
+  let c = Thc_sharedmem.Swmr.cursor l in
+  Alcotest.(check int) "creating a cursor charges nothing" 0 (Thc_obsv.Ledger.total ledger);
+  ignore (Thc_sharedmem.Swmr.read_new c);
+  Thc_sharedmem.Swmr.append l ~ident:(ident k 0) "x";
+  Thc_sharedmem.Swmr.append l ~ident:(ident k 0) "y";
+  ignore (Thc_sharedmem.Swmr.read_new c);
+  Thc_sharedmem.Swmr.write l ~ident:(ident k 0) [ "z" ];
+  ignore (Thc_sharedmem.Swmr.read_new c);
+  ignore (Thc_sharedmem.Swmr.read_new c);
+  Alcotest.(check (list (pair string int))) "one swmr.read per read_new"
+    [ ("swmr.append", 2); ("swmr.read", 4); ("swmr.write", 1) ]
+    (List.sort compare (Thc_obsv.Ledger.rows ledger))
+
+let test_swmr_cursors_independent () =
+  let k = keyring () in
+  let l = Thc_sharedmem.Swmr.create_log ~owner:2 in
+  let c1 = Thc_sharedmem.Swmr.cursor l and c2 = Thc_sharedmem.Swmr.cursor l in
+  Thc_sharedmem.Swmr.append l ~ident:(ident k 2) "a";
+  Alcotest.(check (list string)) "c1 first read" [ "a" ] (Thc_sharedmem.Swmr.read_new c1);
+  Thc_sharedmem.Swmr.append l ~ident:(ident k 2) "b";
+  Alcotest.(check (list string)) "c2 unaffected by c1" [ "a"; "b" ]
+    (Thc_sharedmem.Swmr.read_new c2);
+  Alcotest.(check (list string)) "c1 unaffected by c2" [ "b" ]
+    (Thc_sharedmem.Swmr.read_new c1);
+  Alcotest.(check (list string)) "c2 caught up" [] (Thc_sharedmem.Swmr.read_new c2)
+
+let test_swmr_cursor_denied_append () =
+  let k = keyring () in
+  let l = Thc_sharedmem.Swmr.create_log ~owner:0 in
+  let c = Thc_sharedmem.Swmr.cursor l in
+  Thc_sharedmem.Swmr.append l ~ident:(ident k 0) "mine";
+  ignore (Thc_sharedmem.Swmr.read_new c);
+  (try Thc_sharedmem.Swmr.append l ~ident:(ident k 3) "forged"
+   with Thc_sharedmem.Acl.Violation _ -> ());
+  Alcotest.(check (list string)) "nothing new" [] (Thc_sharedmem.Swmr.read_new c);
+  Alcotest.(check (list string)) "log unchanged" [ "mine" ] (Thc_sharedmem.Swmr.entries l);
+  Alcotest.(check int) "no write counted" 1 (Thc_sharedmem.Swmr.write_count l)
+
+type cursor_op = Append | Read | Drop_newest | Reverse | Copy_and_extend
+
+(* Against any mix of appends, reads and owner rewrites, each [read_new]
+   returns a suffix of the log; with no rewrite since the last read, exactly
+   the entries appended since; and after it every current entry has been
+   returned by some read. *)
+let prop_swmr_cursor_misses_nothing =
+  let k = keyring () in
+  QCheck.Test.make ~name:"cursor reads miss no entry" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 60)
+        (oneofl [ Append; Append; Read; Read; Drop_newest; Reverse; Copy_and_extend ]))
+    (fun ops ->
+      let l = Thc_sharedmem.Swmr.create_log ~owner:0 in
+      let c = Thc_sharedmem.Swmr.cursor l in
+      let write v = Thc_sharedmem.Swmr.write l ~ident:(ident k 0) v in
+      let next = ref 0 and since = ref [] and rewritten = ref false in
+      let returned = Hashtbl.create 64 in
+      let fresh () = incr next; !next in
+      List.for_all
+        (fun op ->
+          match op with
+          | Append ->
+            let v = fresh () in
+            Thc_sharedmem.Swmr.append l ~ident:(ident k 0) v;
+            since := v :: !since;
+            true
+          | Drop_newest ->
+            (match Thc_sharedmem.Swmr.read l with [] -> () | _ :: older -> write older);
+            rewritten := true;
+            true
+          | Reverse ->
+            write (List.rev (Thc_sharedmem.Swmr.read l));
+            rewritten := true;
+            true
+          | Copy_and_extend ->
+            write (fresh () :: List.map Fun.id (Thc_sharedmem.Swmr.read l));
+            rewritten := true;
+            true
+          | Read ->
+            let got = Thc_sharedmem.Swmr.read_new c in
+            let all = Thc_sharedmem.Swmr.entries l in
+            let skip = List.length all - List.length got in
+            let suffix = skip >= 0 && List.filteri (fun i _ -> i >= skip) all = got in
+            let exact = !rewritten || got = List.rev !since in
+            List.iter (fun v -> Hashtbl.replace returned v ()) got;
+            since := [];
+            rewritten := false;
+            suffix && exact && List.for_all (Hashtbl.mem returned) all)
+        ops)
+
 (* --- sticky ---------------------------------------------------------------------- *)
 
 let test_sticky_first_write_wins () =
@@ -313,6 +447,12 @@ let () =
           Alcotest.test_case "ledger denials"
             `Quick test_swmr_ledger_denials_are_rejections;
           qcheck prop_swmr_log_preserves_sequence;
+          Alcotest.test_case "cursor reads only new entries" `Quick test_swmr_cursor_reads_new;
+          Alcotest.test_case "cursor after owner write" `Quick test_swmr_cursor_after_write;
+          Alcotest.test_case "cursor one read charge" `Quick test_swmr_cursor_one_read_charge;
+          Alcotest.test_case "cursors independent" `Quick test_swmr_cursors_independent;
+          Alcotest.test_case "cursor denied append" `Quick test_swmr_cursor_denied_append;
+          qcheck prop_swmr_cursor_misses_nothing;
         ] );
       ( "sticky",
         [
