@@ -232,12 +232,15 @@ let client_finished trace ~pid ~expected =
   in
   done_count >= expected
 
-(* The verdict every rig reports, read off its trace and ledger.  Stalled
-   spans are the requests that never reached their reply — the injected
-   conflicting writes and any honest request the attack starved; their
-   views show which phase the pipeline stopped at. *)
+(* The verdict every rig reports, read off its trace, ledger and link
+   counters.  The trace needs only outputs and crashes, so [messages]
+   comes from the engine's send counter ([Trace.messages_sent] of a
+   [Full] trace by construction).  Stalled spans are the requests that
+   never reached their reply — the injected conflicting writes and any
+   honest request the attack starved; their views show which phase the
+   pipeline stopped at. *)
 let result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger ~spans ~plan
-    ~detail trace =
+    ~detail ~engine trace =
   {
     attack;
     target;
@@ -248,7 +251,7 @@ let result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger ~spans ~plan
     commits = R.Smr_spec.commits trace ~replicas:n;
     rejections = Thc_obsv.Ledger.rejections ledger;
     trusted_ops = Thc_obsv.Ledger.rows ledger;
-    messages = Thc_sim.Trace.messages_sent trace;
+    messages = Thc_obsv.Link_stats.sends (E.stats engine);
     duration_us = trace.Thc_sim.Trace.end_time;
     client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
     detail;
@@ -522,8 +525,8 @@ let install_network network engine ~replicas ~script =
    the joiner awaits — the rejection is a deterministic fact of the rig,
    not a delivery race.  At the heal the held genuine snapshots flow and
    recovery completes. *)
-let run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ()
-    =
+let run_minbft ?network ~tracing ~target ~attack ~f ~seed ~corrupt_at ~script
+    ~until () =
   let ckpt = List.mem attack ckpt_all in
   let config =
     {
@@ -553,7 +556,7 @@ let run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ()
     Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
   in
   let spans = Thc_obsv.Span.create () in
-  let engine = E.create ~seed ~spans ~n:total ~net () in
+  let engine = E.create ~seed ~tracing ~spans ~n:total ~net () in
   let replicas =
     Array.init n (fun pid ->
         R.Minbft.create_replica ~config ~keyring ~world
@@ -621,7 +624,7 @@ let run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ()
         (match target with
         | Unattested -> unattested_detail attack
         | Minbft | Ubft -> minbft_detail attack)
-      trace,
+      ~engine trace,
     trace )
 
 (* --- the uBFT-sim side --------------------------------------------------- *)
@@ -708,7 +711,7 @@ let run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
   let hw = Thc_obsv.Ledger.create () in
   Swmr.attach_ledger_all registers hw;
   Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let engine = E.create ~seed ~spans ~n:total ~net () in
+  let engine = E.create ~seed ~tracing:E.Outputs_only ~spans ~n:total ~net () in
   (* The append-withholder must own the register followers read from; the
      other attackers corrupt a follower. *)
   let byz_pid = match attack with Withheld_append -> 0 | _ -> n - 1 in
@@ -758,7 +761,7 @@ let run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
   install_network network engine ~replicas:n ~script;
   let trace = E.run ~until engine in
   result_of ~attack ~target:Ubft ~seed ~corrupt_at ~n ~ledger:hw ~spans ~plan
-    ~detail:(ubft_detail attack) trace
+    ~detail:(ubft_detail attack) ~engine trace
 
 let script_slack = function
   | None -> 0L
@@ -774,14 +777,15 @@ let run ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network ~target
   match target with
   | Minbft | Unattested ->
     fst
-      (run_minbft ?network ~target ~attack ~f ~seed ~corrupt_at ~script ~until ())
+      (run_minbft ?network ~tracing:E.Outputs_only ~target ~attack ~f ~seed
+         ~corrupt_at ~script ~until ())
   | Ubft -> run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
 
 let run_export ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network
     ~attack () =
   let corrupt_at = if corrupt_at < 1L then 1L else corrupt_at in
   let result, trace =
-    run_minbft ?network ~target:Minbft ~attack ~f ~seed ~corrupt_at ~script
-      ~until:(until_of ~corrupt_at ~script) ()
+    run_minbft ?network ~tracing:E.Full ~target:Minbft ~attack ~f ~seed
+      ~corrupt_at ~script ~until:(until_of ~corrupt_at ~script) ()
   in
   (result, Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace)

@@ -111,7 +111,7 @@ type result = {
           under [Unattested] only the non-hardware refusals ([link.*],
           [ckpt.*]), since its world charges no [trinc.*] op. *)
   trusted_ops : (string * int) list;  (** Full ledger rows. *)
-  messages : int;
+  messages : int;  (** Messages sent, from the engine's link counter. *)
   duration_us : int64;  (** Virtual end time of the run. *)
   client_finished : bool;
       (** Did the honest client get all its replies? *)
@@ -151,7 +151,13 @@ val run :
     drains before verdicts are read.  [network] lowers a named topology
     onto the rig's links ({!Thc_network.Model.install}; re-lowered after
     every scripted heal); rational client strategies are ignored — the
-    rigs' scripted clients are attack fixtures, not a workload. *)
+    rigs' scripted clients are attack fixtures, not a workload.
+
+    The rig's engine records outputs and crashes only
+    ({!Thc_sim.Engine.Outputs_only}): that is all the verdict reads, and
+    the explorer runs thousands of these.  [messages] is therefore counted
+    by the engine's link counter ({!Thc_obsv.Link_stats.sends}), which
+    equals {!Thc_sim.Trace.messages_sent} of the full trace. *)
 
 val run_export :
   ?f:int ->
@@ -162,9 +168,10 @@ val run_export :
   attack:kind ->
   unit ->
   result * string
-(** Like {!run} against the [Minbft] target, additionally returning the
-    run's full engine trace as JSONL ({!Thc_sim.Trace.to_jsonl} with
-    {!Thc_util.Codec.encode}d messages).  Byte-deterministic per
+(** Like {!run} against the [Minbft] target, but recording the full
+    engine trace ({!Thc_sim.Engine.Full}) and also returning it as JSONL
+    ({!Thc_sim.Trace.to_jsonl} with {!Thc_util.Codec.encode}d messages).
+    The result equals {!run}'s field for field.  Byte-deterministic per
     [(f, seed, corrupt_at, script)] — the attack driver's contribution to
     the golden-trace equivalence corpus. *)
 

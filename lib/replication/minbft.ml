@@ -791,8 +791,8 @@ let adopt_new_view t ctx ~new_view evidence =
     flush_queue t ctx ~force:true
   end
 
-let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner payload =
-  match decode_proto payload with
+let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
+  match p with
   | Prepare { view; seq; batch } -> handle_prepare t ctx ~owner ~view ~seq ~batch
   | Commit { view; seq; batch } ->
     if Command.batch_valid t.keyring batch then
@@ -831,16 +831,22 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner payload =
 
 let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (att : Thc_hardware.Trinc.attestation) =
+  (* Each attestation is decoded once ([None]: an undecodable payload).
+     With spans live, the received one is decoded before [accept], to
+     attribute the inbound verification ops (counter checks, replay/forge
+     rejections) to the phase of the carried message; that decode is
+     reused when [accept] releases it.  Attestations released from behind
+     a gap are decoded as they come out. *)
+  let decode (a : Thc_hardware.Trinc.attestation) =
+    match decode_proto a.message with p -> Some p | exception _ -> None
+  in
+  let received = lazy (decode att) in
   let released =
-    (* Attribute the inbound verification ops (counter checks, replay/forge
-       rejections) to the phase of the carried message.  The classifying
-       decode happens only when spans are live; disabled runs keep the
-       single decode they always had. *)
     if Thc_obsv.Span.enabled ctx.spans then begin
       let phase, rids =
-        match span_phase_of_proto (decode_proto att.message) with
-        | pr -> pr
-        | exception _ -> (Thc_obsv.Span.Other_phase, [])
+        match Lazy.force received with
+        | Some p -> span_phase_of_proto p
+        | None -> (Thc_obsv.Span.Other_phase, [])
       in
       Thc_obsv.Span.in_phase ctx.spans phase ~rids (fun () ->
           Attested_link.In.accept t.inbox att)
@@ -851,8 +857,8 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (fun (a : Thc_hardware.Trinc.attestation) ->
       (* View_change needs the attestation itself (evidence); everything
          else is handled from the payload. *)
-      (match decode_proto a.message with
-      | View_change { new_view; log } ->
+      (match if a == att then Lazy.force received else decode a with
+      | Some (View_change { new_view; log }) ->
         if
           t.self = leader_of t new_view
           && new_view > t.view
@@ -873,13 +879,13 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
             adopt_new_view t ctx ~new_view evidence
           end
         end
-      | Checkpoint { upto; digest; exec_count } ->
+      | Some (Checkpoint { upto; digest; exec_count }) ->
         (* Like View_change, a Checkpoint is consumed together with its
            attestation: the attestation itself is the certificate share. *)
         note_ckpt_vote t ctx ~att:a ~upto ~digest ~exec_count
-      | Prepare _ | Commit _ | Rvc _ | New_view _ ->
-        handle_proto t ctx ~owner:a.owner a.message
-      | exception _ -> ()))
+      | Some ((Prepare _ | Commit _ | Rvc _ | New_view _) as p) ->
+        handle_proto t ctx ~owner:a.owner p
+      | None -> ()))
     released
 
 let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =

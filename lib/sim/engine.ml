@@ -99,13 +99,15 @@ let create ?(seed = 1L) ?(tracing = Full) ?(recycle = true)
     net;
     rng;
     proc_rngs = Array.init n (fun _ -> Thc_util.Rng.split rng);
-    (* Width 8 µs × 1024 buckets = an 8 ms year: protocol messages
-       (delays of tens to hundreds of µs) spread across many slices
-       while client-interval timers still land inside the year.  The
+    (* The queue's default geometry, 256 buckets × 32 µs = an 8 ms year:
+       protocol messages (delays of tens to hundreds of µs) spread
+       across slices and client-interval timers still land inside the
+       year, yet a fresh queue stays small.  That matters because the
+       explorer builds thousands of engines for runs of a few hundred
+       events each.  Pop order is [(time, tie)] at any geometry.  The
        null sentinel keeps vacated queue slots from pinning popped
        events; it is never dispatched. *)
-    q = Thc_util.Calendar_queue.create ~nbuckets:1024 ~width:8
-          ~null:(fresh_ev ()) ();
+    q = Thc_util.Calendar_queue.create ~null:(fresh_ev ()) ();
     clock = 0L;
     clock_i = 0;
     tie = 0;

@@ -1,7 +1,8 @@
 (** Binary min-heap priority queue.
 
-    Backs the discrete-event simulator's event queue, so the ordering must be
-    a strict total order for determinism: callers embed a tie-breaking
+    The reference model that {!Calendar_queue}'s property test checks the
+    simulator's event queue against; nothing in the simulator itself uses
+    it.  Callers that need a deterministic order embed a tie-breaking
     sequence number in their keys. *)
 
 type ('k, 'v) t

@@ -297,6 +297,61 @@ let test_ckpt_harness_registration () =
         (Thc_check.Harness.find ("unattested-" ^ aname) = None))
     A.ckpt_all
 
+(* --- outputs-only rigs ------------------------------------------------- *)
+
+(* [run] records outputs only and counts messages off the engine's link
+   counter; [run_export] records the full trace.  On every MinBFT-target
+   kind, with and without the explorer's random script on top, the two
+   verdicts must agree field for field, and [messages] must be the number
+   of sends in the exported trace. *)
+let check_same_result label (a : A.result) (b : A.result) =
+  let field name = label ^ ": " ^ name in
+  Alcotest.(check string) (field "attack") (A.name b.A.attack)
+    (A.name a.A.attack);
+  Alcotest.(check string) (field "target") (A.target_name b.A.target)
+    (A.target_name a.A.target);
+  Alcotest.(check int64) (field "seed") b.A.seed a.A.seed;
+  Alcotest.(check int64) (field "corrupt_at") b.A.corrupt_at a.A.corrupt_at;
+  Alcotest.(check int) (field "safety_violations") b.A.safety_violations
+    a.A.safety_violations;
+  Alcotest.(check int) (field "distinct_ops_at_seq1") b.A.distinct_ops_at_seq1
+    a.A.distinct_ops_at_seq1;
+  Alcotest.(check int) (field "commits") b.A.commits a.A.commits;
+  Alcotest.(check int) (field "rejections") b.A.rejections a.A.rejections;
+  Alcotest.(check (list (pair string int))) (field "trusted_ops")
+    b.A.trusted_ops a.A.trusted_ops;
+  Alcotest.(check int) (field "messages") b.A.messages a.A.messages;
+  Alcotest.(check int64) (field "duration_us") b.A.duration_us a.A.duration_us;
+  Alcotest.(check bool) (field "client_finished") b.A.client_finished
+    a.A.client_finished;
+  Alcotest.(check string) (field "detail") b.A.detail a.A.detail;
+  Alcotest.(check bool) (field "stalled_spans") true
+    (a.A.stalled_spans = b.A.stalled_spans);
+  Alcotest.(check bool) (field "whole record") true (a = b)
+
+let test_outputs_only_matches_full () =
+  List.iter
+    (fun attack ->
+      let h = get_harness ("minbft-" ^ A.name attack) in
+      for s = 1 to 5 do
+        let seed = Int64.of_int s in
+        List.iter
+          (fun (what, script) ->
+            let label = Printf.sprintf "%s seed %d %s" (A.name attack) s what in
+            let r = A.run ~seed ?script ~target:A.Minbft ~attack () in
+            let full, jsonl = A.run_export ~seed ?script ~attack () in
+            Alcotest.(check int) (label ^ ": sends in the full trace")
+              (Thc_sim.Trace.messages_sent
+                 (Result.get_ok (Thc_sim.Trace.of_jsonl jsonl)))
+              r.A.messages;
+            check_same_result label r full)
+          [
+            ("no script", None);
+            ("explorer script", Some (Thc_check.Sweep.script_for h ~seed ()));
+          ]
+      done)
+    (A.all @ A.ckpt_all)
+
 let () =
   Alcotest.run "thc_byz"
     [
@@ -339,5 +394,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_ckpt_deterministic;
           Alcotest.test_case "registered in explorer" `Quick
             test_ckpt_harness_registration;
+        ] );
+      ( "outputs-only",
+        [
+          Alcotest.test_case "matches full trace" `Quick
+            test_outputs_only_matches_full;
         ] );
     ]

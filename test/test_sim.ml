@@ -179,6 +179,59 @@ let test_isolate_groups () =
   Alcotest.(check bool) "cross blocked" true (blocked 0 2);
   Alcotest.(check bool) "cross blocked reverse" true (blocked 3 1)
 
+(* Five pids broadcasting every 100 µs for 5 ms over the [lossy] preset
+   (some links drop, some hold until its heal), with pid 4 crashing at
+   2 ms and link 0 -> 1 blocked from 1 ms to 3 ms.  Returns the trace
+   and the engine's send counter. *)
+let lossy_run tracing =
+  let n = 5 in
+  let engine =
+    Thc_sim.Engine.create ~seed:3L ~tracing ~n
+      ~net:(net ~delay:(Thc_sim.Delay.Uniform (50L, 500L)) n)
+      ()
+  in
+  let b : msg Thc_sim.Engine.behavior =
+    {
+      init = (fun ctx -> ctx.set_timer ~delay:100L ~tag:0);
+      on_message = (fun _ ~src:_ _ -> ());
+      on_timer =
+        (fun ctx _ ->
+          ctx.others (Ping ctx.self);
+          if ctx.now () < 5_000L then ctx.set_timer ~delay:100L ~tag:0);
+    }
+  in
+  for pid = 0 to n - 1 do
+    Thc_sim.Engine.set_behavior engine pid b
+  done;
+  Thc_network.Model.install
+    (Result.get_ok (Thc_network.Model.of_string "lossy"))
+    engine ~replicas:n ();
+  Thc_sim.Engine.schedule_crash engine ~pid:4 ~at:2_000L;
+  Thc_sim.Engine.at engine 1_000L (fun () ->
+      Thc_sim.Engine.set_link engine ~src:0 ~dst:1 Thc_sim.Net.Block);
+  Thc_sim.Engine.at engine 3_000L (fun () ->
+      Thc_sim.Engine.set_link engine ~src:0 ~dst:1
+        (Thc_sim.Net.Deliver (Thc_sim.Delay.Const 10L)));
+  let trace = Thc_sim.Engine.run engine in
+  (trace, Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine))
+
+(* Runs that record no [Sent] entries count messages off the engine's
+   link counter instead of [Trace.messages_sent]; the two must agree on
+   a run that crashes, holds, releases and drops. *)
+let test_link_sends_match_trace () =
+  let trace, sends = lossy_run Thc_sim.Engine.Full in
+  let count p = Thc_sim.Trace.count trace p in
+  Alcotest.(check bool) "some sends dropped" true
+    (count (function Thc_sim.Trace.Dropped _ -> true | _ -> false) > 0);
+  Alcotest.(check bool) "some sends held" true
+    (count (function Thc_sim.Trace.Held _ -> true | _ -> false) > 0);
+  Alcotest.(check int) "one crash" 1
+    (count (function Thc_sim.Trace.Crashed _ -> true | _ -> false));
+  Alcotest.(check int) "Link_stats.sends = Trace.messages_sent"
+    (Thc_sim.Trace.messages_sent trace) sends;
+  Alcotest.(check int) "the counter does not depend on tracing" sends
+    (snd (lossy_run Thc_sim.Engine.Outputs_only))
+
 (* --- determinism ------------------------------------------------------------------- *)
 
 let chatty seed =
@@ -322,6 +375,24 @@ let test_tracing_modes () =
     full.Thc_sim.Trace.end_time off.Thc_sim.Trace.end_time;
   Alcotest.(check int) "lite event count" e_full e_lite;
   Alcotest.(check int) "off event count" e_full e_off
+
+(* The explorer builds thousands of engines for runs of a few hundred
+   events, so a fresh engine's cost is on its hot path.  At the queue's
+   default geometry a 5-pid engine allocates ~1.8k minor words; a
+   1024 × 8 µs calendar would allocate ~5.4k plus a 1,025-word bucket
+   array straight into the major heap.  Counts allocated words, not
+   time. *)
+let test_create_allocation () =
+  let net = net 5 in
+  let create () : msg Thc_sim.Engine.t = Thc_sim.Engine.create ~n:5 ~net () in
+  ignore (Sys.opaque_identity (create ()));
+  let before = Gc.minor_words () in
+  let e = create () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity e);
+  Alcotest.(check bool)
+    (Printf.sprintf "Engine.create ~n:5 allocates %.0f < 2500 minor words" words)
+    true (words < 2_500.)
 
 (* --- outputs and queries ------------------------------------------------------------ *)
 
@@ -727,6 +798,8 @@ let () =
           Alcotest.test_case "drop" `Quick test_drop;
           Alcotest.test_case "heal_all" `Quick test_heal_all;
           Alcotest.test_case "isolate groups" `Quick test_isolate_groups;
+          Alcotest.test_case "link sends match trace" `Quick
+            test_link_sends_match_trace;
         ] );
       ( "determinism",
         [
@@ -740,6 +813,7 @@ let () =
           Alcotest.test_case "recycle equivalence" `Quick
             test_recycle_equivalence;
           Alcotest.test_case "tracing modes" `Quick test_tracing_modes;
+          Alcotest.test_case "create allocation" `Quick test_create_allocation;
         ] );
       ( "trace",
         [

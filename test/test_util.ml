@@ -246,10 +246,10 @@ let test_cq_degenerate_geometry () =
    binary heap (plus a cancelled-tie set) as the reference model.  Times
    are drawn from a mixture of same-timestamp, near-future and far-future
    offsets from the last popped time, so bucket rotation, cursor
-   clamping and overflow re-anchoring all get exercised. *)
-let run_cq_scenario seed steps =
+   clamping and overflow re-anchoring all get exercised.  [q] is an empty
+   queue of any geometry. *)
+let run_cq_scenario q seed steps =
   let rng = Thc_util.Rng.create seed in
-  let q = Cq.create ~nbuckets:16 ~width:8 ~null:(-1) () in
   let model = Thc_util.Heap.create ~compare in
   let model_cancelled = Hashtbl.create 16 in
   let live_ties = ref [] in
@@ -331,7 +331,14 @@ let run_cq_scenario seed steps =
 let prop_cq_matches_heap_model =
   QCheck.Test.make ~name:"calendar queue matches heap model" ~count:60
     QCheck.(int64)
-    (fun seed -> run_cq_scenario seed 800)
+    (fun seed ->
+      run_cq_scenario (Cq.create ~nbuckets:16 ~width:8 ~null:(-1) ()) seed 800)
+
+(* The same scenario at the default geometry, the one the engine uses. *)
+let prop_cq_default_geometry =
+  QCheck.Test.make ~name:"default geometry matches model" ~count:60
+    QCheck.(int64)
+    (fun seed -> run_cq_scenario (Cq.create ~null:(-1) ()) seed 800)
 
 (* --- stats ------------------------------------------------------------------ *)
 
@@ -524,6 +531,7 @@ let () =
           Alcotest.test_case "degenerate geometry" `Quick
             test_cq_degenerate_geometry;
           qcheck prop_cq_matches_heap_model;
+          qcheck prop_cq_default_geometry;
         ] );
       ( "stats",
         [
