@@ -8,7 +8,11 @@
 
     "Eventually" clauses are judged at the end of the trace, so positive
     experiments must run executions to quiescence (healing any temporary
-    partition first — the asynchronous model obliges eventual delivery). *)
+    partition first — the asynchronous model obliges eventual delivery).
+    Over shared-memory rounds {!Thc_sim.Engine.run} finds that point
+    itself: it ends the run once no register can change any more, and a
+    run to any later horizon would only add polls that find nothing new,
+    so the verdict is the same. *)
 
 type violation = {
   property : [ `Validity | `Totality | `Sequencing | `Integrity | `Agreement ];

@@ -52,7 +52,12 @@ type app = {
           its sender sent it in. *)
   on_round_check : handle -> round:int -> verdict;
       (** Called when the mechanical round has finished, and again after
-          each subsequent reception while the app [Hold]s. *)
+          each subsequent reception while the app [Hold]s.  Its verdict
+          must be a function of what the process has received so far
+          (and of inputs fixed before the run): it must not read [now] or
+          [rng].  The shared-memory drivers rely on this to end a run at
+          quiescence ({!Scan_rounds}): once a sweep reads nothing new, the
+          next check must [Hold] again as the last one did. *)
 }
 
 val silent_app : app

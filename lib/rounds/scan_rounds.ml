@@ -46,7 +46,7 @@ let start_sweep st (ctx : 'm Thc_sim.Engine.ctx) =
   let order = Array.init st.board.targets (fun i -> i) in
   Thc_util.Rng.shuffle ctx.rng order;
   st.scan_queue <- Array.to_list order;
-  ctx.set_timer ~delay:(Thc_sim.Delay.sample ctx.rng st.scan_delay) ~tag:read_tag
+  ctx.set_poll ~delay:(Thc_sim.Delay.sample ctx.rng st.scan_delay) ~tag:read_tag
 
 let start_round st (ctx : 'm Thc_sim.Engine.ctx) payload =
   (match payload with
@@ -64,7 +64,8 @@ let rec check st (ctx : 'm Thc_sim.Engine.ctx) =
     st.round <- st.round + 1;
     start_round st ctx payload
   | Round_app.Hold ->
-    ctx.set_timer ~delay:(Thc_sim.Delay.sample ctx.rng st.poll_delay) ~tag:poll_tag
+    ctx.set_poll ~delay:(Thc_sim.Delay.sample ctx.rng st.poll_delay) ~tag:poll_tag;
+    ctx.quiet true
   | Round_app.Stop ->
     ctx.output (Thc_sim.Obs.Round_ended { round = st.round });
     st.stopped <- true
@@ -77,6 +78,7 @@ and read_next st (ctx : 'm Thc_sim.Engine.ctx) =
     List.iter
       (fun (owner, round, payload) ->
         if not (Hashtbl.mem st.delivered (owner, round, payload)) then begin
+          ctx.quiet false;
           Hashtbl.replace st.delivered (owner, round, payload) ();
           note_reception st ctx ~round ~from:owner ~payload;
           st.app.Round_app.on_receive (handle_of st ctx) ~round ~from:owner
@@ -85,7 +87,7 @@ and read_next st (ctx : 'm Thc_sim.Engine.ctx) =
       (st.board.read j);
     if st.scan_queue = [] then check st ctx
     else
-      ctx.set_timer
+      ctx.set_poll
         ~delay:(Thc_sim.Delay.sample ctx.rng st.scan_delay)
         ~tag:read_tag
 

@@ -12,7 +12,14 @@
     read all [targets] board locations in random order, one per
     [scan_delay]; entries found are receptions.  The write precedes every
     read of the same sweep, which is the entire unidirectionality
-    argument. *)
+    argument.
+
+    Every read and every pause between sweeps is armed as a poll
+    ({!Thc_sim.Engine.ctx}'s [set_poll]).  A read that finds an entry new
+    to this process declares a change ([quiet false]), and a sweep that
+    ends in [Hold] declares the process quiet.  So a run over any board
+    ends at quiescence ({!Thc_sim.Engine.run}) once no process can receive
+    anything new, instead of polling on to its horizon. *)
 
 type board = {
   publish : round:int -> payload:string -> unit;

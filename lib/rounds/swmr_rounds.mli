@@ -36,4 +36,7 @@ val behavior :
     is installed at.  [scan_delay] is the simulated duration of one register
     read (default uniform 1–100 µs); [poll_delay] the pause between sweeps
     while the app [Hold]s (default constant 50 µs).  The behavior sends no
-    network messages, so it works under any engine message type. *)
+    network messages, so it works under any engine message type.  Reads
+    and pauses are polls ({!Scan_rounds}): once every register has stopped
+    changing and every process has swept twice with nothing new, the run
+    ends at quiescence. *)

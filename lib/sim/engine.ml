@@ -6,6 +6,8 @@ type 'm ctx = {
   broadcast : 'm -> unit;
   others : 'm -> unit;
   set_timer : delay:int64 -> tag:int -> unit;
+  set_poll : delay:int64 -> tag:int -> unit;
+  quiet : bool -> unit;
   output : Obs.t -> unit;
   rng : Thc_util.Rng.t;
   spans : Thc_obsv.Span.t;
@@ -50,6 +52,10 @@ let k_crash = 3
 
 let k_script = 4
 
+let k_poll = 5
+
+type ending = Drained | Quiescent | Horizon
+
 type 'm t = {
   n : int;
   net : Net.t;
@@ -81,6 +87,13 @@ type 'm t = {
   mutable free : 'm ev array;
   mutable nfree : int;
   mutable events : int;
+  (* Quiescence bookkeeping (see [settled]). *)
+  mutable changes : int;
+  mutable pending_polls : int;
+  polls : int array;  (* pending poll events per pid *)
+  quiet_at : int array;  (* [changes] at the pid's last quiet sweep *)
+  quiet_runs : int array;  (* consecutive quiet sweeps at [quiet_at] *)
+  mutable ended : ending option;
 }
 
 let fresh_ev () =
@@ -129,6 +142,12 @@ let create ?(seed = 1L) ?(tracing = Full) ?(recycle = true)
     free = [||];
     nfree = 0;
     events = 0;
+    changes = 0;
+    pending_polls = 0;
+    polls = Array.make n 0;
+    quiet_at = Array.make n (-1);
+    quiet_runs = Array.make n 0;
+    ended = None;
   }
 
 let net t = t.net
@@ -136,6 +155,8 @@ let net t = t.net
 let stats t = t.stats
 
 let events_processed t = t.events
+
+let ended_by t = t.ended
 
 (* ---------- event arena ---------- *)
 
@@ -240,6 +261,7 @@ let route t ~src ~dst ~seq msg =
 
 let do_send t ~src ~dst msg =
   if not t.crashed.(src) then begin
+    t.changes <- t.changes + 1;
     let seq = t.send_seq in
     t.send_seq <- seq + 1;
     Thc_obsv.Link_stats.on_send t.stats;
@@ -286,6 +308,13 @@ let heal_all t dist =
     done
   done
 
+let arm t ~kind ~pid ~delay ~tag =
+  let ev = alloc t in
+  ev.kind <- kind;
+  ev.a <- pid;
+  ev.c <- tag;
+  push t (t.clock_i + Int64.to_int delay) ev
+
 let ctx_of t pid =
   match t.ctxs.(pid) with
   | Some c -> c
@@ -306,15 +335,24 @@ let ctx_of t pid =
             for dst = 0 to t.n - 1 do
               if dst <> pid then do_send t ~src:pid ~dst msg
             done);
-        set_timer =
+        set_timer = (fun ~delay ~tag -> arm t ~kind:k_fire ~pid ~delay ~tag);
+        set_poll =
           (fun ~delay ~tag ->
-            let ev = alloc t in
-            ev.kind <- k_fire;
-            ev.a <- pid;
-            ev.c <- tag;
-            push t (t.clock_i + Int64.to_int delay) ev);
+            t.polls.(pid) <- t.polls.(pid) + 1;
+            t.pending_polls <- t.pending_polls + 1;
+            arm t ~kind:k_poll ~pid ~delay ~tag);
+        quiet =
+          (fun quiet ->
+            if not quiet then t.changes <- t.changes + 1
+            else if t.quiet_at.(pid) = t.changes then
+              t.quiet_runs.(pid) <- t.quiet_runs.(pid) + 1
+            else begin
+              t.quiet_at.(pid) <- t.changes;
+              t.quiet_runs.(pid) <- 1
+            end);
         output =
           (fun obs ->
+            t.changes <- t.changes + 1;
             if t.trace_key then
               t.entries <- Trace.Output { time = t.clock; pid; obs } :: t.entries);
         rng = t.proc_rngs.(pid);
@@ -331,6 +369,11 @@ let dispatch t ev =
   let kind = ev.kind and a = ev.a and b = ev.b and c = ev.c in
   let msg = ev.msg and script = ev.script in
   release t ev;
+  if kind = k_poll then begin
+    t.polls.(a) <- t.polls.(a) - 1;
+    t.pending_polls <- t.pending_polls - 1
+  end
+  else t.changes <- t.changes + 1;
   if kind = k_deliver then begin
     Thc_obsv.Link_stats.on_dequeue t.stats;
     if not t.crashed.(b) then begin
@@ -343,7 +386,7 @@ let dispatch t ev =
       t.behaviors.(b).on_message (ctx_of t b) ~src:a m
     end
   end
-  else if kind = k_fire then begin
+  else if kind = k_fire || kind = k_poll then begin
     if not t.crashed.(a) then begin
       if t.trace_full then
         t.entries <-
@@ -376,6 +419,24 @@ let to_trace t =
     end_time = t.clock;
   }
 
+(* The world cannot change any more: the queue holds only polls, and
+   every live process with a poll pending ended its last two sweeps quiet
+   with [changes] where it is now.  A register changes only inside a
+   counted event, so the later of those two sweeps started after the last
+   change and read every location; each later sweep reads the same state
+   and holds again. *)
+let settled t =
+  t.pending_polls > 0
+  && Thc_util.Calendar_queue.length t.q = t.pending_polls
+  &&
+  let rec go pid =
+    pid = t.n
+    || (t.crashed.(pid) || t.polls.(pid) = 0
+       || (t.quiet_at.(pid) = t.changes && t.quiet_runs.(pid) >= 2))
+       && go (pid + 1)
+  in
+  go 0
+
 let run ?(max_events = 2_000_000) ?until t =
   for pid = 0 to t.n - 1 do
     let ev = alloc t in
@@ -388,22 +449,28 @@ let run ?(max_events = 2_000_000) ?until t =
   in
   let processed = ref 0 in
   let continue = ref true in
+  let stop ending =
+    t.ended <- Some ending;
+    continue := false
+  in
   while !continue do
     match Thc_util.Calendar_queue.pop t.q with
-    | None -> continue := false
+    | None -> stop Drained
     | Some (time, _, ev) ->
       if time > until_i then
         (* Engines are single-shot: events past [until] stay
            unprocessed, and the popped one is simply not dispatched. *)
-        continue := false
+        stop Horizon
       else begin
         t.clock_i <- time;
         t.clock <- Int64.of_int time;
+        let poll = ev.kind = k_poll in
         dispatch t ev;
         incr processed;
         t.events <- t.events + 1;
         if !processed > max_events then
-          failwith "Engine.run: event limit exceeded (livelocked protocol?)"
+          failwith "Engine.run: event limit exceeded (livelocked protocol?)";
+        if poll && settled t then stop Quiescent
       end
   done;
   to_trace t

@@ -23,6 +23,20 @@ type 'm ctx = {
   others : 'm -> unit;  (** Send to every process except self. *)
   set_timer : delay:int64 -> tag:int -> unit;
       (** One-shot timer; [on_timer] fires with [tag] after [delay]. *)
+  set_poll : delay:int64 -> tag:int -> unit;
+      (** Poll-class one-shot timer, for a process that re-reads shared
+          state to see whether it changed.  It is scheduled, tie-ordered,
+          traced ([Timer_fired]) and dispatched to [on_timer] exactly like
+          [set_timer], but its firing does not count as a change of the
+          world, so a run whose queue holds only polls can end at
+          quiescence (see {!run}). *)
+  quiet : bool -> unit;
+      (** Quiescence declaration for a polling process.  [quiet true]: the
+          sweep over shared state this process just finished found nothing
+          to act on, and the process will only poll on.  [quiet false]: the
+          poll now running took in something new, which counts as a change
+          of the world like an output.  While a process that never declares
+          quiet has a poll pending, the run cannot end at quiescence. *)
   output : Obs.t -> unit;  (** Record an observation in the trace. *)
   rng : Thc_util.Rng.t;  (** Per-process deterministic stream. *)
   spans : Thc_obsv.Span.t;
@@ -120,6 +134,16 @@ val heal_all : 'm t -> Delay.t -> unit
 
 val now : 'm t -> int64
 
+type ending =
+  | Drained  (** The event queue emptied. *)
+  | Quiescent
+      (** Only polls were left, and none of them could change anything
+          (see {!run}). *)
+  | Horizon  (** The next event lay past [until]. *)
+
+val ended_by : 'm t -> ending option
+(** What ended {!run}; [None] before it returns. *)
+
 val events_processed : 'm t -> int
 (** Events the run loop has dispatched so far — the numerator of the
     events/sec throughput metric.  Counts every popped event (including
@@ -130,4 +154,19 @@ val run : ?max_events:int -> ?until:int64 -> 'm t -> 'm Trace.t
     stay unprocessed), or [max_events] (default 2_000_000; exceeding it
     raises [Failure] — a protocol bug, not a legitimate outcome).  Call at
     most once per engine: it enqueues the [init] events, so engines are
-    single-shot. *)
+    single-shot.  {!ended_by} then says which of the first two ended it.
+
+    Quiescence is either an empty queue or a world that provably cannot
+    change.  The engine counts changes: every dispatch of an event other
+    than a poll (delivery, plain timer, script, crash, start), every send,
+    every output and every [quiet false].  After a poll is dispatched, the
+    run ends if the queue holds only polls and every live process with a
+    poll pending ended its last two sweeps with [quiet true] at the current
+    count.  That is sound for a poller whose reaction to a sweep depends
+    only on what it has read so far (not on the clock or its RNG): shared
+    state changes only inside a counted event, so the later of the two
+    sweeps began after the last change and read everything, and every
+    further sweep would read the same and hold again.  The trace is then
+    an entry-for-entry prefix of the run to [until], whose remainder would
+    be [Timer_fired] entries only.  Polls pending at a crashed process
+    never hold the run open. *)

@@ -281,13 +281,14 @@ let test_rb_tolerates_silent_fault () =
 
 (* --- Algorithm 1: SRB from unidirectional rounds ------------------------------------------- *)
 
-(* Algorithm 1's cell (n=5, t=2, 2 s of virtual time) with [driver] running
-   every correct process's rounds and a ledger on the registers. *)
-let srb_uni_cell ~driver ~seed ~values ~configure_byz =
+(* Algorithm 1's cell (n=5, t=2) with [driver] running every correct
+   process's rounds and a ledger on the registers; [srb_uni_cell] runs it
+   for 2 s of virtual time. *)
+let srb_uni_engine ?tracing ~driver ~seed ~values ~configure_byz () =
   let n = 5 and faults = 2 in
   let keyring = keyring ~n ~seed () in
   let net = Thc_sim.Net.create ~n ~default:fast in
-  let engine = Thc_sim.Engine.create ~seed ~n ~net () in
+  let engine = Thc_sim.Engine.create ?tracing ~seed ~n ~net () in
   let registers = Thc_sharedmem.Swmr.log_array ~n in
   let ledger = Thc_obsv.Ledger.create () in
   Thc_sharedmem.Swmr.attach_ledger_all registers ledger;
@@ -306,6 +307,10 @@ let srb_uni_cell ~driver ~seed ~values ~configure_byz =
            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
            (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
   done;
+  (engine, srbs, ledger)
+
+let srb_uni_cell ~driver ~seed ~values ~configure_byz =
+  let engine, srbs, ledger = srb_uni_engine ~driver ~seed ~values ~configure_byz () in
   (Thc_sim.Engine.run ~until:2_000_000L ~max_events:10_000_000 engine, srbs, ledger)
 
 let swmr_driver ~registers ~ident app = Thc_rounds.Swmr_rounds.behavior ~registers ~ident app
@@ -489,10 +494,13 @@ let first_difference a b =
 (* The cases the cursor board must run exactly as the full-scan board:
    Algorithm 1 at five seeds, a Byzantine sender equivocating in the copy
    round, and an owner rewriting its log mid-run. *)
+let byzantine_cases =
+  [ ("equivocating sender", 63L, equivocating_sender);
+    ("owner rewrites its log", 7L, rewriting_owner) ]
+
 let cursor_cases =
   List.map (fun seed -> (Printf.sprintf "seed %Ld" seed, seed, no_byz)) [ 1L; 2L; 3L; 4L; 5L ]
-  @ [ ("equivocating sender", 63L, equivocating_sender);
-      ("owner rewrites its log", 7L, rewriting_owner) ]
+  @ byzantine_cases
 
 let test_cursor_board_matches_full_scan () =
   List.iter
@@ -514,12 +522,14 @@ let test_cursor_board_matches_full_scan () =
     cursor_cases
 
 (* One process polls five registers pre-filled with 2,000 entries each for
-   100 ms of virtual time, one read per virtual microsecond (~83k reads).
-   The cursor board hands over each entry once and took 0.06 s on a 2-vCPU
-   x86 VM; the full-scan board rebuilds every log on every read and took
-   26 s there. *)
+   100 ms of virtual time, one read per virtual microsecond (~83k reads),
+   while owner 1 appends one more entry every virtual millisecond through
+   99 ms: a static board would let the run end at quiescence after two
+   sweeps.  The cursor board hands over each entry once and took 0.06 s on
+   a 2-vCPU x86 VM; the full-scan board rebuilds every log on every read
+   and took 26 s there. *)
 let test_cursor_polling_bound () =
-  let n = 5 and prefill = 2_000 in
+  let n = 5 and prefill = 2_000 and late = 99 in
   let keyring = keyring ~n ~seed:71L () in
   let registers = Thc_sharedmem.Swmr.log_array ~n in
   let payload = String.make 64 'p' in
@@ -545,10 +555,15 @@ let test_cursor_polling_bound () =
     (Thc_rounds.Swmr_rounds.behavior ~registers
        ~ident:(Thc_crypto.Keyring.secret keyring ~pid:0)
        ~scan_delay:one ~poll_delay:one poller);
+  let owner = Thc_crypto.Keyring.secret keyring ~pid:1 in
+  for ms = 1 to late do
+    Thc_sim.Engine.at engine (Int64.of_int (ms * 1_000)) (fun () ->
+        Thc_sharedmem.Swmr.append registers.(1) ~ident:owner (prefill + ms, payload))
+  done;
   let t0 = Unix.gettimeofday () in
   ignore (Thc_sim.Engine.run ~until:100_000L ~max_events:10_000_000 engine : unit Thc_sim.Trace.t);
   let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "every entry received once" (n * prefill) !received;
+  Alcotest.(check int) "every entry received once" ((n * prefill) + late) !received;
   Alcotest.(check bool) ">= 80k events" true (Thc_sim.Engine.events_processed engine >= 80_000);
   if dt >= 1.0 then Alcotest.failf "polling took %.2f s" dt
 
@@ -732,6 +747,291 @@ let test_srb_spec_linear_at_scale () =
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check (list srb_violation)) "clean" [] violations;
   if dt >= 1.0 then Alcotest.failf "check took %.2f s" dt
+
+(* --- runs that end at quiescence ------------------------------------------------------ *)
+
+(* The register rounds before runs ended at quiescence, kept as the
+   reference: every [Scan_rounds] timer re-armed as a plain timer, which
+   counts as a change, and the quiet declaration a no-op, so the run polls
+   on to its horizon.  A behavior runs at one pid, whose ctx never changes. *)
+let polls_as_timers (b : 'm Thc_sim.Engine.behavior) : 'm Thc_sim.Engine.behavior =
+  let plain = ref None in
+  let wrap (ctx : 'm Thc_sim.Engine.ctx) =
+    match !plain with
+    | Some c -> c
+    | None ->
+      let c = { ctx with set_poll = ctx.set_timer; quiet = ignore } in
+      plain := Some c;
+      c
+  in
+  {
+    init = (fun ctx -> b.init (wrap ctx));
+    on_message = (fun ctx ~src m -> b.on_message (wrap ctx) ~src m);
+    on_timer = (fun ctx tag -> b.on_timer (wrap ctx) tag);
+  }
+
+let reference_of driver ~registers ~ident app = polls_as_timers (driver ~registers ~ident app)
+
+(* Algorithm 1's witness cell: three values, by default to the witness's
+   20 s horizon. *)
+let witness_run ?tracing ?(driver = swmr_driver) ?(until = 20_000_000L) ~seed configure_byz =
+  let engine, _, _ =
+    srb_uni_engine ?tracing ~driver ~seed ~values:[ "alpha"; "beta"; "gamma" ] ~configure_byz ()
+  in
+  let trace = Thc_sim.Engine.run ~until ~max_events:10_000_000 engine in
+  (trace, engine)
+
+let ending =
+  Alcotest.testable
+    (fun ppf e ->
+      Format.pp_print_string ppf
+        (match e with
+        | Some Thc_sim.Engine.Drained -> "drained"
+        | Some Quiescent -> "quiescent"
+        | Some Horizon -> "horizon"
+        | None -> "running"))
+    ( = )
+
+let check_ended name expected engine =
+  Alcotest.(check ending) (name ^ ": ended by") (Some expected) (Thc_sim.Engine.ended_by engine)
+
+(* [to_jsonl] without its header line, which carries the end time. *)
+let entry_jsonl trace =
+  let s = Thc_sim.Trace.to_jsonl ~encode_msg:(fun () -> "") trace in
+  let cut = String.index s '\n' + 1 in
+  String.sub s cut (String.length s - cut)
+
+(* The quiescent trace is an entry-for-entry prefix of the reference, the
+   reference's remainder is polling only, and the SRB verdicts agree. *)
+let check_prefix_of_reference name ~quiescent ~reference =
+  let k = List.length quiescent.Thc_sim.Trace.entries in
+  let rec split i acc rest =
+    if i = k then (List.rev acc, rest)
+    else
+      match rest with
+      | e :: rest -> split (i + 1) (e :: acc) rest
+      | [] -> Alcotest.failf "%s: the reference has fewer than %d entries" name k
+  in
+  let prefix, rest = split 0 [] reference.Thc_sim.Trace.entries in
+  (match
+     first_difference (entry_jsonl { reference with entries = prefix }) (entry_jsonl quiescent)
+   with
+  | None -> ()
+  | Some (line, a, b) ->
+    Alcotest.failf "%s: traces differ at entry %d:\n  reference: %s\n  quiescent: %s" name
+      line a b);
+  Alcotest.(check (list int)) (name ^ ": byzantine") reference.byzantine quiescent.byzantine;
+  Alcotest.(check bool) (name ^ ": the reference polls on") true (rest <> []);
+  List.iter
+    (function
+      | Thc_sim.Trace.Timer_fired _ -> ()
+      | _ -> Alcotest.failf "%s: the reference changes after the quiescent end" name)
+    rest;
+  Alcotest.(check (list srb_violation)) (name ^ ": verdict")
+    (Thc_broadcast.Srb_spec.check reference ~sender:0)
+    (Thc_broadcast.Srb_spec.check quiescent ~sender:0)
+
+(* The witness's seeds and the Byzantine cursor cases.  Seed 1 runs to the
+   witness's 20 s horizon.  The others stop at [srb_uni_cell]'s 2 s, still
+   some 400 times the span a settled cell needs: each 20 s reference polls
+   through ~2M events, about 0.9 s on a 2-vCPU x86 VM. *)
+let test_quiescent_matches_reference () =
+  List.iter
+    (fun (name, until, seed, configure_byz) ->
+      let quiescent, engine = witness_run ~until ~seed configure_byz in
+      let reference, ref_engine =
+        witness_run ~driver:(reference_of swmr_driver) ~until ~seed configure_byz
+      in
+      check_ended name Quiescent engine;
+      check_ended (name ^ " reference") Horizon ref_engine;
+      check_prefix_of_reference name ~quiescent ~reference)
+    (("seed 1", 20_000_000L, 1L, no_byz)
+     :: List.map
+          (fun (name, seed, byz) -> (name, 2_000_000L, seed, byz))
+          (List.map (fun seed -> (Printf.sprintf "seed %Ld" seed, seed, no_byz))
+             [ 7L; 42L; 1337L; 99991L ]
+          @ byzantine_cases))
+
+(* A quiescent run and its reference to [until] give the same outputs. *)
+let same_outputs_as_reference ?(driver = swmr_driver) ~until ~seed name configure_byz =
+  let quiescent, engine = witness_run ~driver ~until ~seed configure_byz in
+  let reference, _ = witness_run ~driver:(reference_of driver) ~until ~seed configure_byz in
+  check_ended name Quiescent engine;
+  Alcotest.(check bool) (name ^ ": outputs") true
+    (Thc_sim.Trace.outputs quiescent = Thc_sim.Trace.outputs reference);
+  quiescent
+
+let reader_pids = [ 1; 2; 3; 4 ]
+
+(* Owner 4's register gets one more entry at 50 ms, long after the cell
+   settles: every correct reader must still take it in. *)
+let test_quiescence_waits_for_script () =
+  let received = Hashtbl.create 8 in
+  let recording ~registers ~ident (app : Thc_rounds.Round_app.app) =
+    swmr_driver ~registers ~ident
+      {
+        app with
+        on_receive =
+          (fun h ~round ~from payload ->
+            if payload = "late" then Hashtbl.replace received h.self (h.now ());
+            app.on_receive h ~round ~from payload);
+      }
+  in
+  let late_append ~keyring ~registers ~engine =
+    let ident = Thc_crypto.Keyring.secret keyring ~pid:4 in
+    Thc_sim.Engine.at engine 50_000L (fun () ->
+        Thc_sharedmem.Swmr.append registers.(4) ~ident (99, "late"));
+    []
+  in
+  let quiescent, _ = witness_run ~driver:recording ~seed:1L late_append in
+  List.iter
+    (fun pid ->
+      match Hashtbl.find_opt received pid with
+      | Some time when time >= 50_000L -> ()
+      | Some _ | None -> Alcotest.failf "p%d never read the late entry" pid)
+    (0 :: reader_pids);
+  Alcotest.(check bool) "ends after the append" true (quiescent.end_time > 50_000L);
+  ignore (same_outputs_as_reference ~driver:recording ~until:200_000L ~seed:1L "late append" late_append)
+
+(* A Byzantine sender stays silent until a plain timer it armed at start
+   fires at 30 ms, then publishes one signed value for seq 1. *)
+let late_sender ~keyring ~registers ~engine =
+  Thc_sim.Engine.mark_byzantine engine 0;
+  let ident = Thc_crypto.Keyring.secret keyring ~pid:0 in
+  let payload, _ =
+    Thc_broadcast.Srb_from_uni.equivocation_payloads ~ident ~k:1 "late" "late"
+  in
+  let byz : unit Thc_sim.Engine.behavior =
+    {
+      init = (fun ctx -> ctx.set_timer ~delay:30_000L ~tag:0);
+      on_message = (fun _ ~src:_ _ -> ());
+      on_timer = (fun _ _ -> Thc_sharedmem.Swmr.append registers.(0) ~ident (1, payload));
+    }
+  in
+  Thc_sim.Engine.set_behavior engine 0 byz;
+  [ 0 ]
+
+let test_quiescence_waits_for_timer () =
+  let trace = same_outputs_as_reference ~until:200_000L ~seed:1L "late sender" late_sender in
+  List.iter
+    (fun pid ->
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "p%d delivered the late value" pid)
+        [ (1, "late") ]
+        (Thc_broadcast.Srb_spec.deliveries trace ~sender:0 ~pid))
+    reader_pids;
+  Alcotest.(check bool) "ends after the timer" true (trace.end_time > 30_000L)
+
+let crashes_p3 at ~keyring:_ ~registers:_ ~engine =
+  Thc_sim.Engine.schedule_crash engine ~pid:3 ~at;
+  []
+
+(* A crash scheduled at 40 ms keeps the settled cell running to it. *)
+let test_quiescence_waits_for_crash () =
+  let trace =
+    same_outputs_as_reference ~until:200_000L ~seed:1L "late crash" (crashes_p3 40_000L)
+  in
+  Alcotest.(check (list int)) "p3 crashed" [ 3 ]
+    (List.filter_map
+       (function
+         | Thc_sim.Trace.Crashed { time = 40_000L; pid } -> Some pid
+         | _ -> None)
+       trace.entries)
+
+(* p3 pauses 10 s between sweeps and crashes at 40 ms with that poll still
+   pending: the run must end soon after the crash, not when the poll pops. *)
+let test_quiescence_ignores_crashed_polls () =
+  let slow_p3 ~registers ~ident app =
+    let poll_delay =
+      if Thc_crypto.Keyring.pid_of_secret ident = 3 then Some (Thc_sim.Delay.Const 10_000_000L)
+      else None
+    in
+    Thc_rounds.Swmr_rounds.behavior ~registers ~ident ?poll_delay app
+  in
+  let trace =
+    same_outputs_as_reference ~driver:slow_p3 ~until:200_000L ~seed:1L "slow p3"
+      (crashes_p3 40_000L)
+  in
+  Alcotest.(check bool) "ends after the crash, before p3's poll" true
+    (trace.end_time > 40_000L && trace.end_time < 100_000L)
+
+(* Every process stops after three rounds of chatter: the queue drains. *)
+let test_quiescence_drained () =
+  let n = 5 in
+  let keyring = keyring ~n ~seed:73L () in
+  let registers = Thc_sharedmem.Swmr.log_array ~n in
+  let engine = Thc_sim.Engine.create ~seed:73L ~n ~net:(Thc_sim.Net.create ~n ~default:fast) () in
+  for pid = 0 to n - 1 do
+    Thc_sim.Engine.set_behavior engine pid
+      (swmr_driver ~registers
+         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+         {
+           first_payload = (fun _ -> Some "r1");
+           on_receive = (fun _ ~round:_ ~from:_ _ -> ());
+           on_round_check =
+             (fun _ ~round ->
+               if round >= 3 then Thc_rounds.Round_app.Stop
+               else Thc_rounds.Round_app.Advance (Some (Printf.sprintf "r%d" (round + 1))));
+         })
+  done;
+  ignore (Thc_sim.Engine.run ~until:20_000_000L engine : unit Thc_sim.Trace.t);
+  check_ended "chatter" Drained engine
+
+(* Tracing changes only what is recorded, so the stop lands on the same
+   event in every mode. *)
+let test_quiescence_tracing_modes () =
+  let stop tracing =
+    let _, engine = witness_run ~tracing ~seed:1L no_byz in
+    check_ended "witness cell" Quiescent engine;
+    (Thc_sim.Engine.events_processed engine, Thc_sim.Engine.now engine)
+  in
+  let full = stop Thc_sim.Engine.Full in
+  Alcotest.(check (pair int int64)) "outputs-only" full (stop Thc_sim.Engine.Outputs_only);
+  Alcotest.(check (pair int int64)) "off" full (stop Thc_sim.Engine.Off)
+
+(* Random Algorithm 1 cells (n in {3, 5, 7}, 1-3 values, each process with
+   its own scan and poll delay) run to 200 ms: ending at quiescence must
+   keep every output of the run that polls on to the horizon.  A rule that
+   ends the run after one quiet sweep per process loses outputs in about
+   1% of these cells, so 300 cases catch it in most runs. *)
+let prop_quiescent_outputs =
+  let cell =
+    QCheck.(
+      quad int64
+        (oneofl ~print:string_of_int [ 3; 5; 7 ])
+        (int_range 1 3)
+        (list_of_size (Gen.return 7) (pair (int_range 1 2_000) (int_range 1 2_000))))
+  in
+  QCheck.Test.make ~name:"quiescent runs keep every output" ~count:300 cell
+    (fun (seed, n, values, delays) ->
+      let run wrap =
+        let keyring = keyring ~n ~seed () in
+        let net = Thc_sim.Net.create ~n ~default:fast in
+        let engine = Thc_sim.Engine.create ~tracing:Outputs_only ~seed ~n ~net () in
+        let registers = Thc_sharedmem.Swmr.log_array ~n in
+        let srbs =
+          Array.init n (fun pid ->
+              Thc_broadcast.Srb_from_uni.create ~keyring
+                ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+                ~sender:0 ~faults:((n - 1) / 2))
+        in
+        for i = 1 to values do
+          Thc_broadcast.Srb_from_uni.broadcast srbs.(0) (string_of_int i)
+        done;
+        List.iteri
+          (fun pid (scan, poll) ->
+            if pid < n then
+              Thc_sim.Engine.set_behavior engine pid
+                (wrap
+                   (Thc_rounds.Swmr_rounds.behavior ~registers
+                      ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+                      ~scan_delay:(Thc_sim.Delay.Uniform (1L, Int64.of_int scan))
+                      ~poll_delay:(Thc_sim.Delay.Const (Int64.of_int poll))
+                      (Thc_broadcast.Srb_from_uni.app srbs.(pid)))))
+          delays;
+        Thc_sim.Trace.outputs (Thc_sim.Engine.run ~until:200_000L engine : unit Thc_sim.Trace.t)
+      in
+      run Fun.id = run polls_as_timers)
 
 (* --- NEB -------------------------------------------------------------------------------- *)
 
@@ -942,6 +1242,20 @@ let () =
         [
           Alcotest.test_case "same run as full scan" `Quick test_cursor_board_matches_full_scan;
           Alcotest.test_case "polling bound" `Quick test_cursor_polling_bound;
+        ] );
+      ( "quiescence",
+        [
+          Alcotest.test_case "matches the polling reference" `Quick
+            test_quiescent_matches_reference;
+          Alcotest.test_case "waits for a script" `Quick test_quiescence_waits_for_script;
+          Alcotest.test_case "waits for a plain timer" `Quick test_quiescence_waits_for_timer;
+          Alcotest.test_case "waits for a crash" `Quick test_quiescence_waits_for_crash;
+          Alcotest.test_case "ignores a crashed poller" `Quick
+            test_quiescence_ignores_crashed_polls;
+          Alcotest.test_case "drained queue" `Quick test_quiescence_drained;
+          Alcotest.test_case "same stop in every tracing mode" `Quick
+            test_quiescence_tracing_modes;
+          qcheck prop_quiescent_outputs;
         ] );
       ( "linear-monitor",
         [
