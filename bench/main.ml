@@ -1,18 +1,13 @@
 (* Benchmark harness: regenerates every experiment row of EXPERIMENTS.md.
 
-   Two parts, both printed on stdout:
-   1. the paper-style result tables (virtual-time metrics measured inside the
-      simulator) — one table per experiment id of DESIGN.md;
-   2. Bechamel wall-clock micro/macro benchmarks — one Test.make per
-      experiment id, measuring how fast the reproduction itself runs.
+   Each table is one experiment id of DESIGN.md, printed on stdout, and its
+   headline numbers go to BENCH_results.json.  Every number is a
+   virtual-time metric measured inside the simulator, so a run measures the
+   model, never the machine: wall-clock cost belongs to bench/perf.
 
-   The sweep-shaped tables (S1, S3, BYZ) run through Thc_exec.Pool, so
-   `--jobs N` fans their cells out over forked workers; results merge in
-   key order and both stdout tables and BENCH_results.json stay
-   byte-identical at every value.  With --jobs > 1 the S1 grid is also
-   timed sequentially and a wall-clock comparison line is printed (to
-   stdout, clearly marked as wall clock — it is the one non-deterministic
-   line and lives outside every recorded table). *)
+   The sweep-shaped tables run through Thc_exec.Pool, so `--jobs N` fans
+   their cells out over forked workers; results merge in key order and both
+   stdout and BENCH_results.json stay byte-identical at every value. *)
 
 let fast = Thc_sim.Delay.Uniform (10L, 400L)
 
@@ -36,16 +31,14 @@ let section title =
 (* ----------------------------------------------------------------------- *)
 (* Machine-readable results (BENCH_results.json)                            *)
 (*                                                                          *)
-(* Each deterministic table also records its headline numbers here; the     *)
-(* main function serialises them as                                         *)
+(* Each table also records its headline numbers here; the main function     *)
+(* serialises them as                                                       *)
 (*   {"schema":"thc-bench/v2","experiments":{<id>:{<metric>:<value>}}}      *)
 (* v2 adds the s3.* throughput–latency curve keys produced by table_s3 and  *)
 (* the byz.* attack-catalog keys produced by table_byz.                      *)
-(* Every key is a virtual-time metric — identical across machines and runs  *)
-(* — except the s4.* engine-throughput block, which is wall-clock by        *)
-(* definition (events/sec, ops/sec).  Byte-determinism comparisons must     *)
-(* therefore exclude s4; CI asserts its keys are present and positive, not  *)
-(* their values.  The Bechamel numbers stay stdout-only as before.          *)
+(* Every key is a virtual-time metric, identical across machines and runs;  *)
+(* test_bench_golden pins the whole experiments object against              *)
+(* test/corpus/golden/bench_experiments.json.                               *)
 (* ----------------------------------------------------------------------- *)
 
 module J = Thc_obsv.Json
@@ -68,8 +61,7 @@ let bench_network : Thc_network.Model.t option ref = ref None
 
 (* Campaign size for the BENCH_results.json envelope: how many sweep cells
    the pooled tables executed.  Independent of --jobs, so the file stays
-   byte-identical across parallelism (the timed comparison re-run is
-   deliberately not counted twice). *)
+   byte-identical across parallelism. *)
 let pool_keys_total = ref 0
 
 let count_keys keys =
@@ -79,13 +71,12 @@ let count_keys keys =
 (* Fan a table's cells out over the pool at the configured parallelism.
    Cells are pure and deterministic, so a failed job is a bug worth dying
    loudly on, not a hole to paper over. *)
-let pool_run ?(jobs = 1) f keys =
-  let stats st = if jobs > 1 then Format.eprintf "%a@." Pool.pp_stats st in
+let pool_run f keys =
+  let rs, st = Pool.map_stats ~jobs:!jobs f keys in
+  if !jobs > 1 then Format.eprintf "%a@." Pool.pp_stats st;
   List.map
     (function Ok r -> r | Error e -> failwith ("bench worker: " ^ e))
-    (let rs, st = Pool.map_stats ~jobs f keys in
-     stats st;
-     rs)
+    rs
 
 let results : (string, (string * J.t) list ref) Hashtbl.t = Hashtbl.create 16
 
@@ -562,7 +553,7 @@ let table_byz () =
   let all_hold = ref true in
   let cells = count_keys (catalog_cells Thc_byz.Attack.all) in
   let rows =
-    pool_run ~jobs:!jobs
+    pool_run
       (fun (attack, target) -> Thc_byz.Attack.run ~seed:1L ~target ~attack ())
       cells
   in
@@ -644,26 +635,7 @@ let table_s1 () =
       (Thc_replication.Harness.Setup.make ~protocol ~f ~scenario ~seed:17L
          ?network:!bench_network ())
   in
-  (* With --jobs > 1, time the grid both ways and report the wall-clock win.
-     The comparison line goes to stdout only in parallel runs, so the default
-     (sequential) bench transcript stays byte-stable. *)
-  let outcomes =
-    if !jobs > 1 then begin
-      let t0 = Unix.gettimeofday () in
-      let seq = pool_run ~jobs:1 run_cell cells in
-      let t1 = Unix.gettimeofday () in
-      let par = pool_run ~jobs:!jobs run_cell cells in
-      let t2 = Unix.gettimeofday () in
-      let seq_s = t1 -. t0 and par_s = t2 -. t1 in
-      Printf.printf
-        "s1 wall-clock: sequential %.3fs vs %d-worker %.3fs (%.2fx speedup)\n"
-        seq_s !jobs par_s
-        (if par_s > 0. then seq_s /. par_s else 0.);
-      ignore seq;
-      par
-    end
-    else pool_run ~jobs:1 run_cell cells
-  in
+  let outcomes = pool_run run_cell cells in
   List.iter2
     (fun (f, pname, _, sname, _) (o : Thc_replication.Harness.outcome) ->
       let key = Printf.sprintf "%s.f%d.%s" pname f sname in
@@ -890,126 +862,6 @@ let table_s2 () =
     \ delta gives unidirectionality; no finite wait gives bidirectionality\n\
     \ without synchronized round starts)"
 
-(* ----------------------------------------------------------------------- *)
-(* Bechamel wall-clock benches: one per experiment id                        *)
-(* ----------------------------------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let t_fig1 =
-    Test.make ~name:"fig1/closure"
-      (Staged.stage (fun () ->
-           ignore (Thc_classify.Hierarchy.closure Thc_classify.Hierarchy.paper)))
-  in
-  let t_c1 =
-    Test.make ~name:"c1/swmr-3rounds-n5"
-      (Staged.stage (fun () ->
-           ignore
-             (run_driver_once
-                ~driver:(`Swmr (Thc_sharedmem.Swmr.log_array ~n:5))
-                ~n:5 ~seed:3L ~rounds:3)))
-  in
-  let t_c2 =
-    Test.make ~name:"c2/scenarios-1-3"
-      (Staged.stage (fun () ->
-           ignore
-             (Thc_classify.Separations.srb_cannot_implement_unidirectionality
-                ())))
-  in
-  let t_l1 =
-    Test.make ~name:"l1/srb-from-uni-n5"
-      (Staged.stage (fun () -> ignore (run_srb_uni ~n:5 ~faults:2 ~seed:5L ~msgs:2)))
-  in
-  let t_t1 =
-    let rng = Thc_util.Rng.create 5L in
-    let world = Thc_hardware.Trinc.create_world rng ~n:1 in
-    let trinket = Thc_hardware.Trinc.trinket world ~owner:0 in
-    let counter = ref 0 in
-    Test.make ~name:"t1/trinc-attest"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (Thc_hardware.Trinc.attest trinket ~counter:!counter ~message:"m")))
-  in
-  let t_a1 =
-    Test.make ~name:"a1/very-weak-n5"
-      (Staged.stage (fun () ->
-           let n = 5 in
-           let keyring = keyring ~n ~seed:19L in
-           let net = Thc_sim.Net.create ~n ~default:fast in
-           let engine = Thc_sim.Engine.create ~seed:19L ~n ~net () in
-           let registers = Thc_sharedmem.Swmr.log_array ~n in
-           for pid = 0 to n - 1 do
-             Thc_sim.Engine.set_behavior engine pid
-               (Thc_rounds.Swmr_rounds.behavior ~registers
-                  ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-                  (Thc_agreement.Very_weak.app
-                     (Thc_agreement.Very_weak.create ~input:"v")))
-           done;
-           ignore (Thc_sim.Engine.run ~until:5_000_000L engine)))
-  in
-  let smr protocol name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore
-             (Thc_replication.Harness.run
-                (Thc_replication.Harness.Setup.make ~protocol ~f:1 ~ops:10
-                   ~seed:23L ?network:!bench_network ()))))
-  in
-  let t_sig =
-    let k = keyring ~n:2 ~seed:29L in
-    let ident = Thc_crypto.Keyring.secret k ~pid:0 in
-    Test.make ~name:"crypto/sign+verify"
-      (Staged.stage (fun () ->
-           let s = Thc_crypto.Signature.sign ident "payload" in
-           ignore (Thc_crypto.Signature.verify k s "payload")))
-  in
-  Test.make_grouped ~name:"thc"
-    [
-      t_fig1;
-      t_c1;
-      t_c2;
-      t_l1;
-      t_t1;
-      t_a1;
-      smr Thc_replication.Harness.Minbft "s1/minbft-10ops-f1";
-      smr Thc_replication.Harness.Pbft "s1/pbft-10ops-f1";
-      t_sig;
-    ]
-
-let run_bechamel () =
-  let open Bechamel in
-  section "Wall-clock benchmarks (Bechamel, monotonic clock)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Thc_util.Table.create [ "benchmark"; "ns/run"; "r^2" ] in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let time =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> Printf.sprintf "%.0f" est
-        | Some _ | None -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with
-        | Some r -> Printf.sprintf "%.3f" r
-        | None -> "-"
-      in
-      rows := (name, time, r2) :: !rows)
-    results;
-  List.iter
-    (fun (name, time, r2) -> Thc_util.Table.add_row t [ name; time; r2 ])
-    (List.sort compare !rows);
-  Thc_util.Table.print t
-
 let table_problems () =
   section "P — problem/model capability matrix (paper: Problems Considered)";
   print_string (Thc_classify.Problems.render ());
@@ -1020,103 +872,6 @@ let table_problems () =
   Printf.printf "machine-checkable cells: %d/%d PASS\n"
     (List.length results - List.length failed)
     (List.length results)
-
-(* ----------------------------------------------------------------------- *)
-(* S4: engine throughput (wall clock)                                        *)
-(* ----------------------------------------------------------------------- *)
-
-let s4_timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let s4_cell ~ops ~clients ~seed =
-  Thc_replication.Harness.Setup.make ~protocol:Thc_replication.Harness.Minbft
-    ~f:1 ~ops ~clients ~seed ?network:!bench_network ()
-
-(* Throughput mode: same cluster and schedule as an S1 cell, but
-   Outputs_only tracing and the lite reduction, so nearly all wall time
-   is simulation.  One warm-up run, then [trials] timed runs on distinct
-   seeds so no run amortizes another's caches. *)
-let s4_lite_samples ~ops ~clients ~trials =
-  ignore (Thc_replication.Harness.run_lite (s4_cell ~ops ~clients ~seed:17L));
-  List.init trials (fun i ->
-      let cell = s4_cell ~ops ~clients ~seed:(Int64.of_int (i + 1)) in
-      let l, el = s4_timed (fun () -> Thc_replication.Harness.run_lite cell) in
-      {
-        Thc_obsv.Throughput.events = l.Thc_replication.Harness.l_events;
-        ops = l.Thc_replication.Harness.l_completed;
-        elapsed_s = el;
-      })
-
-(* The full pipeline (Full tracing + every metric fold) on the same cell,
-   for the overhead comparison row. *)
-let s4_full_samples ~ops ~clients ~trials =
-  ignore (Thc_replication.Harness.run (s4_cell ~ops ~clients ~seed:17L));
-  List.init trials (fun i ->
-      let cell = s4_cell ~ops ~clients ~seed:(Int64.of_int (i + 1)) in
-      let o, el = s4_timed (fun () -> Thc_replication.Harness.run cell) in
-      {
-        Thc_obsv.Throughput.events = o.Thc_replication.Harness.events;
-        ops = o.Thc_replication.Harness.completed;
-        elapsed_s = el;
-      })
-
-(* Raw engine ceiling: n all-to-all broadcasters on 10us timers, no
-   protocol work at all — every cycle is pop, dispatch, push.  Measures
-   the calendar queue + arena + pool machinery itself. *)
-let s4_storm ~tracing ~n ~horizon () =
-  let net = Thc_sim.Net.create ~n ~default:(Thc_sim.Delay.Uniform (5L, 50L)) in
-  let eng : int Thc_sim.Engine.t =
-    Thc_sim.Engine.create ~seed:7L ~tracing ~n ~net ()
-  in
-  let behavior =
-    {
-      Thc_sim.Engine.init = (fun ctx -> ctx.set_timer ~delay:10L ~tag:0);
-      on_message = (fun _ ~src:_ _ -> ());
-      on_timer =
-        (fun ctx _ ->
-          ctx.others (ctx.self * 1000);
-          if ctx.now () < horizon then ctx.set_timer ~delay:10L ~tag:0);
-    }
-  in
-  for pid = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior eng pid behavior
-  done;
-  ignore (Thc_sim.Engine.run ~max_events:10_000_000 eng);
-  Thc_sim.Engine.events_processed eng
-
-let s4_storm_samples ~tracing ~trials =
-  let run = s4_storm ~tracing ~n:4 ~horizon:50_000L in
-  ignore (run ());
-  List.init trials (fun _ ->
-      let events, el = s4_timed run in
-      { Thc_obsv.Throughput.events; ops = 0; elapsed_s = el })
-
-let table_s4 () =
-  section "S4 — engine throughput: events/sec and ops/sec (wall clock)";
-  let t = Thc_util.Table.create ("workload" :: Thc_obsv.Throughput.columns) in
-  let rows =
-    [
-      ("s1_lite_ops25", s4_lite_samples ~ops:25 ~clients:1 ~trials:5);
-      ("s1_lite_ops100x4", s4_lite_samples ~ops:100 ~clients:4 ~trials:3);
-      ("s1_full_ops25", s4_full_samples ~ops:25 ~clients:1 ~trials:3);
-      ("storm_full", s4_storm_samples ~tracing:Thc_sim.Engine.Full ~trials:3);
-      ("storm_off", s4_storm_samples ~tracing:Thc_sim.Engine.Off ~trials:3);
-    ]
-  in
-  List.iter
-    (fun (name, samples) ->
-      let s = Thc_obsv.Throughput.summarize samples in
-      record "s4" name (Thc_obsv.Throughput.to_json s);
-      Thc_util.Table.add_row t (name :: Thc_obsv.Throughput.cells s))
-    rows;
-  Thc_util.Table.print t;
-  print_endline
-    "(wall-clock and nondeterministic by design — the one table whose\n\
-    \ numbers measure the machine, not the model.  s1_lite_* is the\n\
-    \ measurement mode: the S1 schedule under Outputs_only tracing.\n\
-    \ storm_* is the bare engine; min is the robust column on a noisy box.)"
 
 (* ----------------------------------------------------------------------- *)
 (* S5: request-span phase breakdown — where time and trusted ops go         *)
@@ -1218,7 +973,7 @@ let table_s6 () =
       (Thc_replication.Harness.Setup.make ~protocol ~f ~clients:2 ~seed:17L
          ?network:!bench_network ())
   in
-  let outcomes = pool_run ~jobs:!jobs run_cell cells in
+  let outcomes = pool_run run_cell cells in
   let pq h q =
     match Thc_obsv.Metrics.Histogram.quantile h q with
     | Some v -> Int64.to_int v
@@ -1298,7 +1053,7 @@ let table_s7 () =
       (Thc_replication.Harness.Setup.make ~protocol ~f:1 ~clients:2 ~seed:17L
          ~network:m ())
   in
-  let outcomes = pool_run ~jobs:!jobs run_cell cells in
+  let outcomes = pool_run run_cell cells in
   let pq h q =
     match Thc_obsv.Metrics.Histogram.quantile h q with
     | Some v -> Int64.to_int v
@@ -1372,7 +1127,7 @@ let table_s8 () =
          ~checkpoint_interval:interval
          ~protocol:Thc_replication.Protocol.Minbft ~f:1 ~seed:11L ())
   in
-  let outcomes = pool_run ~jobs:!jobs run_interval intervals in
+  let outcomes = pool_run run_interval intervals in
   let all_bounds = ref true in
   List.iter2
     (fun interval (o : Thc_replication.Harness.outcome) ->
@@ -1441,7 +1196,7 @@ let table_s8 () =
   let all_hold = ref true in
   let cells = count_keys (catalog_cells Thc_byz.Attack.ckpt_all) in
   let rows =
-    pool_run ~jobs:!jobs
+    pool_run
       (fun (attack, target) -> Thc_byz.Attack.run ~seed:1L ~target ~attack ())
       cells
   in
@@ -1498,7 +1253,6 @@ let tables =
     ("ablation", table_ablation);
     ("byz", table_byz);
     ("s2", table_s2);
-    ("s4", table_s4);
     ("s5", table_s5);
     ("s6", table_s6);
     ("s7", table_s7);
@@ -1522,15 +1276,11 @@ let main jobs_n only network =
     (fun (id, table) -> if List.mem id selected then table ())
     tables;
   write_results ();
-  if only = [] then begin
-    run_bechamel ();
-    print_endline "\nbench: all experiment tables regenerated"
-  end
+  if only = [] then print_endline "\nbench: all experiment tables regenerated"
   else
     print_endline
       "\nbench: selected tables regenerated (partial run: \
-       BENCH_results.json holds only the selected tables; the Bechamel \
-       suite was skipped)"
+       BENCH_results.json holds only the selected tables)"
 
 let () =
   let open Cmdliner in
@@ -1542,7 +1292,7 @@ let () =
           ~doc:
             "Comma-separated experiment table ids to run (e.g. s1,byz). A \
              partial run writes BENCH_results.json with just the selected \
-             tables' keys and skips the Bechamel wall-clock suite.")
+             tables' keys.")
   in
   let cmd =
     Cmd.v

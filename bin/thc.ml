@@ -16,6 +16,20 @@ module Protocol = Thc_replication.Protocol
    one codec; subcommands only add their own extras (both/all). *)
 let protocol_assoc = List.map (fun p -> (Protocol.to_string p, p)) Protocol.all
 
+(* A converter that refuses values the run cannot use, so a bad flag exits
+   124 with a message naming it instead of dying inside a worker. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int (fun i -> i > 0) "a positive integer"
+let positive_float = checked Arg.float (fun r -> r > 0.) "a positive number"
+
 let protocol_label = function
   | Protocol.Minbft -> "MinBFT (2f+1, trusted counters)"
   | Protocol.Pbft -> "PBFT (3f+1 baseline)"
@@ -304,18 +318,19 @@ let soak_cmd =
   let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let interval =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "checkpoint-interval" ]
           ~doc:"Attested-checkpoint cadence in executed slots (must be > 0).")
   in
   let rounds =
     Arg.(
-      value & opt int 3
+      value
+      & opt (checked int (fun r -> r >= 2) "an integer >= 2") 3
       & info [ "rounds" ] ~doc:"Doubling horizons to run (min 2).")
   in
   let base_ops =
     Arg.(
-      value & opt int 50
+      value & opt positive_int 50
       & info [ "base-ops" ] ~doc:"Requests in the first (shortest) round.")
   in
   let seed = Cli.seed ~default:11L () in
@@ -352,15 +367,15 @@ let loadtest_cmd =
   in
   let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
+    Arg.(value & opt positive_int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
   in
   let ops =
-    Arg.(value & opt int 25 & info [ "ops" ] ~doc:"Requests per client.")
+    Arg.(value & opt positive_int 25 & info [ "ops" ] ~doc:"Requests per client.")
   in
   let rates =
     Arg.(
       value
-      & opt (list float) [ 200.; 500.; 1000. ]
+      & opt (list positive_float) [ 200.; 500.; 1000. ]
       & info [ "rates" ]
           ~doc:"Aggregate offered rates (req/s) swept for open-loop arrivals.")
   in
@@ -384,15 +399,16 @@ let loadtest_cmd =
   in
   let window =
     Arg.(
-      value & opt int 4
+      value & opt positive_int 4
       & info [ "window" ] ~doc:"Outstanding requests per closed-loop client.")
   in
   let think =
     Arg.(
-      value & opt int64 0L
+      value
+      & opt (checked int64 (fun t -> t >= 0L) "a non-negative integer") 0L
       & info [ "think" ] ~doc:"Closed-loop think time (virtual µs).")
   in
-  let keys = Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key-space size.") in
+  let keys = Arg.(value & opt positive_int 64 & info [ "keys" ] ~doc:"Key-space size.") in
   let theta =
     Arg.(
       value & opt float 0.99

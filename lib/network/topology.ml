@@ -58,12 +58,25 @@ let delay_to_sexp = function
   | Delay.Exponential m ->
     Sexp.list [ Sexp.atom "exp"; Sexp.atom (float_str m) ]
 
+(* The decoders accept only values the simulator runs as written: a term
+   that would raise in [Delay.sample] or run as a 0 µs link is refused. *)
+let require ok what s =
+  if not ok then
+    failwith (Printf.sprintf "Topology: %s in %s" what (Sexp.to_string s))
+
 let delay_of_sexp = function
-  | Sexp.List [ Sexp.Atom "const"; d ] -> Delay.Const (Sexp.to_int64 d)
-  | Sexp.List [ Sexp.Atom "uniform"; lo; hi ] ->
-    Delay.Uniform (Sexp.to_int64 lo, Sexp.to_int64 hi)
-  | Sexp.List [ Sexp.Atom "exp"; m ] ->
-    Delay.Exponential (float_of_string (Sexp.to_atom m))
+  | Sexp.List [ Sexp.Atom "const"; d ] as s ->
+    let d = Sexp.to_int64 d in
+    require (d >= 0L) "const needs a delay >= 0" s;
+    Delay.Const d
+  | Sexp.List [ Sexp.Atom "uniform"; lo; hi ] as s ->
+    let lo = Sexp.to_int64 lo and hi = Sexp.to_int64 hi in
+    require (0L <= lo && lo <= hi) "uniform needs 0 <= lo <= hi" s;
+    Delay.Uniform (lo, hi)
+  | Sexp.List [ Sexp.Atom "exp"; m ] as s ->
+    let m = float_of_string (Sexp.to_atom m) in
+    require (Float.is_finite m && m > 0.) "exp needs a finite positive mean" s;
+    Delay.Exponential m
   | s -> failwith ("Topology: bad delay sexp: " ^ Sexp.to_string s)
 
 let field name value = Sexp.list [ Sexp.atom name; value ]
@@ -139,10 +152,12 @@ let of_sexp = function
         delay = delay_of_sexp (find_field fields "delay");
         links = find_links fields;
       }
-  | Sexp.List (Sexp.Atom "geo" :: fields) ->
+  | Sexp.List (Sexp.Atom "geo" :: fields) as s ->
+    let regions = Sexp.to_int (find_field fields "regions") in
+    require (regions >= 1) "geo needs regions >= 1" s;
     Geo_regions
       {
-        regions = Sexp.to_int (find_field fields "regions");
+        regions;
         lan = delay_of_sexp (find_field fields "lan");
         wan = delay_of_sexp (find_field fields "wan");
       }
@@ -152,11 +167,13 @@ let of_sexp = function
         fast = delay_of_sexp (find_field fields "fast");
         slow = delay_of_sexp (find_field fields "slow");
       }
-  | Sexp.List (Sexp.Atom "lossy" :: fields) ->
+  | Sexp.List (Sexp.Atom "lossy" :: fields) as s ->
+    let drop = float_of_string (Sexp.to_atom (find_field fields "drop")) in
+    require (drop >= 0. && drop <= 1.) "lossy needs drop in [0, 1]" s;
     Lossy
       {
         base = delay_of_sexp (find_field fields "base");
-        drop = float_of_string (Sexp.to_atom (find_field fields "drop"));
+        drop;
         heal_at = Sexp.to_int64 (find_field fields "heal");
         seed = Sexp.to_int64 (find_field fields "seed");
       }

@@ -55,7 +55,10 @@ val to_sexp : t -> Thc_util.Sexp.t
     [(geo (regions 3) (lan (uniform 5 50)) (wan (uniform 2000 10000)))]. *)
 
 val of_sexp : Thc_util.Sexp.t -> t
-(** Inverse of {!to_sexp}; raises [Failure] on malformed input. *)
+(** Inverse of {!to_sexp}; raises [Failure] on malformed input and on
+    values the simulator cannot run as written: a [uniform] range outside
+    [0 <= lo <= hi], a negative [const], an [exp] mean that is not finite
+    and positive, [regions < 1], or a [drop] outside [[0, 1]]. *)
 
 val presets : (string * t) list
 (** The named zoo, in display order: [uniform] (the legacy default

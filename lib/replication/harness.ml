@@ -533,7 +533,7 @@ type lite = {
 (* Throughput-mode run: same cluster, same schedule, same RNG draws —
    the engine records only Output/Crashed entries and the reduction
    skips the full metric registry, so nearly all of the wall time is the
-   simulation itself.  Used by the S4 engine-throughput benchmarks. *)
+   simulation itself.  Used by bench/perf's run_lite metrics. *)
 let run_lite setup =
   let lite : type m.
       m Thc_sim.Engine.t ->

@@ -160,7 +160,8 @@ val run_lite : setup -> lite
     bit-identical — but the engine records only Output/Crashed entries
     ({!Thc_sim.Engine.Outputs_only}) and the reduction skips the trace
     folds, so nearly all wall time is simulation.  The measurement mode
-    of the S4 engine-throughput benchmarks. *)
+    of [bench/perf]'s [replication.run_lite_s.<p>] and
+    [sim.lite_ev_per_s.<p>] metrics. *)
 
 val default_workload : ops:int -> seed:int64 -> Kv_store.op list
 

@@ -49,6 +49,7 @@ let round ~interval ~f ~seed ~ops =
 let run ?(f = 1) ?(interval = 4) ?(rounds = 3) ?(base_ops = 50) ~seed () =
   if interval <= 0 then invalid_arg "Soak.run: interval must be positive";
   if rounds < 2 then invalid_arg "Soak.run: need at least two rounds";
+  if base_ops <= 0 then invalid_arg "Soak.run: base_ops must be positive";
   let horizons = List.init rounds (fun i -> base_ops * (1 lsl i)) in
   let samples = List.map (fun ops -> round ~interval ~f ~seed ~ops) horizons in
   let baseline = List.map (fun ops -> round ~interval:0 ~f ~seed ~ops) horizons in

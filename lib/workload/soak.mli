@@ -49,6 +49,7 @@ val run :
     horizons starting at [base_ops = 50] requests.  Runs [2 * rounds]
     harness runs ({!Thc_replication.Harness.run}, MinBFT, otherwise-default
     setup) and reduces them to the report.  Raises [Invalid_argument] on a
-    non-positive interval or fewer than two rounds. *)
+    non-positive interval, fewer than two rounds or a non-positive
+    [base_ops]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -89,7 +89,41 @@ let test_model_roundtrip () =
     (Result.is_error (Model.of_string "lan+race:1.5"));
   Alcotest.(check bool)
     "unknown preset rejected" true
-    (Result.is_error (Model.of_string "campus"))
+    (Result.is_error (Model.of_string "campus"));
+  (* Values the simulator cannot run as written are parse errors, not a
+     crash in Delay.sample or a silent 0 µs link. *)
+  List.iter
+    (fun term ->
+      Alcotest.(check bool)
+        (term ^ " rejected") true
+        (Result.is_error (Model.of_string term)))
+    [
+      "(clique (delay (uniform 500 50)))";
+      "(clique (delay (uniform -5 -1)))";
+      "(clique (delay (const -5)))";
+      "(clique (delay (exp inf)))";
+      "(clique (delay (exp nan)))";
+      "(clique (delay (exp 0)))";
+      "(clique (delay (const 10)) (links (0 1 (uniform 9 3))))";
+      "(geo (regions 0) (lan (uniform 5 50)) (wan (uniform 2000 10000)))";
+      "(geo (regions -2) (lan (uniform 5 50)) (wan (uniform 2000 10000)))";
+      "(lossy (base (uniform 50 500)) (drop 1.5) (heal 300000) (seed 7))";
+      "(lossy (base (uniform 50 500)) (drop -0.1) (heal 300000) (seed 7))";
+      "(model (asym (fast (const -1)) (slow (uniform 2000 8000))))";
+    ];
+  (* The bounds themselves are accepted. *)
+  List.iter
+    (fun term ->
+      match Model.of_string term with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "of_string %s: %s" term e)
+    [
+      "(clique (delay (uniform 0 0)))";
+      "(clique (delay (const 0)))";
+      "(geo (regions 1) (lan (const 0)) (wan (exp 0.5)))";
+      "(lossy (base (const 5)) (drop 0) (heal 0) (seed 1))";
+      "(lossy (base (const 5)) (drop 1) (heal 0) (seed 1))";
+    ]
 
 (* --- geo delay matrix ----------------------------------------------------- *)
 

@@ -250,25 +250,6 @@ let test_span_critical_path_and_slowest () =
     Alcotest.(check (float 1e-9)) "submit share" 0.4 s2
   | _ -> Alcotest.fail "critical path: largest phase first, with shares"
 
-(* --- throughput ---------------------------------------------------------------- *)
-
-let test_throughput_zero_elapsed_clamp () =
-  let module T = Thc_obsv.Throughput in
-  (* Sub-resolution timings must clamp the denominator, not divide by ~0. *)
-  let s = T.summarize [ { T.events = 1000; ops = 10; elapsed_s = 0.0 } ] in
-  Alcotest.(check bool) "mean rate finite" true (Float.is_finite s.T.ev_s_mean);
-  Alcotest.(check bool) "mean clamps to the 1us floor" true
-    (s.T.ev_s_mean = 1000. /. T.min_elapsed_s);
-  Alcotest.(check bool) "per-sample min clamps too" true
-    (s.T.ev_s_min = 1000. /. T.min_elapsed_s);
-  (* Zero work stays exactly zero instead of 0/0. *)
-  let z = T.summarize [ { T.events = 0; ops = 0; elapsed_s = 0.0 } ] in
-  Alcotest.(check (float 0.)) "no events, zero rate" 0.0 z.T.ev_s_mean;
-  Alcotest.(check (float 0.)) "no ops, zero rate" 0.0 z.T.ops_s_mean;
-  match T.summarize [] with
-  | _ -> Alcotest.fail "empty sample list accepted"
-  | exception Invalid_argument _ -> ()
-
 (* --- registry ------------------------------------------------------------------ *)
 
 let test_registry_snapshot () =
@@ -427,11 +408,6 @@ let () =
             test_span_nop_and_summary;
           Alcotest.test_case "critical path and slowest" `Quick
             test_span_critical_path_and_slowest;
-        ] );
-      ( "throughput",
-        [
-          Alcotest.test_case "zero-elapsed clamp" `Quick
-            test_throughput_zero_elapsed_clamp;
         ] );
       ("registry", [ Alcotest.test_case "snapshot" `Quick test_registry_snapshot ]);
       ("ledger", [ Alcotest.test_case "per commit" `Quick test_ledger_per_commit ]);
