@@ -16,18 +16,11 @@ module Protocol = Thc_replication.Protocol
    one codec; subcommands only add their own extras (both/all). *)
 let protocol_assoc = List.map (fun p -> (Protocol.to_string p, p)) Protocol.all
 
-(* A converter that refuses values the run cannot use, so a bad flag exits
+(* Converters that refuse values the run cannot use, so a bad flag exits
    124 with a message naming it instead of dying inside a worker. *)
-let checked conv ok expected =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when not (ok v) ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
-    | r -> r
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let positive_int = checked Arg.int (fun i -> i > 0) "a positive integer"
+let checked = Cli.checked
+let positive_int = Cli.positive_int
+let non_negative_int = checked Arg.int (fun i -> i >= 0) "a non-negative integer"
 let positive_float = checked Arg.float (fun r -> r > 0.) "a positive number"
 
 let protocol_label = function
@@ -255,7 +248,9 @@ let smr_cmd =
           ~doc:"minbft|pbft|ubft|both (minbft+pbft)|all.")
   in
   let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
-  let ops = Arg.(value & opt int 30 & info [ "ops" ] ~doc:"Client requests.") in
+  let ops =
+    Arg.(value & opt positive_int 30 & info [ "ops" ] ~doc:"Client requests.")
+  in
   let scenario =
     Arg.(
       value
@@ -272,7 +267,7 @@ let smr_cmd =
   in
   let ckpt =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "checkpoint-interval" ]
           ~doc:
             "Attested-checkpoint cadence in executed slots (0 = off): \
@@ -572,16 +567,16 @@ let print_sends_table ~replicas sends =
     sends;
   Thc_util.Table.print t
 
-let print_net_table (net : (string * int) list)
-    (d : Thc_sim.Metrics.delivery_report) =
+let print_net_table (net : (string * int) list) ~in_flight_at_end
+    ~held_at_end =
   print_endline "network:";
   let t = Thc_util.Table.create [ "metric"; "value" ] in
   List.iter
     (fun (k, v) -> Thc_util.Table.add_row t [ k; string_of_int v ])
     (net
     @ [
-        ("undelivered at horizon", d.Thc_sim.Metrics.in_flight_at_end);
-        ("held at end (trace)", d.Thc_sim.Metrics.held_at_end);
+        ("undelivered at horizon", in_flight_at_end);
+        ("held at end (trace)", held_at_end);
       ]);
   Thc_util.Table.print t
 
@@ -623,7 +618,8 @@ let report_smr protocol ~name ~f ~ops ~seed ~export =
   print_newline ();
   print_sends_table ~replicas:o.replicas o.sends_by_replica;
   print_newline ();
-  print_net_table o.net o.delivery;
+  print_net_table o.net ~in_flight_at_end:o.delivery.in_flight_at_end
+    ~held_at_end:o.delivery.held_at_end;
   print_newline ();
   print_ledger_table ~commits:o.commits o.trusted_ops;
   Printf.printf "\ntrusted ops per committed operation: %.2f\n"
@@ -740,7 +736,8 @@ let report_srb ~n ~ops ~seed ~export =
   print_newline ();
   print_net_table
     (Thc_obsv.Link_stats.rows (Thc_sim.Engine.stats engine))
-    delivery;
+    ~in_flight_at_end:delivery.in_flight_at_end
+    ~held_at_end:delivery.held_at_end;
   print_newline ();
   print_ledger_table ~commits:delivered ledger_rows;
   Printf.printf
@@ -926,7 +923,7 @@ let report_cmd =
   in
   let ops =
     Arg.(
-      value & opt int 30
+      value & opt positive_int 30
       & info [ "ops" ] ~doc:"Client requests (smr) or broadcast values (srb).")
   in
   let seed = Cli.seed () in
@@ -1283,7 +1280,7 @@ let attack_cmd =
         exit 2
       end;
       let seeds =
-        List.init (max 1 runs) (fun i -> Int64.add seed (Int64.of_int i))
+        List.init runs (fun i -> Int64.add seed (Int64.of_int i))
       in
       let timings =
         if runs > 1 then [ 2_000L; 5_000L; 20_000L ] else [ corrupt_at ]
@@ -1337,13 +1334,14 @@ let trace_cmd =
   in
   let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let ops =
-    Arg.(value & opt int 30 & info [ "ops" ] ~doc:"Requests per client.")
+    Arg.(value & opt positive_int 30 & info [ "ops" ] ~doc:"Requests per client.")
   in
   let clients =
-    Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Concurrent clients.")
+    Arg.(
+      value & opt positive_int 2 & info [ "clients" ] ~doc:"Concurrent clients.")
   in
   let batch =
-    Arg.(value & opt int 4 & info [ "batch" ] ~doc:"Leader batch size.")
+    Arg.(value & opt positive_int 4 & info [ "batch" ] ~doc:"Leader batch size.")
   in
   let interval =
     Arg.(
@@ -1365,14 +1363,14 @@ let trace_cmd =
     let campaign =
       {
         PT.setup;
-        seeds = List.init (max 1 runs) (fun i -> Int64.add seed (Int64.of_int i));
+        seeds = List.init runs (fun i -> Int64.add seed (Int64.of_int i));
       }
     in
     let report = PT.run ~jobs ~stats:(Cli.stats_reporter ~jobs) campaign in
     Printf.printf
       "=== trace: %s  f=%d  clients=%d  ops/client=%d  batch=%d  seeds=%d \
        (base %Ld) ===\n"
-      (Protocol.to_string protocol) f clients ops batch (max 1 runs) seed;
+      (Protocol.to_string protocol) f clients ops batch runs seed;
     let completed =
       List.fold_left (fun acc rd -> acc + rd.PT.rd_completed) 0 report.PT.runs
     in

@@ -1,7 +1,18 @@
 open Cmdliner
 
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int (fun i -> i > 0) "a positive integer"
+
 let runs ?(default = 1) ~doc () =
-  Arg.(value & opt int default & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int default & info [ "runs" ] ~docv:"N" ~doc)
 
 let seed ?(default = 1L) () =
   Arg.(

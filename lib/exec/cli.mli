@@ -11,7 +11,17 @@
     - [--jobs N] — worker processes, default 1; output is byte-identical
       at every value. *)
 
+val checked :
+  'a Cmdliner.Arg.conv -> ('a -> bool) -> string -> 'a Cmdliner.Arg.conv
+(** [checked conv ok expected] parses like [conv] but refuses a value
+    failing [ok], so a flag the run cannot use exits 124 with a message
+    naming it and saying what was [expected] ("a positive integer"),
+    instead of dying inside a worker or running a meaningless cell. *)
+
+val positive_int : int Cmdliner.Arg.conv
+
 val runs : ?default:int -> doc:string -> unit -> int Cmdliner.Term.t
+(** [--runs N], a positive integer. *)
 
 val seed : ?default:int64 -> unit -> int64 Cmdliner.Term.t
 (** [--seed] with the repository-wide default of [1L]. *)

@@ -9,6 +9,8 @@ type t =
 
 (* --- printing ----------------------------------------------------------- *)
 
+let hex_digits = "0123456789abcdef"
+
 let escape_into buf s =
   Buffer.add_char buf '"';
   String.iter
@@ -20,7 +22,11 @@ let escape_into buf s =
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
       | c when c >= ' ' && c < '\x7f' -> Buffer.add_char buf c
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)))
+      | c ->
+        let code = Char.code c in
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[code lsr 4];
+        Buffer.add_char buf hex_digits.[code land 15])
     s;
   Buffer.add_char buf '"'
 

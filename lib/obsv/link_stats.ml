@@ -8,7 +8,9 @@ type t = {
   mutable held_now : int;
   mutable held_total : int;
   mutable held_hwm : int;
+  mutable settled : int;  (* once-held messages delivered live or dropped *)
   depth : int array;  (* per-link held queue depth, row-major src*n+dst *)
+  src_sends : int array;  (* sends per source pid *)
 }
 
 let create ~n =
@@ -23,7 +25,9 @@ let create ~n =
     held_now = 0;
     held_total = 0;
     held_hwm = 0;
+    settled = 0;
     depth = Array.make (n * n) 0;
+    src_sends = Array.make n 0;
   }
 
 let slot t ~src ~dst =
@@ -31,7 +35,9 @@ let slot t ~src ~dst =
     invalid_arg "Link_stats: bad pid";
   (src * t.n) + dst
 
-let on_send t = t.sends <- t.sends + 1
+let on_send t ~src =
+  t.sends <- t.sends + 1;
+  t.src_sends.(src) <- t.src_sends.(src) + 1
 
 let on_enqueue t =
   t.in_flight <- t.in_flight + 1;
@@ -55,6 +61,8 @@ let on_release t ~src ~dst =
 
 let on_drop t = t.dropped <- t.dropped + 1
 
+let on_settle t = t.settled <- t.settled + 1
+
 let sends t = t.sends
 
 let delivered t = t.delivered
@@ -72,6 +80,13 @@ let held_total t = t.held_total
 let held_hwm t = t.held_hwm
 
 let held_depth t ~src ~dst = t.depth.(slot t ~src ~dst)
+
+let held_unsettled t = t.held_total - t.settled
+
+let sends_by_source t =
+  List.filter
+    (fun (_, c) -> c > 0)
+    (List.init t.n (fun pid -> (pid, t.src_sends.(pid))))
 
 let rows t =
   [

@@ -1,12 +1,13 @@
 (** Network instrumentation for the simulation engine.
 
-    Tracks, per engine: messages sent / delivered / dropped, the number of
-    messages currently in flight (enqueued for delivery but not yet
-    dispatched) with its high-water mark, and the per-link queues of
-    messages held on blocked links — current depth, deepest single-link
-    queue ever, and the total ever held.  The engine drives the [on_*]
-    transitions; everything here is passive bookkeeping, so enabling it
-    never perturbs a run. *)
+    Tracks, per engine: messages sent (in total and per source) /
+    delivered / dropped, the number of messages currently in flight
+    (enqueued for delivery but not yet dispatched) with its high-water
+    mark, and the per-link queues of messages held on blocked links —
+    current depth, deepest single-link queue ever, the total ever held,
+    and how many of those never reached a live destination.  The engine
+    drives the [on_*] transitions; everything here is passive
+    bookkeeping, so enabling it never perturbs a run. *)
 
 type t
 
@@ -14,7 +15,7 @@ val create : n:int -> t
 
 (** {2 Transitions (called by {!Thc_sim.Engine})} *)
 
-val on_send : t -> unit
+val on_send : t -> src:int -> unit
 
 val on_enqueue : t -> unit
 (** Message scheduled for delivery. *)
@@ -32,6 +33,10 @@ val on_release : t -> src:int -> dst:int -> unit
 (** One message leaves the link's held queue (re-routed or dropped). *)
 
 val on_drop : t -> unit
+
+val on_settle : t -> unit
+(** A message that was once held reached a live destination or was
+    dropped. *)
 
 (** {2 Queries} *)
 
@@ -55,6 +60,17 @@ val held_hwm : t -> int
 (** Deepest single-link held queue ever seen. *)
 
 val held_depth : t -> src:int -> dst:int -> int
+
+val held_unsettled : t -> int
+(** Messages ever held that were neither delivered to a live destination
+    nor dropped: the held-at-end count of a [Full] trace's delivery
+    report ([Thc_sim.Metrics.delivery_report]).  It exceeds {!held_now}
+    by the released messages that met a crashed destination or were
+    still in flight when the run ended. *)
+
+val sends_by_source : t -> (int * int) list
+(** [(pid, messages sent)] for every pid that sent anything, ascending
+    pid. *)
 
 val rows : t -> (string * int) list
 (** Summary as [(metric, value)] rows, fixed order. *)

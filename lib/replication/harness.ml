@@ -46,6 +46,13 @@ module Setup = struct
     }
 end
 
+type delivery = {
+  delivered : int;
+  held_at_end : int;
+  dropped : int;
+  in_flight_at_end : int;
+}
+
 type outcome = {
   replicas : int;
   completed : int;
@@ -60,7 +67,7 @@ type outcome = {
   final_view : int;
   breakdown : (string * int) list;
   sends_by_replica : (int * int) list;
-  delivery : Thc_sim.Metrics.delivery_report;
+  delivery : delivery;
   net : (string * int) list;
   trusted_ops : (string * int) list;
   trusted_per_commit : float;
@@ -121,7 +128,7 @@ let expected_liveness setup =
 (* Fold everything the dashboard needs into one registry so a single
    snapshot line in the export carries the whole numeric state of the run. *)
 let registry_of ~latencies ~completed ~commits ~messages ~breakdown
-    ~sends_by_replica ~(delivery : Thc_sim.Metrics.delivery_report) ~net_rows
+    ~sends_by_replica ~delivery ~net_rows
     ~trusted_ops =
   let m = Thc_obsv.Metrics.create () in
   let count name v = Thc_obsv.Metrics.add (Thc_obsv.Metrics.counter m name) v in
@@ -166,15 +173,34 @@ let registry_of ~latencies ~completed ~commits ~messages ~breakdown
   List.iter (fun (op, c) -> count ("hw." ^ op) c) trusted_ops;
   (m, lat)
 
+(* Every [Sent] of a [Full] trace ends up in exactly one bucket, by the
+   rule of [Thc_sim.Metrics.delivery_report]: delivered to a live
+   destination, dropped, still held (a released message counts as held
+   until it settles), or else in flight. *)
+let delivery_of net_stats =
+  let module L = Thc_obsv.Link_stats in
+  let delivered = L.delivered net_stats
+  and dropped = L.dropped net_stats
+  and held_at_end = L.held_unsettled net_stats in
+  {
+    delivered;
+    held_at_end;
+    dropped;
+    in_flight_at_end = L.sends net_stats - delivered - dropped - held_at_end;
+  }
+
+(* The trace holds only what the monitors read (outputs and crashes);
+   every network number comes from the engine's counters and the kind
+   tally fed by its send observer, so the reduction is the same whatever
+   the engine recorded. *)
 let finish (type m) setup ~(trace : m Thc_sim.Trace.t) ~replicas
-    ~final_view ~classify ~net_stats ~hw ~events ~durability =
+    ~final_view ~breakdown ~net_stats ~hw ~events ~durability =
   let latencies = Smr_spec.client_latencies trace in
   let completed = List.length latencies in
   let commits = Smr_spec.commits trace ~replicas in
-  let messages = Thc_sim.Trace.messages_sent trace in
-  let breakdown = Thc_sim.Metrics.kind_counts trace ~classify in
-  let sends_by_replica = Thc_sim.Metrics.sends_by_source trace in
-  let delivery = Thc_sim.Metrics.delivery_report trace in
+  let messages = Thc_obsv.Link_stats.sends net_stats in
+  let sends_by_replica = Thc_obsv.Link_stats.sends_by_source net_stats in
+  let delivery = delivery_of net_stats in
   let net = Thc_obsv.Link_stats.rows net_stats in
   let trusted_ops = Thc_obsv.Ledger.rows hw in
   let metrics, lat_hist =
@@ -301,11 +327,11 @@ let wrap_net_client setup ~replicas ~clients ~c ~pid behavior =
     Thc_network.Model.wrap_client m ~replicas ~f:setup.f ~clients
       ~client_index:c ~pid behavior
 
-(* The two protocol builders share their shape through a continuation:
+(* The protocol builders share their shape through a continuation:
    assemble the cluster (engine at the requested tracing level, replicas,
    clients, fault schedule), then hand the engine plus the
-   protocol-specific accessors to [k].  Full-fidelity runs and the
-   throughput-mode lite runs differ only in the continuation. *)
+   protocol-specific accessors to [k].  Outcome runs and the lite runs
+   differ only in the continuation. *)
 let with_minbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
   let config =
     {
@@ -468,12 +494,16 @@ let with_ubft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
     ~durability:(fun () ->
       Durability.merge (Array.to_list (Array.map Ubft.durability states)))
 
-let full_run setup engine ~replicas ~final_view ~classify ~hw ~durability =
+let outcome_run setup engine ~replicas ~final_view ~classify ~hw ~durability =
+  let kinds = Thc_sim.Metrics.kind_tally ~classify in
+  Thc_sim.Engine.on_send engine (fun ~src:_ ~dst:_ msg ->
+      Thc_sim.Metrics.tally_send kinds msg);
   let trace =
     Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
   in
   let outcome =
-    finish setup ~trace ~replicas ~final_view:(final_view ()) ~classify
+    finish setup ~trace ~replicas ~final_view:(final_view ())
+      ~breakdown:(Thc_sim.Metrics.tally_counts kinds)
       ~net_stats:(Thc_sim.Engine.stats engine)
       ~hw
       ~events:(Thc_sim.Engine.events_processed engine)
@@ -481,44 +511,28 @@ let full_run setup engine ~replicas ~final_view ~classify ~hw ~durability =
   in
   (outcome, fun () -> export_of ~trace ~outcome)
 
-let run_minbft setup =
-  with_minbft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run_pbft setup =
-  with_pbft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run_ubft setup =
-  with_ubft setup ~tracing:Thc_sim.Engine.Full (full_run setup)
-
-let run setup =
+(* The export thunk is meaningful only under [Full]: the other callers
+   drop it unread. *)
+let run_with ?spans setup ~tracing =
   match setup.protocol with
-  | Minbft -> fst (run_minbft setup)
-  | Pbft -> fst (run_pbft setup)
-  | Ubft -> fst (run_ubft setup)
+  | Minbft -> with_minbft ?spans setup ~tracing (outcome_run setup)
+  | Pbft -> with_pbft ?spans setup ~tracing (outcome_run setup)
+  | Ubft -> with_ubft ?spans setup ~tracing (outcome_run setup)
+
+let run setup = fst (run_with setup ~tracing:Thc_sim.Engine.Outputs_only)
 
 let run_export setup =
-  let outcome, export =
-    match setup.protocol with
-    | Minbft -> run_minbft setup
-    | Pbft -> run_pbft setup
-    | Ubft -> run_ubft setup
-  in
+  let outcome, export = run_with setup ~tracing:Thc_sim.Engine.Full in
   (outcome, export ())
 
-(* Span-collecting run: a full-fidelity run with a live recorder installed,
+(* Span-collecting run: the outcome run with a live recorder installed,
    so the caller gets both the ordinary outcome and the per-request causal
-   views.  The recorder stamps virtual time only — the trace, metrics and
-   RNG draws are byte-identical to [run] on the same setup. *)
+   views.  The recorder stamps virtual time only — the outcome and RNG
+   draws are byte-identical to [run] on the same setup. *)
 let run_spans setup =
   let spans = Thc_obsv.Span.create () in
   let outcome =
-    match setup.protocol with
-    | Minbft ->
-      fst (with_minbft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
-    | Pbft ->
-      fst (with_pbft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
-    | Ubft ->
-      fst (with_ubft ~spans setup ~tracing:Thc_sim.Engine.Full (full_run setup))
+    fst (run_with ~spans setup ~tracing:Thc_sim.Engine.Outputs_only)
   in
   (outcome, Thc_obsv.Span.views spans, Thc_obsv.Span.ops_rows spans)
 
@@ -530,10 +544,11 @@ type lite = {
   l_duration_us : int64;
 }
 
-(* Throughput-mode run: same cluster, same schedule, same RNG draws —
-   the engine records only Output/Crashed entries and the reduction
-   skips the full metric registry, so nearly all of the wall time is the
-   simulation itself.  Used by bench/perf's run_lite metrics. *)
+(* Counts-only run: same cluster, same schedule, same RNG draws, and the
+   same outputs-only engine as [run] — but no kind tally, and the
+   reduction stops at the five counts below, skipping the safety,
+   liveness and latency folds and the metric registry.  Used by
+   bench/perf's run_lite metrics. *)
 let run_lite setup =
   let lite : type m.
       m Thc_sim.Engine.t ->

@@ -79,6 +79,20 @@ module Setup : sig
     setup
 end
 
+type delivery = {
+  delivered : int;  (** Sends handed to a live destination. *)
+  held_at_end : int;
+      (** Sends that were held on a blocked link and have not settled:
+          never delivered to a live destination nor dropped since. *)
+  dropped : int;  (** Sends dropped by link policy. *)
+  in_flight_at_end : int;
+      (** The rest: sends scheduled for delivery that the horizon cut
+          off or that reached a crashed destination. *)
+}
+(** Where every send ended up: the four counts of
+    {!Thc_sim.Metrics.delivery_report} on a [Full] trace of the same run,
+    read off the engine's counters ({!Thc_obsv.Link_stats}). *)
+
 type outcome = {
   replicas : int;
   completed : int;  (** Requests with a client quorum of replies. *)
@@ -88,14 +102,19 @@ type outcome = {
       (** Same latencies bucketed for p50/p90/p99 (virtual-time µs). *)
   messages : int;  (** Total messages sent (protocol + client). *)
   messages_per_op : float;
-  duration_us : int64;  (** Virtual time until quiescence. *)
+  duration_us : int64;
+      (** Virtual time of the last event dispatched.  The replicas' 10 ms
+          check timers keep every run going to its horizon (the workload's
+          span plus 2 s, later under a script or a restart), so this lies
+          within 10 ms of it: every scripted explorer run ends at
+          2,200,000 µs. *)
   safety_violations : Smr_spec.violation list;
   liveness_violations : Smr_spec.violation list;
   final_view : int;  (** Maximum view among correct replicas at the end. *)
   breakdown : (string * int) list;
       (** Sent messages by kind (prepare/commit/...), descending. *)
   sends_by_replica : (int * int) list;  (** [(pid, sends)], ascending pid. *)
-  delivery : Thc_sim.Metrics.delivery_report;
+  delivery : delivery;
   net : (string * int) list;  (** {!Thc_obsv.Link_stats.rows} of the engine. *)
   trusted_ops : (string * int) list;
       (** Hardware-op ledger rows; empty for PBFT (no trusted component). *)
@@ -122,14 +141,21 @@ type outcome = {
 }
 
 val run : setup -> outcome
-(** Build the cluster, run to quiescence (bounded), and collect metrics.
-    The client workload is a deterministic mix of puts/gets/incrs. *)
+(** Build the cluster, run it to its horizon (see [duration_us]), and
+    collect metrics.  The client workload is a deterministic mix of
+    puts/gets/incrs.  The engine records only outputs and crashes
+    ({!Thc_sim.Engine.Outputs_only}), which is all the monitors read;
+    message counts, kinds, per-process sends and {!delivery} come from
+    the engine's counters and send observer, and equal what the [Full]
+    trace of {!run_export} yields. *)
 
 val run_export : setup -> outcome * string
-(** Like {!run}, also returning the run's JSONL export: the full trace
-    ({!Thc_sim.Trace.to_jsonl} with {!Thc_util.Codec.encode}d messages)
+(** Like {!run} — the same outcome, from the same counters — but the
+    engine records the [Full] trace, returned as the run's JSONL export:
+    {!Thc_sim.Trace.to_jsonl} with {!Thc_util.Codec.encode}d messages,
     followed by a [{"type":"metrics",...}] snapshot line and a
-    [{"type":"ledger",...}] trusted-op line.  Deterministic per seed. *)
+    [{"type":"ledger",...}] trusted-op line.  Deterministic per seed.
+    The only entry point here that records [Full]. *)
 
 val run_spans :
   setup -> outcome * Thc_obsv.Span.view list * (string * (string * int) list) list
@@ -142,8 +168,9 @@ val run_spans :
     Returns the ordinary outcome, the per-request span views (rid order),
     and the per-phase trusted-op attribution rows
     ({!Thc_obsv.Span.ops_rows}; [[]] for PBFT, which spends no trusted
-    ops).  Recording is virtual-time-only: the outcome, trace and export
-    are byte-identical to {!run} on the same setup. *)
+    ops).  Recording is virtual-time-only, and the engine records
+    outputs only as in {!run}: the outcome is equal to {!run}'s on the
+    same setup. *)
 
 type lite = {
   l_completed : int;
@@ -156,12 +183,12 @@ type lite = {
     events/sec and ops/sec, none of the full metric registry. *)
 
 val run_lite : setup -> lite
-(** Same cluster, schedule and RNG draws as {!run} — scheduling is
-    bit-identical — but the engine records only Output/Crashed entries
-    ({!Thc_sim.Engine.Outputs_only}) and the reduction skips the trace
-    folds, so nearly all wall time is simulation.  The measurement mode
-    of [bench/perf]'s [replication.run_lite_s.<p>] and
-    [sim.lite_ev_per_s.<p>] metrics. *)
+(** Same cluster, schedule, RNG draws and outputs-only engine as {!run},
+    but without the kind tally, and the reduction stops at these five
+    counts: no safety, liveness or latency folds, no metric registry.
+    The difference from {!run} is therefore the cost of those folds.
+    The measurement mode of [bench/perf]'s [replication.run_lite_s.<p>]
+    and [sim.lite_ev_per_s.<p>] metrics. *)
 
 val default_workload : ops:int -> seed:int64 -> Kv_store.op list
 

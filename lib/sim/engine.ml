@@ -54,6 +54,10 @@ let k_script = 4
 
 let k_poll = 5
 
+(* A delivery whose message sat in a held queue first: dispatched like
+   [k_deliver], and its arrival at a live destination settles the hold. *)
+let k_released = 6
+
 type ending = Drained | Quiescent | Horizon
 
 type 'm t = {
@@ -81,6 +85,7 @@ type 'm t = {
   ctxs : 'm ctx option array;
   spans : Thc_obsv.Span.t;
   stats : Thc_obsv.Link_stats.t;
+  mutable send_observer : src:int -> dst:int -> 'm -> unit;
   corrupt_handlers : (int, string -> unit) Hashtbl.t;
   recycle : bool;
   (* Event arena: a flat stack of recycled records. *)
@@ -137,6 +142,7 @@ let create ?(seed = 1L) ?(tracing = Full) ?(recycle = true)
     ctxs = Array.make n None;
     spans;
     stats = Thc_obsv.Link_stats.create ~n;
+    send_observer = (fun ~src:_ ~dst:_ _ -> ());
     corrupt_handlers = Hashtbl.create 4;
     recycle;
     free = [||];
@@ -202,6 +208,8 @@ let mark_byzantine t pid = t.byzantine.(pid) <- true
 
 let on_corrupt t ~pid handler = Hashtbl.replace t.corrupt_handlers pid handler
 
+let on_send t observer = t.send_observer <- observer
+
 let corrupt t ~pid ~attack =
   t.byzantine.(pid) <- true;
   match Hashtbl.find_opt t.corrupt_handlers pid with
@@ -248,7 +256,7 @@ let route t ~src ~dst ~seq msg =
         buf
     in
     let ev = alloc t in
-    ev.kind <- k_deliver;
+    ev.kind <- k_released;
     ev.a <- src;
     ev.b <- dst;
     ev.c <- seq;
@@ -264,10 +272,11 @@ let do_send t ~src ~dst msg =
     t.changes <- t.changes + 1;
     let seq = t.send_seq in
     t.send_seq <- seq + 1;
-    Thc_obsv.Link_stats.on_send t.stats;
+    Thc_obsv.Link_stats.on_send t.stats ~src;
     if t.trace_full then
       t.entries <-
         Trace.Sent { time = t.clock; src; dst; seq; msg } :: t.entries;
+    t.send_observer ~src ~dst msg;
     route t ~src ~dst ~seq msg
   end
 
@@ -288,6 +297,7 @@ let release_held t ~src ~dst =
         push t (t.clock_i + delay) ev
       | Net.Block | Net.Drop ->
         Thc_obsv.Link_stats.on_drop t.stats;
+        Thc_obsv.Link_stats.on_settle t.stats;
         if t.trace_full then
           t.entries <-
             Trace.Dropped { time = t.clock; src; dst; seq = ev.c } :: t.entries;
@@ -374,11 +384,12 @@ let dispatch t ev =
     t.pending_polls <- t.pending_polls - 1
   end
   else t.changes <- t.changes + 1;
-  if kind = k_deliver then begin
+  if kind = k_deliver || kind = k_released then begin
     Thc_obsv.Link_stats.on_dequeue t.stats;
     if not t.crashed.(b) then begin
       let m = match msg with Some m -> m | None -> assert false in
       Thc_obsv.Link_stats.on_deliver t.stats;
+      if kind = k_released then Thc_obsv.Link_stats.on_settle t.stats;
       if t.trace_full then
         t.entries <-
           Trace.Delivered { time = t.clock; src = a; dst = b; seq = c; msg = m }

@@ -64,10 +64,12 @@ type tracing =
           outputs, crashes) — the golden-trace/export fidelity mode, and
           the default. *)
   | Outputs_only
-      (** Record only [Output] and [Crashed] entries — enough for the
-          SMR monitors' commit and latency reductions
-          ({!Thc_replication.Smr_spec}-style folds over outputs), at a
-          fraction of the allocation.  The throughput-measurement mode. *)
+      (** Record only [Output] and [Crashed] entries — everything the
+          SMR monitors read ({!Thc_replication.Smr_spec}-style folds over
+          outputs and crashes), at a fraction of the allocation and
+          memory.  The mode of every run that reads verdicts and counts
+          rather than the trace itself: the network numbers a [Full]
+          trace would yield come from {!stats} and {!on_send} instead. *)
   | Off  (** Record nothing; {!run}'s trace has an empty entry list. *)
 
 val create :
@@ -93,15 +95,29 @@ val create :
 val net : 'm t -> Net.t
 
 val stats : 'm t -> Thc_obsv.Link_stats.t
-(** Live network instrumentation: sends/deliveries/drops, in-flight
-    high-water mark, held-queue depths.  Updated as the engine routes;
-    read it after {!run} for the whole-run totals. *)
+(** Live network instrumentation: sends (in total and per source),
+    deliveries, drops, in-flight high-water mark, held-queue depths and
+    the held messages never settled.  Updated as the engine routes, in
+    every tracing mode; read it after {!run} for the whole-run totals.
+    Its sends, per-source sends, deliveries, drops and
+    {!Thc_obsv.Link_stats.held_unsettled} equal the counts
+    {!Trace.messages_sent}, {!Metrics.sends_by_source} and
+    {!Metrics.delivery_report} read off a [Full] trace of the same run. *)
 
 val set_behavior : 'm t -> int -> 'm behavior -> unit
 (** Install a process.  Pids without behaviors act as crashed from start. *)
 
 val mark_byzantine : 'm t -> int -> unit
 (** Tag a pid as faulty for the monitors; does not change its execution. *)
+
+val on_send : 'm t -> (src:int -> dst:int -> 'm -> unit) -> unit
+(** Register the send observer.  It is called once per send, exactly
+    where a [Full] trace records a [Sent] entry: in send order, after the
+    crashed-sender check (a crashed process's sends are neither recorded
+    nor observed), whatever the tracing mode.  At most one observer; a
+    later registration replaces the earlier one.  The default does
+    nothing, and observing never perturbs scheduling, RNG draws or the
+    trace. *)
 
 val on_corrupt : 'm t -> pid:int -> (string -> unit) -> unit
 (** Register a corruption handler for [pid].  When an adversary script

@@ -12,6 +12,39 @@ let kind_counts trace ~classify =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
+type 'm kind_tally = {
+  classify : 'm -> string;
+  counts : (string, int ref) Hashtbl.t;
+  mutable last : ('m * int ref) option;
+      (* A broadcast sends one message value to every destination in a
+         row, so the previous send's label is usually the answer. *)
+}
+
+(* The same table as [kind_counts], fed the labels in the same order
+   (a first occurrence adds, later ones only count), so its fold lists
+   equal counts in the same order. *)
+let kind_tally ~classify = { classify; counts = Hashtbl.create 16; last = None }
+
+let tally_send t msg =
+  match t.last with
+  | Some (m, count) when m == msg -> incr count
+  | Some _ | None ->
+    let kind = t.classify msg in
+    let count =
+      match Hashtbl.find_opt t.counts kind with
+      | Some count -> count
+      | None ->
+        let count = ref 0 in
+        Hashtbl.add t.counts kind count;
+        count
+    in
+    incr count;
+    t.last <- Some (msg, count)
+
+let tally_counts t =
+  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counts []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+
 let sends_by_source trace =
   let counts = Hashtbl.create 16 in
   List.iter

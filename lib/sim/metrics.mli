@@ -6,7 +6,24 @@
 
 val kind_counts :
   'm Trace.t -> classify:('m -> string) -> (string * int) list
-(** Sent messages grouped by classifier label, descending by count. *)
+(** Sent messages grouped by classifier label, descending by count.
+    Equal counts come in a fixed order that depends only on the labels
+    and the order in which they first appear. *)
+
+type 'm kind_tally
+(** {!kind_counts} kept live: fed one message per send (for example from
+    {!Engine.on_send}) instead of folded over a finished trace.  An
+    [Outputs_only] run has no [Sent] entries to fold. *)
+
+val kind_tally : classify:('m -> string) -> 'm kind_tally
+
+val tally_send : 'm kind_tally -> 'm -> unit
+(** Count one sent message.  [classify] must be a pure function: a
+    message physically equal to the previous one reuses its label. *)
+
+val tally_counts : 'm kind_tally -> (string * int) list
+(** What {!kind_counts} returns for a trace whose [Sent] entries carry
+    the tallied messages in the same order, equal counts included. *)
 
 val sends_by_source : 'm Trace.t -> (int * int) list
 (** [(pid, messages sent)] for every pid that sent anything, ascending pid. *)

@@ -76,6 +76,8 @@ let client_behaviors (type m) p ~n ~keyring
       in
       (pid, behavior))
 
+let sends engine = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine)
+
 (* Per-phase p50s from the run's span recorder: [(phase, µs)] in causal
    order, traversed phases only.  Plain data so results stay Marshal-safe
    across sweep workers. *)
@@ -85,7 +87,10 @@ let phase_p50s spans =
       Option.map (fun p50 -> (r.p_name, Int64.to_float p50)) r.p_p50)
     (Thc_obsv.Span.summarize (Thc_obsv.Span.views spans)).rows
 
-let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~hw ~phase_p50_us =
+(* The trace needs only outputs; [messages] comes from the engine's send
+   counter, which equals [Trace.messages_sent] of a [Full] trace. *)
+let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~messages ~hw
+    ~phase_p50_us =
   let latencies = Smr_spec.client_latencies trace in
   let completed = List.length latencies in
   let offered = W.total_requests p.spec in
@@ -122,7 +127,7 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~hw ~phase_p50_us =
     trusted_per_request =
       (if completed = 0 then 0.0
        else float_of_int trusted_total /. float_of_int completed);
-    messages = Thc_sim.Trace.messages_sent trace;
+    messages;
     safety_violations =
       List.length
         (Smr_spec.check_safety trace ~replicas
@@ -131,9 +136,10 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~hw ~phase_p50_us =
   }
 
 (* Each run_* returns the reduced result plus a thunk for the raw engine
-   trace as JSONL, so the sweep path never pays for serialisation and the
-   golden-trace corpus can still capture the loadtest driver byte-for-byte. *)
-let run_minbft p =
+   trace as JSONL.  The sweep path records outputs only and never calls
+   the thunk; the export path records [Full], so the golden-trace corpus
+   still captures the loadtest driver byte-for-byte. *)
+let run_minbft p ~tracing =
   let config =
     { (Minbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
   in
@@ -147,7 +153,9 @@ let run_minbft p =
   Thc_obsv.Ledger.set_observer
     (Thc_hardware.Trinc.ledger world)
     (Thc_obsv.Span.attribute spans);
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
+  let engine =
+    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
+  in
   for self = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine self
       (Minbft.replica
@@ -168,12 +176,12 @@ let run_minbft p =
     Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
       engine
   in
-  ( finish p ~trace ~replicas:n
+  ( finish p ~trace ~replicas:n ~messages:(sends engine)
       ~hw:(Thc_hardware.Trinc.ledger world)
       ~phase_p50_us:(phase_p50s spans),
     fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
 
-let run_pbft p =
+let run_pbft p ~tracing =
   let config =
     { (Pbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
   in
@@ -183,7 +191,9 @@ let run_pbft p =
   let keyring = Thc_crypto.Keyring.create rng ~n:total in
   let net = Thc_sim.Net.create ~n:total ~default:p.delay in
   let spans = Thc_obsv.Span.create () in
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
+  let engine =
+    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
+  in
   for self = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine self
       (Pbft.replica
@@ -205,7 +215,7 @@ let run_pbft p =
       engine
   in
   (* PBFT spends no trusted ops; an empty ledger keeps its rates at 0. *)
-  ( finish p ~trace ~replicas:n
+  ( finish p ~trace ~replicas:n ~messages:(sends engine)
       ~hw:(Thc_obsv.Ledger.create ())
       ~phase_p50_us:(phase_p50s spans),
     fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
@@ -213,7 +223,7 @@ let run_pbft p =
 (* uBFT's trusted hardware is the register array itself: a fresh ledger
    attached to every register plays the role the trinket ledger plays in
    the MinBFT runs, so trusted_per_request counts register ops. *)
-let run_ubft p =
+let run_ubft p ~tracing =
   let config =
     { (Ubft.default_config ~f:p.f) with batch_size = max 1 p.batch }
   in
@@ -227,7 +237,9 @@ let run_ubft p =
   let hw = Thc_obsv.Ledger.create () in
   Thc_sharedmem.Swmr.attach_ledger_all registers hw;
   Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let engine = Thc_sim.Engine.create ~seed:p.seed ~spans ~n:total ~net () in
+  let engine =
+    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
+  in
   for self = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine self
       (Ubft.replica
@@ -248,28 +260,22 @@ let run_ubft p =
     Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
       engine
   in
-  ( finish p ~trace ~replicas:n ~hw ~phase_p50_us:(phase_p50s spans),
+  ( finish p ~trace ~replicas:n ~messages:(sends engine) ~hw
+      ~phase_p50_us:(phase_p50s spans),
     fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
 
-let run_point_export p =
+let run_with p ~tracing =
   W.validate p.spec;
-  let result, export =
-    match p.protocol with
-    | Minbft -> run_minbft p
-    | Pbft -> run_pbft p
-    | Ubft -> run_ubft p
-  in
+  match p.protocol with
+  | Minbft -> run_minbft p ~tracing
+  | Pbft -> run_pbft p ~tracing
+  | Ubft -> run_ubft p ~tracing
+
+let run_point_export p =
+  let result, export = run_with p ~tracing:Thc_sim.Engine.Full in
   (result, export ())
 
-let run_point p =
-  W.validate p.spec;
-  let result, _ =
-    match p.protocol with
-    | Minbft -> run_minbft p
-    | Pbft -> run_pbft p
-    | Ubft -> run_ubft p
-  in
-  result
+let run_point p = fst (run_with p ~tracing:Thc_sim.Engine.Outputs_only)
 
 let runner p ~arrivals ~batches =
   {

@@ -60,13 +60,16 @@ type result = {
 
 val run_point : point -> result
 (** Deterministic: a given point always yields the same result.  Raises
-    [Invalid_argument] on a malformed workload spec. *)
+    [Invalid_argument] on a malformed workload spec.  The engine records
+    only outputs and crashes ({!Thc_sim.Engine.Outputs_only}); [messages]
+    is its send counter. *)
 
 val run_point_export : point -> result * string
-(** Like {!run_point}, additionally returning the run's full engine trace
-    as JSONL ({!Thc_sim.Trace.to_jsonl} with {!Thc_util.Codec.encode}d
-    messages).  Byte-deterministic per point — the loadtest driver's
-    contribution to the golden-trace equivalence corpus. *)
+(** Like {!run_point} — the same result — but the engine records the
+    [Full] trace, returned as JSONL ({!Thc_sim.Trace.to_jsonl} with
+    {!Thc_util.Codec.encode}d messages).  Byte-deterministic per point —
+    the loadtest driver's contribution to the golden-trace equivalence
+    corpus. *)
 
 val runner :
   point ->

@@ -1183,6 +1183,133 @@ let test_monitors_linear_at_scale () =
     (within_a_second "check_liveness" (fun () ->
          S.check_liveness trace ~expected:[ (client, List.init slots Fun.id) ]))
 
+(* --- outputs-only runs --------------------------------------------------------- *)
+
+(* [run] and [run_spans] record outputs only and read every network number
+   off the engine's counters; [run_export] records the [Full] trace.  The
+   reference is that trace itself, parsed back from the export: each count
+   of [run]'s outcome must equal the fold that used to compute it, and the
+   whole outcome must equal [run_export]'s and [run_spans']. *)
+module H = Thc_replication.Harness
+
+let decoded classify s = classify (Thc_util.Codec.decode s)
+
+let classify_exported = function
+  | H.Minbft -> decoded Thc_replication.Minbft.classify_msg
+  | H.Pbft -> decoded Thc_replication.Pbft.classify_msg
+  | H.Ubft -> decoded Thc_replication.Ubft.classify_msg
+
+(* The registry counters that the trace folds fed before the engine's
+   counters did. *)
+let network_counter name =
+  List.mem name [ "net.sent"; "net.held_at_end"; "net.in_flight_at_end" ]
+  || String.starts_with ~prefix:"msg.kind." name
+  || String.starts_with ~prefix:"net.sends.p" name
+
+let network_counters (o : H.outcome) =
+  List.filter_map
+    (function
+      | name, Thc_obsv.Metrics.Count c when network_counter name -> Some (name, c)
+      | _ -> None)
+    (Thc_obsv.Metrics.snapshot o.metrics)
+
+let exported_snapshot export =
+  List.find_map
+    (fun line ->
+      match Thc_obsv.Json.parse line with
+      | Ok j when Thc_obsv.Json.(member "type" j = Some (Str "metrics")) ->
+        Option.map Thc_obsv.Json.to_string (Thc_obsv.Json.member "snapshot" j)
+      | _ -> None)
+    (String.split_on_char '\n' export)
+
+let check_outputs_only label (setup : H.setup) =
+  let o = H.run setup in
+  let full, export = H.run_export setup in
+  let spans, _, _ = H.run_spans setup in
+  let trace = Result.get_ok (Thc_sim.Trace.of_jsonl export) in
+  let field name = label ^ ": " ^ name in
+  let messages = Thc_sim.Trace.messages_sent trace in
+  let breakdown =
+    Thc_sim.Metrics.kind_counts trace
+      ~classify:(classify_exported setup.protocol)
+  in
+  let sends = Thc_sim.Metrics.sends_by_source trace in
+  let r = Thc_sim.Metrics.delivery_report trace in
+  Alcotest.(check int) (field "messages") messages o.messages;
+  Alcotest.(check (list (pair string int))) (field "breakdown") breakdown
+    o.breakdown;
+  Alcotest.(check (list (pair int int))) (field "sends_by_replica") sends
+    o.sends_by_replica;
+  Alcotest.(check (list int)) (field "delivery")
+    [ r.delivered; r.held_at_end; r.dropped; r.in_flight_at_end ]
+    [
+      o.delivery.delivered;
+      o.delivery.held_at_end;
+      o.delivery.dropped;
+      o.delivery.in_flight_at_end;
+    ];
+  Alcotest.(check (list (pair string int))) (field "snapshot network counters")
+    (List.sort compare
+       ([
+          ("net.sent", messages);
+          ("net.held_at_end", r.held_at_end);
+          ("net.in_flight_at_end", r.in_flight_at_end);
+        ]
+       @ List.map (fun (kind, c) -> ("msg.kind." ^ kind, c)) breakdown
+       @ List.map (fun (pid, c) -> (Printf.sprintf "net.sends.p%d" pid, c)) sends))
+    (network_counters o);
+  Alcotest.(check (option string)) (field "exported snapshot")
+    (Some
+       (Thc_obsv.Json.to_string
+          (Thc_obsv.Metrics.snapshot_to_json (Thc_obsv.Metrics.snapshot o.metrics))))
+    (exported_snapshot export);
+  Alcotest.(check bool) (field "run = run_export") true (o = full);
+  Alcotest.(check bool) (field "run = run_spans") true (o = spans)
+
+(* The explorer's setup (ops 6, f = 1) under 50 of its admissible scripts
+   with up to one crash and two partitions: partitions hold messages, and
+   some are released towards a replica that has crashed since. *)
+let test_outputs_only_scripted protocol () =
+  let name = Thc_replication.Protocol.to_string protocol in
+  let h = Option.get (Thc_check.Harness.find name) in
+  for i = 1 to 50 do
+    let seed = Int64.of_int i in
+    let script =
+      Thc_check.Sweep.script_for h ~crashes:1 ~partitions:2 ~seed ()
+    in
+    check_outputs_only
+      (Printf.sprintf "%s seed %d" name i)
+      (H.Setup.make ~protocol ~f:1 ~ops:6 ~scenario:(H.Scripted script) ~seed ())
+  done
+
+let test_outputs_only_scenarios () =
+  let model name = Result.get_ok (Thc_network.Model.of_string name) in
+  List.iter
+    (fun protocol ->
+      let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
+      List.iter
+        (fun (what, setup) ->
+          check_outputs_only
+            (Thc_replication.Protocol.to_string protocol ^ " " ^ what)
+            setup)
+        ([
+           ("crash-leader", make ~scenario:(H.Crash_leader 40_000L) ());
+           ("silent", make ~scenario:H.Silent_replicas ());
+           ("checkpoint 8", make ~checkpoint_interval:8 ());
+           ("lossy", make ~network:(model "lossy") ());
+           ("geo3", make ~network:(model "geo3") ());
+         ]
+        @
+        if protocol = H.Minbft then
+          [
+            ( "restart",
+              make
+                ~scenario:(H.Restart_replica { pid = 2; at = 60_000L })
+                ~checkpoint_interval:4 () );
+          ]
+        else []))
+    Thc_replication.Protocol.all
+
 let () =
   Alcotest.run "thc_replication"
     [
@@ -1274,5 +1401,16 @@ let () =
             test_monitors_match_reference_hand_built;
           Alcotest.test_case "linear at 240k entries" `Quick
             test_monitors_linear_at_scale;
+        ] );
+      ( "outputs-only",
+        [
+          Alcotest.test_case "minbft under scripts" `Quick
+            (test_outputs_only_scripted H.Minbft);
+          Alcotest.test_case "pbft under scripts" `Quick
+            (test_outputs_only_scripted H.Pbft);
+          Alcotest.test_case "ubft under scripts" `Quick
+            (test_outputs_only_scripted H.Ubft);
+          Alcotest.test_case "scenarios and networks" `Quick
+            test_outputs_only_scenarios;
         ] );
     ]

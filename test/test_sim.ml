@@ -180,10 +180,11 @@ let test_isolate_groups () =
   Alcotest.(check bool) "cross blocked reverse" true (blocked 3 1)
 
 (* Five pids broadcasting every 100 µs for 5 ms over the [lossy] preset
-   (some links drop, some hold until its heal), with pid 4 crashing at
-   2 ms and link 0 -> 1 blocked from 1 ms to 3 ms.  Returns the trace
-   and the engine's send counter. *)
-let lossy_run tracing =
+   (some links drop, link 2 -> 3 holds until its heal at 300 ms), with
+   pid [victim] (default 4) crashing at 2 ms and link 0 -> 1 blocked from
+   1 ms to 3 ms.  Returns the engine and its trace; [observe] becomes the
+   engine's send observer. *)
+let lossy_engine ?observe ?(victim = 4) tracing =
   let n = 5 in
   let engine =
     Thc_sim.Engine.create ~seed:3L ~tracing ~n
@@ -206,13 +207,18 @@ let lossy_run tracing =
   Thc_network.Model.install
     (Result.get_ok (Thc_network.Model.of_string "lossy"))
     engine ~replicas:n ();
-  Thc_sim.Engine.schedule_crash engine ~pid:4 ~at:2_000L;
+  Thc_sim.Engine.schedule_crash engine ~pid:victim ~at:2_000L;
   Thc_sim.Engine.at engine 1_000L (fun () ->
       Thc_sim.Engine.set_link engine ~src:0 ~dst:1 Thc_sim.Net.Block);
   Thc_sim.Engine.at engine 3_000L (fun () ->
       Thc_sim.Engine.set_link engine ~src:0 ~dst:1
         (Thc_sim.Net.Deliver (Thc_sim.Delay.Const 10L)));
-  let trace = Thc_sim.Engine.run engine in
+  Option.iter (Thc_sim.Engine.on_send engine) observe;
+  (engine, Thc_sim.Engine.run engine)
+
+(* The trace and the engine's send counter. *)
+let lossy_run tracing =
+  let engine, trace = lossy_engine tracing in
   (trace, Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine))
 
 (* Runs that record no [Sent] entries count messages off the engine's
@@ -231,6 +237,84 @@ let test_link_sends_match_trace () =
     (Thc_sim.Trace.messages_sent trace) sends;
   Alcotest.(check int) "the counter does not depend on tracing" sends
     (snd (lossy_run Thc_sim.Engine.Outputs_only))
+
+(* A message held on a blocked link, released at the heal, whose
+   destination crashes before the delivery fires.  A [Full] trace has its
+   [Held] entry and no [Delivered] one, so [delivery_report] counts it
+   held at end; the link's held queue is empty, so [held_now] does not.
+   [held_unsettled] follows the trace.  The crashed destination's later
+   send, through a context it kept, is neither recorded nor observed. *)
+let test_released_to_crashed () =
+  let n = 2 in
+  let engine = Thc_sim.Engine.create ~n ~net:(net n) () in
+  let kept = ref None in
+  let observed = ref [] in
+  Thc_sim.Engine.on_send engine (fun ~src ~dst (Ping k) ->
+      observed := (src, dst, k) :: !observed);
+  Thc_sim.Engine.set_behavior engine 0 (sender_at ~at:50L ~dst:1 5);
+  Thc_sim.Engine.set_behavior engine 1
+    { Thc_sim.Engine.no_op with init = (fun ctx -> kept := Some ctx) };
+  Thc_sim.Engine.set_link engine ~src:0 ~dst:1 Thc_sim.Net.Block;
+  Thc_sim.Engine.at engine 1_000L (fun () ->
+      Thc_sim.Engine.set_link engine ~src:0 ~dst:1
+        (Thc_sim.Net.Deliver (Thc_sim.Delay.Const 500L)));
+  Thc_sim.Engine.schedule_crash engine ~pid:1 ~at:1_200L;
+  Thc_sim.Engine.at engine 2_000L (fun () ->
+      Option.iter (fun (ctx : msg Thc_sim.Engine.ctx) -> ctx.send 0 (Ping 6)) !kept);
+  let trace = Thc_sim.Engine.run engine in
+  let stats = Thc_sim.Engine.stats engine in
+  let r = Thc_sim.Metrics.delivery_report trace in
+  Alcotest.(check int) "delivery_report: held at end" 1 r.held_at_end;
+  Alcotest.(check int) "held_unsettled" 1
+    (Thc_obsv.Link_stats.held_unsettled stats);
+  Alcotest.(check int) "held_now" 0 (Thc_obsv.Link_stats.held_now stats);
+  Alcotest.(check int) "nothing delivered" 0
+    (Thc_obsv.Link_stats.delivered stats);
+  Alcotest.(check int) "one send" 1 (Thc_obsv.Link_stats.sends stats);
+  Alcotest.(check int) "one Sent entry" 1 (Thc_sim.Trace.messages_sent trace);
+  Alcotest.(check (list (triple int int int))) "observed: p0's send only"
+    [ (0, 1, 5) ] !observed
+
+(* The send observer sees exactly the [Sent] entries of a [Full] run, in
+   order, with their sources; the engine's per-source and settle counters
+   agree with the trace folds, whatever the engine records; and
+   observing leaves the [Full] trace byte-identical.  Pid 3 crashes, so
+   the messages link 2 -> 3 held until the heal meet a crashed pid. *)
+let test_on_send_matches_sent () =
+  let observed = ref [] in
+  let observe ~src ~dst (Ping k) = observed := (src, dst, k) :: !observed in
+  let engine, trace = lossy_engine ~observe ~victim:3 Thc_sim.Engine.Full in
+  let sent =
+    List.filter_map
+      (function
+        | Thc_sim.Trace.Sent { src; dst; msg = Ping k; _ } -> Some (src, dst, k)
+        | _ -> None)
+      trace.Thc_sim.Trace.entries
+  in
+  Alcotest.(check (list (triple int int int))) "observer = Sent entries" sent
+    (List.rev !observed);
+  let r = Thc_sim.Metrics.delivery_report trace in
+  let stats = Thc_sim.Engine.stats engine in
+  Alcotest.(check bool) "some released message met the crashed pid" true
+    (Thc_obsv.Link_stats.held_now stats < r.held_at_end);
+  let counts_of engine =
+    let stats = Thc_sim.Engine.stats engine in
+    Thc_obsv.Link_stats.
+      ( sends_by_source stats,
+        (delivered stats, dropped stats, held_unsettled stats) )
+  in
+  let expected =
+    ( Thc_sim.Metrics.sends_by_source trace,
+      (r.delivered, r.dropped, r.held_at_end) )
+  in
+  let counts = Alcotest.(pair (list (pair int int)) (triple int int int)) in
+  Alcotest.check counts "counters = trace folds (Full)" expected
+    (counts_of engine);
+  Alcotest.check counts "counters = trace folds (Outputs_only)" expected
+    (counts_of (fst (lossy_engine ~victim:3 Thc_sim.Engine.Outputs_only)));
+  let jsonl t = Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode t in
+  Alcotest.(check string) "no observer: same Full trace" (jsonl trace)
+    (jsonl (snd (lossy_engine ~victim:3 Thc_sim.Engine.Full)))
 
 (* --- determinism ------------------------------------------------------------------- *)
 
@@ -800,6 +884,10 @@ let () =
           Alcotest.test_case "isolate groups" `Quick test_isolate_groups;
           Alcotest.test_case "link sends match trace" `Quick
             test_link_sends_match_trace;
+          Alcotest.test_case "released to a crashed pid" `Quick
+            test_released_to_crashed;
+          Alcotest.test_case "on_send matches Sent entries" `Quick
+            test_on_send_matches_sent;
         ] );
       ( "determinism",
         [

@@ -231,6 +231,95 @@ let test_parse_names_truncated_line () =
     Alcotest.(check bool) "names line 2" true
       (String.length e >= 7 && String.sub e 0 7 = "line 2:")
 
+(* [run_point] records outputs only and counts messages off the engine;
+   [run_point_export] records the [Full] trace.  On bench/perf's
+   protocol x arrival grid (at 2 clients x 20 requests, seeds 1 and 2) and
+   one lossy point, the two results must agree field for field, and
+   [messages] must be the number of sends in the exported trace. *)
+let check_same_result label (a : L.result) (b : L.result) =
+  let field name = label ^ ": " ^ name in
+  let summary (s : Thc_util.Stats.summary) =
+    [ float_of_int s.count; s.mean; s.stddev; s.p50; s.p90; s.p99; s.min; s.max ]
+  in
+  Alcotest.(check bool) (field "point") true (a.L.point = b.L.point);
+  Alcotest.(check int) (field "replicas") b.L.replicas a.L.replicas;
+  Alcotest.(check int) (field "offered") b.L.offered a.L.offered;
+  Alcotest.(check int) (field "completed") b.L.completed a.L.completed;
+  Alcotest.(check int) (field "commits") b.L.commits a.L.commits;
+  Alcotest.(check int64) (field "duration_us") b.L.duration_us a.L.duration_us;
+  Alcotest.(check int64) (field "makespan_us") b.L.makespan_us a.L.makespan_us;
+  Alcotest.(check (float 0.)) (field "throughput_rps") b.L.throughput_rps
+    a.L.throughput_rps;
+  Alcotest.(check (list (float 0.))) (field "latency") (summary b.L.latency)
+    (summary a.L.latency);
+  Alcotest.(check int) (field "trusted_total") b.L.trusted_total
+    a.L.trusted_total;
+  Alcotest.(check (float 0.)) (field "trusted_per_commit")
+    b.L.trusted_per_commit a.L.trusted_per_commit;
+  Alcotest.(check (float 0.)) (field "trusted_per_request")
+    b.L.trusted_per_request a.L.trusted_per_request;
+  Alcotest.(check int) (field "messages") b.L.messages a.L.messages;
+  Alcotest.(check int) (field "safety_violations") b.L.safety_violations
+    a.L.safety_violations;
+  Alcotest.(check (list (pair string (float 0.)))) (field "phase_p50_us")
+    b.L.phase_p50_us a.L.phase_p50_us;
+  Alcotest.(check bool) (field "whole record") true (a = b)
+
+let test_run_point_matches_export () =
+  let grid =
+    [
+      ("poisson2000_b1", W.Open_poisson { rate_rps = 2000. }, 1);
+      ("poisson4000_b8", W.Open_poisson { rate_rps = 4000. }, 8);
+      ("closed4_b4", W.Closed { window = 4; think_us = 0L }, 4);
+    ]
+  in
+  let load ?network ~seed protocol arrival batch =
+    {
+      L.protocol;
+      f = 1;
+      batch;
+      seed;
+      delay = Thc_sim.Delay.Uniform (50L, 500L);
+      network;
+      spec =
+        spec ~clients:2 ~requests_per_client:20 ~arrival
+          ~keys:(W.Keys_zipf { keys = 64; theta = 0.99 })
+          ();
+    }
+  in
+  let points =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun protocol ->
+            List.map
+              (fun (label, arrival, batch) ->
+                ( Printf.sprintf "%s.%s seed %Ld" (L.protocol_name protocol)
+                    label seed,
+                  load ~seed protocol arrival batch ))
+              grid)
+          Thc_replication.Protocol.all)
+      [ 1L; 2L ]
+    @ [
+        ( "minbft.poisson2000_b1 lossy",
+          load
+            ~network:(Result.get_ok (Thc_network.Model.of_string "lossy"))
+            ~seed:1L L.Minbft
+            (W.Open_poisson { rate_rps = 2000. })
+            1 );
+      ]
+  in
+  List.iter
+    (fun (label, p) ->
+      let r = L.run_point p in
+      let full, jsonl = L.run_point_export p in
+      Alcotest.(check int) (label ^ ": sends in the full trace")
+        (Thc_sim.Trace.messages_sent
+           (Result.get_ok (Thc_sim.Trace.of_jsonl jsonl)))
+        r.L.messages;
+      check_same_result label r full)
+    points
+
 let () =
   Alcotest.run "thc_workload"
     [
@@ -268,5 +357,7 @@ let () =
             test_parse_rejects_garbage;
           Alcotest.test_case "parse names truncated line" `Quick
             test_parse_names_truncated_line;
+          Alcotest.test_case "run_point = export run" `Quick
+            test_run_point_matches_export;
         ] );
     ]
