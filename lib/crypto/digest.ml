@@ -8,13 +8,13 @@ let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-(* FNV-1a, four bytes folded per iteration inside one fused expression:
-   without flambda the compiler only unboxes int64 intermediates within
-   a single expression tree, so the fused form allocates one box per
-   four bytes instead of several per byte.  Same arithmetic, same
-   digest, ~4x faster on the sign/verify hot path. *)
-let of_string s =
-  let n = String.length s in
+(* FNV-1a over the first [n] bytes of [b], four bytes folded per
+   iteration inside one fused expression: without flambda the compiler
+   only unboxes int64 intermediates within a single expression tree, so
+   the fused form allocates one box per four bytes instead of several per
+   byte.  Same arithmetic, same digest, ~4x faster on the sign/verify hot
+   path. *)
+let of_bytes b n =
   let h = ref fnv_offset in
   let i = ref 0 in
   while !i + 4 <= n do
@@ -29,13 +29,13 @@ let of_string s =
                        (Int64.mul
                           (Int64.logxor !h
                              (Int64.of_int
-                                (Char.code (String.unsafe_get s j))))
+                                (Char.code (Bytes.unsafe_get b j))))
                           fnv_prime)
-                       (Int64.of_int (Char.code (String.unsafe_get s (j + 1)))))
+                       (Int64.of_int (Char.code (Bytes.unsafe_get b (j + 1)))))
                     fnv_prime)
-                 (Int64.of_int (Char.code (String.unsafe_get s (j + 2)))))
+                 (Int64.of_int (Char.code (Bytes.unsafe_get b (j + 2)))))
               fnv_prime)
-           (Int64.of_int (Char.code (String.unsafe_get s (j + 3)))))
+           (Int64.of_int (Char.code (Bytes.unsafe_get b (j + 3)))))
         fnv_prime;
     i := j + 4
   done;
@@ -43,13 +43,24 @@ let of_string s =
     h :=
       Int64.mul
         (Int64.logxor !h
-           (Int64.of_int (Char.code (String.unsafe_get s !i))))
+           (Int64.of_int (Char.code (Bytes.unsafe_get b !i))))
         fnv_prime;
     incr i
   done;
   mix !h
 
-let of_value v = of_string (Thc_util.Codec.encode v)
+let of_string s = of_bytes (Bytes.unsafe_of_string s) (String.length s)
+
+(* [of_value] hashes [Codec.encode v]'s bytes where [Codec.encode_into]
+   wrote them, in a scratch buffer kept per domain (domains would race on
+   a shared one).  Once the buffer has grown to the largest value digested,
+   a digest allocates no string. *)
+let scratch = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
+let of_value v =
+  let buf = Domain.DLS.get scratch in
+  let len = Thc_util.Codec.encode_into buf v in
+  of_bytes !buf len
 
 let combine a b = mix (Int64.add (mix a) (Int64.mul b fnv_prime))
 

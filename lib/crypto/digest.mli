@@ -13,7 +13,10 @@ val of_string : string -> t
 (** Digest of raw bytes. *)
 
 val of_value : 'a -> t
-(** Digest of a serialized value ([Codec.encode]). *)
+(** Digest of a serialized value: equal, bit for bit, to
+    [of_string (Codec.encode v)].  It hashes the encoding where
+    {!Thc_util.Codec.encode_into} wrote it, in a scratch buffer reused per
+    domain, so no string is allocated for it. *)
 
 val combine : t -> t -> t
 (** Order-sensitive combination (for chains and certificates). *)

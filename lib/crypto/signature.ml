@@ -1,16 +1,19 @@
 type t = { signer : int; tag : int64 }
 
-let sign secret payload =
-  let digest = Digest.of_string payload in
+let sign_digest secret digest =
   { signer = Keyring.pid_of_secret secret; tag = Keyring.attach_tag secret digest }
 
-let sign_value secret v = sign secret (Thc_util.Codec.encode v)
+let sign secret payload = sign_digest secret (Digest.of_string payload)
+
+let sign_value secret v = sign_digest secret (Digest.of_value v)
+
+let verify_digest keyring t digest =
+  Keyring.check_tag keyring ~signer:t.signer ~digest ~tag:t.tag
 
 let verify keyring t payload =
-  Keyring.check_tag keyring ~signer:t.signer ~digest:(Digest.of_string payload)
-    ~tag:t.tag
+  verify_digest keyring t (Digest.of_string payload)
 
-let verify_value keyring t v = verify keyring t (Thc_util.Codec.encode v)
+let verify_value keyring t v = verify_digest keyring t (Digest.of_value v)
 
 let counterfeit ~signer ~tag = { signer; tag }
 

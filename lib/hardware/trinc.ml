@@ -6,11 +6,18 @@ type attestation = {
   tag : int64;
 }
 
+module Tags = Hashtbl.Make (Int64)
+
+(* [verified] remembers, by tag, every attestation this world's trinkets
+   produced or [check] accepted.  It holds host work only: an entry's tag
+   is genuine for its own fields, so a field-equal attestation would hash
+   to the same tag, and [check] skips only that hash. *)
 type world = {
   nonces : int64 array;
   claimed : bool array;
   ops : Thc_obsv.Ledger.t;
   monotonic : bool;
+  verified : attestation Tags.t;
 }
 
 type t = {
@@ -19,6 +26,7 @@ type t = {
   mutable last : int;
   ops : Thc_obsv.Ledger.t;
   monotonic : bool;
+  verified : attestation Tags.t;
 }
 
 let make_world ~monotonic rng ~n =
@@ -28,6 +36,7 @@ let make_world ~monotonic rng ~n =
     claimed = Array.make n false;
     ops = Thc_obsv.Ledger.create ();
     monotonic;
+    verified = Tags.create 64;
   }
 
 let create_world rng ~n = make_world ~monotonic:true rng ~n
@@ -55,6 +64,7 @@ let trinket world ~owner =
     last = 0;
     ops = world.ops;
     monotonic = world.monotonic;
+    verified = world.verified;
   }
 
 let tag_of ~nonce ~owner ~prev ~counter ~message =
@@ -72,15 +82,32 @@ let attest t ~counter ~message =
        counter implies — on a dense stream the same value TrInc records. *)
     let prev = if t.monotonic then t.last else counter - 1 in
     t.last <- max t.last counter;
-    Some
-      {
-        owner = t.owner;
-        prev;
-        counter;
-        message;
-        tag = tag_of ~nonce:t.nonce ~owner:t.owner ~prev ~counter ~message;
-      }
+    let tag = tag_of ~nonce:t.nonce ~owner:t.owner ~prev ~counter ~message in
+    let a = { owner = t.owner; prev; counter; message; tag } in
+    Tags.replace t.verified tag a;
+    Some a
   end
+
+let remembered (world : world) (a : attestation) =
+  match Tags.find_opt world.verified a.tag with
+  | Some m ->
+    m == a
+    || m.owner = a.owner
+       && m.prev = a.prev
+       && m.counter = a.counter
+       && String.equal m.message a.message
+  | None -> false
+
+let tag_verifies (world : world) (a : attestation) ~id =
+  remembered world a
+  ||
+  let ok =
+    Int64.equal a.tag
+      (tag_of ~nonce:world.nonces.(id) ~owner:a.owner ~prev:a.prev
+         ~counter:a.counter ~message:a.message)
+  in
+  if ok then Tags.replace world.verified a.tag a;
+  ok
 
 let check (world : world) (a : attestation) ~id =
   charge ~monotonic:world.monotonic world.ops "trinc.check";
@@ -88,9 +115,7 @@ let check (world : world) (a : attestation) ~id =
     a.owner = id
     && id >= 0
     && id < Array.length world.nonces
-    && Int64.equal a.tag
-         (tag_of ~nonce:world.nonces.(id) ~owner:a.owner ~prev:a.prev
-            ~counter:a.counter ~message:a.message)
+    && tag_verifies world a ~id
   in
   if not ok then charge ~monotonic:world.monotonic world.ops "trinc.check_fail";
   ok

@@ -62,7 +62,14 @@ val attest : t -> counter:int -> message:string -> attestation option
 
 val check : world -> attestation -> id:int -> bool
 (** The paper's [CheckAttestation(a, q)]: true iff [a] was produced by
-    trinket [id] (owner matches and the tag verifies). *)
+    trinket [id] (owner matches and the tag verifies).
+
+    The world remembers, by tag, every attestation its trinkets produced
+    and every one [check] accepted; an attestation equal field for field
+    to the remembered one is accepted without hashing its tag again.  The
+    memo caches host work only, never a verdict or a charge: the result
+    is the hash path's, and every call charges ["trinc.check"] (and
+    ["trinc.check_fail"] when it returns false) exactly as before. *)
 
 val last_counter : t -> int
 (** Highest sequence number attested so far (0 if none). *)

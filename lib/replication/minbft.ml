@@ -395,8 +395,7 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
     try_execute t ctx
 
 let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
-    ~(batch : Command.batch) ~voter =
-  let digest = Command.batch_digest batch in
+    ~(batch : Command.batch) ~digest ~voter =
   let tbl = voters t (view, seq, digest) in
   Hashtbl.replace tbl voter ();
   if
@@ -605,16 +604,17 @@ let restart t (ctx : msg Thc_sim.Engine.ctx) =
   ctx.others (Fetch { have = stable_upto t });
   ctx.set_timer ~delay:fetch_retry_delay ~tag:fetch_timer_tag
 
-(* A replica votes for a proposal unless it contradicts what it committed or
-   what the latest view change recovered. *)
-let proposal_acceptable t ~seq ~(batch : Command.batch) =
+(* A replica votes for a proposal (whose batch has [digest]) unless it
+   contradicts what it committed or what the latest view change
+   recovered. *)
+let proposal_acceptable t ~seq ~digest =
   (match Hashtbl.find_opt t.committed seq with
-  | Some b -> Command.batch_digest b = Command.batch_digest batch
+  | Some b -> Command.batch_digest b = digest
   | None -> true)
   && (seq > t.recovered_bound
      ||
      match Hashtbl.find_opt t.expected seq with
-     | Some d -> d = Command.batch_digest batch
+     | Some d -> d = digest
      | None -> false)
 
 let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
@@ -623,19 +623,21 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
     && view = t.view
     && t.status = Normal
     && Command.batch_valid t.keyring batch
-    && proposal_acceptable t ~seq ~batch
   then begin
-    Hashtbl.replace t.proposals seq batch;
-    List.iter
-      (fun key -> Hashtbl.replace t.proposed_keys key seq)
-      (Command.batch_keys batch);
-    record_commit t ctx ~view ~seq ~batch ~voter:owner;
-    if t.self <> owner && not (Hashtbl.mem t.commit_sent (view, seq)) then begin
-      Hashtbl.replace t.commit_sent (view, seq) ();
-      if Thc_obsv.Span.enabled ctx.spans then
-        Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-          Thc_obsv.Span.Commit_send ~at:(ctx.now ());
-      seal_and_send t ctx (Commit { view; seq; batch })
+    let digest = Command.batch_digest batch in
+    if proposal_acceptable t ~seq ~digest then begin
+      Hashtbl.replace t.proposals seq batch;
+      List.iter
+        (fun key -> Hashtbl.replace t.proposed_keys key seq)
+        (Command.batch_keys batch);
+      record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner;
+      if t.self <> owner && not (Hashtbl.mem t.commit_sent (view, seq)) then begin
+        Hashtbl.replace t.commit_sent (view, seq) ();
+        if Thc_obsv.Span.enabled ctx.spans then
+          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
+            Thc_obsv.Span.Commit_send ~at:(ctx.now ());
+        seal_and_send t ctx (Commit { view; seq; batch })
+      end
     end
   end
 
@@ -796,7 +798,8 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
   | Prepare { view; seq; batch } -> handle_prepare t ctx ~owner ~view ~seq ~batch
   | Commit { view; seq; batch } ->
     if Command.batch_valid t.keyring batch then
-      record_commit t ctx ~view ~seq ~batch ~voter:owner
+      record_commit t ctx ~view ~seq ~batch
+        ~digest:(Command.batch_digest batch) ~voter:owner
   | Rvc { new_view } ->
     if new_view > t.view then begin
       let tbl = rvc_supporters t new_view in
@@ -921,6 +924,7 @@ let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
   let now = ctx.now () in
   let stuck =
     (not t.awaiting_fetch)
+    && Hashtbl.length t.pending > 0
     && Hashtbl.fold
          (fun _ (_, since) acc ->
            acc || Int64.sub now since > t.config.request_timeout)

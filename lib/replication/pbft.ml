@@ -82,8 +82,10 @@ type t = {
   mutable view : int;
   mutable status : status;
   mutable next_seq : int;
-  preprepares : (int * int, Command.batch * Thc_crypto.Signature.t) Hashtbl.t;
-      (* (view, seq) -> first pre-prepare and the leader's signature *)
+  preprepares :
+    (int * int, Command.batch * int64 * Thc_crypto.Signature.t) Hashtbl.t;
+      (* (view, seq) -> first pre-prepare, its batch digest and the
+         leader's signature *)
   prepare_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
   commit_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
   prepare_sent : (int * int, unit) Hashtbl.t;
@@ -212,7 +214,7 @@ let committed_op (batch : Command.batch) =
 
 let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
-  | Some (batch, _) when Command.batch_digest batch = digest ->
+  | Some (batch, d, _) when Int64.equal d digest ->
     let votes = table t.commit_votes (view, seq, digest) (fun () -> Hashtbl.create 8) in
     if
       Hashtbl.length votes >= (2 * t.config.f) + 1
@@ -237,7 +239,7 @@ let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
 
 let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
-  | Some (batch, preprepare_sig) when Command.batch_digest batch = digest ->
+  | Some (batch, d, preprepare_sig) when Int64.equal d digest ->
     let votes = table t.prepare_votes (view, seq, digest) (fun () -> Hashtbl.create 8) in
     if
       Hashtbl.length votes >= 2 * t.config.f
@@ -256,14 +258,14 @@ let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
     end
   | Some _ | None -> ()
 
-let proposal_acceptable t ~seq ~(batch : Command.batch) =
+let proposal_acceptable t ~seq ~digest =
   (match Hashtbl.find_opt t.committed seq with
-  | Some b -> Command.batch_digest b = Command.batch_digest batch
+  | Some b -> Command.batch_digest b = digest
   | None -> true)
   && (seq > t.recovered_bound
      ||
      match Hashtbl.find_opt t.expected seq with
-     | Some d -> d = Command.batch_digest batch
+     | Some d -> d = digest
      | None -> false)
 
 (* --- leader batching (same discipline as Minbft) ------------------------ *)
@@ -496,23 +498,24 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         && view = t.view
         && t.status = Normal
         && Command.batch_valid t.keyring batch
-        && (not (Hashtbl.mem t.preprepares (view, seq)))
-        && proposal_acceptable t ~seq ~batch
+        && not (Hashtbl.mem t.preprepares (view, seq))
       then begin
-        Hashtbl.replace t.preprepares (view, seq) (batch, w.signature);
-        List.iter
-          (fun key -> Hashtbl.replace t.proposed_keys key seq)
-          (Command.batch_keys batch);
         let digest = Command.batch_digest batch in
-        if
-          t.self <> leader_of t view
-          && not (Hashtbl.mem t.prepare_sent (view, seq))
-        then begin
-          Hashtbl.replace t.prepare_sent (view, seq) ();
-          send_signed t ctx (Prepare { view; seq; digest })
-        end;
-        try_prepare t ctx ~view ~seq ~digest;
-        try_commit t ctx ~view ~seq ~digest
+        if proposal_acceptable t ~seq ~digest then begin
+          Hashtbl.replace t.preprepares (view, seq) (batch, digest, w.signature);
+          List.iter
+            (fun key -> Hashtbl.replace t.proposed_keys key seq)
+            (Command.batch_keys batch);
+          if
+            t.self <> leader_of t view
+            && not (Hashtbl.mem t.prepare_sent (view, seq))
+          then begin
+            Hashtbl.replace t.prepare_sent (view, seq) ();
+            send_signed t ctx (Prepare { view; seq; digest })
+          end;
+          try_prepare t ctx ~view ~seq ~digest;
+          try_commit t ctx ~view ~seq ~digest
+        end
       end
     | Prepare { view; seq; digest } ->
       if signer <> leader_of t view then begin
@@ -593,7 +596,8 @@ let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
   let now = ctx.now () in
   let stuck =
-    Hashtbl.fold
+    Hashtbl.length t.pending > 0
+    && Hashtbl.fold
       (fun _ (_, since) acc ->
         acc || Int64.sub now since > t.config.request_timeout)
       t.pending false

@@ -64,9 +64,10 @@ type t = {
   mutable view : int;
   mutable status : status;
   mutable next_seq : int;  (* leader: next sequence number to assign *)
-  slots : (int, Command.batch) Hashtbl.t;
-      (* seq -> adopted batch (first valid Slot per seq wins, so every
-         reader of the same register resolves identically) *)
+  slots : (int, Command.batch * int64) Hashtbl.t;
+      (* seq -> adopted batch and its digest (first valid Slot per seq
+         wins, so every reader of the same register resolves
+         identically) *)
   mutable exec_upto : int;  (* highest executed slot *)
   mutable exec_count : int;  (* dense per-request execution index *)
   queue : Command.signed_request Queue.t;
@@ -294,11 +295,11 @@ let slot_covered t ~seq =
 let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
   match Hashtbl.find_opt t.slots (t.exec_upto + 1) with
   | None -> ()
-  | Some batch
+  | Some _
     when t.self = leader_of t t.view
          && not (slot_covered t ~seq:(t.exec_upto + 1)) ->
-    ignore batch
-  | Some batch ->
+    ()
+  | Some (batch, _) ->
     let seq = t.exec_upto + 1 in
     t.exec_upto <- seq;
     if Thc_obsv.Span.enabled ctx.spans then
@@ -320,8 +321,8 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
 
 (* --- fast path --------------------------------------------------------- *)
 
-let adopt_slot t ~seq ~(batch : Command.batch) =
-  Hashtbl.replace t.slots seq batch;
+let adopt_slot t ~seq ~(batch : Command.batch) ~digest =
+  Hashtbl.replace t.slots seq (batch, digest);
   List.iter
     (fun key -> Hashtbl.replace t.proposed_keys key seq)
     (Command.batch_keys batch)
@@ -374,21 +375,21 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
             when view = t.view && seq > t.exec_upto
                  && (not (Hashtbl.mem t.acked_keys (view, seq)))
                  && Command.batch_valid t.keyring batch ->
+            let digest = Command.batch_digest batch in
             let adoptable =
               match Hashtbl.find_opt t.slots seq with
               | None ->
-                adopt_slot t ~seq ~batch;
+                adopt_slot t ~seq ~batch ~digest;
                 true
-              | Some prev ->
+              | Some (_, prev) ->
                 (* Same slot re-published by a recovering leader: ack it
                    again under the new view.  A conflicting batch (never
                    reachable from a correct leader) is left unacked. *)
-                Command.batch_digest prev = Command.batch_digest batch
+                Int64.equal prev digest
             in
             if adoptable then begin
               Hashtbl.replace t.acked_keys (view, seq) ();
               acked_max := max !acked_max seq;
-              let digest = Command.batch_digest batch in
               let rids = batch_rids batch in
               if Thc_obsv.Span.enabled ctx.spans then
                 Thc_obsv.Span.mark_all ctx.spans ~seq ~rids
@@ -428,7 +429,7 @@ let handle_ack_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~view =
           | Ack { view = v; seq; digest } when v = t.view ->
             let ok =
               match Hashtbl.find_opt t.slots seq with
-              | Some batch -> Command.batch_digest batch = digest
+              | Some (_, d) -> Int64.equal d digest
               | None -> seq <= t.exec_upto
             in
             if ok then max acc seq else acc
@@ -462,7 +463,7 @@ let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
        is in trusted memory and cannot be equivocated or withdrawn. *)
     own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
       (Slot { view = t.view; seq; batch });
-    adopt_slot t ~seq ~batch
+    adopt_slot t ~seq ~batch ~digest:(Command.batch_digest batch)
   end
 
 let rec take_batch t acc k =
@@ -578,7 +579,7 @@ let adopt_new_view t (ctx : msg Thc_sim.Engine.ctx) ~new_view =
       own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
         (Slot { view = new_view; seq; batch });
       if seq > t.exec_upto && not (Hashtbl.mem t.slots seq) then
-        adopt_slot t ~seq ~batch)
+        adopt_slot t ~seq ~batch ~digest:(Command.batch_digest batch))
     recovered;
   ctx.others (New_view_note { new_view; upto = t.next_seq - 1 });
   try_execute t ctx;
@@ -667,7 +668,8 @@ let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
   let now = ctx.now () in
   let stuck =
-    Hashtbl.fold
+    Hashtbl.length t.pending > 0
+    && Hashtbl.fold
       (fun _ (_, since) acc ->
         acc || Int64.sub now since > t.config.request_timeout)
       t.pending false

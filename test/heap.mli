@@ -1,9 +1,10 @@
-(** Binary min-heap priority queue.
+(** Binary min-heap priority queue — test code.
 
-    The reference model that {!Calendar_queue}'s property test checks the
-    simulator's event queue against; nothing in the simulator itself uses
-    it.  Callers that need a deterministic order embed a tie-breaking
-    sequence number in their keys. *)
+    The reference model that [test_util]'s calendar-queue property test
+    checks [Thc_util.Calendar_queue] against, with [test_util]'s own heap
+    cases; nothing under [lib/] uses it.  Callers that need a
+    deterministic order embed a tie-breaking sequence number in their
+    keys. *)
 
 type ('k, 'v) t
 (** Mutable heap of values ['v] keyed by ['k]. *)

@@ -283,6 +283,41 @@ let test_ckpt_deterministic () =
       Alcotest.(check bool) "same seed, same run" true (digest a = digest b))
     [ A.Minbft; A.Unattested ]
 
+(* The checkpoint family's full exports, pinned by MD5 (each JSONL is about
+   1.5 MB).  Each run has two view changes whose View_change and New_view
+   messages nest whole attested logs, so these traces exercise every
+   digest, signature and [Trinc.check] on the verification path; a change
+   that moves a verdict, a message or a ledger charge moves a hash. *)
+let ckpt_export_md5 =
+  [
+    ( A.Forged_checkpoint,
+      [ "c1a4309d00b7a445568c18c883b1ae1f"; "8caa8ddd2a6d28aca835509537ab14c3";
+        "70085d8fb8498c4dcc4b67550b3c12a0" ] );
+    ( A.Stale_transfer,
+      [ "0f2e3ebf2034618815396b8323e53ea9"; "9666757bdd4cd392230a154aeeaad045";
+        "19ca97362429e18c1a6e8047efa996df" ] );
+    ( A.Join_equivocation,
+      [ "c299a9cb6f4c9c285175ba34d4c7265b"; "4ef6397523a8815f3e763fc4ebd40ee5";
+        "58ba78a91171ca48d3e46c16d026e7e7" ] );
+  ]
+
+let test_ckpt_exports_pinned () =
+  Alcotest.(check (list string)) "every checkpoint kind pinned"
+    (List.map A.name A.ckpt_all)
+    (List.map (fun (k, _) -> A.name k) ckpt_export_md5);
+  List.iter
+    (fun (attack, md5s) ->
+      List.iteri
+        (fun i expected ->
+          let seed = i + 1 in
+          let _, jsonl = A.run_export ~seed:(Int64.of_int seed) ~attack () in
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d export md5" (A.name attack) seed)
+            expected
+            (Stdlib.Digest.to_hex (Stdlib.Digest.string jsonl)))
+        md5s)
+    ckpt_export_md5
+
 let test_ckpt_harness_registration () =
   List.iter
     (fun attack ->
@@ -392,6 +427,7 @@ let () =
           Alcotest.test_case "safe on unattested world" `Quick
             test_ckpt_safe_on_unattested_world;
           Alcotest.test_case "deterministic" `Quick test_ckpt_deterministic;
+          Alcotest.test_case "exports pinned" `Quick test_ckpt_exports_pinned;
           Alcotest.test_case "registered in explorer" `Quick
             test_ckpt_harness_registration;
         ] );

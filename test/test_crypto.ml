@@ -44,6 +44,66 @@ let prop_digest_injective_on_sample =
               (Thc_crypto.Digest.of_string a)
               (Thc_crypto.Digest.of_string b)))
 
+(* [of_value] hashes [Codec.encode v]'s bytes out of a reused scratch
+   buffer (4 KiB at first, doubled on overflow).  Values run from a few
+   bytes to three times that size, so the buffer must grow, and each small
+   value is digested right after a large one, so stale bytes past the
+   small encoding must not count. *)
+let scratch_bytes = 4096
+
+let of_value_reference v =
+  Thc_crypto.Digest.of_string (Thc_util.Codec.encode v)
+
+let same_digest v =
+  Thc_crypto.Digest.equal (Thc_crypto.Digest.of_value v) (of_value_reference v)
+
+type sample = {
+  label : string;
+  stamp : int64;
+  pairs : (int * int64) list;
+  nested : string list list;
+}
+
+let gen_sample =
+  QCheck.Gen.(
+    map
+      (fun (label, stamp, pairs, nested) -> { label; stamp; pairs; nested })
+      (quad (string_size (int_bound 16)) ui64
+         (list_size (int_bound 8) (pair small_int ui64))
+         (list_size (int_bound 4)
+            (list_size (int_bound 4) (string_size (int_bound 64))))))
+
+let test_digest_scratch_growth () =
+  List.iter
+    (fun len ->
+      let big = String.make len 'x' in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-byte string" len)
+        true (same_digest big);
+      Alcotest.(check bool)
+        (Printf.sprintf "small value after %d bytes" len)
+        true
+        (same_digest (1, 2L)))
+    (* Ascending, so the encoding that exactly fills the first buffer
+       comes before the one that makes it grow. *)
+    (List.init 80 (fun i -> scratch_bytes - 72 + i)
+    @ [ (2 * scratch_bytes) + 1; 3 * scratch_bytes ])
+
+let prop_of_value_matches_encode =
+  QCheck.Test.make ~name:"of_value = of_string (Codec.encode v)" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          triple gen_sample
+            (string_size (int_range 0 (3 * scratch_bytes)))
+            (list_size (int_bound 3) gen_sample)))
+    (fun (s, big, more) ->
+      same_digest big
+      && same_digest s
+      && same_digest (s, big, more)
+      && same_digest (List.map (fun m -> (m.stamp, [ m ])) more)
+      && same_digest (Int64.logxor s.stamp 1L, [ Some s.label; None ]))
+
 (* --- keyring ----------------------------------------------------------------- *)
 
 let test_keyring_size () = Alcotest.(check int) "n" 4 (Thc_crypto.Keyring.n (keyring ()))
@@ -132,6 +192,29 @@ let prop_random_tags_rejected =
            (Thc_crypto.Signature.counterfeit ~signer ~tag)
            "payload"))
 
+(* [sign_value]/[verify_value] digest the value in place; they must agree
+   with [sign]/[verify] over the same value's [Codec.encode] bytes. *)
+let prop_value_signatures_match_bytes =
+  QCheck.Test.make ~name:"value signatures match encoded bytes" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound 3) gen_sample
+            (string_size (int_range 0 (3 * scratch_bytes)))))
+    (fun (pid, s, big) ->
+      let k = keyring () in
+      let secret = Thc_crypto.Keyring.secret k ~pid in
+      let v = (s, big) in
+      let bytes = Thc_util.Codec.encode v in
+      let sv = Thc_crypto.Signature.sign_value secret v in
+      let sb = Thc_crypto.Signature.sign secret bytes in
+      let other = Thc_crypto.Signature.sign secret (bytes ^ "!") in
+      Thc_crypto.Signature.equal sv sb
+      && Thc_crypto.Signature.verify_value k sv v
+      && Thc_crypto.Signature.verify k sv bytes
+      && (not (Thc_crypto.Signature.verify_value k other v))
+      && not (Thc_crypto.Signature.verify k other bytes))
+
 (* --- certificates ----------------------------------------------------------------- *)
 
 let sig_on k pid v = Thc_crypto.Signature.sign_value (Thc_crypto.Keyring.secret k ~pid) v
@@ -186,6 +269,9 @@ let () =
           Alcotest.test_case "combine order" `Quick test_digest_combine_order;
           Alcotest.test_case "hex" `Quick test_digest_hex;
           qcheck prop_digest_injective_on_sample;
+          Alcotest.test_case "of_value past scratch size" `Quick
+            test_digest_scratch_growth;
+          qcheck prop_of_value_matches_encode;
         ] );
       ( "keyring",
         [
@@ -204,6 +290,7 @@ let () =
           Alcotest.test_case "sealed values" `Quick test_sealed;
           qcheck prop_sign_verify_roundtrip;
           qcheck prop_random_tags_rejected;
+          qcheck prop_value_signatures_match_bytes;
         ] );
       ( "cert",
         [

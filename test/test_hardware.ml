@@ -102,6 +102,138 @@ let test_trinc_unattested_world () =
   Alcotest.(check bool) "dense stream identical to TrInc" true
     (Thc_hardware.Trinc.attest u ~counter:1 ~message:"m1" = Some first)
 
+(* --- the check memo ------------------------------------------------------------- *)
+
+(* [check] remembers, per world, every attestation its trinkets produced or
+   it accepted, and skips the tag hash for a field-equal copy.  The memo
+   must never turn a rejection into an acceptance, and every call still
+   charges the ledger as the plain hash path does. *)
+
+let copy_of (a : Thc_hardware.Trinc.attestation) =
+  Thc_hardware.Trinc.counterfeit ~owner:a.owner ~prev:a.prev ~counter:a.counter
+    ~message:(Bytes.to_string (Bytes.of_string a.message))
+    ~tag:a.tag
+
+let attest_exn t ~counter ~message =
+  match Thc_hardware.Trinc.attest t ~counter ~message with
+  | Some a -> a
+  | None -> Alcotest.failf "counter %d refused" counter
+
+let test_memo_tampered_still_rejected () =
+  let world = fresh_trinc () in
+  let ledger = Thc_hardware.Trinc.ledger world in
+  let t0 = Thc_hardware.Trinc.trinket world ~owner:0 in
+  let t1 = Thc_hardware.Trinc.trinket world ~owner:1 in
+  let a = attest_exn t0 ~counter:2 ~message:"real" in
+  let b = attest_exn t1 ~counter:2 ~message:"real" in
+  Alcotest.(check bool) "genuine checks" true
+    (Thc_hardware.Trinc.check world a ~id:0);
+  Alcotest.(check bool) "fresh copy checks" true
+    (Thc_hardware.Trinc.check world (copy_of a) ~id:0);
+  let variants =
+    [
+      ("message", { a with Thc_hardware.Trinc.message = "fake" }, 0);
+      ("counter", { a with Thc_hardware.Trinc.counter = 3 }, 0);
+      ("prev", { a with Thc_hardware.Trinc.prev = 1 }, 0);
+      ("tag", { a with Thc_hardware.Trinc.tag = Int64.add a.tag 1L }, 0);
+      ("wrong id", a, 1);
+      ("owner relabelled", { a with Thc_hardware.Trinc.owner = 1 }, 1);
+      ("other trinket's tag", { a with Thc_hardware.Trinc.tag = b.tag }, 0);
+      ( "genuine tag, other message",
+        Thc_hardware.Trinc.counterfeit ~owner:0 ~prev:a.prev ~counter:a.counter
+          ~message:"other" ~tag:a.tag,
+        0 );
+    ]
+  in
+  List.iter
+    (fun (what, v, id) ->
+      let fails = Thc_obsv.Ledger.count ledger "trinc.check_fail" in
+      Alcotest.(check bool) (what ^ " rejected") false
+        (Thc_hardware.Trinc.check world v ~id);
+      Alcotest.(check int) (what ^ " charged trinc.check_fail") (fails + 1)
+        (Thc_obsv.Ledger.count ledger "trinc.check_fail"))
+    variants;
+  Alcotest.(check bool) "genuine still checks after the forgeries" true
+    (Thc_hardware.Trinc.check world (copy_of a) ~id:0
+    && Thc_hardware.Trinc.check world b ~id:1)
+
+let test_memo_unattested_world () =
+  let world =
+    Thc_hardware.Trinc.create_unattested_world (Thc_util.Rng.create 21L) ~n:3
+  in
+  let t = Thc_hardware.Trinc.trinket world ~owner:0 in
+  let first = attest_exn t ~counter:1 ~message:"m1" in
+  let again = attest_exn t ~counter:1 ~message:"m2" in
+  List.iter
+    (fun (what, a) ->
+      Alcotest.(check bool) (what ^ " verifies") true
+        (Thc_hardware.Trinc.check world a ~id:0);
+      Alcotest.(check bool) (what ^ " copy verifies") true
+        (Thc_hardware.Trinc.check world (copy_of a) ~id:0))
+    [ ("first", first); ("second", again) ];
+  List.iter
+    (fun (what, tag) ->
+      let fake =
+        Thc_hardware.Trinc.counterfeit ~owner:0 ~prev:0 ~counter:1
+          ~message:"m3" ~tag
+      in
+      Alcotest.(check bool) ("counterfeit with " ^ what ^ " tag") false
+        (Thc_hardware.Trinc.check world fake ~id:0))
+    [ ("the first", first.tag); ("the second", again.tag) ];
+  Alcotest.(check bool) "swapped tags rejected" false
+    (Thc_hardware.Trinc.check world { first with tag = again.tag } ~id:0);
+  Alcotest.(check bool) "ledger stays empty" true
+    (Thc_obsv.Ledger.is_empty (Thc_hardware.Trinc.ledger world))
+
+let test_memo_ledger_counts_every_call () =
+  (* Two worlds from the same seed share their keys, so an attestation made
+     in [maker] is genuine in [checker], which has not seen it yet: its
+     first check misses the memo, later ones hit it. *)
+  let maker = fresh_trinc () in
+  let checker = fresh_trinc () in
+  let t = Thc_hardware.Trinc.trinket maker ~owner:2 in
+  let a = attest_exn t ~counter:1 ~message:"x" in
+  let outcomes =
+    List.map
+      (fun (v, id) -> Thc_hardware.Trinc.check checker v ~id)
+      [
+        (a, 2);  (* miss, accepted *)
+        (a, 2);  (* hit *)
+        (copy_of a, 2);  (* hit on a field-equal copy *)
+        ({ a with message = "y" }, 2);  (* miss, rejected *)
+        (a, 0);  (* wrong id *)
+        (copy_of a, 2);
+      ]
+  in
+  Alcotest.(check (list bool)) "verdicts"
+    [ true; true; true; false; false; true ]
+    outcomes;
+  Alcotest.(check (list (pair string int))) "checker ledger"
+    [ ("trinc.check", 6); ("trinc.check_fail", 2) ]
+    (Thc_obsv.Ledger.rows (Thc_hardware.Trinc.ledger checker));
+  Alcotest.(check (list (pair string int))) "maker ledger"
+    [ ("trinc.attest", 1) ]
+    (Thc_obsv.Ledger.rows (Thc_hardware.Trinc.ledger maker))
+
+let test_memo_cost_bound () =
+  (* A field-equal copy is compared, not re-hashed: hashing 64 KiB on each
+     of these checks would cost several times the bound. *)
+  let world = fresh_trinc () in
+  let t = Thc_hardware.Trinc.trinket world ~owner:1 in
+  let a = attest_exn t ~counter:1 ~message:(String.make (64 * 1024) 'p') in
+  let copy = copy_of a in
+  let start = Sys.time () in
+  for _ = 1 to 10_000 do
+    if not (Thc_hardware.Trinc.check world copy ~id:1) then
+      Alcotest.fail "genuine copy rejected"
+  done;
+  let elapsed = Sys.time () -. start in
+  Alcotest.(check int) "every check charged" 10_000
+    (Thc_obsv.Ledger.count (Thc_hardware.Trinc.ledger world) "trinc.check");
+  if elapsed >= 0.2 then
+    Alcotest.failf "10,000 checks of a 64 KiB copy took %.3f s (bound 0.2 s)"
+      elapsed
+
 let prop_trinc_no_counter_reuse =
   QCheck.Test.make ~name:"a counter can never be attested twice" ~count:100
     QCheck.(list_of_size Gen.(1 -- 30) (int_bound 20))
@@ -321,6 +453,17 @@ let () =
           Alcotest.test_case "counterfeit" `Quick test_trinc_counterfeit;
           Alcotest.test_case "unattested world" `Quick test_trinc_unattested_world;
           qcheck prop_trinc_no_counter_reuse;
+        ] );
+      ( "trinc-memo",
+        [
+          Alcotest.test_case "tampered still rejected" `Quick
+            test_memo_tampered_still_rejected;
+          Alcotest.test_case "unattested world" `Quick
+            test_memo_unattested_world;
+          Alcotest.test_case "ledger counts every call" `Quick
+            test_memo_ledger_counts_every_call;
+          Alcotest.test_case "64 KiB copy checked cheaply" `Quick
+            test_memo_cost_bound;
         ] );
       ( "a2m",
         [

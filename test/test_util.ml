@@ -109,55 +109,55 @@ let prop_rng_bool_balanced =
 (* --- heap ------------------------------------------------------------------ *)
 
 let test_heap_basic () =
-  let h = Thc_util.Heap.create ~compare in
-  Alcotest.(check bool) "starts empty" true (Thc_util.Heap.is_empty h);
-  Thc_util.Heap.push h 3 "c";
-  Thc_util.Heap.push h 1 "a";
-  Thc_util.Heap.push h 2 "b";
-  Alcotest.(check int) "length" 3 (Thc_util.Heap.length h);
+  let h = Heap.create ~compare in
+  Alcotest.(check bool) "starts empty" true (Heap.is_empty h);
+  Heap.push h 3 "c";
+  Heap.push h 1 "a";
+  Heap.push h 2 "b";
+  Alcotest.(check int) "length" 3 (Heap.length h);
   Alcotest.(check (option (pair int string))) "peek" (Some (1, "a"))
-    (Thc_util.Heap.peek h);
+    (Heap.peek h);
   Alcotest.(check (option (pair int string))) "pop 1" (Some (1, "a"))
-    (Thc_util.Heap.pop h);
+    (Heap.pop h);
   Alcotest.(check (option (pair int string))) "pop 2" (Some (2, "b"))
-    (Thc_util.Heap.pop h);
+    (Heap.pop h);
   Alcotest.(check (option (pair int string))) "pop 3" (Some (3, "c"))
-    (Thc_util.Heap.pop h);
+    (Heap.pop h);
   Alcotest.(check (option (pair int string))) "pop empty" None
-    (Thc_util.Heap.pop h)
+    (Heap.pop h)
 
 let test_heap_duplicate_keys () =
-  let h = Thc_util.Heap.create ~compare in
-  Thc_util.Heap.push h 1 "first";
-  Thc_util.Heap.push h 1 "second";
-  Alcotest.(check int) "two entries" 2 (Thc_util.Heap.length h);
-  ignore (Thc_util.Heap.pop h);
-  ignore (Thc_util.Heap.pop h);
-  Alcotest.(check bool) "drained" true (Thc_util.Heap.is_empty h)
+  let h = Heap.create ~compare in
+  Heap.push h 1 "first";
+  Heap.push h 1 "second";
+  Alcotest.(check int) "two entries" 2 (Heap.length h);
+  ignore (Heap.pop h);
+  ignore (Heap.pop h);
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
 let test_heap_clear () =
-  let h = Thc_util.Heap.create ~compare in
+  let h = Heap.create ~compare in
   for i = 1 to 10 do
-    Thc_util.Heap.push h i i
+    Heap.push h i i
   done;
-  Thc_util.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Thc_util.Heap.is_empty h)
+  Heap.clear h;
+  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
 
 let test_heap_to_sorted_list_nondestructive () =
-  let h = Thc_util.Heap.create ~compare in
-  List.iter (fun k -> Thc_util.Heap.push h k ()) [ 5; 2; 9; 1 ];
-  let keys = List.map fst (Thc_util.Heap.to_sorted_list h) in
+  let h = Heap.create ~compare in
+  List.iter (fun k -> Heap.push h k ()) [ 5; 2; 9; 1 ];
+  let keys = List.map fst (Heap.to_sorted_list h) in
   Alcotest.(check (list int)) "sorted listing" [ 1; 2; 5; 9 ] keys;
-  Alcotest.(check int) "heap untouched" 4 (Thc_util.Heap.length h)
+  Alcotest.(check int) "heap untouched" 4 (Heap.length h)
 
 let prop_heap_drains_sorted =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck.(list int)
     (fun keys ->
-      let h = Thc_util.Heap.create ~compare in
-      List.iter (fun k -> Thc_util.Heap.push h k k) keys;
+      let h = Heap.create ~compare in
+      List.iter (fun k -> Heap.push h k k) keys;
       let rec drain acc =
-        match Thc_util.Heap.pop h with
+        match Heap.pop h with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
@@ -250,14 +250,14 @@ let test_cq_degenerate_geometry () =
    queue of any geometry. *)
 let run_cq_scenario q seed steps =
   let rng = Thc_util.Rng.create seed in
-  let model = Thc_util.Heap.create ~compare in
+  let model = Heap.create ~compare in
   let model_cancelled = Hashtbl.create 16 in
   let live_ties = ref [] in
   let tie = ref 0 in
   let clock = ref 0 in
   let model_pop () =
     let rec go () =
-      match Thc_util.Heap.pop model with
+      match Heap.pop model with
       | None -> None
       | Some ((time, k), v) ->
         if Hashtbl.mem model_cancelled k then begin
@@ -282,7 +282,7 @@ let run_cq_scenario q seed steps =
       incr tie;
       let time = !clock + offset in
       Cq.push q ~time ~tie:!tie !tie;
-      Thc_util.Heap.push model (time, !tie) !tie;
+      Heap.push model (time, !tie) !tie;
       live_ties := !tie :: !live_ties
     | 4 | 5 | 6 | 7 ->
       (* pop, compare against the model *)
@@ -311,7 +311,7 @@ let run_cq_scenario q seed steps =
       | None, None -> ()
       | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
         (* put the model entry back; peek must not consume *)
-        Thc_util.Heap.push model (t', k') v'
+        Heap.push model (t', k') v'
       | _ ->
         QCheck.Test.fail_reportf "step %d: peek mismatch (seed %Ld)" step seed);
       if Cq.length q <> len_before then
