@@ -22,6 +22,9 @@ let checked = Cli.checked
 let positive_int = Cli.positive_int
 let non_negative_int = checked Arg.int (fun i -> i >= 0) "a non-negative integer"
 let positive_float = checked Arg.float (fun r -> r > 0.) "a positive number"
+let finite_float = checked Arg.float Float.is_finite "a finite number"
+let non_negative_int64 =
+  checked Arg.int64 (fun t -> t >= 0L) "a non-negative integer"
 
 let protocol_label = function
   | Protocol.Minbft -> "MinBFT (2f+1, trusted counters)"
@@ -136,8 +139,10 @@ let rounds_cmd =
           `Swmr
       & info [ "driver" ] ~doc:"Round driver: swmr|sticky|peats|async|sync|delta|rb1.")
   in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Processes.") in
-  let rounds_n = Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Rounds to run.") in
+  let n = Arg.(value & opt positive_int 5 & info [ "n" ] ~doc:"Processes.") in
+  let rounds_n =
+    Arg.(value & opt positive_int 4 & info [ "rounds" ] ~doc:"Rounds to run.")
+  in
   let seed = Cli.seed ~default:42L () in
   let run driver n rounds seed =
     let rng = Thc_util.Rng.create seed in
@@ -377,7 +382,7 @@ let loadtest_cmd =
   let batches =
     Arg.(
       value
-      & opt (list int) [ 1; 4 ]
+      & opt (list positive_int) [ 1; 4 ]
       & info [ "batches" ] ~doc:"Leader batch sizes swept at each rate.")
   in
   let arrival =
@@ -400,13 +405,13 @@ let loadtest_cmd =
   let think =
     Arg.(
       value
-      & opt (checked int64 (fun t -> t >= 0L) "a non-negative integer") 0L
+      & opt non_negative_int64 0L
       & info [ "think" ] ~doc:"Closed-loop think time (virtual µs).")
   in
   let keys = Arg.(value & opt positive_int 64 & info [ "keys" ] ~doc:"Key-space size.") in
   let theta =
     Arg.(
-      value & opt float 0.99
+      value & opt finite_float 0.99
       & info [ "theta" ] ~doc:"Zipf skew; 0 selects the uniform key picker.")
   in
   let seed = Cli.seed () in
@@ -1345,7 +1350,7 @@ let trace_cmd =
   in
   let interval =
     Arg.(
-      value & opt int64 5_000L
+      value & opt non_negative_int64 5_000L
       & info [ "interval" ] ~doc:"µs between each client's requests.")
   in
   let runs = Cli.runs ~default:3 ~doc:"Seeds traced (seed, seed+1, …)." () in

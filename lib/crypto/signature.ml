@@ -5,7 +5,8 @@ let sign_digest secret digest =
 
 let sign secret payload = sign_digest secret (Digest.of_string payload)
 
-let sign_value secret v = sign_digest secret (Digest.of_value v)
+let sign_value secret v =
+  { signer = Keyring.pid_of_secret secret; tag = Keyring.attach_value_tag secret v }
 
 let verify_digest keyring t digest =
   Keyring.check_tag keyring ~signer:t.signer ~digest ~tag:t.tag
@@ -13,7 +14,8 @@ let verify_digest keyring t digest =
 let verify keyring t payload =
   verify_digest keyring t (Digest.of_string payload)
 
-let verify_value keyring t v = verify_digest keyring t (Digest.of_value v)
+let verify_value keyring t v =
+  Keyring.check_value_tag keyring ~signer:t.signer ~tag:t.tag v
 
 let counterfeit ~signer ~tag = { signer; tag }
 

@@ -16,13 +16,18 @@ val sign : Keyring.secret -> string -> t
 (** Sign a byte string. *)
 
 val sign_value : Keyring.secret -> 'a -> t
-(** Sign a value's canonical serialization. *)
+(** Sign a value's canonical serialization.  The value must be immutable:
+    the keyring's memo remembers it, so that {!verify_value} of this very
+    value skips the hash (see {!Keyring}). *)
 
 val verify : Keyring.t -> t -> string -> bool
 (** Does [t] verify over these bytes under the registry? *)
 
 val verify_value : Keyring.t -> t -> 'a -> bool
-(** [verify] over the value's canonical serialization. *)
+(** [verify] over the value's canonical serialization.  Answers from the
+    keyring's memo when it holds this very value ([==]) under the same
+    signer and tag, and hashes otherwise; the memo holds host work only,
+    so the verdict is always the hash's. *)
 
 val counterfeit : signer:int -> tag:int64 -> t
 (** Construct a signature record with an arbitrary tag — what a Byzantine

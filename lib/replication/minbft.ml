@@ -97,7 +97,8 @@ type t = {
   mutable view : int;
   mutable status : status;
   mutable next_seq : int;  (* leader: next sequence number to assign *)
-  proposals : (int, Command.batch) Hashtbl.t;  (* seq -> accepted proposal *)
+  proposals : (int, Command.batch * int64) Hashtbl.t;
+      (* seq -> accepted proposal and its batch digest *)
   votes : (int * int * int64, (int, unit) Hashtbl.t) Hashtbl.t;
       (* (view, seq, batch digest) -> voters *)
   commit_sent : (int * int, unit) Hashtbl.t;  (* (view, seq) voted already *)
@@ -198,6 +199,28 @@ let encode_proto (p : proto) = Thc_util.Codec.encode p
 
 let decode_proto s = (Thc_util.Codec.decode s : proto)
 
+(* Every replica receives the same sealed attestation, so a domain keeps
+   one table of decoded payloads, keyed by attestation tag and message.  A
+   hit needs the very message string ([==]): strings are immutable, so
+   decoding it again would give an equal proto.  [vacant] is a string no
+   attestation carries. *)
+let decoded =
+  Domain.DLS.new_key (fun () ->
+      Thc_util.Identity_table.create ~vacant:(String.make 1 '\000')
+        (Rvc { new_view = 0 }))
+
+(* [None]: an undecodable payload. *)
+let decode_sealed (a : Thc_hardware.Trinc.attestation) =
+  let table = Domain.DLS.get decoded in
+  let i = Thc_util.Identity_table.find table ~tag:a.tag a.message in
+  if i >= 0 then Some (Thc_util.Identity_table.value table i)
+  else
+    match decode_proto a.message with
+    | p ->
+      Thc_util.Identity_table.add table ~tag:a.tag a.message p;
+      Some p
+    | exception _ -> None
+
 let batch_rids (batch : Command.batch) =
   List.map
     (fun (sr : Command.signed_request) -> sr.Thc_crypto.Signature.value.rid)
@@ -212,6 +235,8 @@ let span_phase_of_proto = function
   | Rvc _ | View_change _ | New_view _ | Checkpoint _ ->
     (Thc_obsv.Span.Other_phase, [])
 
+(* The sealer's own [p] goes into the decode table, so every receiver
+   decodes to it and their batches hold the clients' signed requests. *)
 let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) p =
   let a =
     if Thc_obsv.Span.enabled ctx.spans then begin
@@ -221,6 +246,7 @@ let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) p =
     end
     else Attested_link.Out.seal t.out (encode_proto p)
   in
+  Thc_util.Identity_table.add (Domain.DLS.get decoded) ~tag:a.tag a.message p;
   ctx.broadcast (Sealed a)
 
 let voters t key =
@@ -456,11 +482,12 @@ let snapshot_cert_valid t (s : snapshot) =
     List.filter_map
       (fun (att : Thc_hardware.Trinc.attestation) ->
         if Thc_hardware.Trinc.check t.world att ~id:att.owner then
-          match decode_proto att.message with
-          | Checkpoint { upto; digest; exec_count } ->
+          match decode_sealed att with
+          | Some (Checkpoint { upto; digest; exec_count }) ->
             Some { Durability.owner = att.owner; upto; digest; exec_count }
-          | Prepare _ | Commit _ | Rvc _ | View_change _ | New_view _ -> None
-          | exception _ -> None
+          | Some (Prepare _ | Commit _ | Rvc _ | View_change _ | New_view _)
+          | None ->
+            None
         else None)
       s.s_cert
   in
@@ -626,7 +653,7 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
   then begin
     let digest = Command.batch_digest batch in
     if proposal_acceptable t ~seq ~digest then begin
-      Hashtbl.replace t.proposals seq batch;
+      Hashtbl.replace t.proposals seq (batch, digest);
       List.iter
         (fun key -> Hashtbl.replace t.proposed_keys key seq)
         (Command.batch_keys batch);
@@ -709,23 +736,26 @@ let recover_from_evidence t evidence =
   in
   List.iter
     (fun (att : Thc_hardware.Trinc.attestation) ->
-      match decode_proto att.message with
-      | View_change { log; _ } ->
-        (match Attested_link.check_log ~world:t.world ~owner:att.owner log with
-        | None -> ()
-        | Some payloads ->
+      match decode_sealed att with
+      | Some (View_change { log; _ }) ->
+        (* [check_log]'s payloads are the log entries' messages, decoded
+           here through their attestations. *)
+        if Attested_link.check_log ~world:t.world ~owner:att.owner log <> None
+        then
           List.iter
-            (fun payload ->
-              match decode_proto payload with
-              | Prepare { view; seq; batch } ->
+            (fun entry ->
+              match decode_sealed entry with
+              | Some (Prepare { view; seq; batch }) ->
                 (* A Prepare is leader evidence only from that view's leader. *)
                 if att.owner = leader_of t view then consider ~view ~seq ~batch
-              | Commit { view; seq; batch } -> consider ~view ~seq ~batch
-              | Rvc _ | View_change _ | New_view _ | Checkpoint _ -> ()
-              | exception _ -> ())
-            payloads)
-      | Rvc _ | Prepare _ | Commit _ | New_view _ | Checkpoint _ -> ()
-      | exception _ -> ())
+              | Some (Commit { view; seq; batch }) -> consider ~view ~seq ~batch
+              | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _)
+              | None ->
+                ())
+            log
+      | Some (Rvc _ | Prepare _ | Commit _ | New_view _ | Checkpoint _) | None
+        ->
+        ())
     evidence;
   Hashtbl.fold (fun seq (_, batch) acc -> (seq, batch) :: acc) best []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -736,15 +766,16 @@ let evidence_valid t ~new_view evidence =
     (fun (att : Thc_hardware.Trinc.attestation) ->
       Thc_hardware.Trinc.check t.world att ~id:att.owner
       &&
-      match decode_proto att.message with
-      | View_change { new_view = nv; log } ->
+      match decode_sealed att with
+      | Some (View_change { new_view = nv; log }) ->
         nv = new_view
         && (not (Hashtbl.mem owners att.owner))
         && (Hashtbl.replace owners att.owner ();
             Attested_link.check_log ~world:t.world ~owner:att.owner log
             <> None)
-      | Rvc _ | Prepare _ | Commit _ | New_view _ | Checkpoint _ -> false
-      | exception _ -> false)
+      | Some (Rvc _ | Prepare _ | Commit _ | New_view _ | Checkpoint _) | None
+        ->
+        false)
     evidence
   && Hashtbl.length owners >= t.config.f + 1
 
@@ -797,9 +828,16 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
   match p with
   | Prepare { view; seq; batch } -> handle_prepare t ctx ~owner ~view ~seq ~batch
   | Commit { view; seq; batch } ->
-    if Command.batch_valid t.keyring batch then
-      record_commit t ctx ~view ~seq ~batch
-        ~digest:(Command.batch_digest batch) ~voter:owner
+    if Command.batch_valid t.keyring batch then begin
+      (* A Commit repeating the accepted proposal's very batch reuses its
+         digest. *)
+      let digest =
+        match Hashtbl.find_opt t.proposals seq with
+        | Some (proposed, digest) when proposed == batch -> digest
+        | Some _ | None -> Command.batch_digest batch
+      in
+      record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner
+    end
   | Rvc { new_view } ->
     if new_view > t.view then begin
       let tbl = rvc_supporters t new_view in
@@ -834,16 +872,12 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
 
 let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (att : Thc_hardware.Trinc.attestation) =
-  (* Each attestation is decoded once ([None]: an undecodable payload).
-     With spans live, the received one is decoded before [accept], to
-     attribute the inbound verification ops (counter checks, replay/forge
-     rejections) to the phase of the carried message; that decode is
-     reused when [accept] releases it.  Attestations released from behind
-     a gap are decoded as they come out. *)
-  let decode (a : Thc_hardware.Trinc.attestation) =
-    match decode_proto a.message with p -> Some p | exception _ -> None
-  in
-  let received = lazy (decode att) in
+  (* With spans live, the received attestation is decoded before [accept],
+     to attribute the inbound verification ops (counter checks,
+     replay/forge rejections) to the phase of the carried message; that
+     decode is reused when [accept] releases it.  Attestations released
+     from behind a gap are decoded as they come out. *)
+  let received = lazy (decode_sealed att) in
   let released =
     if Thc_obsv.Span.enabled ctx.spans then begin
       let phase, rids =
@@ -860,7 +894,7 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (fun (a : Thc_hardware.Trinc.attestation) ->
       (* View_change needs the attestation itself (evidence); everything
          else is handled from the payload. *)
-      (match if a == att then Lazy.force received else decode a with
+      (match if a == att then Lazy.force received else decode_sealed a with
       | Some (View_change { new_view; log }) ->
         if
           t.self = leader_of t new_view
@@ -1012,14 +1046,14 @@ let classify_msg = function
   | Fetch _ -> "fetch"
   | Snapshot _ -> "snapshot"
   | Sealed a ->
-    (match decode_proto a.message with
-    | Prepare _ -> "prepare"
-    | Commit _ -> "commit"
-    | Rvc _ -> "req-view-change"
-    | View_change _ -> "view-change"
-    | New_view _ -> "new-view"
-    | Checkpoint _ -> "checkpoint"
-    | exception _ -> "garbage")
+    (match decode_sealed a with
+    | Some (Prepare _) -> "prepare"
+    | Some (Commit _) -> "commit"
+    | Some (Rvc _) -> "req-view-change"
+    | Some (View_change _) -> "view-change"
+    | Some (New_view _) -> "new-view"
+    | Some (Checkpoint _) -> "checkpoint"
+    | None -> "garbage")
 
 let adversarial_wire a = Sealed a
 

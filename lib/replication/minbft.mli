@@ -199,6 +199,23 @@ val snapshot_cert : msg -> Thc_hardware.Trinc.attestation list option
 (** The certificate inside a [Snapshot] message, if any — lets attack rigs
     splice genuine certificates into forged payloads. *)
 
+type proto
+(** A sealed protocol payload: the [message] of every attestation a replica
+    seals (Prepare, Commit, view-change and checkpoint messages). *)
+
+val decode_proto : string -> proto
+(** Decode a sealed payload afresh.  Raises on bytes that are not one. *)
+
+val decode_sealed : Thc_hardware.Trinc.attestation -> proto option
+(** [decode_proto a.message] ([None] where it raises), through the domain's
+    table of decoded payloads (a {!Thc_util.Identity_table} keyed by
+    attestation tag and message), which every seal fills with the sealer's
+    own proto and every miss with a fresh decode.  A hit needs [a.message]
+    to be the very string stored ([==]) with [a.tag], so it returns a value
+    equal to a fresh decode.  Replicas read every sealed payload through
+    it, so a payload is decoded about once per cluster, not once per
+    receiver, and receivers share the sealer's values. *)
+
 val classify_msg : msg -> string
 (** Short label per wire-message kind (request/prepare/commit/...), for
     {!Thc_sim.Metrics.kind_counts} breakdowns. *)

@@ -318,6 +318,27 @@ let test_ckpt_exports_pinned () =
         md5s)
     ckpt_export_md5
 
+(* The shared decode table and the keyring memos outlive a run.  They hold
+   host work only, so an export must not depend on what ran earlier in the
+   process: run once, run twice in a row, and run after an unrelated
+   MinBFT run, each checkpoint kind exports the same bytes. *)
+let test_ckpt_run_order_keeps_bytes () =
+  let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s) in
+  List.iter
+    (fun attack ->
+      let export () = md5 (snd (A.run_export ~seed:2L ~attack ())) in
+      let once = export () in
+      let again = export () in
+      ignore
+        (Thc_replication.Harness.run
+           (Thc_replication.Harness.Setup.make
+              ~protocol:Thc_replication.Harness.Minbft ~f:1 ~ops:40 ~clients:3
+              ~seed:5L ()));
+      let after = export () in
+      Alcotest.(check string) (A.name attack ^ ": twice in a row") once again;
+      Alcotest.(check string) (A.name attack ^ ": after another run") once after)
+    A.ckpt_all
+
 let test_ckpt_harness_registration () =
   List.iter
     (fun attack ->
@@ -428,6 +449,8 @@ let () =
             test_ckpt_safe_on_unattested_world;
           Alcotest.test_case "deterministic" `Quick test_ckpt_deterministic;
           Alcotest.test_case "exports pinned" `Quick test_ckpt_exports_pinned;
+          Alcotest.test_case "run order keeps bytes" `Quick
+            test_ckpt_run_order_keeps_bytes;
           Alcotest.test_case "registered in explorer" `Quick
             test_ckpt_harness_registration;
         ] );

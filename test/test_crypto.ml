@@ -215,6 +215,121 @@ let prop_value_signatures_match_bytes =
       && (not (Thc_crypto.Signature.verify_value k other v))
       && not (Thc_crypto.Signature.verify k other bytes))
 
+(* --- signature memo ------------------------------------------------------------- *)
+
+(* Each keyring remembers the values it signed or verified, and
+   [verify_value] answers from that memo when it holds the very value under
+   the same signer and tag.  The memo-free reference is [check_tag] over
+   [Digest.of_value]: on every call the two must agree. *)
+let reference k (s : Thc_crypto.Signature.t) v =
+  Thc_crypto.Keyring.check_tag k ~signer:s.signer
+    ~digest:(Thc_crypto.Digest.of_value v) ~tag:s.tag
+
+let memo_pool =
+  Array.init 24 (fun i ->
+      {
+        label = string_of_int i;
+        stamp = Int64.of_int i;
+        pairs = [ (i, Int64.of_int (i * i)) ];
+        nested = [ [ "x" ] ];
+      })
+
+let copy v : sample = Thc_util.Codec.decode (Thc_util.Codec.encode v)
+
+(* Random sequences of seals and verifies over two keyrings (the second
+   drawn from another seed): genuine, tampered and structurally copied
+   values, counterfeit tags in the genuine tag's pair and relabelled
+   signers.  Sequences run past 64 seals, so slots are overwritten. *)
+let prop_memo_matches_hash =
+  QCheck.Test.make ~name:"verify_value = check_tag over of_value" ~count:60
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 300)
+        (quad (int_bound 5) (int_bound 7) small_nat small_nat))
+    (fun ops ->
+      let rings =
+        [| keyring (); Thc_crypto.Keyring.create (Thc_util.Rng.create 7L) ~n:4 |]
+      in
+      let signed = ref [||] in
+      List.for_all
+        (fun (kind, b, c, d) ->
+          let k = rings.(b mod 2) in
+          let value = memo_pool.(d mod Array.length memo_pool) in
+          let agrees s v =
+            Bool.equal (Thc_crypto.Signature.verify_value k s v) (reference k s v)
+          in
+          if kind = 0 || Array.length !signed = 0 then begin
+            let secret = Thc_crypto.Keyring.secret k ~pid:(c mod 4) in
+            let s = Thc_crypto.Signature.sign_value secret value in
+            signed := Array.append !signed [| (s, value) |];
+            true
+          end
+          else
+            let s, v = !signed.(c mod Array.length !signed) in
+            match kind with
+            | 1 -> agrees s v
+            | 2 -> agrees s value
+            | 3 -> agrees s (copy v)
+            | 4 ->
+              agrees
+                (Thc_crypto.Signature.counterfeit ~signer:s.signer
+                   ~tag:(Int64.add s.tag (Int64.of_int (64 * (d + 1)))))
+                v
+            | _ ->
+              agrees
+                (Thc_crypto.Signature.counterfeit
+                   ~signer:((s.signer + 1 + b) mod 5) ~tag:s.tag)
+                v)
+        ops)
+
+let test_memo_refuses_lookalikes () =
+  let k = keyring () in
+  let v = memo_pool.(3) in
+  let s = Thc_crypto.Signature.sign_value (Thc_crypto.Keyring.secret k ~pid:1) v in
+  Alcotest.(check bool) "remembered value verifies" true
+    (Thc_crypto.Signature.verify_value k s v);
+  let refused label s' v' =
+    Alcotest.(check bool) label false (Thc_crypto.Signature.verify_value k s' v')
+  in
+  refused "counterfeit tag in the same pair"
+    (Thc_crypto.Signature.counterfeit ~signer:1 ~tag:(Int64.add s.tag 64L))
+    v;
+  refused "another signer"
+    (Thc_crypto.Signature.counterfeit ~signer:2 ~tag:s.tag)
+    v;
+  refused "structurally equal value, different tag"
+    (Thc_crypto.Signature.counterfeit ~signer:1 ~tag:(Int64.add s.tag 64L))
+    (copy v);
+  Alcotest.(check bool) "another keyring" false
+    (Thc_crypto.Signature.verify_value
+       (Thc_crypto.Keyring.create (Thc_util.Rng.create 7L) ~n:4)
+       s v);
+  Alcotest.(check bool) "structurally equal value, same tag (hashed)" true
+    (Thc_crypto.Signature.verify_value k s (copy v))
+
+(* The memo answers for the very value it holds, which is why signed values
+   must be immutable: [Bytes] changed in place after signing still passes
+   while its slot holds it.  Once a thousand later seals have overwritten
+   that slot, the same call hashes and refuses the changed bytes, and an
+   untouched value signed before them still verifies by hashing. *)
+let test_memo_overwritten_slot_hashes () =
+  let k = keyring () in
+  let secret = Thc_crypto.Keyring.secret k ~pid:0 in
+  let kept = memo_pool.(5) in
+  let s_kept = Thc_crypto.Signature.sign_value secret kept in
+  let b = Bytes.of_string "signed" in
+  let s_b = Thc_crypto.Signature.sign_value secret b in
+  Bytes.set b 0 'S';
+  Alcotest.(check bool) "held slot answers from the memo" true
+    (Thc_crypto.Signature.verify_value k s_b b);
+  for i = 1 to 1000 do
+    ignore (Thc_crypto.Signature.sign_value secret (i, "filler"))
+  done;
+  Alcotest.(check bool) "overwritten slot hashes: changed bytes refused" false
+    (Thc_crypto.Signature.verify_value k s_b b);
+  Alcotest.(check bool) "overwritten slot hashes: untouched value verifies" true
+    (Thc_crypto.Signature.verify_value k s_kept kept)
+
 (* --- certificates ----------------------------------------------------------------- *)
 
 let sig_on k pid v = Thc_crypto.Signature.sign_value (Thc_crypto.Keyring.secret k ~pid) v
@@ -291,6 +406,13 @@ let () =
           qcheck prop_sign_verify_roundtrip;
           qcheck prop_random_tags_rejected;
           qcheck prop_value_signatures_match_bytes;
+        ] );
+      ( "memo",
+        [
+          qcheck prop_memo_matches_hash;
+          Alcotest.test_case "refuses lookalikes" `Quick test_memo_refuses_lookalikes;
+          Alcotest.test_case "overwritten slot hashes" `Quick
+            test_memo_overwritten_slot_hashes;
         ] );
       ( "cert",
         [

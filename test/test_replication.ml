@@ -1310,6 +1310,84 @@ let test_outputs_only_scenarios () =
         else []))
     Thc_replication.Protocol.all
 
+(* --- shared decode ----------------------------------------------------------------- *)
+
+module M = Thc_replication.Minbft
+
+(* Every sealed attestation in the golden MinBFT exports decodes through the
+   shared table to a value structurally equal to a fresh [decode_proto]:
+   first as a miss that fills its slot, then as a hit that returns the
+   stored value itself.  A lookalike carrying the same tag over the
+   previous attestation's message decodes to its own message. *)
+let test_shared_decode_golden () =
+  let dir = List.find Sys.file_exists [ "corpus/golden"; "test/corpus/golden" ] in
+  let fresh message =
+    match M.decode_proto message with p -> Some p | exception _ -> None
+  in
+  List.iter
+    (fun name ->
+      let path = Filename.concat dir (name ^ ".jsonl") in
+      let trace =
+        match
+          Thc_sim.Trace.of_jsonl (In_channel.with_open_bin path In_channel.input_all)
+        with
+        | Ok trace -> trace
+        | Error e -> Alcotest.failf "%s: %s" path e
+      in
+      let checked = ref 0 in
+      let previous = ref "" in
+      List.iter
+        (function
+          | Thc_sim.Trace.Sent { msg; _ } | Thc_sim.Trace.Delivered { msg; _ } -> (
+            match M.attestation_of (Thc_util.Codec.decode msg) with
+            | None -> ()
+            | Some a ->
+              incr checked;
+              let where = Printf.sprintf "%s: p%d counter %d" name a.owner a.counter in
+              let miss = M.decode_sealed a in
+              let hit = M.decode_sealed a in
+              if miss <> fresh a.message || hit <> fresh a.message then
+                Alcotest.failf "%s decodes differently" where;
+              (match (miss, hit) with
+              | Some p, Some q when p != q -> Alcotest.failf "%s decoded twice" where
+              | _ -> ());
+              let lookalike =
+                Thc_hardware.Trinc.counterfeit ~owner:a.owner ~prev:a.prev
+                  ~counter:a.counter ~message:!previous ~tag:a.tag
+              in
+              if M.decode_sealed lookalike <> fresh !previous then
+                Alcotest.failf "%s: a lookalike decodes to the stored proto" where;
+              previous := a.message)
+          | _ -> ())
+        trace.entries;
+      Alcotest.(check bool) (name ^ ": has sealed attestations") true (!checked > 0))
+    [ "attack"; "bench_s1"; "explore"; "loadtest" ]
+
+(* The shared decode table and the keyring memos outlive a run.  They hold
+   host work only, so an export must not depend on what ran earlier in the
+   process: run once, run twice in a row, and run after an unrelated
+   MinBFT run give the same bytes. *)
+let test_run_order_keeps_bytes () =
+  let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s) in
+  let make = H.Setup.make ~protocol:H.Minbft ~f:1 ~ops:30 ~seed:11L in
+  List.iter
+    (fun (what, setup) ->
+      let export () = md5 (snd (H.run_export setup)) in
+      let once = export () in
+      let again = export () in
+      ignore
+        (H.run (H.Setup.make ~protocol:H.Minbft ~f:1 ~ops:40 ~clients:3 ~seed:5L ()));
+      let after = export () in
+      Alcotest.(check string) (what ^ ": twice in a row") once again;
+      Alcotest.(check string) (what ^ ": after another run") once after)
+    [
+      ("crash-leader", make ~scenario:(H.Crash_leader 40_000L) ());
+      ( "restart",
+        make
+          ~scenario:(H.Restart_replica { pid = 2; at = 60_000L })
+          ~checkpoint_interval:4 () );
+    ]
+
 let () =
   Alcotest.run "thc_replication"
     [
@@ -1401,6 +1479,13 @@ let () =
             test_monitors_match_reference_hand_built;
           Alcotest.test_case "linear at 240k entries" `Quick
             test_monitors_linear_at_scale;
+        ] );
+      ( "shared-decode",
+        [
+          Alcotest.test_case "golden sealed payloads" `Quick
+            test_shared_decode_golden;
+          Alcotest.test_case "run order keeps bytes" `Quick
+            test_run_order_keeps_bytes;
         ] );
       ( "outputs-only",
         [

@@ -396,6 +396,30 @@ let test_table_too_many_cells () =
     (Invalid_argument "Table.add_row: too many cells") (fun () ->
       Thc_util.Table.add_row t [ "a"; "b" ])
 
+(* --- identity table --------------------------------------------------------- *)
+
+(* Keys are found by tag and identity, never by structure; a pair (tags
+   equal in their low five bits) keeps its two latest entries. *)
+let test_identity_table () =
+  let module T = Thc_util.Identity_table in
+  (* A fresh string each call, so equal keys are never the same object. *)
+  let key s = Bytes.to_string (Bytes.of_string s) in
+  let t = T.create ~vacant:(key "vacant") 0 in
+  let found ~tag k = match T.find t ~tag k with -1 -> None | i -> Some (T.value t i) in
+  let k1 = key "one" and k2 = key "two" and k3 = key "three" and other = key "other" in
+  T.add t ~tag:5L k1 1;
+  T.add t ~tag:37L k2 2;
+  T.add t ~tag:6L other 9;
+  Alcotest.(check (option int)) "first of the pair" (Some 1) (found ~tag:5L k1);
+  Alcotest.(check (option int)) "second of the pair" (Some 2) (found ~tag:37L k2);
+  Alcotest.(check (option int)) "equal copy of a key" None (found ~tag:5L (key "one"));
+  Alcotest.(check (option int)) "key under another tag" None (found ~tag:37L k1);
+  T.add t ~tag:69L k3 3;
+  Alcotest.(check (option int)) "oldest of the pair dropped" None (found ~tag:5L k1);
+  Alcotest.(check (option int)) "newer kept" (Some 2) (found ~tag:37L k2);
+  Alcotest.(check (option int)) "newest kept" (Some 3) (found ~tag:69L k3);
+  Alcotest.(check (option int)) "other pair untouched" (Some 9) (found ~tag:6L other)
+
 (* --- codec ------------------------------------------------------------------ *)
 
 let test_codec_roundtrip () =
@@ -547,6 +571,8 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "overflow" `Quick test_table_too_many_cells;
         ] );
+      ( "identity-table",
+        [ Alcotest.test_case "by tag and identity" `Quick test_identity_table ] );
       ( "codec",
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
