@@ -252,7 +252,7 @@ let smr_cmd =
       & info [ "protocol" ]
           ~doc:"minbft|pbft|ubft|both (minbft+pbft)|all.")
   in
-  let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
+  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let ops =
     Arg.(value & opt positive_int 30 & info [ "ops" ] ~doc:"Client requests.")
   in
@@ -315,7 +315,7 @@ let smr_cmd =
 (* --- soak ------------------------------------------------------------------ *)
 
 let soak_cmd =
-  let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
+  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let interval =
     Arg.(
       value & opt positive_int 4
@@ -365,7 +365,7 @@ let loadtest_cmd =
       & pos 0 (some Protocol.conv) None
       & info [] ~docv:"PROTOCOL" ~doc:"minbft|pbft|ubft.")
   in
-  let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
+  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let clients =
     Arg.(value & opt positive_int 4 & info [ "clients" ] ~doc:"Concurrent clients.")
   in
@@ -923,7 +923,7 @@ let report_cmd =
   let f =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative_int) None
       & info [ "f" ] ~doc:"Fault bound (overrides the $(b,--n) derivation).")
   in
   let ops =
@@ -1178,7 +1178,7 @@ let attack_cmd =
           ~doc:"Attack name (see $(b,--list)) or $(b,all).")
   in
   let seed = Cli.seed () in
-  let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound (n = 2f+1).") in
+  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound (n = 2f+1).") in
   let corrupt_at =
     Arg.(
       value & opt int64 5_000L
@@ -1337,7 +1337,7 @@ let trace_cmd =
       & pos 0 (some Protocol.conv) None
       & info [] ~docv:"PROTOCOL" ~doc:"minbft|pbft|ubft.")
   in
-  let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Fault bound.") in
+  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound.") in
   let ops =
     Arg.(value & opt positive_int 30 & info [ "ops" ] ~doc:"Requests per client.")
   in

@@ -449,10 +449,15 @@ let ckpt_inject ~attack ~engine ~wrap ~f ~(byz : R.Minbft.t) ~attacker_ident
       ~digest:0xDEAD_BEEFL ~exec_count:upto
   in
   let granted = Option.is_some (forged_vote ()) in
-  (* The byz donor suppresses its own genuine replies to the joiner while
-     the link script holds the honest donors' (see [run_minbft]): during
-     the window the only snapshots the joiner sees are the attack's.
-     Everything opens again at the heal. *)
+  (* From its corruption to the heal the byz donor drops everything it
+     sends the joiner: its snapshot replies, and its attested protocol
+     stream too.  From the crash the link script also holds the honest
+     donors' links to the joiner (see [run_minbft]), so during the window
+     the only snapshots the joiner sees are the attack's.  The heal lifts
+     the drop, but a dropped message is gone, not held: the joiner's
+     stream from the byz donor stays stuck below the first counter it
+     missed, and every later attestation from the donor, its Checkpoint
+     votes included, waits behind that gap for the rest of the run. *)
   Wrap.drop_to wrap joiner;
   E.at engine ckpt_heal_at (fun () -> Wrap.allow_all wrap);
   let inject_at offset build =
@@ -521,10 +526,13 @@ let install_network network engine ~replicas ~script =
    checkpoints every [ckpt_interval] slots and joiner n-1 restarting at
    [ckpt_restart_at]; the leader stays honest so the service keeps running.
    Every honest donor's link to the joiner is held from the crash to the
-   heal, so the byz donor's replies are the only snapshots arriving while
-   the joiner awaits — the rejection is a deterministic fact of the rig,
-   not a delivery race.  At the heal the held genuine snapshots flow and
-   recovery completes. *)
+   heal, and the byz donor drops all it sends the joiner from its
+   corruption (see [ckpt_inject]), so the attack's snapshots are the only
+   ones arriving while the joiner awaits — the rejection is a
+   deterministic fact of the rig, not a delivery race.  At the heal the
+   held genuine snapshots flow and the joiner installs one.  Its attested
+   stream from the byz donor stays stuck behind what the drop lost, so
+   the joiner finishes catching up through view changes. *)
 let run_minbft ?network ~tracing ~target ~attack ~f ~seed ~corrupt_at ~script
     ~until () =
   let ckpt = List.mem attack ckpt_all in

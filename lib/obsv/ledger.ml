@@ -1,30 +1,27 @@
 type t = {
-  counts : (string, int ref) Hashtbl.t;
+  counts : Label_counts.t;
   mutable observer : (string -> int -> unit) option;
 }
 
-let create () = { counts = Hashtbl.create 16; observer = None }
+let create () = { counts = Label_counts.create (); observer = None }
 
 let set_observer t f = t.observer <- Some f
 
 let clear_observer t = t.observer <- None
 
 let bump_by t label n =
-  (match Hashtbl.find_opt t.counts label with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t.counts label (ref n));
+  Label_counts.add t.counts label n;
   match t.observer with None -> () | Some f -> f label n
 
 let bump t label = bump_by t label 1
 
-let count t label =
-  match Hashtbl.find_opt t.counts label with Some r -> !r | None -> 0
+let count t label = Label_counts.find t.counts label
 
 let rows t =
-  Hashtbl.fold (fun label r acc -> (label, !r) :: acc) t.counts []
+  Label_counts.fold (fun label c acc -> (label, c) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t.counts 0
+let total t = Label_counts.fold (fun _ c acc -> acc + c) t.counts 0
 
 let contains_sub ~sub s =
   let n = String.length sub and m = String.length s in
@@ -32,17 +29,17 @@ let contains_sub ~sub s =
   n = 0 || at 0
 
 let rejections t =
-  Hashtbl.fold
-    (fun label r acc ->
+  Label_counts.fold
+    (fun label c acc ->
       if
         contains_sub ~sub:"denied" label
         || contains_sub ~sub:"fail" label
         || contains_sub ~sub:"reject" label
-      then acc + !r
+      then acc + c
       else acc)
     t.counts 0
 
-let is_empty t = Hashtbl.length t.counts = 0
+let is_empty t = Label_counts.length t.counts = 0
 
 let per_commit t ~commits =
   List.map

@@ -78,7 +78,7 @@ type t = {
   spans : (int, span) Hashtbl.t;
   mutable cur_phase : int;  (* phase index; -1 = outside any phase *)
   mutable cur_rids : int list;  (* rids the current phase is serving *)
-  phase_label_ops : (string, int ref) Hashtbl.t array;  (* per phase index *)
+  phase_label_ops : Label_counts.t array;  (* per phase index *)
 }
 
 let create () =
@@ -87,7 +87,7 @@ let create () =
     spans = Hashtbl.create 256;
     cur_phase = -1;
     cur_rids = [];
-    phase_label_ops = Array.init phase_count (fun _ -> Hashtbl.create 8);
+    phase_label_ops = Array.init phase_count (fun _ -> Label_counts.create ());
   }
 
 let nop =
@@ -133,36 +133,43 @@ let mark_all t ?seq ~rids kind ~at =
 
 (* Ambient attribution scope: trusted ops charged while [f] runs are
    credited to [phase] (and to each rid the phase is serving).  Nesting
-   restores the outer scope on exit, exceptions included. *)
+   restores the outer scope on exit, exceptions included.  The restore
+   is written out so that a scope allocates no closure; a raise keeps
+   its backtrace. *)
 let in_phase t phase ~rids f =
   if not t.enabled then f ()
   else begin
     let saved_phase = t.cur_phase and saved_rids = t.cur_rids in
     t.cur_phase <- phase_index phase;
     t.cur_rids <- rids;
-    Fun.protect
-      ~finally:(fun () ->
-        t.cur_phase <- saved_phase;
-        t.cur_rids <- saved_rids)
-      f
+    match f () with
+    | v ->
+      t.cur_phase <- saved_phase;
+      t.cur_rids <- saved_rids;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.cur_phase <- saved_phase;
+      t.cur_rids <- saved_rids;
+      Printexc.raise_with_backtrace e bt
   end
 
 (* Ledger-observer hook ({!Ledger.set_observer}): one aggregate charge per
    phase+label, plus the full charge on every rid in scope — a batch of b
    requests each "paid" the attestation its batch needed, which is exactly
    the amortization view the batching tables measure. *)
+let rec charge_rids t p n = function
+  | [] -> ()
+  | rid :: rest ->
+    let s = span_of t rid in
+    s.s_ops.(p) <- s.s_ops.(p) + n;
+    charge_rids t p n rest
+
 let attribute t label n =
   if t.enabled then begin
     let p = if t.cur_phase < 0 then phase_index Other_phase else t.cur_phase in
-    let tbl = t.phase_label_ops.(p) in
-    (match Hashtbl.find_opt tbl label with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add tbl label (ref n));
-    List.iter
-      (fun rid ->
-        let s = span_of t rid in
-        s.s_ops.(p) <- s.s_ops.(p) + n)
-      t.cur_rids
+    Label_counts.add t.phase_label_ops.(p) label n;
+    charge_rids t p n t.cur_rids
   end
 
 (* --- frozen views -------------------------------------------------------- *)
@@ -251,8 +258,8 @@ let ops_rows t =
     List.filter_map
       (fun i ->
         let rows =
-          Hashtbl.fold
-            (fun label r acc -> (label, !r) :: acc)
+          Label_counts.fold
+            (fun label c acc -> (label, c) :: acc)
             t.phase_label_ops.(i) []
           |> List.sort compare
         in

@@ -43,6 +43,21 @@ module In = struct
     Thc_obsv.Ledger.bump (Thc_hardware.Trinc.ledger t.world) label;
     []
 
+  (* Release the pending attestations that now follow [s.released] in
+     counter order, appending them to [acc] (newest first). *)
+  let rec drain s acc =
+    if Hashtbl.length s.pending = 0 then List.rev acc
+    else
+      match Hashtbl.find_opt s.pending (s.released + 1) with
+      | Some next ->
+        Hashtbl.remove s.pending next.counter;
+        s.released <- next.counter;
+        drain s (next :: acc)
+      | None -> List.rev acc
+
+  (* Every pending counter exceeds [released + 1]: a drain stops only
+     where [released + 1] is missing, and nothing at or below [released]
+     is ever held. *)
   let accept t (a : Thc_hardware.Trinc.attestation) =
     if a.owner < 0 || a.owner >= Array.length t.streams || a.prev <> a.counter - 1
     then reject t "link.reject_malformed"
@@ -50,22 +65,18 @@ module In = struct
       reject t "link.reject_forged"
     else begin
       let s = t.streams.(a.owner) in
-      if a.counter <= s.released || Hashtbl.mem s.pending a.counter then
+      if a.counter = s.released + 1 then begin
+        (* The next counter cannot be a pending replay: release it, then
+           whatever it unblocks. *)
+        s.released <- a.counter;
+        drain s [ a ]
+      end
+      else if a.counter <= s.released || Hashtbl.mem s.pending a.counter then
         reject t "link.reject_replay"
       else begin
+        (* Past a gap: hold it until the gap fills. *)
         Hashtbl.replace s.pending a.counter a;
-        let out = ref [] in
-        let rec drain () =
-          match Hashtbl.find_opt s.pending (s.released + 1) with
-          | Some next ->
-            Hashtbl.remove s.pending next.counter;
-            s.released <- next.counter;
-            out := next :: !out;
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        List.rev !out
+        []
       end
     end
 

@@ -10,6 +10,12 @@
    int arrays for times and ties, a value array alongside) so the hot
    path touches flat unboxed memory instead of boxed tuple keys.
 
+   Each bucket keeps its entries sorted by (time, tie) between a head
+   index and its length.  A push inserts from the tail, so the in-order
+   pushes a broadcast wave makes cost O(1); a pop takes the head.  A
+   burst of k events at one instant therefore drains in O(k): no pop
+   looks at more than one entry.
+
    Ordering invariants (the simulator depends on all three):
 
    - bucketed events always precede overflow events: an event is only
@@ -20,14 +26,17 @@
      bucket, and a bucket strictly before the cursor is necessarily
      empty (the cursor only advances over drained buckets);
    - two co-resident events with equal time are always in the same
-     bucket, and [pop] selects the bucket minimum by (time, tie), so the
-     caller's tie counter is a total insertion order at equal times. *)
+     bucket, and each bucket is sorted by (time, tie), so the caller's
+     tie counter is a total insertion order at equal times. *)
 
+(* Live entries sit in slots [bhd, blen), ascending (time, tie); an
+   empty bucket has bhd = blen = 0. *)
 type 'v bucket = {
   mutable bt : int array;  (* times *)
   mutable bs : int array;  (* ties *)
   mutable bv : 'v array;  (* values *)
-  mutable blen : int;
+  mutable bhd : int;  (* first live slot *)
+  mutable blen : int;  (* one past the last live slot *)
 }
 
 type 'v t = {
@@ -58,7 +67,7 @@ let create ?(nbuckets = 256) ?(width = 32) ~null () =
     width;
     buckets =
       Array.init nbuckets (fun _ ->
-          { bt = [||]; bs = [||]; bv = [||]; blen = 0 });
+          { bt = [||]; bs = [||]; bv = [||]; bhd = 0; blen = 0 });
     year_start = 0;
     ys_slice = 0;
     year_end = nbuckets * width;
@@ -78,48 +87,78 @@ let is_empty t = t.live = 0
 
 (* ---------- bucket vectors ---------- *)
 
-let bucket_push t b time tie v =
-  let cap = Array.length b.bt in
-  if b.blen = cap then begin
+(* Free a slot at the tail of a full bucket: slide the live entries
+   back to slot 0 when at most half the array is live, otherwise double
+   the arrays.  Either way at least half the array is free afterwards,
+   so the copying is amortised O(1) per push. *)
+let make_room t b =
+  let live = b.blen - b.bhd and cap = Array.length b.bt in
+  if b.bhd > 0 && 2 * live <= cap then begin
+    Array.blit b.bt b.bhd b.bt 0 live;
+    Array.blit b.bs b.bhd b.bs 0 live;
+    Array.blit b.bv b.bhd b.bv 0 live;
+    Array.fill b.bv live (b.blen - live) t.null
+  end
+  else begin
     let cap' = if cap = 0 then 8 else cap * 2 in
     let bt = Array.make cap' 0 and bs = Array.make cap' 0 in
     let bv = Array.make cap' t.null in
-    Array.blit b.bt 0 bt 0 b.blen;
-    Array.blit b.bs 0 bs 0 b.blen;
-    Array.blit b.bv 0 bv 0 b.blen;
+    Array.blit b.bt b.bhd bt 0 live;
+    Array.blit b.bs b.bhd bs 0 live;
+    Array.blit b.bv b.bhd bv 0 live;
     b.bt <- bt;
     b.bs <- bs;
     b.bv <- bv
   end;
-  b.bt.(b.blen) <- time;
-  b.bs.(b.blen) <- tie;
-  b.bv.(b.blen) <- v;
+  b.bhd <- 0;
+  b.blen <- live
+
+(* Insert keeping the bucket sorted: walk back from the tail past every
+   entry that sorts after (time, tie).  The pushes of a broadcast wave
+   arrive in order and stop at once. *)
+let bucket_push t b time tie v =
+  if b.blen = Array.length b.bt then make_room t b;
+  let i = ref b.blen in
+  while
+    !i > b.bhd
+    &&
+    let j = !i - 1 in
+    b.bt.(j) > time || (b.bt.(j) = time && b.bs.(j) > tie)
+  do
+    let j = !i - 1 in
+    b.bt.(!i) <- b.bt.(j);
+    b.bs.(!i) <- b.bs.(j);
+    b.bv.(!i) <- b.bv.(j);
+    i := j
+  done;
+  b.bt.(!i) <- time;
+  b.bs.(!i) <- tie;
+  b.bv.(!i) <- v;
   b.blen <- b.blen + 1
 
-(* Swap-remove slot [i]; order within a bucket is irrelevant (pop scans
-   for the minimum). *)
-let bucket_remove t b i =
-  let last = b.blen - 1 in
-  b.bt.(i) <- b.bt.(last);
-  b.bs.(i) <- b.bs.(last);
-  b.bv.(i) <- b.bv.(last);
-  b.bv.(last) <- t.null;
-  b.blen <- last
+(* Drop the head entry, resetting a drained bucket to slot 0. *)
+let bucket_drop_head t b =
+  b.bv.(b.bhd) <- t.null;
+  b.bhd <- b.bhd + 1;
+  if b.bhd = b.blen then begin
+    b.bhd <- 0;
+    b.blen <- 0
+  end
 
 (* ---------- overflow heap ---------- *)
 
-let heap_less t i j =
-  t.ht.(i) < t.ht.(j) || (t.ht.(i) = t.ht.(j) && t.hs.(i) < t.hs.(j))
+(* [(time, tie)] sorts before heap slot [j]. *)
+let heap_before t time tie j =
+  time < t.ht.(j) || (time = t.ht.(j) && tie < t.hs.(j))
 
-let heap_swap t i j =
-  let tt = t.ht.(i) and ss = t.hs.(i) and vv = t.hv.(i) in
-  t.ht.(i) <- t.ht.(j);
-  t.hs.(i) <- t.hs.(j);
-  t.hv.(i) <- t.hv.(j);
-  t.ht.(j) <- tt;
-  t.hs.(j) <- ss;
-  t.hv.(j) <- vv
+(* Write an entry into heap slot [i]. *)
+let heap_set t i time tie v =
+  t.ht.(i) <- time;
+  t.hs.(i) <- tie;
+  t.hv.(i) <- v
 
+(* Both sifts move a hole rather than swapping: each level copies one
+   entry, and the sifted entry is written once, where it stops. *)
 let heap_push t time tie v =
   let cap = Array.length t.ht in
   if t.hlen = cap then begin
@@ -133,39 +172,38 @@ let heap_push t time tie v =
     t.hs <- hs;
     t.hv <- hv
   end;
-  t.ht.(t.hlen) <- time;
-  t.hs.(t.hlen) <- tie;
-  t.hv.(t.hlen) <- v;
+  let i = ref t.hlen in
   t.hlen <- t.hlen + 1;
-  let i = ref (t.hlen - 1) in
-  while !i > 0 && heap_less t !i ((!i - 1) / 2) do
-    heap_swap t !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
+  while !i > 0 && heap_before t time tie ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    heap_set t !i t.ht.(parent) t.hs.(parent) t.hv.(parent);
+    i := parent
+  done;
+  heap_set t !i time tie v
 
-(* Remove the heap minimum, returning (time, tie, v). *)
-let heap_pop_min t =
-  let time = t.ht.(0) and tie = t.hs.(0) and v = t.hv.(0) in
+(* Remove the heap minimum; callers read it at slot 0 first.  The last
+   entry sifts down from the root. *)
+let heap_drop_min t =
   let last = t.hlen - 1 in
-  t.ht.(0) <- t.ht.(last);
-  t.hs.(0) <- t.hs.(last);
-  t.hv.(0) <- t.hv.(last);
+  let time = t.ht.(last) and tie = t.hs.(last) and v = t.hv.(last) in
   t.hv.(last) <- t.null;
   t.hlen <- last;
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let m = ref !i in
-    if l < t.hlen && heap_less t l !m then m := l;
-    if r < t.hlen && heap_less t r !m then m := r;
-    if !m = !i then continue := false
-    else begin
-      heap_swap t !i !m;
-      i := !m
-    end
-  done;
-  (time, tie, v)
+  if last > 0 then begin
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < last && heap_before t t.ht.(l + 1) t.hs.(l + 1) l then l + 1
+        else l
+      in
+      if c < last && not (heap_before t time tie c) then begin
+        heap_set t !i t.ht.(c) t.hs.(c) t.hv.(c);
+        i := c
+      end
+      else continue := false
+    done;
+    heap_set t !i time tie v
+  end
 
 (* ---------- push ---------- *)
 
@@ -176,7 +214,7 @@ let push t ~time ~tie v =
   else begin
     (* Slice index relative to the year; anything at or before the
        cursor's slice (including past times) drains via the cursor
-       bucket, which pop scans for its (time, tie) minimum anyway. *)
+       bucket, whose sorted insert puts it before every later entry. *)
     let rel = (time / t.width) - t.ys_slice in
     let idx = if rel <= t.cursor then t.cursor else rel in
     bucket_push t t.buckets.(idx) time tie v;
@@ -191,16 +229,18 @@ let cancel t ~tie =
 
 (* ---------- pop / peek ---------- *)
 
-(* Drop every cancelled entry from bucket [b]. *)
-let purge_bucket t b =
-  let i = ref 0 in
-  while !i < b.blen do
-    if Hashtbl.mem t.cancelled b.bs.(!i) then begin
-      Hashtbl.remove t.cancelled b.bs.(!i);
-      bucket_remove t b !i;
-      t.bucketed <- t.bucketed - 1
-    end
-    else incr i
+(* Most queues never see a cancellation, so the common case tests the
+   table's length and hashes nothing. *)
+let is_cancelled t tie =
+  Hashtbl.length t.cancelled > 0 && Hashtbl.mem t.cancelled tie
+
+(* Drop cancelled entries off the head of bucket [b], in order, until
+   its head is live or it is empty. *)
+let purge_head t b =
+  while b.blen > 0 && is_cancelled t b.bs.(b.bhd) do
+    Hashtbl.remove t.cancelled b.bs.(b.bhd);
+    bucket_drop_head t b;
+    t.bucketed <- t.bucketed - 1
   done
 
 (* Re-anchor the year at the overflow minimum and migrate every overflow
@@ -212,10 +252,11 @@ let re_anchor t =
   t.year_end <- t.year_start + (t.nbuckets * t.width);
   t.cursor <- 0;
   while t.hlen > 0 && t.ht.(0) < t.year_end do
-    let time, tie, v = heap_pop_min t in
+    let time = t.ht.(0) and tie = t.hs.(0) and v = t.hv.(0) in
+    heap_drop_min t;
     (* Cancelled entries were already subtracted from [live]; dropping
        them here is the purge. *)
-    if Hashtbl.mem t.cancelled tie then Hashtbl.remove t.cancelled tie
+    if is_cancelled t tie then Hashtbl.remove t.cancelled tie
     else begin
       let rel = (time / t.width) - t.ys_slice in
       bucket_push t t.buckets.(rel) time tie v;
@@ -223,9 +264,9 @@ let re_anchor t =
     end
   done
 
-(* Advance to the first nonempty, non-cancelled bucket entry and return
-   the index of its bucket; the caller then scans it for the minimum.
-   Returns -1 when the queue is logically empty. *)
+(* Advance to the first nonempty bucket whose head is live and return
+   its index; that head is the queue minimum.  Returns -1 when the queue
+   is logically empty. *)
 let rec locate t =
   if t.live = 0 then -1
   else if t.bucketed > 0 then begin
@@ -235,17 +276,15 @@ let rec locate t =
          cursor (buckets before it are drained), so no bounds check. *)
     done;
     let b = t.buckets.(t.cursor) in
-    (* The common case has no pending cancellations at all; skip the
-       purge scan entirely then. *)
-    if Hashtbl.length t.cancelled > 0 then purge_bucket t b;
+    purge_head t b;
     if b.blen = 0 then locate t else t.cursor
   end
   else begin
     (* All live entries sit in the overflow heap: shed cancelled heap
        minima, then re-anchor the year there. *)
-    while t.hlen > 0 && Hashtbl.mem t.cancelled t.hs.(0) do
-      let _, tie, _ = heap_pop_min t in
-      Hashtbl.remove t.cancelled tie
+    while t.hlen > 0 && is_cancelled t t.hs.(0) do
+      Hashtbl.remove t.cancelled t.hs.(0);
+      heap_drop_min t
     done;
     if t.hlen = 0 then locate t
     else begin
@@ -254,23 +293,12 @@ let rec locate t =
     end
   end
 
-(* Index of the (time, tie)-minimum entry of bucket [b]. *)
-let bucket_min b =
-  let m = ref 0 in
-  for i = 1 to b.blen - 1 do
-    if
-      b.bt.(i) < b.bt.(!m)
-      || (b.bt.(i) = b.bt.(!m) && b.bs.(i) < b.bs.(!m))
-    then m := i
-  done;
-  !m
-
 let peek t =
   let idx = locate t in
   if idx < 0 then None
   else
     let b = t.buckets.(idx) in
-    let i = bucket_min b in
+    let i = b.bhd in
     Some (b.bt.(i), b.bs.(i), b.bv.(i))
 
 let pop t =
@@ -278,9 +306,9 @@ let pop t =
   if idx < 0 then None
   else begin
     let b = t.buckets.(idx) in
-    let i = bucket_min b in
+    let i = b.bhd in
     let time = b.bt.(i) and tie = b.bs.(i) and v = b.bv.(i) in
-    bucket_remove t b i;
+    bucket_drop_head t b;
     t.bucketed <- t.bucketed - 1;
     t.live <- t.live - 1;
     Some (time, tie, v)
@@ -290,6 +318,7 @@ let clear t =
   Array.iter
     (fun b ->
       Array.fill b.bv 0 (Array.length b.bv) t.null;
+      b.bhd <- 0;
       b.blen <- 0)
     t.buckets;
   Array.fill t.hv 0 (Array.length t.hv) t.null;

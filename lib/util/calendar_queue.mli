@@ -6,13 +6,16 @@
     equal to insertion order at equal times.
 
     The near future (one "year" of [nbuckets * width] time units) is an
-    array of fixed-width bucket slices giving O(1) insertion and
-    near-O(1) extraction for the dense in-flight window a simulation
-    generates; events past the year fall back to a binary min-heap and
-    migrate into the calendar when it re-anchors, so sparse horizons
-    (e.g. a lone timer far beyond the in-flight traffic) cost O(log n)
-    instead of a walk over empty buckets.  Both sides store keys in flat
-    parallel [int] arrays rather than boxed tuples.
+    array of fixed-width bucket slices for the dense in-flight window a
+    simulation generates.  Each bucket keeps its entries sorted by
+    [(time, tie)] behind a head index: a push inserts from the tail, O(1)
+    for the in-order pushes of a broadcast wave, and a pop takes the head,
+    so a burst of k events at one instant drains in O(k).  Events past the
+    year fall back to a binary min-heap and migrate into the calendar when
+    it re-anchors, so sparse horizons (e.g. a lone timer far beyond the
+    in-flight traffic) cost O(log n) instead of a walk over empty buckets.
+    Both sides store keys in flat parallel [int] arrays rather than boxed
+    tuples.
 
     Not thread-safe; all operations are single-domain, like the engine
     that owns it. *)
@@ -37,7 +40,9 @@ val push : 'v t -> time:int -> tie:int -> 'v -> unit
     — the engine's per-push counter.  A [time] earlier than the current
     extraction point is admitted (it lands in the cursor bucket and is
     still popped in correct [(time, tie)] order); the simulator clamps
-    such pushes to [now] before they get here. *)
+    such pushes to [now] before they get here.  O(1) unless the entry
+    sorts before others already in its bucket, which it then walks past
+    from the tail. *)
 
 val peek : 'v t -> (int * int * 'v) option
 (** Minimum entry as [(time, tie, v)] without removing it.  May advance
@@ -49,7 +54,8 @@ val pop : 'v t -> (int * int * 'v) option
 val cancel : 'v t -> tie:int -> unit
 (** Cancel the pending entry pushed with [tie].  The entry is dropped
     lazily on a later [pop]/[peek] sweep; [length] reflects the
-    cancellation immediately.  The tie {e must} identify an entry
+    cancellation immediately; cancelled entries leave their bucket in
+    order, as they reach its head.  The tie {e must} identify an entry
     currently in the queue (pushed, not yet popped or cancelled) —
     cancelling anything else corrupts the length accounting. *)
 

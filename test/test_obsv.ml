@@ -177,6 +177,31 @@ let test_span_attribution_nesting () =
     Alcotest.(check int) "rid 2 charged for both" 2 v2.S.v_ops.(3)
   | vs -> Alcotest.failf "expected two spans, got %d" (List.length vs)
 
+(* A raise inside a nested scope restores the enclosing scope, not the
+   top level, and re-raises the very exception. *)
+exception Inner_boom
+
+let test_span_raise_restores_outer () =
+  let t = S.create () in
+  S.in_phase t S.Prepare_phase ~rids:[ 7 ] (fun () ->
+      (match
+         S.in_phase t S.Commit_phase ~rids:[ 8 ] (fun () ->
+             S.attribute t "check" 1;
+             raise Inner_boom)
+       with
+      | () -> Alcotest.fail "inner scope returned"
+      | exception Inner_boom -> ());
+      S.attribute t "attest" 3);
+  S.attribute t "stray" 1;
+  match S.ops_rows t with
+  | [
+   ("prepare", [ ("attest", 3) ]);
+   ("commit", [ ("check", 1) ]);
+   ("other", [ ("stray", 1) ]);
+  ] ->
+    ()
+  | _ -> Alcotest.fail "a raise did not restore the enclosing scope"
+
 let test_span_merge_ops () =
   let a = [ ("prepare", [ ("attest", 1); ("check", 2) ]) ] in
   let b = [ ("prepare", [ ("check", 3) ]); ("other", [ ("probe", 1) ]) ] in
@@ -293,6 +318,61 @@ let test_ledger_per_commit () =
   | [ (_, 0.0); (_, 0.0) ] -> ()
   | _ -> Alcotest.fail "zero commits must give zero rates"
 
+(* A charge reaches the same counter whether its label arrives as the
+   literal or as a fresh equal string, past the ledger's identity front
+   too, and the observer sees every charge either way. *)
+let ledger_labels =
+  [ "trinc.attest"; "trinc.check"; "trinc.check_fail"; "trinc.attest_denied";
+    "link.reject_malformed"; "link.reject_forged"; "link.reject_replay";
+    "ckpt.reject_forged"; "ckpt.reject_stale"; "swmr.read"; "swmr.append" ]
+
+let fresh label = Bytes.to_string (Bytes.of_string label)
+
+let charge_all ~copy =
+  let l = Thc_obsv.Ledger.create () in
+  let seen = ref [] in
+  Thc_obsv.Ledger.set_observer l (fun label n -> seen := (label, n) :: !seen);
+  for round = 1 to 3 do
+    List.iteri
+      (fun i label ->
+        if (i + round) mod 2 = 0 then Thc_obsv.Ledger.bump l (copy label)
+        else Thc_obsv.Ledger.bump_by l (copy label) (i + round))
+      ledger_labels
+  done;
+  (l, List.rev !seen)
+
+let test_ledger_label_identity () =
+  let lit, lit_seen = charge_all ~copy:Fun.id in
+  let cp, cp_seen = charge_all ~copy:fresh in
+  let module L = Thc_obsv.Ledger in
+  Alcotest.(check (list (pair string int))) "rows" (L.rows cp) (L.rows lit);
+  Alcotest.(check int) "total" (L.total cp) (L.total lit);
+  Alcotest.(check int) "rejections" (L.rejections cp) (L.rejections lit);
+  Alcotest.(check (list (pair string int))) "observer calls" cp_seen lit_seen;
+  Alcotest.(check int) "every charge observed" (3 * List.length ledger_labels)
+    (List.length lit_seen);
+  (* Literal and fresh copies of one label share one counter. *)
+  L.bump lit (fresh "trinc.attest");
+  L.bump lit "trinc.attest";
+  Alcotest.(check int) "one counter per label"
+    (L.count cp "trinc.attest" + 2)
+    (L.count lit "trinc.attest")
+
+let test_span_label_identity () =
+  let attribute ~copy =
+    let t = S.create () in
+    List.iteri
+      (fun i label ->
+        S.in_phase t S.Prepare_phase ~rids:[ i ] (fun () ->
+            S.attribute t (copy label) i;
+            S.attribute t (copy label) 1);
+        S.attribute t (copy label) 2)
+      ledger_labels;
+    (S.ops_rows t, List.map (fun v -> v.S.v_ops) (S.views t))
+  in
+  Alcotest.(check bool) "ops rows and spans" true
+    (attribute ~copy:Fun.id = attribute ~copy:fresh)
+
 (* --- trace export -------------------------------------------------------------- *)
 
 let test_trace_jsonl_roundtrip_law () =
@@ -401,6 +481,10 @@ let () =
             test_span_incomplete_last_mark;
           Alcotest.test_case "attribution scopes nest" `Quick
             test_span_attribution_nesting;
+          Alcotest.test_case "raise restores enclosing scope" `Quick
+            test_span_raise_restores_outer;
+          Alcotest.test_case "literal or fresh label" `Quick
+            test_span_label_identity;
           Alcotest.test_case "merge_ops sums pointwise" `Quick
             test_span_merge_ops;
           Alcotest.test_case "json round trip" `Quick test_span_json_roundtrip;
@@ -410,7 +494,12 @@ let () =
             test_span_critical_path_and_slowest;
         ] );
       ("registry", [ Alcotest.test_case "snapshot" `Quick test_registry_snapshot ]);
-      ("ledger", [ Alcotest.test_case "per commit" `Quick test_ledger_per_commit ]);
+      ( "ledger",
+        [
+          Alcotest.test_case "per commit" `Quick test_ledger_per_commit;
+          Alcotest.test_case "literal or fresh label" `Quick
+            test_ledger_label_identity;
+        ] );
       ( "export",
         [
           Alcotest.test_case "jsonl round-trip law" `Quick

@@ -168,6 +168,120 @@ let test_link_rejection_ledger () =
   Alcotest.(check bool) "rejections rolls them up" true
     (Thc_obsv.Ledger.rejections ledger >= 4)
 
+(* The insert-then-drain body [Attested_link.In.accept] had before its
+   in-order fast path, kept as the reference the fast path must match:
+   the same releases, in the same order, and the same ledger charges. *)
+module Ref_inbox = struct
+  module Trinc = Thc_hardware.Trinc
+
+  type stream = {
+    pending : (int, Trinc.attestation) Hashtbl.t;
+    mutable released : int;
+  }
+
+  type t = { world : Trinc.world; streams : stream array }
+
+  let create ~world ~n =
+    {
+      world;
+      streams =
+        Array.init n (fun _ -> { pending = Hashtbl.create 8; released = 0 });
+    }
+
+  let reject t label =
+    Thc_obsv.Ledger.bump (Trinc.ledger t.world) label;
+    []
+
+  let accept t (a : Trinc.attestation) =
+    if a.owner < 0 || a.owner >= Array.length t.streams || a.prev <> a.counter - 1
+    then reject t "link.reject_malformed"
+    else if not (Trinc.check t.world a ~id:a.owner) then
+      reject t "link.reject_forged"
+    else begin
+      let s = t.streams.(a.owner) in
+      if a.counter <= s.released || Hashtbl.mem s.pending a.counter then
+        reject t "link.reject_replay"
+      else begin
+        Hashtbl.replace s.pending a.counter a;
+        let out = ref [] in
+        let rec drain () =
+          match Hashtbl.find_opt s.pending (s.released + 1) with
+          | Some next ->
+            Hashtbl.remove s.pending next.counter;
+            s.released <- next.counter;
+            out := next :: !out;
+            drain ()
+          | None -> ()
+        in
+        drain ();
+        List.rev !out
+      end
+    end
+end
+
+(* Random reorderings of three sealed streams, with duplicates, replays
+   below the released counter, forged tags and malformed attestations
+   mixed in, fed to the real inbox and to the reference.  Three worlds
+   built from one seed share their trinket keys: one seals, and each inbox
+   checks against its own, so each ledger holds only its inbox's
+   charges. *)
+let prop_link_accept_matches_reference =
+  QCheck.Test.make ~name:"accept matches insert-then-drain reference"
+    ~count:200 QCheck.int64 (fun seed ->
+      let module Trinc = Thc_hardware.Trinc in
+      let module Link = Thc_replication.Attested_link in
+      let n = 3 in
+      let rng = Thc_util.Rng.create seed in
+      let world () = Trinc.create_world (Thc_util.Rng.create 121L) ~n in
+      let sealer = world () and w_real = world () and w_ref = world () in
+      let streams =
+        Array.init n (fun owner ->
+            let out = Link.Out.create (Trinc.trinket sealer ~owner) in
+            Array.init
+              (1 + Thc_util.Rng.int rng 8)
+              (fun i -> Link.Out.seal out (Printf.sprintf "m%d.%d" owner i)))
+      in
+      let pick () =
+        let s = streams.(Thc_util.Rng.int rng n) in
+        s.(Thc_util.Rng.int rng (Array.length s))
+      in
+      let odd () =
+        let a = pick () in
+        match Thc_util.Rng.int rng 4 with
+        | 0 -> a (* a duplicate, or a replay once released *)
+        | 1 ->
+          Trinc.counterfeit ~owner:a.owner ~prev:a.prev ~counter:a.counter
+            ~message:"forged" ~tag:a.tag
+        | 2 ->
+          Trinc.counterfeit ~owner:(n + Thc_util.Rng.int rng 2) ~prev:a.prev
+            ~counter:a.counter ~message:a.message ~tag:a.tag
+        | _ ->
+          Trinc.counterfeit ~owner:a.owner ~prev:(a.prev + 1)
+            ~counter:a.counter ~message:a.message ~tag:a.tag
+      in
+      let inputs =
+        Array.concat
+          (Array.init 12 (fun _ -> odd ()) :: Array.to_list streams)
+      in
+      Thc_util.Rng.shuffle rng inputs;
+      let real = Link.In.create ~world:w_real ~n
+      and reference = Ref_inbox.create ~world:w_ref ~n in
+      let key (a : Trinc.attestation) = (a.owner, a.counter, a.message) in
+      Array.iteri
+        (fun i a ->
+          let got = List.map key (Link.In.accept real a)
+          and want = List.map key (Ref_inbox.accept reference a) in
+          if got <> want then
+            QCheck.Test.fail_reportf "input %d: released lists differ" i)
+        inputs;
+      List.for_all
+        (fun owner ->
+          Link.In.delivered_upto real ~owner
+          = reference.Ref_inbox.streams.(owner).Ref_inbox.released)
+        (List.init n Fun.id)
+      && Thc_obsv.Ledger.rows (Trinc.ledger w_real)
+         = Thc_obsv.Ledger.rows (Trinc.ledger w_ref))
+
 (* --- client collector -------------------------------------------------------------- *)
 
 let test_collector_quorum () =
@@ -1405,6 +1519,7 @@ let () =
           Alcotest.test_case "check log" `Quick test_link_check_log;
           Alcotest.test_case "rejection ledger" `Quick
             test_link_rejection_ledger;
+          qcheck prop_link_accept_matches_reference;
         ] );
       ( "client",
         [

@@ -242,6 +242,71 @@ let test_cq_degenerate_geometry () =
     "sorted drain" [ 0; 2; 2; 9; 77; 1_000_000 ]
     (List.map (fun (t, _, _) -> t) (drain_cq q))
 
+(* The reference model: the binary heap plus the set of cancelled ties it
+   skips on the way out, and the ties still live (pushed, not popped or
+   cancelled). *)
+type cq_model = {
+  heap : (int * int, int) Heap.t;
+  cancelled : (int, unit) Hashtbl.t;
+  mutable live : int list;
+}
+
+let cq_model () =
+  { heap = Heap.create ~compare; cancelled = Hashtbl.create 16; live = [] }
+
+let model_push m ~time ~tie =
+  Heap.push m.heap (time, tie) tie;
+  m.live <- tie :: m.live
+
+let rec model_pop m =
+  match Heap.pop m.heap with
+  | None -> None
+  | Some ((time, k), v) ->
+    if Hashtbl.mem m.cancelled k then begin
+      Hashtbl.remove m.cancelled k;
+      model_pop m
+    end
+    else Some (time, k, v)
+
+(* Pop the queue and the model; fail unless they agree.  Returns the
+   popped time, if any. *)
+let cq_pop_agrees q m ~what =
+  match (Cq.pop q, model_pop m) with
+  | None, None -> None
+  | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
+    m.live <- List.filter (fun x -> x <> k) m.live;
+    Some t
+  | _ -> QCheck.Test.fail_reportf "%s: pop mismatch" what
+
+(* Peek agrees with the model minimum and consumes nothing. *)
+let cq_peek_agrees q m ~what =
+  let len_before = Cq.length q in
+  (match (Cq.peek q, model_pop m) with
+  | None, None -> ()
+  | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
+    (* put the model entry back; peek must not consume *)
+    Heap.push m.heap (t', k') v'
+  | _ -> QCheck.Test.fail_reportf "%s: peek mismatch" what);
+  if Cq.length q <> len_before then
+    QCheck.Test.fail_reportf "%s: peek changed length" what
+
+(* Cancel a random live entry in both. *)
+let cq_cancel_some q m rng =
+  match m.live with
+  | [] -> ()
+  | ties ->
+    let victim = List.nth ties (Thc_util.Rng.int rng (List.length ties)) in
+    Cq.cancel q ~tie:victim;
+    Hashtbl.replace m.cancelled victim ();
+    m.live <- List.filter (fun x -> x <> victim) m.live
+
+(* Drain both to the end: every remaining entry must agree. *)
+let cq_drain_agrees q m ~what =
+  while cq_pop_agrees q m ~what <> None do
+    ()
+  done;
+  true
+
 (* Random push/pop/cancel/peek interleavings, cross-checked against the
    binary heap (plus a cancelled-tie set) as the reference model.  Times
    are drawn from a mixture of same-timestamp, near-future and far-future
@@ -250,25 +315,11 @@ let test_cq_degenerate_geometry () =
    queue of any geometry. *)
 let run_cq_scenario q seed steps =
   let rng = Thc_util.Rng.create seed in
-  let model = Heap.create ~compare in
-  let model_cancelled = Hashtbl.create 16 in
-  let live_ties = ref [] in
+  let m = cq_model () in
   let tie = ref 0 in
   let clock = ref 0 in
-  let model_pop () =
-    let rec go () =
-      match Heap.pop model with
-      | None -> None
-      | Some ((time, k), v) ->
-        if Hashtbl.mem model_cancelled k then begin
-          Hashtbl.remove model_cancelled k;
-          go ()
-        end
-        else Some (time, k, v)
-    in
-    go ()
-  in
   for step = 1 to steps do
+    let what = Printf.sprintf "step %d (seed %Ld)" step seed in
     match Thc_util.Rng.int rng 10 with
     | 0 | 1 | 2 | 3 ->
       (* push *)
@@ -282,51 +333,57 @@ let run_cq_scenario q seed steps =
       incr tie;
       let time = !clock + offset in
       Cq.push q ~time ~tie:!tie !tie;
-      Heap.push model (time, !tie) !tie;
-      live_ties := !tie :: !live_ties
+      model_push m ~time ~tie:!tie
     | 4 | 5 | 6 | 7 ->
-      (* pop, compare against the model *)
-      let got = Cq.pop q in
-      let expect = model_pop () in
-      (match (got, expect) with
-      | None, None -> ()
-      | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
-        clock := t;
-        live_ties := List.filter (fun x -> x <> k) !live_ties
-      | _ ->
-        QCheck.Test.fail_reportf "step %d: pop mismatch (seed %Ld)" step seed)
-    | 8 -> (
-      (* cancel a random live entry in both *)
-      match !live_ties with
-      | [] -> ()
-      | ties ->
-        let victim = List.nth ties (Thc_util.Rng.int rng (List.length ties)) in
-        Cq.cancel q ~tie:victim;
-        Hashtbl.replace model_cancelled victim ();
-        live_ties := List.filter (fun x -> x <> victim) !live_ties)
-    | _ ->
-      (* peek agrees with length-preserving model minimum *)
-      let len_before = Cq.length q in
-      (match (Cq.peek q, model_pop ()) with
-      | None, None -> ()
-      | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
-        (* put the model entry back; peek must not consume *)
-        Heap.push model (t', k') v'
-      | _ ->
-        QCheck.Test.fail_reportf "step %d: peek mismatch (seed %Ld)" step seed);
-      if Cq.length q <> len_before then
-        QCheck.Test.fail_reportf "step %d: peek changed length" step
+      Option.iter (fun t -> clock := t) (cq_pop_agrees q m ~what)
+    | 8 -> cq_cancel_some q m rng
+    | _ -> cq_peek_agrees q m ~what
   done;
-  (* Drain both to the end: every remaining entry must agree. *)
-  let rec drain () =
-    match (Cq.pop q, model_pop ()) with
-    | None, None -> ()
-    | Some (t, k, v), Some (t', k', v') when t = t' && k = k' && v = v' ->
-      drain ()
-    | _ -> QCheck.Test.fail_reportf "drain mismatch (seed %Ld)" seed
+  cq_drain_agrees q m ~what:(Printf.sprintf "drain (seed %Ld)" seed)
+
+(* Same-instant bursts at the default geometry, the shape a broadcast
+   wave takes after a heal: dozens of pushes at one time, with pops and
+   peeks between them (so a bucket's head advances while its tail grows,
+   and a full bucket must compact or grow), pushes that sort behind the
+   tail of their bucket, cancels inside a burst, and past-time pushes into
+   the cursor bucket. *)
+let run_cq_bursts seed bursts =
+  let q = Cq.create ~null:(-1) () in
+  let rng = Thc_util.Rng.create seed in
+  let m = cq_model () in
+  let tie = ref 0 in
+  let clock = ref 0 in
+  let push time =
+    incr tie;
+    Cq.push q ~time ~tie:!tie !tie;
+    model_push m ~time ~tie:!tie
   in
-  drain ();
-  true
+  let pop what = Option.iter (fun t -> clock := t) (cq_pop_agrees q m ~what) in
+  for burst = 1 to bursts do
+    let what = Printf.sprintf "burst %d (seed %Ld)" burst seed in
+    let at =
+      !clock
+      +
+      match Thc_util.Rng.int rng 3 with
+      | 0 -> 0 (* at the instant just popped *)
+      | 1 -> Thc_util.Rng.int rng 64 (* this bucket or the next *)
+      | _ -> Thc_util.Rng.int rng 20_000 (* later in the year *)
+    in
+    for _ = 1 to 16 + Thc_util.Rng.int rng 48 do
+      (match Thc_util.Rng.int rng 8 with
+      | 0 | 1 -> pop what
+      | 2 -> cq_peek_agrees q m ~what
+      | 3 -> push (at + Thc_util.Rng.int rng 32)
+      | 4 -> cq_cancel_some q m rng
+      | 5 when !clock > 0 -> push (Thc_util.Rng.int rng !clock)
+      | _ -> ());
+      push at
+    done;
+    for _ = 1 to Thc_util.Rng.int rng (Cq.length q + 1) do
+      pop what
+    done
+  done;
+  cq_drain_agrees q m ~what:(Printf.sprintf "drain (seed %Ld)" seed)
 
 let prop_cq_matches_heap_model =
   QCheck.Test.make ~name:"calendar queue matches heap model" ~count:60
@@ -339,6 +396,11 @@ let prop_cq_default_geometry =
   QCheck.Test.make ~name:"default geometry matches model" ~count:60
     QCheck.(int64)
     (fun seed -> run_cq_scenario (Cq.create ~null:(-1) ()) seed 800)
+
+let prop_cq_bursts =
+  QCheck.Test.make ~name:"same-instant bursts match model" ~count:60
+    QCheck.(int64)
+    (fun seed -> run_cq_bursts seed 12)
 
 (* --- stats ------------------------------------------------------------------ *)
 
@@ -556,6 +618,7 @@ let () =
             test_cq_degenerate_geometry;
           qcheck prop_cq_matches_heap_model;
           qcheck prop_cq_default_geometry;
+          qcheck prop_cq_bursts;
         ] );
       ( "stats",
         [

@@ -320,6 +320,57 @@ let test_run_point_matches_export () =
       check_same_result label r full)
     points
 
+(* --- soak verdict ------------------------------------------------------------- *)
+
+module Soak = Thc_workload.Soak
+
+let sample ~ops ~hwm ?(safety = 0) () =
+  {
+    Soak.s_ops = ops;
+    s_completed = ops;
+    s_commits = ops;
+    s_duration_us = 0L;
+    s_log_live = 0;
+    s_log_hwm = hwm;
+    s_stable_upto = ops;
+    s_truncations = 0;
+    s_safety = safety;
+  }
+
+let doubling hwms =
+  List.mapi (fun i hwm -> sample ~ops:(50 lsl i) ~hwm ()) hwms
+
+(* [thc soak --rounds 6] at seed 11: the checkpointed hwm steps 4 -> 5 in
+   the last doubling, inside the bound of 8, while the baseline holds the
+   whole log.  That is a bounded log. *)
+let test_soak_step_inside_bound () =
+  let r =
+    Soak.report ~interval:4
+      ~samples:(doubling [ 4; 4; 4; 4; 4; 5 ])
+      ~baseline:(doubling [ 50; 100; 200; 400; 800; 1600 ])
+  in
+  Alcotest.(check int) "bound" 8 r.Soak.bound;
+  Alcotest.(check bool) "bound held" true r.Soak.bound_held;
+  Alcotest.(check int) "baseline growth" 1550 r.Soak.baseline_growth;
+  Alcotest.(check bool) "stabilised" true r.Soak.stabilised
+
+let test_soak_verdict_refuses () =
+  let baseline = doubling [ 50; 100; 200 ] in
+  let verdict samples baseline =
+    let r = Soak.report ~interval:4 ~samples ~baseline in
+    (r.Soak.bound_held, r.Soak.stabilised)
+  in
+  Alcotest.(check (pair bool bool)) "hwm past the bound" (false, false)
+    (verdict (doubling [ 4; 6; 9 ]) baseline);
+  Alcotest.(check (pair bool bool)) "equal hwm past the bound" (false, false)
+    (verdict (doubling [ 9; 9; 9 ]) baseline);
+  Alcotest.(check (pair bool bool)) "unsafe round" (false, false)
+    (verdict
+       [ sample ~ops:50 ~hwm:4 (); sample ~ops:100 ~hwm:4 ~safety:1 () ]
+       (doubling [ 50; 100 ]));
+  Alcotest.(check (pair bool bool)) "baseline that never grew" (true, false)
+    (verdict (doubling [ 4; 4; 4 ]) (doubling [ 8; 8; 8 ]))
+
 let () =
   Alcotest.run "thc_workload"
     [
@@ -341,6 +392,12 @@ let () =
           Alcotest.test_case "zipf theta=0 uniform" `Quick
             test_zipf_theta_zero_is_uniform;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
+        ] );
+      ( "soak",
+        [
+          Alcotest.test_case "step inside the bound" `Quick
+            test_soak_step_inside_bound;
+          Alcotest.test_case "verdict refuses" `Quick test_soak_verdict_refuses;
         ] );
       ( "loadtest",
         [
