@@ -1502,6 +1502,88 @@ let test_run_order_keeps_bytes () =
           ~checkpoint_interval:4 () );
     ]
 
+(* --- byte pins for PBFT and uBFT -------------------------------------------- *)
+
+(* The golden traces and the checkpoint MD5 pins run MinBFT only; these pin
+   the other two protocols' full exports.  They were recorded before the
+   replica front ends moved into [Replica_core]; a change that moves a byte
+   on purpose re-records them. *)
+let fast = Thc_sim.Delay.Uniform (50L, 500L)
+
+let export_pins protocol =
+  let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
+  (* The explorer's shape: an admissible random script over every replica
+     of the protocol at f = 1. *)
+  let script =
+    Thc_sim.Adversary.random
+      (Thc_util.Rng.create 42L)
+      ~n:(if protocol = H.Pbft then 4 else 3)
+      ~horizon:200_000L ~crash_budget:1 ~partition_budget:1 ()
+  in
+  [
+    ("batch 4, 3 clients", make ~batch:4 ~clients:3 ());
+    ("crash-leader", make ~scenario:(H.Crash_leader 40_000L) ());
+    ( "explore script",
+      H.Setup.make ~protocol ~f:1 ~ops:6 ~delay:fast
+        ~scenario:(H.Scripted script) ~seed:42L () );
+  ]
+
+(* The golden loadtest point's spec (test_engine_golden) on another
+   protocol. *)
+let loadtest_point protocol =
+  let module W = Thc_workload.Workload in
+  {
+    Thc_workload.Loadtest.protocol;
+    f = 1;
+    batch = 4;
+    seed = 29L;
+    delay = fast;
+    network = None;
+    spec =
+      {
+        W.clients = 4;
+        requests_per_client = 20;
+        arrival = W.Open_poisson { rate_rps = 400.0 };
+        keys = W.Keys_zipf { keys = 64; theta = 0.99 };
+        mix = W.default_mix;
+      };
+  }
+
+let test_exports_pinned protocol pins () =
+  let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s) in
+  let name = Thc_replication.Protocol.to_string protocol in
+  let runs =
+    List.map
+      (fun (what, setup) ->
+        let o, export = H.run_export setup in
+        if what = "crash-leader" then
+          Alcotest.(check int) (name ^ " crash-leader: final view") 1 o.final_view;
+        (what, md5 export))
+      (export_pins protocol)
+  in
+  let point =
+    md5 (snd (Thc_workload.Loadtest.run_point_export (loadtest_point protocol)))
+  in
+  Alcotest.(check (list (pair string string)))
+    (name ^ " export MD5s") pins
+    (runs @ [ ("loadtest point", point) ])
+
+let pbft_pins =
+  [
+    ("batch 4, 3 clients", "b44c644879db766c08103cc6d1156b57");
+    ("crash-leader", "1fcd3002b2bdd45dcd8e4b303ddedd90");
+    ("explore script", "9b3f0b6081417835c7cef2bfaa53f140");
+    ("loadtest point", "7d041e9f77a2c0ab2c3f8008dddcf0d0");
+  ]
+
+let ubft_pins =
+  [
+    ("batch 4, 3 clients", "80c194c1fc4519f56244beeb1d651e3d");
+    ("crash-leader", "ecaf7415e64b479c5873beefa2db4b1b");
+    ("explore script", "4b19de7e2b5fd86c2949373c2c66ebae");
+    ("loadtest point", "00fa232543c18a4381efa8f119236a26");
+  ]
+
 let () =
   Alcotest.run "thc_replication"
     [
@@ -1612,5 +1694,12 @@ let () =
             (test_outputs_only_scripted H.Ubft);
           Alcotest.test_case "scenarios and networks" `Quick
             test_outputs_only_scenarios;
+        ] );
+      ( "byte-pins",
+        [
+          Alcotest.test_case "pbft exports pinned" `Quick
+            (test_exports_pinned H.Pbft pbft_pins);
+          Alcotest.test_case "ubft exports pinned" `Quick
+            (test_exports_pinned H.Ubft ubft_pins);
         ] );
     ]
