@@ -63,17 +63,13 @@ let pp_msg ppf = function
   | Fetch { have } -> Format.fprintf ppf "fetch(s%d)" have
   | Snapshot s -> Format.fprintf ppf "snapshot(s%d,x%d)" s.s_upto s.s_exec_count
 
-let check_timer_tag = 1_000_000
-
-let batch_timer_tag = 1_000_001
+module C = Replica_core
 
 let restart_timer_tag = 1_000_002
 
 let fetch_timer_tag = 1_000_003
 
 let fetch_retry_delay = 20_000L
-
-type status = Normal | Changing of int
 
 (* A certified checkpoint this replica holds.  [c_state] is [None] when the
    replica learned the certificate without having executed through [c_upto]
@@ -93,29 +89,14 @@ type t = {
   self : int;
   out : Attested_link.Out.t;
   inbox : Attested_link.In.t;
-  store : Kv_store.t;
-  mutable view : int;
-  mutable status : status;
-  mutable next_seq : int;  (* leader: next sequence number to assign *)
+  core : msg C.t;
   proposals : (int, Command.batch * int64) Hashtbl.t;
       (* seq -> accepted proposal and its batch digest *)
   votes : (int * int * int64, (int, unit) Hashtbl.t) Hashtbl.t;
       (* (view, seq, batch digest) -> voters *)
   commit_sent : (int * int, unit) Hashtbl.t;  (* (view, seq) voted already *)
   committed : (int, Command.batch) Hashtbl.t;
-  mutable exec_upto : int;  (* highest executed slot *)
-  mutable exec_count : int;  (* dense per-request execution index *)
-  queue : Command.signed_request Queue.t;
-      (* leader: requests accumulating into the next batch *)
-  queued : (int * int, unit) Hashtbl.t;  (* request keys currently queued *)
-  mutable batch_armed : bool;  (* batch flush timer outstanding *)
-  pending : (int * int, Command.signed_request * int64) Hashtbl.t;
-      (* request key -> (request, arrival time) *)
-  proposed_keys : (int * int, int) Hashtbl.t;  (* request key -> seq (leader) *)
-  executed : (int * int, string) Hashtbl.t;  (* request key -> result *)
   rvc_votes : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* new_view -> supporters *)
-  mutable max_rvc_sent : int;
-  mutable last_rvc_at : int64;
   vc_evidence : (int, (int, Thc_hardware.Trinc.attestation) Hashtbl.t) Hashtbl.t;
       (* new_view -> owner -> View_change attestation (new leader role) *)
   mutable recovered_bound : int;
@@ -152,25 +133,16 @@ let create_replica ~config ~keyring ~world ~trinket ~self =
     self;
     out = Attested_link.Out.create trinket;
     inbox = Attested_link.In.create ~world ~n:config.n;
-    store = Kv_store.create ();
-    view = 0;
-    status = Normal;
-    next_seq = 1;
+    core =
+      C.create ~self ~n:config.n ~keyring
+        ~request_timeout:config.request_timeout
+        ~check_interval:config.check_interval ~batch_size:config.batch_size
+        ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
     proposals = Hashtbl.create 64;
     votes = Hashtbl.create 64;
     commit_sent = Hashtbl.create 64;
     committed = Hashtbl.create 64;
-    exec_upto = 0;
-    exec_count = 0;
-    queue = Queue.create ();
-    queued = Hashtbl.create 64;
-    batch_armed = false;
-    pending = Hashtbl.create 64;
-    proposed_keys = Hashtbl.create 64;
-    executed = Hashtbl.create 64;
     rvc_votes = Hashtbl.create 8;
-    max_rvc_sent = 0;
-    last_rvc_at = 0L;
     vc_evidence = Hashtbl.create 8;
     recovered_bound = 0;
     expected = Hashtbl.create 16;
@@ -187,13 +159,11 @@ let create_replica ~config ~keyring ~world ~trinket ~self =
     suffix_batches = Hashtbl.create 8;
   }
 
-let view_of t = t.view
+let view_of t = t.core.view
 
-let executed_upto t = t.exec_upto
+let executed_upto t = t.core.exec_upto
 
-let store_digest t = Kv_store.digest t.store
-
-let leader_of t view = view mod t.config.n
+let store_digest t = Kv_store.digest t.core.store
 
 let encode_proto (p : proto) = Thc_util.Codec.encode p
 
@@ -221,17 +191,12 @@ let decode_sealed (a : Thc_hardware.Trinc.attestation) =
       Some p
     | exception _ -> None
 
-let batch_rids (batch : Command.batch) =
-  List.map
-    (fun (sr : Command.signed_request) -> sr.Thc_crypto.Signature.value.rid)
-    batch
-
 (* Which span phase a sealed protocol message belongs to, and on behalf of
    which requests — used to attribute the trusted ops the seal/accept
    charges (attest on the way out, counter checks on the way in). *)
 let span_phase_of_proto = function
-  | Prepare { batch; _ } -> (Thc_obsv.Span.Prepare_phase, batch_rids batch)
-  | Commit { batch; _ } -> (Thc_obsv.Span.Commit_phase, batch_rids batch)
+  | Prepare { batch; _ } -> (Thc_obsv.Span.Prepare_phase, C.batch_rids batch)
+  | Commit { batch; _ } -> (Thc_obsv.Span.Commit_phase, C.batch_rids batch)
   | Rvc _ | View_change _ | New_view _ | Checkpoint _ ->
     (Thc_obsv.Span.Other_phase, [])
 
@@ -249,52 +214,6 @@ let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) p =
   Thc_util.Identity_table.add (Domain.DLS.get decoded) ~tag:a.tag a.message p;
   ctx.broadcast (Sealed a)
 
-let voters t key =
-  match Hashtbl.find_opt t.votes key with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.add t.votes key tbl;
-    tbl
-
-let rvc_supporters t nv =
-  match Hashtbl.find_opt t.rvc_votes nv with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.add t.rvc_votes nv tbl;
-    tbl
-
-(* --- execution --------------------------------------------------------- *)
-
-(* Executing a slot applies every request of its batch in batch order.  The
-   per-request [Executed] observations use a separate dense index
-   ([exec_count]) so state-determinism replay keeps seeing consecutive
-   sequence numbers even when slots carry more than one request. *)
-let execute_one t (ctx : msg Thc_sim.Engine.ctx) (sr : Command.signed_request)
-    =
-  let key = Command.key sr.value in
-  let result =
-    match Hashtbl.find_opt t.executed key with
-    | Some r -> r  (* duplicate commit of one request: do not re-apply *)
-    | None ->
-      let r =
-        Kv_store.encode_result
-          (Kv_store.apply t.store (Kv_store.decode_op sr.value.op))
-      in
-      Hashtbl.replace t.executed key r;
-      r
-  in
-  Hashtbl.remove t.pending key;
-  t.exec_count <- t.exec_count + 1;
-  if Thc_obsv.Span.enabled ctx.spans then
-    Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid
-      Thc_obsv.Span.Executed ~at:(ctx.now ());
-  ctx.output
-    (Thc_sim.Obs.Executed { seq = t.exec_count; op = sr.value.op; result });
-  ctx.send sr.value.client
-    (Reply { replica = t.self; rid = sr.value.rid; result })
-
 (* --- durability: checkpoints, truncation, state transfer --------------- *)
 
 let stable_upto t = match t.stable with Some c -> c.c_upto | None -> 0
@@ -306,7 +225,7 @@ let truncate_log t =
   match t.stable with
   | None -> ()
   | Some c ->
-    let bound = min c.c_upto t.exec_upto in
+    let bound = min c.c_upto t.core.exec_upto in
     if bound > t.truncated_upto then begin
       for seq = t.truncated_upto + 1 to bound do
         Hashtbl.remove t.committed seq;
@@ -343,15 +262,7 @@ let truncate_log t =
 let note_ckpt_vote t (ctx : msg Thc_sim.Engine.ctx)
     ~(att : Thc_hardware.Trinc.attestation) ~upto ~digest ~exec_count =
   if t.config.checkpoint_interval > 0 && upto > stable_upto t then begin
-    let key = (upto, digest, exec_count) in
-    let tbl =
-      match Hashtbl.find_opt t.ckpt_votes key with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.add t.ckpt_votes key tbl;
-        tbl
-    in
+    let tbl = C.table t.ckpt_votes (upto, digest, exec_count) 8 in
     Hashtbl.replace tbl att.owner att;
     if Hashtbl.length tbl >= t.config.f + 1 then begin
       let cert =
@@ -379,8 +290,8 @@ let note_ckpt_vote t (ctx : msg Thc_sim.Engine.ctx)
          flight) from wiping progress it is about to make. *)
       if
         (not t.awaiting_fetch)
-        && upto - t.exec_upto >= 2 * t.config.checkpoint_interval
-        && not (Hashtbl.mem t.committed (t.exec_upto + 1))
+        && upto - t.core.exec_upto >= 2 * t.config.checkpoint_interval
+        && not (Hashtbl.mem t.committed (t.core.exec_upto + 1))
       then begin
         t.awaiting_fetch <- true;
         ctx.others (Fetch { have = stable_upto t });
@@ -394,15 +305,15 @@ let note_ckpt_vote t (ctx : msg Thc_sim.Engine.ctx)
    the broadcast-to-self inbox like every other sealed message). *)
 let maybe_checkpoint t (ctx : msg Thc_sim.Engine.ctx) =
   let ival = t.config.checkpoint_interval in
-  if ival > 0 && t.exec_upto mod ival = 0 && t.exec_upto > t.last_ckpt then begin
-    t.last_ckpt <- t.exec_upto;
-    Hashtbl.replace t.own_snaps t.exec_upto (Kv_store.snapshot t.store);
+  if ival > 0 && t.core.exec_upto mod ival = 0 && t.core.exec_upto > t.last_ckpt then begin
+    t.last_ckpt <- t.core.exec_upto;
+    Hashtbl.replace t.own_snaps t.core.exec_upto (Kv_store.snapshot t.core.store);
     seal_and_send t ctx
       (Checkpoint
          {
-           upto = t.exec_upto;
-           digest = Kv_store.digest t.store;
-           exec_count = t.exec_count;
+           upto = t.core.exec_upto;
+           digest = Kv_store.digest t.core.store;
+           exec_count = t.core.exec_count;
          })
   end
 
@@ -412,17 +323,16 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
      Commits still accumulate — installation drains them. *)
   if t.awaiting_fetch then ()
   else
-  match Hashtbl.find_opt t.committed (t.exec_upto + 1) with
+  match Hashtbl.find_opt t.committed (t.core.exec_upto + 1) with
   | None -> ()
   | Some batch ->
-    t.exec_upto <- t.exec_upto + 1;
-    List.iter (execute_one t ctx) batch;
+    C.execute_slot t.core ctx batch;
     maybe_checkpoint t ctx;
     try_execute t ctx
 
 let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
     ~(batch : Command.batch) ~digest ~voter =
-  let tbl = voters t (view, seq, digest) in
+  let tbl = C.table t.votes (view, seq, digest) 8 in
   Hashtbl.replace tbl voter ();
   if
     Hashtbl.length tbl >= t.config.f + 1
@@ -430,19 +340,7 @@ let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
   then begin
     Hashtbl.replace t.committed seq batch;
     t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed);
-    if Thc_obsv.Span.enabled ctx.spans then
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-        Thc_obsv.Span.Committed ~at:(ctx.now ());
-    let op =
-      match batch with
-      | [ sr ] -> sr.Thc_crypto.Signature.value.op
-      | _ ->
-        Thc_util.Codec.encode
-          (List.map
-             (fun (sr : Command.signed_request) -> sr.value.op)
-             batch)
-    in
-    ctx.Thc_sim.Engine.output (Thc_sim.Obs.Committed { view; seq; op });
+    C.output_committed ctx ~view ~seq batch;
     try_execute t ctx
   end
 
@@ -528,15 +426,10 @@ let note_suffix_votes t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
           Thc_obsv.Ledger.bump
             (Thc_hardware.Trinc.ledger t.world)
             "ckpt.reject_suffix_equivocation";
-        let tbl =
-          match Hashtbl.find_opt t.suffix_votes (seq, digest) with
-          | Some tbl -> tbl
-          | None ->
-            let tbl = Hashtbl.create 4 in
-            Hashtbl.add t.suffix_votes (seq, digest) tbl;
-            Hashtbl.replace t.suffix_batches (seq, digest) batch;
-            tbl
-        in
+        let tbl = C.table t.suffix_votes (seq, digest) 4 in
+        (* A vote set is empty only as it is created. *)
+        if Hashtbl.length tbl = 0 then
+          Hashtbl.replace t.suffix_batches (seq, digest) batch;
         Hashtbl.replace tbl donor ();
         if
           Hashtbl.length tbl >= t.config.f + 1
@@ -550,9 +443,9 @@ let note_suffix_votes t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
   try_execute t ctx
 
 let install_snapshot t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
-  Kv_store.reset_to t.store s.s_state;
-  t.exec_upto <- s.s_upto;
-  t.exec_count <- s.s_exec_count;
+  Kv_store.reset_to t.core.store s.s_state;
+  t.core.exec_upto <- s.s_upto;
+  t.core.exec_count <- s.s_exec_count;
   t.last_ckpt <- max t.last_ckpt s.s_upto;
   t.truncated_upto <- max t.truncated_upto s.s_upto;
   t.stable <-
@@ -602,12 +495,7 @@ let restart t (ctx : msg Thc_sim.Engine.ctx) =
   Hashtbl.reset t.votes;
   Hashtbl.reset t.commit_sent;
   Hashtbl.reset t.committed;
-  Queue.clear t.queue;
-  Hashtbl.reset t.queued;
-  t.batch_armed <- false;
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.proposed_keys;
-  Hashtbl.reset t.executed;
+  C.reset t.core;
   Hashtbl.reset t.rvc_votes;
   Hashtbl.reset t.vc_evidence;
   Hashtbl.reset t.expected;
@@ -616,12 +504,8 @@ let restart t (ctx : msg Thc_sim.Engine.ctx) =
   Hashtbl.reset t.suffix_votes;
   Hashtbl.reset t.suffix_batches;
   t.recovered_bound <- 0;
-  Kv_store.reset_to t.store [];
-  t.exec_upto <- 0;
-  t.exec_count <- 0;
   t.truncated_upto <- 0;
   t.last_ckpt <- 0;
-  t.status <- Normal;
   t.stable <-
     (match t.stable with
     | Some c -> Some { c with c_state = None }
@@ -646,22 +530,20 @@ let proposal_acceptable t ~seq ~digest =
 
 let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
   if
-    owner = leader_of t view
-    && view = t.view
-    && t.status = Normal
+    owner = C.leader_of t.core view
+    && view = t.core.view
+    && t.core.status = C.Normal
     && Command.batch_valid t.keyring batch
   then begin
     let digest = Command.batch_digest batch in
     if proposal_acceptable t ~seq ~digest then begin
       Hashtbl.replace t.proposals seq (batch, digest);
-      List.iter
-        (fun key -> Hashtbl.replace t.proposed_keys key seq)
-        (Command.batch_keys batch);
+      C.mark_proposed t.core seq batch;
       record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner;
       if t.self <> owner && not (Hashtbl.mem t.commit_sent (view, seq)) then begin
         Hashtbl.replace t.commit_sent (view, seq) ();
         if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
+          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
             Thc_obsv.Span.Commit_send ~at:(ctx.now ());
         seal_and_send t ctx (Commit { view; seq; batch })
       end
@@ -671,56 +553,13 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
 (* --- leader batching --------------------------------------------------- *)
 
 let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
-  if batch <> [] then begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    List.iter
-      (fun key -> Hashtbl.replace t.proposed_keys key seq)
-      (Command.batch_keys batch);
-    if Thc_obsv.Span.enabled ctx.spans then
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-        Thc_obsv.Span.Propose ~at:(ctx.now ());
-    seal_and_send t ctx (Prepare { view = t.view; seq; batch })
-  end
+  let seq = C.next_slot t.core batch in
+  if Thc_obsv.Span.enabled ctx.spans then
+    Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
+      Thc_obsv.Span.Propose ~at:(ctx.now ());
+  seal_and_send t ctx (Prepare { view = t.core.view; seq; batch })
 
-(* Pop up to [k] still-unproposed requests off the queue; requests proposed
-   or executed meanwhile (e.g. recovered by a view change) are dropped. *)
-let rec take_batch t acc k =
-  if k = 0 || Queue.is_empty t.queue then List.rev acc
-  else begin
-    let sr = Queue.pop t.queue in
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    Hashtbl.remove t.queued key;
-    if Hashtbl.mem t.proposed_keys key || Hashtbl.mem t.executed key then
-      take_batch t acc k
-    else take_batch t (sr :: acc) (k - 1)
-  end
-
-(* Propose full batches; with [~force] also drain the partial remainder
-   (batch-delay expiry or view-change adoption). *)
-let rec flush_queue t ctx ~force =
-  if
-    Queue.length t.queue >= t.config.batch_size
-    || (force && not (Queue.is_empty t.queue))
-  then begin
-    propose_batch t ctx (take_batch t [] t.config.batch_size);
-    flush_queue t ctx ~force
-  end
-
-let arm_batch_timer t (ctx : msg Thc_sim.Engine.ctx) =
-  if (not t.batch_armed) && not (Queue.is_empty t.queue) then begin
-    t.batch_armed <- true;
-    ctx.set_timer ~delay:t.config.batch_delay ~tag:batch_timer_tag
-  end
-
-let enqueue_request t ctx (sr : Command.signed_request) =
-  let key = Command.key sr.Thc_crypto.Signature.value in
-  if not (Hashtbl.mem t.queued key) then begin
-    Hashtbl.replace t.queued key ();
-    Queue.push sr t.queue
-  end;
-  flush_queue t ctx ~force:false;
-  arm_batch_timer t ctx
+let flush_queue t ctx ~force = C.flush t.core ctx ~force propose_batch t
 
 (* --- view change ------------------------------------------------------- *)
 
@@ -747,7 +586,7 @@ let recover_from_evidence t evidence =
               match decode_sealed entry with
               | Some (Prepare { view; seq; batch }) ->
                 (* A Prepare is leader evidence only from that view's leader. *)
-                if att.owner = leader_of t view then consider ~view ~seq ~batch
+                if att.owner = C.leader_of t.core view then consider ~view ~seq ~batch
               | Some (Commit { view; seq; batch }) -> consider ~view ~seq ~batch
               | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _)
               | None ->
@@ -781,46 +620,25 @@ let evidence_valid t ~new_view evidence =
 
 let adopt_new_view t ctx ~new_view evidence =
   let recovered = recover_from_evidence t evidence in
-  t.view <- new_view;
-  t.status <- Normal;
-  (* Give the new view a full timeout before anyone escalates again: the
-     stuck-request clocks restart at adoption. *)
-  (let now = ctx.Thc_sim.Engine.now () in
-   Hashtbl.filter_map_inplace (fun _ (r, _) -> Some (r, now)) t.pending);
+  C.enter_view t.core ctx ~view:new_view;
   Hashtbl.reset t.expected;
   t.recovered_bound <-
     List.fold_left (fun acc (seq, _) -> max acc seq) 0 recovered;
   List.iter
     (fun (seq, (batch : Command.batch)) ->
       Hashtbl.replace t.expected seq (Command.batch_digest batch);
-      List.iter
-        (fun key -> Hashtbl.replace t.proposed_keys key seq)
-        (Command.batch_keys batch))
+      C.mark_proposed t.core seq batch)
     recovered;
   (* The new leader re-proposes everything recovered, then continues with
      fresh sequence numbers for still-pending requests (batched, drained
      immediately in deterministic key order). *)
-  if t.self = leader_of t new_view then begin
-    t.next_seq <- t.recovered_bound + 1;
+  if t.self = C.leader_of t.core new_view then begin
+    t.core.next_seq <- t.recovered_bound + 1;
     List.iter
       (fun (seq, batch) ->
         seal_and_send t ctx (Prepare { view = new_view; seq; batch }))
       recovered;
-    let unproposed =
-      Hashtbl.fold
-        (fun key (request, _) acc ->
-          if Hashtbl.mem t.proposed_keys key then acc
-          else (key, request) :: acc)
-        t.pending []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (key, sr) ->
-        if not (Hashtbl.mem t.queued key) then begin
-          Hashtbl.replace t.queued key ();
-          Queue.push sr t.queue
-        end)
-      unproposed;
+    C.requeue_pending t.core;
     flush_queue t ctx ~force:true
   end
 
@@ -839,34 +657,27 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
       record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner
     end
   | Rvc { new_view } ->
-    if new_view > t.view then begin
-      let tbl = rvc_supporters t new_view in
+    if new_view > t.core.view then begin
+      let tbl = C.table t.rvc_votes new_view 8 in
       Hashtbl.replace tbl owner ();
       (* Join a view-change attempt ahead of our own: keeps escalation
          targets aligned across replicas. *)
-      if owner <> t.self && new_view > t.max_rvc_sent then begin
-        t.max_rvc_sent <- new_view;
+      if owner <> t.self && new_view > t.core.max_vc_sent then begin
+        t.core.max_vc_sent <- new_view;
         seal_and_send t ctx (Rvc { new_view })
       end;
-      if Hashtbl.length tbl >= t.config.f + 1 then begin
-        let already_changing =
-          match t.status with
-          | Changing nv -> nv >= new_view
-          | Normal -> false
-        in
-        if not already_changing then begin
-          t.status <- Changing new_view;
-          seal_and_send t ctx
-            (View_change { new_view; log = Attested_link.Out.sent_log t.out })
-        end
-      end
+      if
+        Hashtbl.length tbl >= t.config.f + 1 && C.start_change t.core new_view
+      then
+        seal_and_send t ctx
+          (View_change { new_view; log = Attested_link.Out.sent_log t.out })
     end
   | View_change _ | Checkpoint _ ->
     ()  (* handled with their attestations in handle_sealed *)
   | New_view { new_view; evidence } ->
     if
-      owner = leader_of t new_view
-      && new_view > t.view
+      owner = C.leader_of t.core new_view
+      && new_view > t.core.view
       && evidence_valid t ~new_view evidence
     then adopt_new_view t ctx ~new_view evidence
 
@@ -897,18 +708,11 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
       (match if a == att then Lazy.force received else decode_sealed a with
       | Some (View_change { new_view; log }) ->
         if
-          t.self = leader_of t new_view
-          && new_view > t.view
+          t.self = C.leader_of t.core new_view
+          && new_view > t.core.view
           && Attested_link.check_log ~world:t.world ~owner:a.owner log <> None
         then begin
-          let tbl =
-            match Hashtbl.find_opt t.vc_evidence new_view with
-            | Some tbl -> tbl
-            | None ->
-              let tbl = Hashtbl.create 8 in
-              Hashtbl.add t.vc_evidence new_view tbl;
-              tbl
-          in
+          let tbl = C.table t.vc_evidence new_view 8 in
           Hashtbl.replace tbl a.owner a;
           if Hashtbl.length tbl >= t.config.f + 1 then begin
             let evidence = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
@@ -929,61 +733,22 @@ let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
   (* While awaiting state transfer we cannot serve or even track requests:
      a stuck pending set would escalate view changes we can't help with.
      Clients retransmit; the f+1 up-to-date replicas carry the service. *)
-  if (not t.awaiting_fetch) && Command.valid t.keyring sr then begin
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    if not (Hashtbl.mem t.executed key) then begin
-      if not (Hashtbl.mem t.pending key) then
-        Hashtbl.replace t.pending key (sr, ctx.now ());
-      if
-        t.self = leader_of t t.view
-        && t.status = Normal
-        && not (Hashtbl.mem t.proposed_keys key)
-      then begin
-        if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark ctx.spans ~client:sr.value.client
-            ~rid:sr.value.rid Thc_obsv.Span.Ingress ~at:(ctx.now ());
-        enqueue_request t ctx sr
-      end
-    end
-    else
-      (* Already executed: re-reply (client retransmission). *)
-      match Hashtbl.find_opt t.executed key with
-      | Some result ->
-        ctx.send sr.value.client
-          (Reply { replica = t.self; rid = sr.value.rid; result })
-      | None -> ()
+  if (not t.awaiting_fetch) && C.intake t.core ctx sr then begin
+    flush_queue t ctx ~force:false;
+    C.arm_batch_timer t.core ctx
   end
 
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
-  let now = ctx.now () in
-  let stuck =
-    (not t.awaiting_fetch)
-    && Hashtbl.length t.pending > 0
-    && Hashtbl.fold
-         (fun _ (_, since) acc ->
-           acc || Int64.sub now since > t.config.request_timeout)
-         t.pending false
-  in
-  (if stuck then
-     (* Escalate at most once per request_timeout, so a slow view change is
-        given time to complete before the target moves again. *)
-     let fresh_attempt = t.max_rvc_sent <= t.view in
-     let timed_out =
-       Int64.sub now t.last_rvc_at > t.config.request_timeout
-     in
-     if fresh_attempt || timed_out then begin
-       let target = max t.view t.max_rvc_sent + 1 in
-       t.max_rvc_sent <- target;
-       t.last_rvc_at <- now;
-       seal_and_send t ctx (Rvc { new_view = target })
-     end);
-  ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag
+  (if not t.awaiting_fetch then
+     let new_view = C.escalation t.core ~now:(ctx.now ()) in
+     if new_view > 0 then seal_and_send t ctx (Rvc { new_view }));
+  C.arm_check_timer t.core ctx
 
 let replica ?restart_at t : msg Thc_sim.Engine.behavior =
   {
     init =
       (fun ctx ->
-        ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag;
+        C.arm_check_timer t.core ctx;
         match restart_at with
         | Some delay -> ctx.set_timer ~delay ~tag:restart_timer_tag
         | None -> ());
@@ -997,11 +762,9 @@ let replica ?restart_at t : msg Thc_sim.Engine.behavior =
         | Snapshot s -> handle_snapshot t ctx ~src s);
     on_timer =
       (fun ctx tag ->
-        if tag = check_timer_tag then handle_check t ctx
-        else if tag = batch_timer_tag then begin
-          t.batch_armed <- false;
-          if t.self = leader_of t t.view && t.status = Normal then
-            flush_queue t ctx ~force:true
+        if tag = C.check_timer_tag then handle_check t ctx
+        else if tag = C.batch_timer_tag then begin
+          if C.batch_timer_fired t.core then flush_queue t ctx ~force:true
         end
         else if tag = restart_timer_tag then restart t ctx
         else if tag = fetch_timer_tag && t.awaiting_fetch then begin
@@ -1010,20 +773,16 @@ let replica ?restart_at t : msg Thc_sim.Engine.behavior =
         end);
   }
 
-let client ~rid_base ~config ~keyring:_ ~ident ~plan :
-    msg Thc_sim.Engine.behavior =
-  Client_core.behavior ~rid_base ~n_replicas:config.n ~quorum:(config.f + 1)
-    ~ident ~plan
-    ~wrap:(fun sr -> Request sr)
-    ~unwrap:(function
-      | Reply r -> Some r
-      | Request _ | Sealed _ | Fetch _ | Snapshot _ -> None)
-
 let wrap_request sr = Request sr
 
 let unwrap_reply = function
   | Reply r -> Some r
   | Request _ | Sealed _ | Fetch _ | Snapshot _ -> None
+
+let client ~rid_base ~config ~keyring:_ ~ident ~plan :
+    msg Thc_sim.Engine.behavior =
+  Client_core.behavior ~rid_base ~n_replicas:config.n ~quorum:(config.f + 1)
+    ~ident ~plan ~wrap:wrap_request ~unwrap:unwrap_reply
 
 let adversarial_prepare ~out ~view ~seq ~request =
   Sealed

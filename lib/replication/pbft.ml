@@ -67,21 +67,14 @@ let pp_msg ppf = function
     Format.fprintf ppf "signed(p%d,%a)" w.signature.signer pp_proto w.value
   | Reply r -> Format.fprintf ppf "reply(p%d,#%d)" r.replica r.rid
 
-let check_timer_tag = 1_000_000
-
-let batch_timer_tag = 1_000_001
-
-type status = Normal | Changing of int
+module C = Replica_core
 
 type t = {
   config : config;
   keyring : Thc_crypto.Keyring.t;
   ident : Thc_crypto.Keyring.secret;
   self : int;
-  store : Kv_store.t;
-  mutable view : int;
-  mutable status : status;
-  mutable next_seq : int;
+  core : msg C.t;
   preprepares :
     (int * int, Command.batch * int64 * Thc_crypto.Signature.t) Hashtbl.t;
       (* (view, seq) -> first pre-prepare, its batch digest and the
@@ -93,17 +86,7 @@ type t = {
   mutable prepared : (int * int, cert) Hashtbl.t;
   committed : (int, Command.batch) Hashtbl.t;
   commit_certs : (int, final_cert) Hashtbl.t;
-  mutable exec_upto : int;  (* highest executed slot *)
-  mutable exec_count : int;  (* dense per-request execution index *)
-  queue : Command.signed_request Queue.t;
-  queued : (int * int, unit) Hashtbl.t;
-  mutable batch_armed : bool;
-  pending : (int * int, Command.signed_request * int64) Hashtbl.t;
-  proposed_keys : (int * int, int) Hashtbl.t;
-  executed : (int * int, string) Hashtbl.t;
   vc_store : (int, (int, wire) Hashtbl.t) Hashtbl.t;  (* new_view -> signer -> VC *)
-  mutable max_vc_sent : int;
-  mutable last_vc_at : int64;
   mutable recovered_bound : int;
   expected : (int, int64) Hashtbl.t;
   future_pp : (int, wire list) Hashtbl.t;
@@ -119,10 +102,11 @@ let create_replica ~config ~keyring ~ident ~self =
     keyring;
     ident;
     self;
-    store = Kv_store.create ();
-    view = 0;
-    status = Normal;
-    next_seq = 1;
+    core =
+      C.create ~self ~n:config.n ~keyring
+        ~request_timeout:config.request_timeout
+        ~check_interval:config.check_interval ~batch_size:config.batch_size
+        ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
     preprepares = Hashtbl.create 64;
     prepare_votes = Hashtbl.create 64;
     commit_votes = Hashtbl.create 64;
@@ -131,99 +115,37 @@ let create_replica ~config ~keyring ~ident ~self =
     prepared = Hashtbl.create 64;
     committed = Hashtbl.create 64;
     commit_certs = Hashtbl.create 64;
-    exec_upto = 0;
-    exec_count = 0;
-    queue = Queue.create ();
-    queued = Hashtbl.create 64;
-    batch_armed = false;
-    pending = Hashtbl.create 64;
-    proposed_keys = Hashtbl.create 64;
-    executed = Hashtbl.create 64;
     vc_store = Hashtbl.create 8;
-    max_vc_sent = 0;
-    last_vc_at = 0L;
     recovered_bound = 0;
     expected = Hashtbl.create 16;
     future_pp = Hashtbl.create 8;
   }
 
-let view_of t = t.view
+let view_of t = t.core.view
 
-let executed_upto t = t.exec_upto
+let executed_upto t = t.core.exec_upto
 
-let store_digest t = Kv_store.digest t.store
-
-let leader_of t view = view mod t.config.n
+let store_digest t = Kv_store.digest t.core.store
 
 let send_signed t (ctx : msg Thc_sim.Engine.ctx) p =
   ctx.broadcast (Signed (Thc_crypto.Signature.seal t.ident p))
 
-let batch_rids (batch : Command.batch) =
-  List.map
-    (fun (sr : Command.signed_request) -> sr.Thc_crypto.Signature.value.rid)
-    batch
-
-let table tbl key mk =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = mk () in
-    Hashtbl.add tbl key v;
-    v
-
-(* --- execution (same discipline as Minbft) ------------------------------ *)
-
-let execute_one t (ctx : msg Thc_sim.Engine.ctx) (sr : Command.signed_request)
-    =
-  let key = Command.key sr.value in
-  let result =
-    match Hashtbl.find_opt t.executed key with
-    | Some r -> r
-    | None ->
-      let r =
-        Kv_store.encode_result
-          (Kv_store.apply t.store (Kv_store.decode_op sr.value.op))
-      in
-      Hashtbl.replace t.executed key r;
-      r
-  in
-  Hashtbl.remove t.pending key;
-  t.exec_count <- t.exec_count + 1;
-  if Thc_obsv.Span.enabled ctx.spans then
-    Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid
-      Thc_obsv.Span.Executed ~at:(ctx.now ());
-  ctx.output
-    (Thc_sim.Obs.Executed { seq = t.exec_count; op = sr.value.op; result });
-  ctx.send sr.value.client
-    (Reply { replica = t.self; rid = sr.value.rid; result })
-
 let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
-  match Hashtbl.find_opt t.committed (t.exec_upto + 1) with
+  match Hashtbl.find_opt t.committed (t.core.exec_upto + 1) with
   | None -> ()
   | Some batch ->
-    t.exec_upto <- t.exec_upto + 1;
-    List.iter (execute_one t ctx) batch;
+    C.execute_slot t.core ctx batch;
     try_execute t ctx
-
-let committed_op (batch : Command.batch) =
-  match batch with
-  | [ sr ] -> sr.Thc_crypto.Signature.value.op
-  | _ ->
-    Thc_util.Codec.encode
-      (List.map (fun (sr : Command.signed_request) -> sr.value.op) batch)
 
 let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
   | Some (batch, d, _) when Int64.equal d digest ->
-    let votes = table t.commit_votes (view, seq, digest) (fun () -> Hashtbl.create 8) in
+    let votes = C.table t.commit_votes (view, seq, digest) 8 in
     if
       Hashtbl.length votes >= (2 * t.config.f) + 1
       && not (Hashtbl.mem t.committed seq)
     then begin
       Hashtbl.replace t.committed seq batch;
-      if Thc_obsv.Span.enabled ctx.spans then
-        Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-          Thc_obsv.Span.Committed ~at:(ctx.now ());
       Hashtbl.replace t.commit_certs seq
         {
           fview = view;
@@ -231,8 +153,7 @@ let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
           fbatch = batch;
           commits = Hashtbl.fold (fun _ s acc -> s :: acc) votes [];
         };
-      ctx.Thc_sim.Engine.output
-        (Thc_sim.Obs.Committed { view; seq; op = committed_op batch });
+      C.output_committed ctx ~view ~seq batch;
       try_execute t ctx
     end
   | Some _ | None -> ()
@@ -240,7 +161,7 @@ let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
 let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
   | Some (batch, d, preprepare_sig) when Int64.equal d digest ->
-    let votes = table t.prepare_votes (view, seq, digest) (fun () -> Hashtbl.create 8) in
+    let votes = C.table t.prepare_votes (view, seq, digest) 8 in
     if
       Hashtbl.length votes >= 2 * t.config.f
       && not (Hashtbl.mem t.prepared (view, seq))
@@ -251,7 +172,7 @@ let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
       if not (Hashtbl.mem t.commit_sent (view, seq)) then begin
         Hashtbl.replace t.commit_sent (view, seq) ();
         if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
+          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
             Thc_obsv.Span.Commit_send ~at:(ctx.now ());
         send_signed t ctx (Commit { view; seq; digest })
       end
@@ -268,69 +189,30 @@ let proposal_acceptable t ~seq ~digest =
      | Some d -> d = digest
      | None -> false)
 
-(* --- leader batching (same discipline as Minbft) ------------------------ *)
+(* --- leader batching ------------------------------------------------------ *)
 
 let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
-  if batch <> [] then begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    List.iter
-      (fun key -> Hashtbl.replace t.proposed_keys key seq)
-      (Command.batch_keys batch);
-    if Thc_obsv.Span.enabled ctx.spans then
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-        Thc_obsv.Span.Propose ~at:(ctx.now ());
-    send_signed t ctx (Pre_prepare { view = t.view; seq; batch })
-  end
+  let seq = C.next_slot t.core batch in
+  if Thc_obsv.Span.enabled ctx.spans then
+    Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
+      Thc_obsv.Span.Propose ~at:(ctx.now ());
+  send_signed t ctx (Pre_prepare { view = t.core.view; seq; batch })
 
-let rec take_batch t acc k =
-  if k = 0 || Queue.is_empty t.queue then List.rev acc
-  else begin
-    let sr = Queue.pop t.queue in
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    Hashtbl.remove t.queued key;
-    if Hashtbl.mem t.proposed_keys key || Hashtbl.mem t.executed key then
-      take_batch t acc k
-    else take_batch t (sr :: acc) (k - 1)
-  end
-
-let rec flush_queue t ctx ~force =
-  if
-    Queue.length t.queue >= t.config.batch_size
-    || (force && not (Queue.is_empty t.queue))
-  then begin
-    propose_batch t ctx (take_batch t [] t.config.batch_size);
-    flush_queue t ctx ~force
-  end
-
-let arm_batch_timer t (ctx : msg Thc_sim.Engine.ctx) =
-  if (not t.batch_armed) && not (Queue.is_empty t.queue) then begin
-    t.batch_armed <- true;
-    ctx.set_timer ~delay:t.config.batch_delay ~tag:batch_timer_tag
-  end
-
-let enqueue_request t ctx (sr : Command.signed_request) =
-  let key = Command.key sr.Thc_crypto.Signature.value in
-  if not (Hashtbl.mem t.queued key) then begin
-    Hashtbl.replace t.queued key ();
-    Queue.push sr t.queue
-  end;
-  flush_queue t ctx ~force:false;
-  arm_batch_timer t ctx
+let flush_queue t ctx ~force = C.flush t.core ctx ~force propose_batch t
 
 (* --- view change -------------------------------------------------------- *)
 
 let cert_valid t (c : cert) =
   let digest = Command.batch_digest c.cbatch in
   Command.batch_valid t.keyring c.cbatch
-  && c.preprepare_sig.signer = leader_of t c.cview
+  && c.preprepare_sig.signer = C.leader_of t.core c.cview
   && Thc_crypto.Signature.verify_value t.keyring c.preprepare_sig
        (Pre_prepare { view = c.cview; seq = c.cseq; batch = c.cbatch })
   &&
   let valid_prepares =
     List.filter
       (fun (s : Thc_crypto.Signature.t) ->
-        s.signer <> leader_of t c.cview
+        s.signer <> C.leader_of t.core c.cview
         && Thc_crypto.Signature.verify_value t.keyring s
              ("prepare", c.cview, c.cseq, digest))
       c.prepares
@@ -401,32 +283,25 @@ let handle_wire_ref : (t -> msg Thc_sim.Engine.ctx -> wire -> unit) ref =
    digest and only the new leader's signed instance can pass validation. *)
 let noop_request_value t ~new_view ~seq : Command.request =
   {
-    client = leader_of t new_view;
+    client = C.leader_of t.core new_view;
     rid = -seq;
     op = Kv_store.encode_op (Kv_store.Get "__noop");
   }
 
 let adopt_new_view t ctx ~new_view view_changes =
   let recovered = recover_from_vcs view_changes in
-  t.view <- new_view;
-  t.status <- Normal;
-  (* Give the new view a full timeout before anyone escalates again: the
-     stuck-request clocks restart at adoption. *)
-  (let now = ctx.Thc_sim.Engine.now () in
-   Hashtbl.filter_map_inplace (fun _ (r, _) -> Some (r, now)) t.pending);
+  C.enter_view t.core ctx ~view:new_view;
   Hashtbl.reset t.expected;
   t.recovered_bound <-
     List.fold_left (fun acc (seq, _) -> max acc seq) 0 recovered;
   List.iter
     (fun (seq, (batch : Command.batch)) ->
       Hashtbl.replace t.expected seq (Command.batch_digest batch);
-      List.iter
-        (fun key -> Hashtbl.replace t.proposed_keys key seq)
-        (Command.batch_keys batch))
+      C.mark_proposed t.core seq batch)
     recovered;
   let gaps =
     List.filter
-      (fun seq -> seq > t.exec_upto && not (Hashtbl.mem t.expected seq))
+      (fun seq -> seq > t.core.exec_upto && not (Hashtbl.mem t.expected seq))
       (List.init t.recovered_bound (fun i -> i + 1))
   in
   List.iter
@@ -434,8 +309,8 @@ let adopt_new_view t ctx ~new_view view_changes =
       Hashtbl.replace t.expected seq
         (Command.batch_digest_of_requests [ noop_request_value t ~new_view ~seq ]))
     gaps;
-  if t.self = leader_of t new_view then begin
-    t.next_seq <- t.recovered_bound + 1;
+  if t.self = C.leader_of t.core new_view then begin
+    t.core.next_seq <- t.recovered_bound + 1;
     List.iter
       (fun (seq, batch) ->
         send_signed t ctx (Pre_prepare { view = new_view; seq; batch }))
@@ -448,21 +323,7 @@ let adopt_new_view t ctx ~new_view view_changes =
         send_signed t ctx
           (Pre_prepare { view = new_view; seq; batch = [ request ] }))
       gaps;
-    let unproposed =
-      Hashtbl.fold
-        (fun key (request, _) acc ->
-          if Hashtbl.mem t.proposed_keys key then acc
-          else (key, request) :: acc)
-        t.pending []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    List.iter
-      (fun (key, sr) ->
-        if not (Hashtbl.mem t.queued key) then begin
-          Hashtbl.replace t.queued key ();
-          Queue.push sr t.queue
-        end)
-      unproposed;
+    C.requeue_pending t.core;
     flush_queue t ctx ~force:true
   end;
   (* Replay re-proposals that raced ahead of this New_view. *)
@@ -473,7 +334,7 @@ let adopt_new_view t ctx ~new_view view_changes =
     List.iter (fun w -> !handle_wire_ref t ctx w) (List.rev buffered)
 
 let send_view_change t ctx ~new_view =
-  t.status <- Changing new_view;
+  t.core.status <- C.Changing new_view;
   let certs =
     Hashtbl.fold
       (fun (_, seq) c acc ->
@@ -489,25 +350,23 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
     let signer = w.signature.signer in
     match w.value with
     | Pre_prepare { view; seq; batch } ->
-      if signer = leader_of t view && view > t.view then begin
+      if signer = C.leader_of t.core view && view > t.core.view then begin
         let buffered = Option.value ~default:[] (Hashtbl.find_opt t.future_pp view) in
         Hashtbl.replace t.future_pp view (w :: buffered)
       end;
       if
-        signer = leader_of t view
-        && view = t.view
-        && t.status = Normal
+        signer = C.leader_of t.core view
+        && view = t.core.view
+        && t.core.status = C.Normal
         && Command.batch_valid t.keyring batch
         && not (Hashtbl.mem t.preprepares (view, seq))
       then begin
         let digest = Command.batch_digest batch in
         if proposal_acceptable t ~seq ~digest then begin
           Hashtbl.replace t.preprepares (view, seq) (batch, digest, w.signature);
-          List.iter
-            (fun key -> Hashtbl.replace t.proposed_keys key seq)
-            (Command.batch_keys batch);
+          C.mark_proposed t.core seq batch;
           if
-            t.self <> leader_of t view
+            t.self <> C.leader_of t.core view
             && not (Hashtbl.mem t.prepare_sent (view, seq))
           then begin
             Hashtbl.replace t.prepare_sent (view, seq) ();
@@ -518,10 +377,8 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         end
       end
     | Prepare { view; seq; digest } ->
-      if signer <> leader_of t view then begin
-        let votes =
-          table t.prepare_votes (view, seq, digest) (fun () -> Hashtbl.create 8)
-        in
+      if signer <> C.leader_of t.core view then begin
+        let votes = C.table t.prepare_votes (view, seq, digest) 8 in
         if not (Hashtbl.mem votes signer) then begin
           (* Keep the signature itself: it becomes certificate material. *)
           Hashtbl.replace votes signer w.signature;
@@ -529,25 +386,23 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         end
       end
     | Commit { view; seq; digest } ->
-      let votes =
-        table t.commit_votes (view, seq, digest) (fun () -> Hashtbl.create 8)
-      in
+      let votes = C.table t.commit_votes (view, seq, digest) 8 in
       if not (Hashtbl.mem votes signer) then begin
         Hashtbl.replace votes signer w.signature;
         try_commit t ctx ~view ~seq ~digest
       end
     | View_change { new_view; _ } ->
-      if new_view > t.view && vc_valid t ~new_view w then begin
-        let tbl = table t.vc_store new_view (fun () -> Hashtbl.create 8) in
+      if new_view > t.core.view && vc_valid t ~new_view w then begin
+        let tbl = C.table t.vc_store new_view 8 in
         Hashtbl.replace tbl signer w;
         (* Liveness join: f+1 view changes for a higher view pull us in. *)
-        if Hashtbl.length tbl >= t.config.f + 1 && t.max_vc_sent < new_view
+        if Hashtbl.length tbl >= t.config.f + 1 && t.core.max_vc_sent < new_view
         then begin
-          t.max_vc_sent <- new_view;
+          t.core.max_vc_sent <- new_view;
           send_view_change t ctx ~new_view
         end;
         if
-          t.self = leader_of t new_view
+          t.self = C.leader_of t.core new_view
           && Hashtbl.length tbl >= (2 * t.config.f) + 1
         then begin
           let vcs = Hashtbl.fold (fun _ v acc -> v :: acc) tbl [] in
@@ -557,8 +412,8 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
       end
     | New_view { new_view; view_changes } ->
       if
-        signer = leader_of t new_view
-        && new_view > t.view
+        signer = C.leader_of t.core new_view
+        && new_view > t.core.view
         && List.for_all (vc_valid t ~new_view) view_changes
         &&
         let signers =
@@ -572,52 +427,19 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
 let () = handle_wire_ref := handle_wire
 
 let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
-  if Command.valid t.keyring sr then begin
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    match Hashtbl.find_opt t.executed key with
-    | Some result ->
-      ctx.send sr.value.client
-        (Reply { replica = t.self; rid = sr.value.rid; result })
-    | None ->
-      if not (Hashtbl.mem t.pending key) then
-        Hashtbl.replace t.pending key (sr, ctx.now ());
-      if
-        t.self = leader_of t t.view
-        && t.status = Normal
-        && not (Hashtbl.mem t.proposed_keys key)
-      then begin
-        if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark ctx.spans ~client:sr.value.client
-            ~rid:sr.value.rid Thc_obsv.Span.Ingress ~at:(ctx.now ());
-        enqueue_request t ctx sr
-      end
+  if C.intake t.core ctx sr then begin
+    flush_queue t ctx ~force:false;
+    C.arm_batch_timer t.core ctx
   end
 
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
-  let now = ctx.now () in
-  let stuck =
-    Hashtbl.length t.pending > 0
-    && Hashtbl.fold
-      (fun _ (_, since) acc ->
-        acc || Int64.sub now since > t.config.request_timeout)
-      t.pending false
-  in
-  (if stuck then
-     let fresh_attempt = t.max_vc_sent <= t.view in
-     let timed_out = Int64.sub now t.last_vc_at > t.config.request_timeout in
-     if fresh_attempt || timed_out then begin
-       let target = max t.view t.max_vc_sent + 1 in
-       t.max_vc_sent <- target;
-       t.last_vc_at <- now;
-       send_view_change t ctx ~new_view:target
-     end);
-  ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag
+  let new_view = C.escalation t.core ~now:(ctx.now ()) in
+  if new_view > 0 then send_view_change t ctx ~new_view;
+  C.arm_check_timer t.core ctx
 
 let replica t : msg Thc_sim.Engine.behavior =
   {
-    init =
-      (fun ctx ->
-        ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag);
+    init = (fun ctx -> C.arm_check_timer t.core ctx);
     on_message =
       (fun ctx ~src:_ m ->
         match m with
@@ -626,23 +448,18 @@ let replica t : msg Thc_sim.Engine.behavior =
         | Reply _ -> ());
     on_timer =
       (fun ctx tag ->
-        if tag = check_timer_tag then handle_check t ctx
-        else if tag = batch_timer_tag then begin
-          t.batch_armed <- false;
-          if t.self = leader_of t t.view && t.status = Normal then
-            flush_queue t ctx ~force:true
-        end);
+        if tag = C.check_timer_tag then handle_check t ctx
+        else if tag = C.batch_timer_tag && C.batch_timer_fired t.core then
+          flush_queue t ctx ~force:true);
   }
+
+let wrap_request sr = Request sr
+let unwrap_reply = function Reply r -> Some r | Request _ | Signed _ -> None
 
 let client ~rid_base ~config ~keyring:_ ~ident ~plan :
     msg Thc_sim.Engine.behavior =
   Client_core.behavior ~rid_base ~n_replicas:config.n ~quorum:(config.f + 1)
-    ~ident ~plan
-    ~wrap:(fun sr -> Request sr)
-    ~unwrap:(function Reply r -> Some r | Request _ | Signed _ -> None)
-
-let wrap_request sr = Request sr
-let unwrap_reply = function Reply r -> Some r | Request _ | Signed _ -> None
+    ~ident ~plan ~wrap:wrap_request ~unwrap:unwrap_reply
 
 let classify_msg = function
   | Request _ -> "request"

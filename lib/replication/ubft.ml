@@ -48,11 +48,7 @@ let pp_msg ppf = function
     Format.fprintf ppf "new-view(v%d,<=%d)" new_view upto
   | Reply r -> Format.fprintf ppf "reply(p%d,#%d)" r.replica r.rid
 
-let check_timer_tag = 1_000_000
-
-let batch_timer_tag = 1_000_001
-
-type status = Normal | Changing of int
+module C = Replica_core
 
 type t = {
   config : config;
@@ -60,29 +56,16 @@ type t = {
   registers : registers;
   ident : Thc_crypto.Keyring.secret;
   self : int;
-  store : Kv_store.t;
-  mutable view : int;
-  mutable status : status;
-  mutable next_seq : int;  (* leader: next sequence number to assign *)
+  core : msg C.t;
   slots : (int, Command.batch * int64) Hashtbl.t;
       (* seq -> adopted batch and its digest (first valid Slot per seq
          wins, so every reader of the same register resolves
          identically) *)
-  mutable exec_upto : int;  (* highest executed slot *)
-  mutable exec_count : int;  (* dense per-request execution index *)
-  queue : Command.signed_request Queue.t;
-  queued : (int * int, unit) Hashtbl.t;
-  mutable batch_armed : bool;
-  pending : (int * int, Command.signed_request * int64) Hashtbl.t;
-  proposed_keys : (int * int, int) Hashtbl.t;  (* request key -> seq *)
-  executed : (int * int, string) Hashtbl.t;  (* request key -> result *)
   acked : int array;
       (* leader: per-follower ack frontier for the current view, verified
          against the follower's register on each Ack_note doorbell *)
   acked_keys : (int * int, unit) Hashtbl.t;  (* (view, seq) we acked *)
   rvc_votes : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  mutable max_rvc_sent : int;
-  mutable last_rvc_at : int64;
   mutable trunc_base : int;  (* own register pruned up to this slot *)
   mutable own_len : int;
       (* shadow of our register's entry count — kept in software so the
@@ -102,35 +85,26 @@ let create_replica ~config ~keyring ~registers ~ident ~self =
     registers;
     ident;
     self;
-    store = Kv_store.create ();
-    view = 0;
-    status = Normal;
-    next_seq = 1;
+    core =
+      C.create ~self ~n:config.n ~keyring
+        ~request_timeout:config.request_timeout
+        ~check_interval:config.check_interval ~batch_size:config.batch_size
+        ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
     slots = Hashtbl.create 64;
-    exec_upto = 0;
-    exec_count = 0;
-    queue = Queue.create ();
-    queued = Hashtbl.create 64;
-    batch_armed = false;
-    pending = Hashtbl.create 64;
-    proposed_keys = Hashtbl.create 64;
-    executed = Hashtbl.create 64;
     acked = Array.make config.n 0;
     acked_keys = Hashtbl.create 64;
     rvc_votes = Hashtbl.create 8;
-    max_rvc_sent = 0;
-    last_rvc_at = 0L;
     trunc_base = 0;
     own_len = 0;
     reg_hwm = 0;
     truncations = 0;
   }
 
-let view_of t = t.view
+let view_of t = t.core.view
 
-let executed_upto t = t.exec_upto
+let executed_upto t = t.core.exec_upto
 
-let store_digest t = Kv_store.digest t.store
+let store_digest t = Kv_store.digest t.core.store
 
 let register_len t = List.length (Thc_sharedmem.Swmr.read t.registers.(t.self))
 
@@ -146,13 +120,6 @@ let durability t =
     truncations = t.truncations;
   }
 
-let leader_of t view = view mod t.config.n
-
-let batch_rids (batch : Command.batch) =
-  List.map
-    (fun (sr : Command.signed_request) -> sr.Thc_crypto.Signature.value.rid)
-    batch
-
 (* Append a record to our own register, attributing the register op (and
    any trusted-op charges the attached ledger raises) to a span phase. *)
 let own_append t (ctx : msg Thc_sim.Engine.ctx) ~phase ~rids record =
@@ -162,14 +129,6 @@ let own_append t (ctx : msg Thc_sim.Engine.ctx) ~phase ~rids record =
    else Thc_sharedmem.Swmr.append t.registers.(t.self) ~ident:t.ident record);
   t.own_len <- t.own_len + 1;
   if t.own_len > t.reg_hwm then t.reg_hwm <- t.own_len
-
-let rvc_supporters t nv =
-  match Hashtbl.find_opt t.rvc_votes nv with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.add t.rvc_votes nv tbl;
-    tbl
 
 (* --- checkpoint truncation --------------------------------------------- *)
 
@@ -208,12 +167,12 @@ let truncate_own t ~upto =
         (fun r ->
           match r with
           | Slot { seq; _ } | Ack { seq; _ } -> seq > upto
-          | Vc { new_view } -> new_view = max_vc || new_view > t.view
+          | Vc { new_view } -> new_view = max_vc || new_view > t.core.view
           | Checkpoint _ -> false)
         raw
     in
     Thc_sharedmem.Swmr.write t.registers.(t.self) ~ident:t.ident
-      (keep @ [ Checkpoint { upto; state = Kv_store.digest t.store } ]);
+      (keep @ [ Checkpoint { upto; state = Kv_store.digest t.core.store } ]);
     t.own_len <- List.length keep + 1;
     t.truncations <- t.truncations + 1;
     let stale =
@@ -232,7 +191,7 @@ let truncate_own t ~upto =
 
 let maybe_checkpoint t ~seq =
   if seq mod t.config.checkpoint_interval = 0 then
-    if t.self = leader_of t t.view then begin
+    if t.self = C.leader_of t.core t.core.view then begin
       (* The leader prunes only slots every register covers.  A replica's
          ack frontier is also its adoption frontier, so nothing a live
          replica still needs ever disappears from the log it reads.
@@ -241,7 +200,7 @@ let maybe_checkpoint t ~seq =
          dense instead, at the cost of a crashed replica stalling
          truncation.) *)
       let stable =
-        ref (if t.config.n = 1 then t.exec_upto else max_int)
+        ref (if t.config.n = 1 then t.core.exec_upto else max_int)
       in
       for owner = 0 to t.config.n - 1 do
         if owner <> t.self then
@@ -256,30 +215,6 @@ let maybe_checkpoint t ~seq =
 
 (* --- execution --------------------------------------------------------- *)
 
-let execute_one t (ctx : msg Thc_sim.Engine.ctx) (sr : Command.signed_request)
-    =
-  let key = Command.key sr.value in
-  let result =
-    match Hashtbl.find_opt t.executed key with
-    | Some r -> r
-    | None ->
-      let r =
-        Kv_store.encode_result
-          (Kv_store.apply t.store (Kv_store.decode_op sr.value.op))
-      in
-      Hashtbl.replace t.executed key r;
-      r
-  in
-  Hashtbl.remove t.pending key;
-  t.exec_count <- t.exec_count + 1;
-  if Thc_obsv.Span.enabled ctx.spans then
-    Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid
-      Thc_obsv.Span.Executed ~at:(ctx.now ());
-  ctx.output
-    (Thc_sim.Obs.Executed { seq = t.exec_count; op = sr.value.op; result });
-  ctx.send sr.value.client
-    (Reply { replica = t.self; rid = sr.value.rid; result })
-
 (* The leader executes (and replies) only once a slot is {e covered}: in
    f+1 registers counting its own Slot append, so a view change that
    gathers f+1 votes — silencing f+1 replicas' old-view acks — can never
@@ -293,29 +228,16 @@ let slot_covered t ~seq =
   !votes >= t.config.f + 1
 
 let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
-  match Hashtbl.find_opt t.slots (t.exec_upto + 1) with
+  let seq = t.core.exec_upto + 1 in
+  match Hashtbl.find_opt t.slots seq with
   | None -> ()
   | Some _
-    when t.self = leader_of t t.view
-         && not (slot_covered t ~seq:(t.exec_upto + 1)) ->
+    when t.self = C.leader_of t.core t.core.view && not (slot_covered t ~seq)
+    ->
     ()
   | Some (batch, _) ->
-    let seq = t.exec_upto + 1 in
-    t.exec_upto <- seq;
-    if Thc_obsv.Span.enabled ctx.spans then
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(batch_rids batch)
-        Thc_obsv.Span.Committed ~at:(ctx.now ());
-    let op =
-      match batch with
-      | [ sr ] -> sr.Thc_crypto.Signature.value.op
-      | _ ->
-        Thc_util.Codec.encode
-          (List.map
-             (fun (sr : Command.signed_request) -> sr.value.op)
-             batch)
-    in
-    ctx.Thc_sim.Engine.output (Thc_sim.Obs.Committed { view = t.view; seq; op });
-    List.iter (execute_one t ctx) batch;
+    C.output_committed ctx ~view:t.core.view ~seq batch;
+    C.execute_slot t.core ctx batch;
     maybe_checkpoint t ~seq;
     try_execute t ctx
 
@@ -323,9 +245,7 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
 
 let adopt_slot t ~seq ~(batch : Command.batch) ~digest =
   Hashtbl.replace t.slots seq (batch, digest);
-  List.iter
-    (fun key -> Hashtbl.replace t.proposed_keys key seq)
-    (Command.batch_keys batch)
+  C.mark_proposed t.core seq batch
 
 (* Count registers carrying a view-change vote above our view.  An
    activated higher view necessarily left Vc votes in f+1 registers
@@ -338,7 +258,7 @@ let higher_view_evidence t =
   for owner = 0 to t.config.n - 1 do
     if
       List.exists
-        (function Vc { new_view } -> new_view > t.view | _ -> false)
+        (function Vc { new_view } -> new_view > t.core.view | _ -> false)
         (Thc_sharedmem.Swmr.entries t.registers.(owner))
     then incr count
   done;
@@ -352,8 +272,9 @@ let higher_view_evidence t =
    (the leader's coverage evidence, confirmed by one Ack_note doorbell),
    then executed speculatively in dense slot order. *)
 let refresh t (ctx : msg Thc_sim.Engine.ctx) =
-  if t.status = Normal && t.self <> leader_of t t.view then begin
-    let lead = leader_of t t.view in
+  if t.core.status = C.Normal && t.self <> C.leader_of t.core t.core.view
+  then begin
+    let lead = C.leader_of t.core t.core.view in
     let evidence =
       if Thc_obsv.Span.enabled ctx.spans then
         Thc_obsv.Span.in_phase ctx.spans Thc_obsv.Span.Other_phase ~rids:[]
@@ -372,7 +293,7 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
         (fun r ->
           match r with
           | Slot { view; seq; batch }
-            when view = t.view && seq > t.exec_upto
+            when view = t.core.view && seq > t.core.exec_upto
                  && (not (Hashtbl.mem t.acked_keys (view, seq)))
                  && Command.batch_valid t.keyring batch ->
             let digest = Command.batch_digest batch in
@@ -390,17 +311,17 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
             if adoptable then begin
               Hashtbl.replace t.acked_keys (view, seq) ();
               acked_max := max !acked_max seq;
-              let rids = batch_rids batch in
+              let rids = C.batch_rids batch in
               if Thc_obsv.Span.enabled ctx.spans then
                 Thc_obsv.Span.mark_all ctx.spans ~seq ~rids
                   Thc_obsv.Span.Commit_send ~at:(ctx.now ());
               own_append t ctx ~phase:Thc_obsv.Span.Commit_phase ~rids
-                (Ack { view = t.view; seq; digest })
+                (Ack { view = t.core.view; seq; digest })
             end
           | Slot _ | Ack _ | Vc _ | Checkpoint _ -> ())
         log;
       if !acked_max > 0 then
-        ctx.send lead (Ack_note { view = t.view; upto = !acked_max });
+        ctx.send lead (Ack_note { view = t.core.view; upto = !acked_max });
       try_execute t ctx
     end
   end
@@ -410,8 +331,8 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
    our adopted slot count, so a forged Ack_note cannot fake coverage. *)
 let handle_ack_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~view =
   if
-    view = t.view
-    && t.self = leader_of t t.view
+    view = t.core.view
+    && t.self = C.leader_of t.core view
     && src <> t.self
     && src >= 0
     && src < t.config.n
@@ -426,11 +347,11 @@ let handle_ack_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~view =
       List.fold_left
         (fun acc r ->
           match r with
-          | Ack { view = v; seq; digest } when v = t.view ->
+          | Ack { view = v; seq; digest } when v = t.core.view ->
             let ok =
               match Hashtbl.find_opt t.slots seq with
               | Some (_, d) -> Int64.equal d digest
-              | None -> seq <= t.exec_upto
+              | None -> seq <= t.core.exec_upto
             in
             if ok then max acc seq else acc
           | Slot _ | Ack _ | Vc _ | Checkpoint _ -> acc)
@@ -445,73 +366,34 @@ let handle_ack_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~view =
 (* --- leader batching --------------------------------------------------- *)
 
 let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
-  if batch <> [] then begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let rids = batch_rids batch in
-    if Thc_obsv.Span.enabled ctx.spans then begin
-      let at = ctx.now () in
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids Thc_obsv.Span.Propose ~at;
-      (* The append is proposal and commit vote in one: stamping
-         Commit_send here makes the commit phase measure append-to-
-         follower-adoption (one doorbell hop; the follower acks that
-         arrive later are first-write-wins no-ops on this mark). *)
-      Thc_obsv.Span.mark_all ctx.spans ~seq ~rids Thc_obsv.Span.Commit_send
-        ~at
-    end;
-    (* One register append is the whole proposal: once it lands, the slot
-       is in trusted memory and cannot be equivocated or withdrawn. *)
-    own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
-      (Slot { view = t.view; seq; batch });
-    adopt_slot t ~seq ~batch ~digest:(Command.batch_digest batch)
-  end
-
-let rec take_batch t acc k =
-  if k = 0 || Queue.is_empty t.queue then List.rev acc
-  else begin
-    let sr = Queue.pop t.queue in
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    Hashtbl.remove t.queued key;
-    if Hashtbl.mem t.proposed_keys key || Hashtbl.mem t.executed key then
-      take_batch t acc k
-    else take_batch t (sr :: acc) (k - 1)
-  end
-
-let rec flush_slots t ctx ~force =
-  if
-    Queue.length t.queue >= t.config.batch_size
-    || (force && not (Queue.is_empty t.queue))
-  then begin
-    propose_batch t ctx (take_batch t [] t.config.batch_size);
-    flush_slots t ctx ~force
-  end
+  let seq = C.next_slot t.core batch in
+  let rids = C.batch_rids batch in
+  if Thc_obsv.Span.enabled ctx.spans then begin
+    let at = ctx.now () in
+    Thc_obsv.Span.mark_all ctx.spans ~seq ~rids Thc_obsv.Span.Propose ~at;
+    (* The append is proposal and commit vote in one: stamping
+       Commit_send here makes the commit phase measure append-to-
+       follower-adoption (one doorbell hop; the follower acks that
+       arrive later are first-write-wins no-ops on this mark). *)
+    Thc_obsv.Span.mark_all ctx.spans ~seq ~rids Thc_obsv.Span.Commit_send ~at
+  end;
+  (* One register append is the whole proposal: once it lands, the slot
+     is in trusted memory and cannot be equivocated or withdrawn. *)
+  own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
+    (Slot { view = t.core.view; seq; batch });
+  Hashtbl.replace t.slots seq (batch, Command.batch_digest batch)
 
 (* Propose everything due and ring the doorbell once for the whole flush
    (followers learn the data from the register, not the message).  Our
    own execution waits for coverage — the try_execute here only drains
    slots already covered by earlier ack rounds. *)
 let flush_queue t (ctx : msg Thc_sim.Engine.ctx) ~force =
-  let before = t.next_seq in
-  flush_slots t ctx ~force;
-  if t.next_seq > before then begin
-    ctx.others (Notify { view = t.view; upto = t.next_seq - 1 });
+  let before = t.core.next_seq in
+  C.flush t.core ctx ~force propose_batch t;
+  if t.core.next_seq > before then begin
+    ctx.others (Notify { view = t.core.view; upto = t.core.next_seq - 1 });
     try_execute t ctx
   end
-
-let arm_batch_timer t (ctx : msg Thc_sim.Engine.ctx) =
-  if (not t.batch_armed) && not (Queue.is_empty t.queue) then begin
-    t.batch_armed <- true;
-    ctx.set_timer ~delay:t.config.batch_delay ~tag:batch_timer_tag
-  end
-
-let enqueue_request t ctx (sr : Command.signed_request) =
-  let key = Command.key sr.Thc_crypto.Signature.value in
-  if not (Hashtbl.mem t.queued key) then begin
-    Hashtbl.replace t.queued key ();
-    Queue.push sr t.queue
-  end;
-  flush_queue t ctx ~force:false;
-  arm_batch_timer t ctx
 
 (* --- view change ------------------------------------------------------- *)
 
@@ -556,148 +438,86 @@ let recover_from_registers t ~new_view =
   Hashtbl.fold (fun seq (_, batch) acc -> (seq, batch) :: acc) best []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let restart_pending_clocks t (ctx : msg Thc_sim.Engine.ctx) =
-  let now = ctx.now () in
-  Hashtbl.filter_map_inplace (fun _ (r, _) -> Some (r, now)) t.pending
-
 (* New leader: recover from the registers, re-publish every recovered slot
    under the new view in our own register (giving followers one place to
    read), then drain still-pending requests behind the recovery. *)
 let adopt_new_view t (ctx : msg Thc_sim.Engine.ctx) ~new_view =
   let recovered = recover_from_registers t ~new_view in
-  t.view <- new_view;
-  t.status <- Normal;
+  C.enter_view t.core ctx ~view:new_view;
   Array.fill t.acked 0 (Array.length t.acked) 0;
-  restart_pending_clocks t ctx;
   let bound =
-    List.fold_left (fun acc (seq, _) -> max acc seq) t.exec_upto recovered
+    List.fold_left (fun acc (seq, _) -> max acc seq) t.core.exec_upto recovered
   in
-  t.next_seq <- bound + 1;
+  t.core.next_seq <- bound + 1;
   List.iter
     (fun (seq, (batch : Command.batch)) ->
-      let rids = batch_rids batch in
+      let rids = C.batch_rids batch in
       own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
         (Slot { view = new_view; seq; batch });
-      if seq > t.exec_upto && not (Hashtbl.mem t.slots seq) then
+      if seq > t.core.exec_upto && not (Hashtbl.mem t.slots seq) then
         adopt_slot t ~seq ~batch ~digest:(Command.batch_digest batch))
     recovered;
-  ctx.others (New_view_note { new_view; upto = t.next_seq - 1 });
+  ctx.others (New_view_note { new_view; upto = t.core.next_seq - 1 });
   try_execute t ctx;
-  let unproposed =
-    Hashtbl.fold
-      (fun key (request, _) acc ->
-        if Hashtbl.mem t.proposed_keys key then acc
-        else (key, request) :: acc)
-      t.pending []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (key, sr) ->
-      if not (Hashtbl.mem t.queued key) then begin
-        Hashtbl.replace t.queued key ();
-        Queue.push sr t.queue
-      end)
-    unproposed;
+  C.requeue_pending t.core;
   flush_queue t ctx ~force:true
 
 let announce_rvc t ctx ~new_view =
-  t.max_rvc_sent <- new_view;
+  t.core.max_vc_sent <- new_view;
   own_append t ctx ~phase:Thc_obsv.Span.Other_phase ~rids:[] (Vc { new_view });
-  Hashtbl.replace (rvc_supporters t new_view) t.self ();
+  Hashtbl.replace (C.table t.rvc_votes new_view 8) t.self ();
   ctx.others (Rvc { new_view })
 
 let note_vc_support t (ctx : msg Thc_sim.Engine.ctx) ~owner ~new_view =
-  if new_view > t.view && register_has_vc t ~owner ~new_view then begin
-    Hashtbl.replace (rvc_supporters t new_view) owner ();
+  if new_view > t.core.view && register_has_vc t ~owner ~new_view then begin
+    let supporters = C.table t.rvc_votes new_view 8 in
+    Hashtbl.replace supporters owner ();
     (* Join a view-change attempt ahead of our own: keeps escalation
        targets aligned across replicas. *)
-    if owner <> t.self && new_view > t.max_rvc_sent then
+    if owner <> t.self && new_view > t.core.max_vc_sent then
       announce_rvc t ctx ~new_view;
-    if Hashtbl.length (rvc_supporters t new_view) >= t.config.f + 1 then
-      if t.self = leader_of t new_view then
+    if Hashtbl.length supporters >= t.config.f + 1 then
+      if t.self = C.leader_of t.core new_view then
         adopt_new_view t ctx ~new_view
-      else begin
-        let already_changing =
-          match t.status with
-          | Changing nv -> nv >= new_view
-          | Normal -> false
-        in
-        if not already_changing then t.status <- Changing new_view
-      end
+      else ignore (C.start_change t.core new_view)
   end
 
 let handle_new_view_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~new_view =
   if
-    src = leader_of t new_view
-    && new_view > t.view
+    src = C.leader_of t.core new_view
+    && new_view > t.core.view
     && vc_support t ~new_view >= t.config.f + 1
   then begin
-    t.view <- new_view;
-    t.status <- Normal;
+    C.enter_view t.core ctx ~view:new_view;
     Array.fill t.acked 0 (Array.length t.acked) 0;
-    t.max_rvc_sent <- max t.max_rvc_sent new_view;
-    restart_pending_clocks t ctx;
+    t.core.max_vc_sent <- max t.core.max_vc_sent new_view;
     refresh t ctx
   end
 
 let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
-  if Command.valid t.keyring sr then begin
-    let key = Command.key sr.Thc_crypto.Signature.value in
-    if not (Hashtbl.mem t.executed key) then begin
-      if not (Hashtbl.mem t.pending key) then
-        Hashtbl.replace t.pending key (sr, ctx.now ());
-      if
-        t.self = leader_of t t.view
-        && t.status = Normal
-        && not (Hashtbl.mem t.proposed_keys key)
-      then begin
-        if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark ctx.spans ~client:sr.value.client
-            ~rid:sr.value.rid Thc_obsv.Span.Ingress ~at:(ctx.now ());
-        enqueue_request t ctx sr
-      end
-    end
-    else
-      match Hashtbl.find_opt t.executed key with
-      | Some result ->
-        ctx.send sr.value.client
-          (Reply { replica = t.self; rid = sr.value.rid; result })
-      | None -> ()
+  if C.intake t.core ctx sr then begin
+    flush_queue t ctx ~force:false;
+    C.arm_batch_timer t.core ctx
   end
 
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
-  let now = ctx.now () in
-  let stuck =
-    Hashtbl.length t.pending > 0
-    && Hashtbl.fold
-      (fun _ (_, since) acc ->
-        acc || Int64.sub now since > t.config.request_timeout)
-      t.pending false
-  in
-  (if stuck then
-     let fresh_attempt = t.max_rvc_sent <= t.view in
-     let timed_out =
-       Int64.sub now t.last_rvc_at > t.config.request_timeout
-     in
-     if fresh_attempt || timed_out then begin
-       let target = max t.view t.max_rvc_sent + 1 in
-       t.last_rvc_at <- now;
-       announce_rvc t ctx ~new_view:target;
-       note_vc_support t ctx ~owner:t.self ~new_view:target
-     end);
-  ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag
+  let new_view = C.escalation t.core ~now:(ctx.now ()) in
+  if new_view > 0 then begin
+    announce_rvc t ctx ~new_view;
+    note_vc_support t ctx ~owner:t.self ~new_view
+  end;
+  C.arm_check_timer t.core ctx
 
 let replica t : msg Thc_sim.Engine.behavior =
   {
-    init =
-      (fun ctx ->
-        ctx.set_timer ~delay:t.config.check_interval ~tag:check_timer_tag);
+    init = (fun ctx -> C.arm_check_timer t.core ctx);
     on_message =
       (fun ctx ~src m ->
         match m with
         | Request sr -> handle_request t ctx sr
         | Notify { view; upto = _ } ->
-          if view = t.view && src = leader_of t view then refresh t ctx
+          if view = t.core.view && src = C.leader_of t.core view then
+            refresh t ctx
         | Ack_note { view; upto = _ } -> handle_ack_note t ctx ~src ~view
         | Rvc { new_view } -> note_vc_support t ctx ~owner:src ~new_view
         | New_view_note { new_view; upto = _ } ->
@@ -705,28 +525,21 @@ let replica t : msg Thc_sim.Engine.behavior =
         | Reply _ -> ());
     on_timer =
       (fun ctx tag ->
-        if tag = check_timer_tag then handle_check t ctx
-        else if tag = batch_timer_tag then begin
-          t.batch_armed <- false;
-          if t.self = leader_of t t.view && t.status = Normal then
-            flush_queue t ctx ~force:true
-        end);
+        if tag = C.check_timer_tag then handle_check t ctx
+        else if tag = C.batch_timer_tag && C.batch_timer_fired t.core then
+          flush_queue t ctx ~force:true);
   }
-
-let client ~rid_base ~config ~keyring:_ ~ident ~plan :
-    msg Thc_sim.Engine.behavior =
-  Client_core.behavior ~rid_base ~n_replicas:config.n ~quorum:(config.f + 1)
-    ~ident ~plan
-    ~wrap:(fun sr -> Request sr)
-    ~unwrap:(function
-      | Reply r -> Some r
-      | Request _ | Notify _ | Ack_note _ | Rvc _ | New_view_note _ -> None)
 
 let wrap_request sr = Request sr
 
 let unwrap_reply = function
   | Reply r -> Some r
   | Request _ | Notify _ | Ack_note _ | Rvc _ | New_view_note _ -> None
+
+let client ~rid_base ~config ~keyring:_ ~ident ~plan :
+    msg Thc_sim.Engine.behavior =
+  Client_core.behavior ~rid_base ~n_replicas:config.n ~quorum:(config.f + 1)
+    ~ident ~plan ~wrap:wrap_request ~unwrap:unwrap_reply
 
 let classify_msg = function
   | Request _ -> "request"
