@@ -267,8 +267,8 @@ let smr_cmd =
           ~doc:
             "fault-free|crash-leader|silent|restart (a non-leader replica \
              crashes mid-run, loses all volatile state and rejoins via \
-             verified state transfer; minbft only — pair with \
-             $(b,--checkpoint-interval)).")
+             verified state transfer; needs $(b,--protocol) minbft and \
+             $(b,-f) 1 or more — pair with $(b,--checkpoint-interval)).")
   in
   let ckpt =
     Arg.(
@@ -280,37 +280,43 @@ let smr_cmd =
   in
   let seed = Cli.seed ~default:11L () in
   let run protocol f ops scenario ckpt seed =
-    let scenario =
-      match scenario with
-      | `Ff -> Thc_replication.Harness.Fault_free
-      | `Cl -> Thc_replication.Harness.Crash_leader 40_000L
-      | `Si -> Thc_replication.Harness.Silent_replicas
-      | `Restart ->
-        (* Last replica (never the view-0 leader) restarts mid-workload. *)
-        Thc_replication.Harness.Restart_replica { pid = 2 * f; at = 60_000L }
-    in
-    let base protocol =
-      Thc_replication.Harness.Setup.make ~protocol ~f ~ops ~scenario
-        ~checkpoint_interval:ckpt ~seed ()
-    in
-    let show p =
-      let o = Thc_replication.Harness.run (base p) in
+    let show scenario p =
+      let o =
+        Thc_replication.Harness.run
+          (Thc_replication.Harness.Setup.make ~protocol:p ~f ~ops ~scenario
+             ~checkpoint_interval:ckpt ~seed ())
+      in
       Format.printf "=== %s ===@.%a@.@." (protocol_label p)
         Thc_replication.Harness.pp_outcome o
     in
-    match protocol with
-    | `One p -> show p
-    | `Both ->
-      show Protocol.Minbft;
-      show Protocol.Pbft
-    | `All -> List.iter show Protocol.all
+    let run_all scenario =
+      (match protocol with
+      | `One p -> show scenario p
+      | `Both ->
+        show scenario Protocol.Minbft;
+        show scenario Protocol.Pbft
+      | `All -> List.iter (show scenario) Protocol.all);
+      `Ok ()
+    in
+    match (scenario, protocol) with
+    | `Ff, _ -> run_all Thc_replication.Harness.Fault_free
+    | `Cl, _ -> run_all (Thc_replication.Harness.Crash_leader 40_000L)
+    | `Si, _ -> run_all Thc_replication.Harness.Silent_replicas
+    | `Restart, `One Protocol.Minbft when f >= 1 ->
+      (* Last replica (never the view-0 leader at f >= 1) restarts
+         mid-workload. *)
+      run_all
+        (Thc_replication.Harness.Restart_replica { pid = 2 * f; at = 60_000L })
+    | `Restart, _ ->
+      `Error
+        (false, "--scenario restart needs --protocol minbft and -f 1 or more")
   in
   Cmd.v
     (Cmd.info "smr"
        ~doc:
          "Run the replicated-state-machine comparison (MinBFT vs PBFT vs \
           uBFT-sim).")
-    Term.(const run $ protocol $ f $ ops $ scenario $ ckpt $ seed)
+    Term.(ret (const run $ protocol $ f $ ops $ scenario $ ckpt $ seed))
 
 (* --- soak ------------------------------------------------------------------ *)
 

@@ -113,17 +113,20 @@ let horizon setup =
   | Restart_replica { at; _ } -> max workload (Int64.add at 2_000_000L)
   | Fault_free | Crash_leader _ | Silent_replicas -> workload
 
+(* Liveness is owed, and the monitors check that every request completed,
+   iff the scenario crashes at most f replicas.  A crashed leader and a
+   restarting replica count one crash each (the f+1 quorums among the
+   others keep serving while it rejoins), silent replicas f, a script the
+   replicas it crashes. *)
 let expected_liveness setup =
-  (* Under a crashed leader or silent replicas liveness must still hold (f
-     tolerated faults); the monitors check all requests completed.  A
-     scripted adversary is only obliged to preserve liveness while it stays
-     within the fault bound. *)
-  match setup.scenario with
-  (* A restarting replica counts as one tolerated fault: the f+1 quorums
-     among the others keep serving clients while it rejoins. *)
-  | Fault_free | Crash_leader _ | Silent_replicas | Restart_replica _ -> true
-  | Scripted script ->
-    List.length (Thc_sim.Adversary.crashed script) <= setup.f
+  let crashed =
+    match setup.scenario with
+    | Fault_free -> 0
+    | Crash_leader _ | Restart_replica _ -> 1
+    | Silent_replicas -> setup.f
+    | Scripted script -> List.length (Thc_sim.Adversary.crashed script)
+  in
+  crashed <= setup.f
 
 (* Fold everything the dashboard needs into one registry so a single
    snapshot line in the export carries the whole numeric state of the run. *)
@@ -286,6 +289,8 @@ let apply_scenario (type m) setup ~(engine : m Thc_sim.Engine.t) ~replicas =
   match setup.scenario with
   | Fault_free -> ()
   | Restart_replica { pid; at } ->
+    if setup.protocol <> Minbft then
+      invalid_arg "Harness: restart scenario is only wired for minbft";
     if pid >= replicas then
       invalid_arg "Harness: restart scenario may only target a replica";
     if at <= 0L then invalid_arg "Harness: restart time must be positive"
@@ -391,10 +396,6 @@ let with_minbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
       Durability.merge (Array.to_list (Array.map Minbft.durability states)))
 
 let with_pbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  (match setup.scenario with
-  | Restart_replica _ ->
-    invalid_arg "Harness: restart scenario is only wired for minbft"
-  | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> ());
   let config =
     { (Pbft.default_config ~f:setup.f) with batch_size = max 1 setup.batch }
   in
@@ -436,10 +437,6 @@ let with_pbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
     ~durability:(fun () -> Durability.zero)
 
 let with_ubft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  (match setup.scenario with
-  | Restart_replica _ ->
-    invalid_arg "Harness: restart scenario is only wired for minbft"
-  | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> ());
   let config =
     {
       (Ubft.default_config ~f:setup.f) with

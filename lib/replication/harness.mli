@@ -14,7 +14,7 @@ type scenario =
   | Fault_free  (** All replicas correct. *)
   | Crash_leader of int64
       (** The view-0 leader crashes at the given time; measures view-change
-          recovery. *)
+          recovery.  Liveness is demanded only when [f >= 1]. *)
   | Silent_replicas
       (** f replicas are silent from the start (crash-at-0) — the maximum
           tolerated fault load. *)
@@ -27,9 +27,10 @@ type scenario =
   | Restart_replica of { pid : int; at : int64 }
       (** Replica [pid] crashes at [at] (µs) and restarts immediately with
           all volatile state lost, rejoining via verified state transfer
-          (MinBFT only; see {!Minbft.replica}).  Pick a non-leader pid —
-          liveness is still demanded (the other replicas form f+1
-          quorums). *)
+          (MinBFT only, else [Invalid_argument]; see {!Minbft.replica}).
+          Pick a non-leader pid.  Like a crashed leader it counts as one
+          crash: liveness is demanded when [f >= 1] (the other replicas
+          form f+1 quorums). *)
 
 type setup = {
   protocol : protocol;

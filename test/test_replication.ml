@@ -854,6 +854,41 @@ let test_scripted_over_budget_waives_liveness () =
   Alcotest.(check int) "liveness not demanded" 0
     (List.length o.liveness_violations)
 
+let fast = Thc_sim.Delay.Uniform (50L, 500L)
+
+(* One rule for every scenario: liveness is owed iff it crashes at most f
+   replicas.  A crashed leader or a restarting replica at f = 0 is one
+   crash too many, so its stalled requests are not violations; at f = 1 the
+   monitors still run, and under a network that delivers nothing before the
+   horizon they report every request. *)
+let test_liveness_owed_within_bound () =
+  let module H = Thc_replication.Harness in
+  let run ?network ~f scenario =
+    H.run
+      (H.Setup.make ~protocol:H.Minbft ~f ~ops:30 ~scenario ?network ~seed:11L
+         ())
+  in
+  List.iter
+    (fun (what, scenario) ->
+      let o = run ~f:0 scenario in
+      Alcotest.(check bool) (what ^ " at f = 0: requests stall") true
+        (o.completed < 30);
+      Alcotest.(check int) (what ^ " at f = 0: liveness not demanded") 0
+        (List.length o.liveness_violations))
+    [
+      ("crash-leader", H.Crash_leader 40_000L);
+      ("restart", H.Restart_replica { pid = 0; at = 60_000L });
+    ];
+  let silent =
+    Thc_network.Model.make
+      (Thc_network.Topology.Lossy
+         { base = fast; drop = 1.0; heal_at = 100_000_000L; seed = 7L })
+  in
+  let o = run ~network:silent ~f:1 (H.Crash_leader 40_000L) in
+  Alcotest.(check int) "crash-leader at f = 1: nothing completes" 0 o.completed;
+  Alcotest.(check int) "crash-leader at f = 1: every request is a violation" 30
+    (List.length o.liveness_violations)
+
 (* --- batching and multiple clients ------------------------------------------ *)
 
 let total_trusted (o : Thc_replication.Harness.outcome) =
@@ -1502,14 +1537,193 @@ let test_run_order_keeps_bytes () =
           ~checkpoint_interval:4 () );
     ]
 
+(* --- replica core ----------------------------------------------------------- *)
+
+(* [Replica_core] driven directly through a recording context.  The core's
+   wire type here is [Command.reply] itself, so a send records the reply. *)
+module RC = Thc_replication.Replica_core
+
+let core_keyring () = Thc_crypto.Keyring.create (Thc_util.Rng.create 7L) ~n:6
+
+(* Replicas are pids 0-2 (view 0's leader is 0); clients are 3-5. *)
+let core ?(batch_size = 2) kr ~self =
+  RC.create ~self ~n:3 ~keyring:kr ~request_timeout:30_000L
+    ~check_interval:10_000L ~batch_size ~batch_delay:2_000L ~reply:Fun.id
+
+let core_request kr (client, rid) =
+  Thc_replication.Command.make
+    ~ident:(Thc_crypto.Keyring.secret kr ~pid:client)
+    ~rid
+    (Thc_replication.Kv_store.Incr "k")
+
+type recorded =
+  | Sent of int * Thc_replication.Command.reply
+  | Output of Thc_sim.Obs.t
+  | Timer of int64 * int
+
+let recording_ctx ~self =
+  let log = ref [] in
+  let record e = log := e :: !log in
+  let ctx : Thc_replication.Command.reply Thc_sim.Engine.ctx =
+    {
+      self;
+      n = 6;
+      now = (fun () -> 0L);
+      send = (fun dst m -> record (Sent (dst, m)));
+      broadcast = (fun _ -> Alcotest.fail "core broadcast");
+      others = (fun _ -> Alcotest.fail "core sent to others");
+      set_timer = (fun ~delay ~tag -> record (Timer (delay, tag)));
+      set_poll = (fun ~delay:_ ~tag:_ -> Alcotest.fail "core polled");
+      quiet = (fun _ -> ());
+      output = (fun o -> record (Output o));
+      rng = Thc_util.Rng.create 1L;
+      spans = Thc_obsv.Span.nop;
+    }
+  in
+  (ctx, fun () -> List.rev !log)
+
+let keys_of (c : _ RC.t) =
+  List.map
+    (fun (sr : Thc_replication.Command.signed_request) ->
+      Thc_replication.Command.key sr.value)
+    (List.of_seq (Queue.to_seq c.queue))
+
+let test_core_intake () =
+  let kr = core_keyring () in
+  let follower = core kr ~self:1 in
+  let ctx, log = recording_ctx ~self:1 in
+  let sr = core_request kr (3, 1) in
+  let forged = { sr with value = { sr.value with rid = 2 } } in
+  Alcotest.(check bool) "invalid: dropped" false (RC.intake follower ctx forged);
+  Alcotest.(check int) "invalid: not tracked" 0 (Hashtbl.length follower.pending);
+  Alcotest.(check bool) "follower: false" false (RC.intake follower ctx sr);
+  Alcotest.(check bool) "follower: tracked" true
+    (Hashtbl.mem follower.pending (3, 1));
+  Alcotest.(check int) "follower: nothing queued" 0 (Queue.length follower.queue);
+  RC.execute_slot follower ctx [ sr ];
+  Alcotest.(check bool) "executed: no longer pending" false
+    (Hashtbl.mem follower.pending (3, 1));
+  let result = Thc_replication.Kv_store.(encode_result (Counter 1)) in
+  let replied = Sent (3, { replica = 1; rid = 1; result }) in
+  Alcotest.(check bool) "executed: output then reply" true
+    (log () = [ Output (Executed { seq = 1; op = sr.value.op; result }); replied ]);
+  Alcotest.(check bool) "executed: false" false (RC.intake follower ctx sr);
+  Alcotest.(check bool) "executed: re-replied" true
+    (List.length (log ()) = 3 && List.nth (log ()) 2 = replied);
+  Alcotest.(check bool) "executed: not tracked again" false
+    (Hashtbl.mem follower.pending (3, 1));
+  let leader = core kr ~self:0 in
+  leader.status <- RC.Changing 1;
+  Alcotest.(check bool) "changing leader: false" false
+    (RC.intake leader ctx (core_request kr (3, 2)));
+  Alcotest.(check bool) "changing leader: tracked" true
+    (Hashtbl.mem leader.pending (3, 2));
+  leader.status <- RC.Normal;
+  Alcotest.(check bool) "normal leader: true" true
+    (RC.intake leader ctx (core_request kr (3, 3)));
+  Alcotest.(check (list (pair int int))) "normal leader: queued" [ (3, 3) ]
+    (keys_of leader)
+
+let test_core_flush () =
+  let kr = core_keyring () in
+  let c = core kr ~self:0 in
+  let ctx, _ = recording_ctx ~self:0 in
+  let propose proposed _ (batch : Thc_replication.Command.batch) =
+    proposed :=
+      !proposed
+      @ [ List.map (fun (sr : Thc_replication.Command.signed_request) ->
+              Thc_replication.Command.key sr.value) batch ]
+  in
+  let proposed = ref [] in
+  List.iter
+    (fun key -> ignore (RC.intake c ctx (core_request kr key)))
+    [ (3, 1); (3, 2); (3, 3) ];
+  RC.flush c ctx ~force:false propose proposed;
+  Alcotest.(check (list (list (pair int int)))) "full batches only"
+    [ [ (3, 1); (3, 2) ] ] !proposed;
+  RC.flush c ctx ~force:true propose proposed;
+  Alcotest.(check (list (list (pair int int)))) "forced: the rest"
+    [ [ (3, 1); (3, 2) ]; [ (3, 3) ] ] !proposed;
+  proposed := [];
+  List.iter
+    (fun key -> ignore (RC.intake c ctx (core_request kr key)))
+    [ (4, 1); (4, 2); (4, 3) ];
+  RC.mark_proposed c 7 [ core_request kr (4, 1) ];
+  Hashtbl.replace c.executed (4, 2) "done";
+  RC.flush c ctx ~force:true propose proposed;
+  Alcotest.(check (list (list (pair int int))))
+    "proposed and executed keys skipped" [ [ (4, 3) ] ] !proposed;
+  Alcotest.(check int) "queue drained" 0 (Hashtbl.length c.queued)
+
+let test_core_escalation () =
+  let kr = core_keyring () in
+  let c = core kr ~self:1 in
+  let ctx, _ = recording_ctx ~self:1 in
+  Alcotest.(check int) "idle" 0 (RC.escalation c ~now:100_000L);
+  ignore (RC.intake c ctx (core_request kr (3, 1)));
+  Alcotest.(check int) "at exactly request_timeout" 0
+    (RC.escalation c ~now:30_000L);
+  Alcotest.(check int) "past it: view + 1" 1 (RC.escalation c ~now:30_001L);
+  Alcotest.(check (pair int int64)) "attempt recorded" (1, 30_001L)
+    (c.max_vc_sent, c.last_vc_at);
+  Alcotest.(check int) "not again within request_timeout" 0
+    (RC.escalation c ~now:60_001L);
+  Alcotest.(check int) "after another request_timeout" 2
+    (RC.escalation c ~now:60_002L)
+
+let test_core_requeue () =
+  let kr = core_keyring () in
+  let c = core kr ~self:1 in
+  let ctx, _ = recording_ctx ~self:1 in
+  List.iter
+    (fun key -> ignore (RC.intake c ctx (core_request kr key)))
+    [ (5, 3); (4, 7); (4, 2); (3, 9) ];
+  RC.mark_proposed c 4 [ core_request kr (4, 7) ];
+  RC.requeue_pending c;
+  Alcotest.(check (list (pair int int))) "key order, proposed skipped"
+    [ (3, 9); (4, 2); (5, 3) ] (keys_of c);
+  RC.requeue_pending c;
+  Alcotest.(check int) "queued once" 3 (Queue.length c.queue)
+
+let test_core_reset () =
+  let kr = core_keyring () in
+  let c = core kr ~self:0 in
+  let ctx, _ = recording_ctx ~self:0 in
+  c.view <- 3;
+  c.next_seq <- 9;
+  Alcotest.(check bool) "leads view 3" true
+    (RC.intake c ctx (core_request kr (3, 1)));
+  RC.arm_batch_timer c ctx;
+  RC.execute_slot c ctx [ core_request kr (4, 1) ];
+  Alcotest.(check int) "escalates" 4 (RC.escalation c ~now:40_000L);
+  c.status <- RC.Changing 4;
+  RC.reset c;
+  Alcotest.(check (list int)) "view, next_seq, escalation clock kept"
+    [ 3; 9; 4; 40_000 ]
+    [ c.view; c.next_seq; c.max_vc_sent; Int64.to_int c.last_vc_at ];
+  Alcotest.(check bool) "status normal" true (c.status = RC.Normal);
+  Alcotest.(check (list int)) "indexes, queue and tables cleared"
+    [ 0; 0; 0; 0; 0; 0; 0 ]
+    [
+      c.exec_upto;
+      c.exec_count;
+      Queue.length c.queue;
+      Hashtbl.length c.queued;
+      Hashtbl.length c.pending;
+      Hashtbl.length c.proposed_keys;
+      Hashtbl.length c.executed;
+    ];
+  Alcotest.(check bool) "batch timer disarmed" false c.batch_armed;
+  Alcotest.(check int64) "store emptied"
+    (Thc_replication.Kv_store.digest (Thc_replication.Kv_store.create ()))
+    (Thc_replication.Kv_store.digest c.store)
+
 (* --- byte pins for PBFT and uBFT -------------------------------------------- *)
 
 (* The golden traces and the checkpoint MD5 pins run MinBFT only; these pin
    the other two protocols' full exports.  They were recorded before the
    replica front ends moved into [Replica_core]; a change that moves a byte
    on purpose re-records them. *)
-let fast = Thc_sim.Delay.Uniform (50L, 500L)
-
 let export_pins protocol =
   let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
   (* The explorer's shape: an admissible random script over every replica
@@ -1648,6 +1862,8 @@ let () =
           Alcotest.test_case "within budget" `Quick test_scripted_scenario_minbft;
           Alcotest.test_case "over budget waives liveness" `Quick
             test_scripted_over_budget_waives_liveness;
+          Alcotest.test_case "liveness owed iff crashes within f" `Quick
+            test_liveness_owed_within_bound;
         ] );
       ( "batching",
         [
@@ -1694,6 +1910,14 @@ let () =
             (test_outputs_only_scripted H.Ubft);
           Alcotest.test_case "scenarios and networks" `Quick
             test_outputs_only_scenarios;
+        ] );
+      ( "replica-core",
+        [
+          Alcotest.test_case "intake" `Quick test_core_intake;
+          Alcotest.test_case "flush" `Quick test_core_flush;
+          Alcotest.test_case "escalation" `Quick test_core_escalation;
+          Alcotest.test_case "requeue pending" `Quick test_core_requeue;
+          Alcotest.test_case "reset keeps view and clock" `Quick test_core_reset;
         ] );
       ( "byte-pins",
         [
