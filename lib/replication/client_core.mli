@@ -2,9 +2,10 @@
 
     Sends each planned request to all replicas at its scheduled time, waits
     for a quorum of matching replies, and emits [Obs.Client_done] with the
-    end-to-end latency.  {!Minbft.client} (quorum f+1) and {!Pbft.client}
-    (quorum f+1 as well — replies only need one correct replica, plus f to
-    out-vote liars) instantiate it over their message types. *)
+    end-to-end latency.  {!Minbft.client}, {!Pbft.client} and
+    {!Ubft.client} instantiate it over their message types, each with
+    quorum f+1: replies only need one correct replica, plus f to out-vote
+    liars. *)
 
 val behavior :
   rid_base:int ->

@@ -305,13 +305,14 @@ let note_ckpt_vote t (ctx : msg Thc_sim.Engine.ctx)
    the broadcast-to-self inbox like every other sealed message). *)
 let maybe_checkpoint t (ctx : msg Thc_sim.Engine.ctx) =
   let ival = t.config.checkpoint_interval in
-  if ival > 0 && t.core.exec_upto mod ival = 0 && t.core.exec_upto > t.last_ckpt then begin
-    t.last_ckpt <- t.core.exec_upto;
-    Hashtbl.replace t.own_snaps t.core.exec_upto (Kv_store.snapshot t.core.store);
+  let upto = t.core.exec_upto in
+  if ival > 0 && upto mod ival = 0 && upto > t.last_ckpt then begin
+    t.last_ckpt <- upto;
+    Hashtbl.replace t.own_snaps upto (Kv_store.snapshot t.core.store);
     seal_and_send t ctx
       (Checkpoint
          {
-           upto = t.core.exec_upto;
+           upto;
            digest = Kv_store.digest t.core.store;
            exec_count = t.core.exec_count;
          })
@@ -586,7 +587,8 @@ let recover_from_evidence t evidence =
               match decode_sealed entry with
               | Some (Prepare { view; seq; batch }) ->
                 (* A Prepare is leader evidence only from that view's leader. *)
-                if att.owner = C.leader_of t.core view then consider ~view ~seq ~batch
+                if att.owner = C.leader_of t.core view then
+                  consider ~view ~seq ~batch
               | Some (Commit { view; seq; batch }) -> consider ~view ~seq ~batch
               | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _)
               | None ->

@@ -396,7 +396,8 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         let tbl = C.table t.vc_store new_view 8 in
         Hashtbl.replace tbl signer w;
         (* Liveness join: f+1 view changes for a higher view pull us in. *)
-        if Hashtbl.length tbl >= t.config.f + 1 && t.core.max_vc_sent < new_view
+        if
+          Hashtbl.length tbl >= t.config.f + 1 && t.core.max_vc_sent < new_view
         then begin
           t.core.max_vc_sent <- new_view;
           send_view_change t ctx ~new_view

@@ -8,8 +8,8 @@
     what differs: its [propose] function (with its own state, so no closure
     is allocated per flush) and what it sends to escalate.
 
-    Every function here makes its sends, outputs and timer calls in the
-    order the three protocols made them before they shared this code. *)
+    The order of every send, output and timer call here is part of the
+    contract: the golden traces and the PBFT/uBFT export pins fix it. *)
 
 type status = Normal | Changing of int  (** [Changing v]: moving to view [v]. *)
 
@@ -62,7 +62,8 @@ val leader_of : 'm t -> int -> int
 
 val batch_rids : Command.batch -> int list
 
-val table : ('k, ('a, 'b) Hashtbl.t) Hashtbl.t -> 'k -> int -> ('a, 'b) Hashtbl.t
+val table :
+  ('k, ('a, 'b) Hashtbl.t) Hashtbl.t -> 'k -> int -> ('a, 'b) Hashtbl.t
 (** [table tbl key size]: the inner table at [key], added as
     [Hashtbl.create size] if absent (vote and supporter sets). *)
 
@@ -111,6 +112,7 @@ val batch_timer_fired : 'm t -> bool
     should force a flush. *)
 
 val arm_check_timer : 'm t -> 'm Thc_sim.Engine.ctx -> unit
+(** Schedule the next stuck-request check, [check_interval] from now. *)
 
 val escalation : 'm t -> now:int64 -> int
 (** The view to ask for at [now], or [0] for none.  A replica escalates

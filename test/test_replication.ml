@@ -1546,9 +1546,9 @@ module RC = Thc_replication.Replica_core
 let core_keyring () = Thc_crypto.Keyring.create (Thc_util.Rng.create 7L) ~n:6
 
 (* Replicas are pids 0-2 (view 0's leader is 0); clients are 3-5. *)
-let core ?(batch_size = 2) kr ~self =
+let core kr ~self =
   RC.create ~self ~n:3 ~keyring:kr ~request_timeout:30_000L
-    ~check_interval:10_000L ~batch_size ~batch_delay:2_000L ~reply:Fun.id
+    ~check_interval:10_000L ~batch_size:2 ~batch_delay:2_000L ~reply:Fun.id
 
 let core_request kr (client, rid) =
   Thc_replication.Command.make
@@ -1627,7 +1627,7 @@ let test_core_intake () =
 let test_core_flush () =
   let kr = core_keyring () in
   let c = core kr ~self:0 in
-  let ctx, _ = recording_ctx ~self:0 in
+  let ctx, log = recording_ctx ~self:0 in
   let propose proposed _ (batch : Thc_replication.Command.batch) =
     proposed :=
       !proposed
@@ -1638,12 +1638,18 @@ let test_core_flush () =
   List.iter
     (fun key -> ignore (RC.intake c ctx (core_request kr key)))
     [ (3, 1); (3, 2); (3, 3) ];
+  RC.arm_batch_timer c ctx;
+  RC.arm_batch_timer c ctx;
+  Alcotest.(check bool) "batch timer armed once" true
+    (log () = [ Timer (2_000L, RC.batch_timer_tag) ]);
   RC.flush c ctx ~force:false propose proposed;
   Alcotest.(check (list (list (pair int int)))) "full batches only"
     [ [ (3, 1); (3, 2) ] ] !proposed;
   RC.flush c ctx ~force:true propose proposed;
   Alcotest.(check (list (list (pair int int)))) "forced: the rest"
     [ [ (3, 1); (3, 2) ]; [ (3, 3) ] ] !proposed;
+  Alcotest.(check bool) "timer fires at the leader" true (RC.batch_timer_fired c);
+  Alcotest.(check bool) "and disarms" false c.batch_armed;
   proposed := [];
   List.iter
     (fun key -> ignore (RC.intake c ctx (core_request kr key)))
