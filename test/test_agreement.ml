@@ -244,6 +244,14 @@ let test_strong_mixed_correct_inputs_agree () =
 
 (* --- weak validity (single-shot MinBFT over trusted counters) ------------------ *)
 
+(* The run's cost and end state, pinned alongside the verdicts so that a
+   change to how the cluster is wired cannot move them unnoticed. *)
+let check_run what (o : Thc_agreement.Weak_validity.outcome) ~messages
+    ~duration_us ~final_view =
+  Alcotest.(check int) (what ^ ": messages") messages o.messages;
+  Alcotest.(check int64) (what ^ ": duration") duration_us o.duration_us;
+  Alcotest.(check int) (what ^ ": final view") final_view o.final_view
+
 let test_weak_validity_common_input () =
   let o = Thc_agreement.Weak_validity.run ~f:1 ~inputs:[| "v"; "v"; "v" |] () in
   Alcotest.(check bool) "agreement" true o.agreement;
@@ -251,12 +259,16 @@ let test_weak_validity_common_input () =
   Alcotest.(check bool) "termination" true o.termination;
   Array.iter
     (fun d -> Alcotest.(check (option string)) "decided v" (Some "v") d)
-    o.decisions
+    o.decisions;
+  check_run "f = 1, common input" o ~messages:72 ~duration_us:2_000_000L
+    ~final_view:0
 
 let test_weak_validity_mixed_inputs () =
   let o = Thc_agreement.Weak_validity.run ~f:2 ~inputs:[| "a"; "b"; "c"; "d"; "e" |] () in
   Alcotest.(check bool) "agreement" true o.agreement;
-  Alcotest.(check bool) "termination" true o.termination
+  Alcotest.(check bool) "termination" true o.termination;
+  check_run "f = 2, mixed inputs" o ~messages:300 ~duration_us:2_000_000L
+    ~final_view:0
 
 let test_weak_validity_crash_leader () =
   let o =
@@ -265,7 +277,9 @@ let test_weak_validity_crash_leader () =
   in
   Alcotest.(check bool) "agreement among survivors" true o.agreement;
   Alcotest.(check bool) "termination through view change" true o.termination;
-  Alcotest.(check bool) "view advanced" true (o.final_view >= 1)
+  Alcotest.(check bool) "view advanced" true (o.final_view >= 1);
+  check_run "f = 1, crashed leader" o ~messages:64 ~duration_us:2_000_000L
+    ~final_view:1
 
 let test_weak_validity_input_arity () =
   Alcotest.(check bool) "wrong arity rejected" true

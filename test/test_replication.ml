@@ -1724,12 +1724,19 @@ let test_core_reset () =
     (Thc_replication.Kv_store.digest (Thc_replication.Kv_store.create ()))
     (Thc_replication.Kv_store.digest c.store)
 
-(* --- byte pins for PBFT and uBFT -------------------------------------------- *)
+(* --- byte pins for the three protocols -------------------------------------- *)
 
-(* The golden traces and the checkpoint MD5 pins run MinBFT only; these pin
-   the other two protocols' full exports.  They were recorded before the
-   replica front ends moved into [Replica_core]; a change that moves a byte
-   on purpose re-records them. *)
+(* The golden traces and the checkpoint MD5 pins cover MinBFT's fault-free
+   and checkpoint paths; these pin each protocol's full exports on the paths
+   the golden corpus misses: batching with several clients, a crashed
+   leader, an explorer script with and without a network model (a rational
+   client strategy, and the model re-lowered at the script's heal), an
+   open- and a closed-loop loadtest point, and MinBFT's restart.  The PBFT
+   and uBFT pins were recorded before the replica front ends moved into
+   [Replica_core], the rest before the clusters moved into [Cluster]; a
+   change that moves a byte on purpose re-records them. *)
+let model term = Result.get_ok (Thc_network.Model.of_string term)
+
 let export_pins protocol =
   let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
   (* The explorer's shape: an admissible random script over every replica
@@ -1740,34 +1747,62 @@ let export_pins protocol =
       ~n:(if protocol = H.Pbft then 4 else 3)
       ~horizon:200_000L ~crash_budget:1 ~partition_budget:1 ()
   in
+  let explore ?network () =
+    H.Setup.make ~protocol ~f:1 ~ops:6 ~delay:fast ~scenario:(H.Scripted script)
+      ?network ~seed:42L ()
+  in
   [
     ("batch 4, 3 clients", make ~batch:4 ~clients:3 ());
     ("crash-leader", make ~scenario:(H.Crash_leader 40_000L) ());
-    ( "explore script",
-      H.Setup.make ~protocol ~f:1 ~ops:6 ~delay:fast
-        ~scenario:(H.Scripted script) ~seed:42L () );
+    ("explore script", explore ());
+    ("explore script, lan+race:0.5", explore ~network:(model "lan+race:0.5") ());
   ]
+  @
+  if protocol = H.Minbft then
+    [
+      ( "restart, ckpt 4",
+        make ~checkpoint_interval:4
+          ~scenario:(H.Restart_replica { pid = 2; at = 60_000L })
+          () );
+    ]
+  else []
 
-(* The golden loadtest point's spec (test_engine_golden) on another
-   protocol. *)
-let loadtest_point protocol =
+(* The golden loadtest point's spec (test_engine_golden), open loop as
+   recorded there and closed loop under a lossy network with lazy
+   replicas. *)
+let loadtest_points protocol =
   let module W = Thc_workload.Workload in
-  {
-    Thc_workload.Loadtest.protocol;
-    f = 1;
-    batch = 4;
-    seed = 29L;
-    delay = fast;
-    network = None;
-    spec =
+  let golden =
+    {
+      Thc_workload.Loadtest.protocol;
+      f = 1;
+      batch = 4;
+      seed = 29L;
+      delay = fast;
+      network = None;
+      spec =
+        {
+          W.clients = 4;
+          requests_per_client = 20;
+          arrival = W.Open_poisson { rate_rps = 400.0 };
+          keys = W.Keys_zipf { keys = 64; theta = 0.99 };
+          mix = W.default_mix;
+        };
+    }
+  in
+  [
+    ("loadtest point", golden);
+    ( "loadtest closed, lossy+lazy:0.3,2000",
       {
-        W.clients = 4;
-        requests_per_client = 20;
-        arrival = W.Open_poisson { rate_rps = 400.0 };
-        keys = W.Keys_zipf { keys = 64; theta = 0.99 };
-        mix = W.default_mix;
-      };
-  }
+        golden with
+        network = Some (model "lossy+lazy:0.3,2000");
+        spec =
+          {
+            golden.spec with
+            W.arrival = W.Closed { window = 2; think_us = 0L };
+          };
+      } );
+  ]
 
 let test_exports_pinned protocol pins () =
   let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s) in
@@ -1781,19 +1816,38 @@ let test_exports_pinned protocol pins () =
         (what, md5 export))
       (export_pins protocol)
   in
-  let point =
-    md5 (snd (Thc_workload.Loadtest.run_point_export (loadtest_point protocol)))
+  let points =
+    List.map
+      (fun (what, point) ->
+        let r, export = Thc_workload.Loadtest.run_point_export point in
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s: every request completes" name what)
+          r.offered r.completed;
+        (what, md5 export))
+      (loadtest_points protocol)
   in
   Alcotest.(check (list (pair string string)))
-    (name ^ " export MD5s") pins
-    (runs @ [ ("loadtest point", point) ])
+    (name ^ " export MD5s") pins (runs @ points)
+
+let minbft_pins =
+  [
+    ("batch 4, 3 clients", "a02f2b2c2b51dd113837ec08bf3e593c");
+    ("crash-leader", "007c7b823b27efbe2bc080b6d59a5a2a");
+    ("explore script", "f1696197e2026ac8bf6d624906505b8e");
+    ("explore script, lan+race:0.5", "00debe3c22fc6d4b4cd7c063302d7328");
+    ("restart, ckpt 4", "e0f22cb112f84bd7dedaae6c71f2ad1e");
+    ("loadtest point", "2bdc5b6d9e7fe86967d41772480fa436");
+    ("loadtest closed, lossy+lazy:0.3,2000", "c386d17e5217820d3a65eb5247948880");
+  ]
 
 let pbft_pins =
   [
     ("batch 4, 3 clients", "b44c644879db766c08103cc6d1156b57");
     ("crash-leader", "1fcd3002b2bdd45dcd8e4b303ddedd90");
     ("explore script", "9b3f0b6081417835c7cef2bfaa53f140");
+    ("explore script, lan+race:0.5", "7905e4d4436aeaab93bc2a09d2486e2b");
     ("loadtest point", "7d041e9f77a2c0ab2c3f8008dddcf0d0");
+    ("loadtest closed, lossy+lazy:0.3,2000", "a6b17469f406ec1caf6c8be6ca6ffb11");
   ]
 
 let ubft_pins =
@@ -1801,7 +1855,9 @@ let ubft_pins =
     ("batch 4, 3 clients", "80c194c1fc4519f56244beeb1d651e3d");
     ("crash-leader", "ecaf7415e64b479c5873beefa2db4b1b");
     ("explore script", "4b19de7e2b5fd86c2949373c2c66ebae");
+    ("explore script, lan+race:0.5", "a2208dea98f4ec2375c25c187684b2a8");
     ("loadtest point", "00fa232543c18a4381efa8f119236a26");
+    ("loadtest closed, lossy+lazy:0.3,2000", "eea3bf04f9fed67cf7b9dcb67c03a29c");
   ]
 
 let () =
@@ -1927,6 +1983,8 @@ let () =
         ] );
       ( "byte-pins",
         [
+          Alcotest.test_case "minbft exports pinned" `Quick
+            (test_exports_pinned H.Minbft minbft_pins);
           Alcotest.test_case "pbft exports pinned" `Quick
             (test_exports_pinned H.Pbft pbft_pins);
           Alcotest.test_case "ubft exports pinned" `Quick
