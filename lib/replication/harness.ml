@@ -117,14 +117,15 @@ let horizon setup =
    iff the scenario crashes at most f replicas.  A crashed leader and a
    restarting replica count one crash each (the f+1 quorums among the
    others keep serving while it rejoins), silent replicas f, a script the
-   replicas it crashes. *)
+   distinct replicas it crashes. *)
 let expected_liveness setup =
   let crashed =
     match setup.scenario with
     | Fault_free -> 0
     | Crash_leader _ | Restart_replica _ -> 1
     | Silent_replicas -> setup.f
-    | Scripted script -> List.length (Thc_sim.Adversary.crashed script)
+    | Scripted script ->
+      List.length (List.sort_uniq Int.compare (Thc_sim.Adversary.crashed script))
   in
   crashed <= setup.f
 

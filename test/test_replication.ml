@@ -887,7 +887,29 @@ let test_liveness_owed_within_bound () =
   let o = run ~network:silent ~f:1 (H.Crash_leader 40_000L) in
   Alcotest.(check int) "crash-leader at f = 1: nothing completes" 0 o.completed;
   Alcotest.(check int) "crash-leader at f = 1: every request is a violation" 30
-    (List.length o.liveness_violations)
+    (List.length o.liveness_violations);
+  (* A script counts the replicas it crashes, not its crash events: crashing
+     one replica twice is still one crash. *)
+  let crashes events =
+    H.Scripted
+      {
+        Thc_sim.Adversary.horizon = 200_000L;
+        events =
+          List.map
+            (fun (at, pid) -> { Thc_sim.Adversary.at; action = Crash pid })
+            events;
+      }
+  in
+  List.iter
+    (fun (what, events, violations) ->
+      let o = run ~network:silent ~f:1 (crashes events) in
+      Alcotest.(check int) (what ^ " at f = 1: liveness violations") violations
+        (List.length o.liveness_violations))
+    [
+      ("crash 1", [ (20_000L, 1) ], 30);
+      ("crash 1 twice", [ (20_000L, 1); (30_000L, 1) ], 30);
+      ("crash 1 and 2", [ (20_000L, 1); (30_000L, 2) ], 0);
+    ]
 
 (* --- batching and multiple clients ------------------------------------------ *)
 
