@@ -32,29 +32,17 @@ let run ~f ~inputs ?(seed = 1L) ?(delay = Thc_sim.Delay.Uniform (50L, 500L))
   let n = (2 * f) + 1 in
   if Array.length inputs <> n then
     invalid_arg "Weak_validity.run: inputs must have length 2f+1";
-  let config = Thc_replication.Minbft.default_config ~f in
   (* pids 0..n-1: replicas; pids n..2n-1: the same processes' client halves
      (process i = replica i + client n+i, sharing fate). *)
-  let total = 2 * n in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:delay in
-  let engine = Thc_sim.Engine.create ~seed ~n:total ~net () in
-  let replicas =
-    Array.init n (fun self ->
-        Thc_replication.Minbft.create_replica ~config ~keyring ~world
-          ~trinket:(Thc_hardware.Trinc.trinket world ~owner:self)
-          ~self)
+  let (Thc_replication.Cluster.Cluster
+        { engine; keyring; client; final_view; _ }) =
+    Thc_replication.Cluster.create Minbft ~f ~batch:1 ~checkpoint_interval:0
+      ~clients:n ~seed ~delay ~tracing:Thc_sim.Engine.Full
   in
-  Array.iteri
-    (fun pid st ->
-      Thc_sim.Engine.set_behavior engine pid (Thc_replication.Minbft.replica st))
-    replicas;
   Array.iteri
     (fun i input ->
       Thc_sim.Engine.set_behavior engine (n + i)
-        (Thc_replication.Minbft.client ~rid_base:0 ~config ~keyring
+        (client ~rid_base:0
            ~ident:(Thc_crypto.Keyring.secret keyring ~pid:(n + i))
            ~plan:[ (Int64.of_int (100 + (i * 37)), op_of_input input) ]))
     inputs;
@@ -91,10 +79,7 @@ let run ~f ~inputs ?(seed = 1L) ?(delay = Thc_sim.Delay.Uniform (50L, 500L))
     agreement;
     validity;
     termination;
-    final_view =
-      Array.fold_left
-        (fun acc st -> max acc (Thc_replication.Minbft.view_of st))
-        0 replicas;
+    final_view = final_view ();
     messages = Thc_sim.Trace.messages_sent trace;
     duration_us = trace.Thc_sim.Trace.end_time;
   }

@@ -125,7 +125,8 @@ let expected_liveness setup =
     | Crash_leader _ | Restart_replica _ -> 1
     | Silent_replicas -> setup.f
     | Scripted script ->
-      List.length (List.sort_uniq Int.compare (Thc_sim.Adversary.crashed script))
+      List.length
+        (List.sort_uniq Int.compare (Thc_sim.Adversary.crashed script))
   in
   crashed <= setup.f
 
@@ -197,8 +198,11 @@ let delivery_of net_stats =
    every network number comes from the engine's counters and the kind
    tally fed by its send observer, so the reduction is the same whatever
    the engine recorded. *)
-let finish (type m) setup ~(trace : m Thc_sim.Trace.t) ~replicas
-    ~final_view ~breakdown ~net_stats ~hw ~events ~durability =
+let finish (type m) setup ~(trace : m Thc_sim.Trace.t) (c : m Cluster.t)
+    ~breakdown =
+  let replicas = c.replicas and hw = c.hw in
+  let net_stats = Thc_sim.Engine.stats c.engine in
+  let durability = c.durability () in
   let latencies = Smr_spec.client_latencies trace in
   let completed = List.length latencies in
   let commits = Smr_spec.commits trace ~replicas in
@@ -238,7 +242,7 @@ let finish (type m) setup ~(trace : m Thc_sim.Trace.t) ~replicas
              (Smr_spec.expect_range ~clients:(n_clients setup)
                 ~per_client:setup.ops ~first_client_pid:replicas)
        else []);
-    final_view;
+    final_view = c.final_view ();
     breakdown;
     sends_by_replica;
     delivery;
@@ -256,7 +260,7 @@ let finish (type m) setup ~(trace : m Thc_sim.Trace.t) ~replicas
         (fun (pid, ls) -> (pid, Thc_util.Stats.summarize ls))
         (Smr_spec.latencies_by_client trace);
     metrics;
-    events;
+    events = Thc_sim.Engine.events_processed c.engine;
     durability;
   }
 
@@ -288,14 +292,9 @@ let export_of (type m) ~(trace : m Thc_sim.Trace.t) ~outcome =
 
 let apply_scenario (type m) setup ~(engine : m Thc_sim.Engine.t) ~replicas =
   match setup.scenario with
-  | Fault_free -> ()
-  | Restart_replica { pid; at } ->
-    if setup.protocol <> Minbft then
-      invalid_arg "Harness: restart scenario is only wired for minbft";
-    if pid >= replicas then
-      invalid_arg "Harness: restart scenario may only target a replica";
-    if at <= 0L then invalid_arg "Harness: restart time must be positive"
-    (* the wipe itself is wired at behavior-install time (Minbft only) *)
+  | Fault_free | Restart_replica _ ->
+    (* the restart wipe is wired into the replica by [Cluster.create] *)
+    ()
   | Crash_leader at -> Thc_sim.Engine.schedule_crash engine ~pid:0 ~at
   | Silent_replicas ->
     for i = 0 to setup.f - 1 do
@@ -324,198 +323,54 @@ let install_network setup ~engine ~replicas =
     in
     Thc_network.Model.install m engine ~replicas ?script ()
 
-(* Rational client strategies (racing duplicates) ride on the installed
-   client behaviors; identity when no model is set. *)
-let wrap_net_client setup ~replicas ~clients ~c ~pid behavior =
-  match setup.network with
-  | None -> behavior
-  | Some m ->
-    Thc_network.Model.wrap_client m ~replicas ~f:setup.f ~clients
-      ~client_index:c ~pid behavior
-
-(* The protocol builders share their shape through a continuation:
-   assemble the cluster (engine at the requested tracing level, replicas,
-   clients, fault schedule), then hand the engine plus the
-   protocol-specific accessors to [k].  Outcome runs and the lite runs
-   differ only in the continuation. *)
-let with_minbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  let config =
-    {
-      (Minbft.default_config ~f:setup.f) with
-      batch_size = max 1 setup.batch;
-      checkpoint_interval = max 0 setup.checkpoint_interval;
-    }
-  in
-  let n = config.n in
+(* The setup's cluster with what a harness run adds to it: the clients in
+   index order (rational strategies, such as racing duplicates, ride on
+   their behaviors), the scenario's faults, then the network model. *)
+let cluster ?spans setup ~tracing =
   let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
-  let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
-  in
-  (* Every trusted-hardware bump lands on the ambient span phase, so the
-     per-phase table attributes seals/verifies to prepare vs commit. *)
-  if Thc_obsv.Span.enabled spans then
-    Thc_obsv.Ledger.set_observer
-      (Thc_hardware.Trinc.ledger world)
-      (Thc_obsv.Span.attribute spans);
-  let states =
-    Array.init n (fun self ->
-        Minbft.create_replica ~config ~keyring ~world
-          ~trinket:(Thc_hardware.Trinc.trinket world ~owner:self)
-          ~self)
-  in
-  let restart_for pid =
+  let restart =
     match setup.scenario with
-    | Restart_replica { pid = p; at } when p = pid -> Some at
-    | _ -> None
+    | Restart_replica { pid; at } -> Some (pid, at)
+    | Fault_free | Crash_leader _ | Silent_replicas | Scripted _ -> None
   in
-  Array.iteri
-    (fun pid st ->
-      Thc_sim.Engine.set_behavior engine pid
-        (Minbft.replica ?restart_at:(restart_for pid) st))
-    states;
+  let packed =
+    Cluster.create ?spans ?restart setup.protocol ~f:setup.f ~batch:setup.batch
+      ~checkpoint_interval:setup.checkpoint_interval ~clients ~seed:setup.seed
+      ~delay:setup.delay ~tracing
+  in
+  let (Cluster.Cluster { engine; replicas; keyring; client; _ }) = packed in
   for c = 0 to clients - 1 do
-    let pid = n + c in
+    let pid = replicas + c in
+    let behavior =
+      client ~rid_base:(c * setup.ops)
+        ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+        ~plan:(plan_for setup c)
+    in
     Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Minbft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
+      (match setup.network with
+      | None -> behavior
+      | Some m ->
+        Thc_network.Model.wrap_client m ~replicas ~f:setup.f ~clients
+          ~client_index:c ~pid behavior)
   done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Minbft.view_of st)) 0 states)
-    ~classify:Minbft.classify_msg
-    ~hw:(Thc_hardware.Trinc.ledger world)
-    ~durability:(fun () ->
-      Durability.merge (Array.to_list (Array.map Minbft.durability states)))
-
-let with_pbft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  let config =
-    { (Pbft.default_config ~f:setup.f) with batch_size = max 1 setup.batch }
-  in
-  let n = config.n in
-  let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
-  let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
-  in
-  let states =
-    Array.init n (fun self ->
-        Pbft.create_replica ~config ~keyring
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-          ~self)
-  in
-  Array.iteri
-    (fun pid st -> Thc_sim.Engine.set_behavior engine pid (Pbft.replica st))
-    states;
-  for c = 0 to clients - 1 do
-    let pid = n + c in
-    Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Pbft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
-  done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Pbft.view_of st)) 0 states)
-    ~classify:Pbft.classify_msg
-    (* PBFT spends no trusted ops; an empty ledger keeps the rate at 0. *)
-    ~hw:(Thc_obsv.Ledger.create ())
-    (* ... and has no attested checkpoints either. *)
-    ~durability:(fun () -> Durability.zero)
-
-let with_ubft ?(spans = Thc_obsv.Span.nop) setup ~tracing k =
-  let config =
-    {
-      (Ubft.default_config ~f:setup.f) with
-      batch_size = max 1 setup.batch;
-      (* uBFT always checkpoints (register memory must stay bounded); a
-         positive setup interval overrides its default cadence. *)
-      checkpoint_interval =
-        (if setup.checkpoint_interval > 0 then setup.checkpoint_interval
-         else (Ubft.default_config ~f:setup.f).checkpoint_interval);
-    }
-  in
-  let n = config.n in
-  let clients = n_clients setup in
-  let total = n + clients in
-  let rng = Thc_util.Rng.create setup.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:setup.delay in
-  let engine =
-    Thc_sim.Engine.create ~seed:setup.seed ~tracing ~spans ~n:total ~net ()
-  in
-  (* uBFT's trusted hardware is the shared memory itself: one ledger
-     attached to every register counts reads/writes/appends (and denied
-     forgeries) the way the trinket ledger counts seals/verifies. *)
-  let registers : Ubft.registers = Thc_sharedmem.Swmr.log_array ~n in
-  let hw = Thc_obsv.Ledger.create () in
-  Thc_sharedmem.Swmr.attach_ledger_all registers hw;
-  if Thc_obsv.Span.enabled spans then
-    Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let states =
-    Array.init n (fun self ->
-        Ubft.create_replica ~config ~keyring ~registers
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-          ~self)
-  in
-  Array.iteri
-    (fun pid st -> Thc_sim.Engine.set_behavior engine pid (Ubft.replica st))
-    states;
-  for c = 0 to clients - 1 do
-    let pid = n + c in
-    Thc_sim.Engine.set_behavior engine pid
-      (wrap_net_client setup ~replicas:n ~clients ~c ~pid
-         (Ubft.client ~rid_base:(c * setup.ops) ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-            ~plan:(plan_for setup c)))
-  done;
-  apply_scenario setup ~engine ~replicas:n;
-  install_network setup ~engine ~replicas:n;
-  k engine ~replicas:n
-    ~final_view:(fun () ->
-      Array.fold_left (fun acc st -> max acc (Ubft.view_of st)) 0 states)
-    ~classify:Ubft.classify_msg ~hw
-    ~durability:(fun () ->
-      Durability.merge (Array.to_list (Array.map Ubft.durability states)))
-
-let outcome_run setup engine ~replicas ~final_view ~classify ~hw ~durability =
-  let kinds = Thc_sim.Metrics.kind_tally ~classify in
-  Thc_sim.Engine.on_send engine (fun ~src:_ ~dst:_ msg ->
-      Thc_sim.Metrics.tally_send kinds msg);
-  let trace =
-    Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
-  in
-  let outcome =
-    finish setup ~trace ~replicas ~final_view:(final_view ())
-      ~breakdown:(Thc_sim.Metrics.tally_counts kinds)
-      ~net_stats:(Thc_sim.Engine.stats engine)
-      ~hw
-      ~events:(Thc_sim.Engine.events_processed engine)
-      ~durability:(durability ())
-  in
-  (outcome, fun () -> export_of ~trace ~outcome)
+  apply_scenario setup ~engine ~replicas;
+  install_network setup ~engine ~replicas;
+  packed
 
 (* The export thunk is meaningful only under [Full]: the other callers
    drop it unread. *)
 let run_with ?spans setup ~tracing =
-  match setup.protocol with
-  | Minbft -> with_minbft ?spans setup ~tracing (outcome_run setup)
-  | Pbft -> with_pbft ?spans setup ~tracing (outcome_run setup)
-  | Ubft -> with_ubft ?spans setup ~tracing (outcome_run setup)
+  let (Cluster.Cluster c) = cluster ?spans setup ~tracing in
+  let kinds = Thc_sim.Metrics.kind_tally ~classify:c.classify in
+  Thc_sim.Engine.on_send c.engine (fun ~src:_ ~dst:_ msg ->
+      Thc_sim.Metrics.tally_send kinds msg);
+  let trace =
+    Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 c.engine
+  in
+  let outcome =
+    finish setup ~trace c ~breakdown:(Thc_sim.Metrics.tally_counts kinds)
+  in
+  (outcome, fun () -> export_of ~trace ~outcome)
 
 let run setup = fst (run_with setup ~tracing:Thc_sim.Engine.Outputs_only)
 
@@ -548,30 +403,19 @@ type lite = {
    liveness and latency folds and the metric registry.  Used by
    bench/perf's run_lite metrics. *)
 let run_lite setup =
-  let lite : type m.
-      m Thc_sim.Engine.t ->
-      replicas:int ->
-      final_view:(unit -> int) ->
-      classify:(m -> string) ->
-      hw:Thc_obsv.Ledger.t ->
-      durability:(unit -> Durability.stats) ->
-      lite =
-   fun engine ~replicas ~final_view:_ ~classify:_ ~hw:_ ~durability:_ ->
-    let trace =
-      Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
-    in
-    {
-      l_completed = List.length (Smr_spec.client_latencies trace);
-      l_commits = Smr_spec.commits trace ~replicas;
-      l_messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
-      l_events = Thc_sim.Engine.events_processed engine;
-      l_duration_us = trace.Thc_sim.Trace.end_time;
-    }
+  let (Cluster.Cluster { engine; replicas; _ }) =
+    cluster setup ~tracing:Thc_sim.Engine.Outputs_only
   in
-  match setup.protocol with
-  | Minbft -> with_minbft setup ~tracing:Thc_sim.Engine.Outputs_only lite
-  | Pbft -> with_pbft setup ~tracing:Thc_sim.Engine.Outputs_only lite
-  | Ubft -> with_ubft setup ~tracing:Thc_sim.Engine.Outputs_only lite
+  let trace =
+    Thc_sim.Engine.run ~until:(horizon setup) ~max_events:20_000_000 engine
+  in
+  {
+    l_completed = List.length (Smr_spec.client_latencies trace);
+    l_commits = Smr_spec.commits trace ~replicas;
+    l_messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
+    l_events = Thc_sim.Engine.events_processed engine;
+    l_duration_us = trace.Thc_sim.Trace.end_time;
+  }
 
 let pp_outcome ppf o =
   Format.fprintf ppf

@@ -1,7 +1,4 @@
 module W = Workload
-module Minbft = Thc_replication.Minbft
-module Pbft = Thc_replication.Pbft
-module Ubft = Thc_replication.Ubft
 module Smr_spec = Thc_replication.Smr_spec
 module J = Thc_obsv.Json
 
@@ -41,21 +38,15 @@ type result = {
 
 (* Same layout as Harness: replicas at pids 0..n-1, clients at n..; client c
    owns the contiguous rid block starting at [c * requests_per_client]. *)
-let client_behaviors (type m) p ~n ~keyring
-    ~(open_client :
-       rid_base:int ->
-       ident:Thc_crypto.Keyring.secret ->
-       plan:(int64 * Thc_replication.Kv_store.op) list ->
-       m Thc_sim.Engine.behavior)
-    ~(wrap : Thc_replication.Command.signed_request -> m)
-    ~(unwrap : m -> Thc_replication.Command.reply option) =
-  List.init p.spec.W.clients (fun c ->
-      let pid = n + c in
-      let ident = Thc_crypto.Keyring.secret keyring ~pid in
-      let rid_base = c * p.spec.W.requests_per_client in
+let client_behaviors (type m) p (c : m Thc_replication.Cluster.t) =
+  let n = c.replicas in
+  List.init p.spec.W.clients (fun i ->
+      let pid = n + i in
+      let ident = Thc_crypto.Keyring.secret c.keyring ~pid in
+      let rid_base = i * p.spec.W.requests_per_client in
       let behavior =
-        match W.plan p.spec ~seed:p.seed ~client:c with
-        | Some plan -> open_client ~rid_base ~ident ~plan
+        match W.plan p.spec ~seed:p.seed ~client:i with
+        | Some plan -> c.client ~rid_base ~ident ~plan
         | None ->
           let window, think_us =
             match p.spec.W.arrival with
@@ -64,19 +55,17 @@ let client_behaviors (type m) p ~n ~keyring
           in
           Traffic.closed_loop ~rid_base ~n_replicas:n ~quorum:(p.f + 1) ~ident
             ~window ~think_us
-            ~ops:(W.ops p.spec ~seed:p.seed ~client:c)
-            ~wrap ~unwrap
+            ~ops:(W.ops p.spec ~seed:p.seed ~client:i)
+            ~wrap:c.wrap_request ~unwrap:c.unwrap_reply
       in
       let behavior =
         match p.network with
         | None -> behavior
         | Some m ->
           Thc_network.Model.wrap_client m ~replicas:n ~f:p.f
-            ~clients:p.spec.W.clients ~client_index:c ~pid behavior
+            ~clients:p.spec.W.clients ~client_index:i ~pid behavior
       in
       (pid, behavior))
-
-let sends engine = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine)
 
 (* Per-phase p50s from the run's span recorder: [(phase, µs)] in causal
    order, traversed phases only.  Plain data so results stay Marshal-safe
@@ -89,8 +78,9 @@ let phase_p50s spans =
 
 (* The trace needs only outputs; [messages] comes from the engine's send
    counter, which equals [Trace.messages_sent] of a [Full] trace. *)
-let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~messages ~hw
-    ~phase_p50_us =
+let finish (type m) p ~(trace : m Thc_sim.Trace.t)
+    (c : m Thc_replication.Cluster.t) ~phase_p50_us =
+  let replicas = c.replicas in
   let latencies = Smr_spec.client_latencies trace in
   let completed = List.length latencies in
   let offered = W.total_requests p.spec in
@@ -109,7 +99,7 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~messages ~hw
     if completed = 0 || Int64.compare makespan_us 0L <= 0 then 0.0
     else float_of_int completed /. (Int64.to_float makespan_us /. 1e6)
   in
-  let trusted_total = Thc_obsv.Ledger.total hw in
+  let trusted_total = Thc_obsv.Ledger.total c.hw in
   {
     point = p;
     replicas;
@@ -127,7 +117,7 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~messages ~hw
     trusted_per_request =
       (if completed = 0 then 0.0
        else float_of_int trusted_total /. float_of_int completed);
-    messages;
+    messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats c.engine);
     safety_violations =
       List.length
         (Smr_spec.check_safety trace ~replicas
@@ -135,141 +125,31 @@ let finish (type m) p ~(trace : m Thc_sim.Trace.t) ~replicas ~messages ~hw
     phase_p50_us;
   }
 
-(* Each run_* returns the reduced result plus a thunk for the raw engine
-   trace as JSONL.  The sweep path records outputs only and never calls
-   the thunk; the export path records [Full], so the golden-trace corpus
-   still captures the loadtest driver byte-for-byte. *)
-let run_minbft p ~tracing =
-  let config =
-    { (Minbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
-  let spans = Thc_obsv.Span.create () in
-  Thc_obsv.Ledger.set_observer
-    (Thc_hardware.Trinc.ledger world)
-    (Thc_obsv.Span.attribute spans);
-  let engine =
-    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
-  in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Minbft.replica
-         (Minbft.create_replica ~config ~keyring ~world
-            ~trinket:(Thc_hardware.Trinc.trinket world ~owner:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Minbft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Minbft.wrap_request ~unwrap:Minbft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  ( finish p ~trace ~replicas:n ~messages:(sends engine)
-      ~hw:(Thc_hardware.Trinc.ledger world)
-      ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
-
-let run_pbft p ~tracing =
-  let config =
-    { (Pbft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
-  let spans = Thc_obsv.Span.create () in
-  let engine =
-    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
-  in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Pbft.replica
-         (Pbft.create_replica ~config ~keyring
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Pbft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Pbft.wrap_request ~unwrap:Pbft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  (* PBFT spends no trusted ops; an empty ledger keeps its rates at 0. *)
-  ( finish p ~trace ~replicas:n ~messages:(sends engine)
-      ~hw:(Thc_obsv.Ledger.create ())
-      ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
-
-(* uBFT's trusted hardware is the register array itself: a fresh ledger
-   attached to every register plays the role the trinket ledger plays in
-   the MinBFT runs, so trusted_per_request counts register ops. *)
-let run_ubft p ~tracing =
-  let config =
-    { (Ubft.default_config ~f:p.f) with batch_size = max 1 p.batch }
-  in
-  let n = config.n in
-  let total = n + p.spec.W.clients in
-  let rng = Thc_util.Rng.create p.seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net = Thc_sim.Net.create ~n:total ~default:p.delay in
-  let spans = Thc_obsv.Span.create () in
-  let registers : Ubft.registers = Thc_sharedmem.Swmr.log_array ~n in
-  let hw = Thc_obsv.Ledger.create () in
-  Thc_sharedmem.Swmr.attach_ledger_all registers hw;
-  Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let engine =
-    Thc_sim.Engine.create ~seed:p.seed ~tracing ~spans ~n:total ~net ()
-  in
-  for self = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine self
-      (Ubft.replica
-         (Ubft.create_replica ~config ~keyring ~registers
-            ~ident:(Thc_crypto.Keyring.secret keyring ~pid:self)
-            ~self))
-  done;
-  List.iter
-    (fun (pid, b) -> Thc_sim.Engine.set_behavior engine pid b)
-    (client_behaviors p ~n ~keyring
-       ~open_client:(fun ~rid_base ~ident ~plan ->
-         Ubft.client ~rid_base ~config ~keyring ~ident ~plan)
-       ~wrap:Ubft.wrap_request ~unwrap:Ubft.unwrap_reply);
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ())
-    p.network;
-  let trace =
-    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
-      engine
-  in
-  ( finish p ~trace ~replicas:n ~messages:(sends engine) ~hw
-      ~phase_p50_us:(phase_p50s spans),
-    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
-
+(* The reduced result plus a thunk for the raw engine trace as JSONL.  The
+   sweep path records outputs only and never calls the thunk; the export
+   path records [Full], so the golden-trace corpus still captures the
+   loadtest driver byte-for-byte.  The span recorder feeds the per-phase
+   p50s. *)
 let run_with p ~tracing =
   W.validate p.spec;
-  match p.protocol with
-  | Minbft -> run_minbft p ~tracing
-  | Pbft -> run_pbft p ~tracing
-  | Ubft -> run_ubft p ~tracing
+  let spans = Thc_obsv.Span.create () in
+  let (Thc_replication.Cluster.Cluster c) =
+    Thc_replication.Cluster.create ~spans p.protocol ~f:p.f ~batch:p.batch
+      ~checkpoint_interval:0 ~clients:p.spec.W.clients ~seed:p.seed
+      ~delay:p.delay ~tracing
+  in
+  List.iter
+    (fun (pid, b) -> Thc_sim.Engine.set_behavior c.engine pid b)
+    (client_behaviors p c);
+  Option.iter
+    (fun m -> Thc_network.Model.install m c.engine ~replicas:c.replicas ())
+    p.network;
+  let trace =
+    Thc_sim.Engine.run ~until:(W.horizon_us p.spec) ~max_events:20_000_000
+      c.engine
+  in
+  ( finish p ~trace c ~phase_p50_us:(phase_p50s spans),
+    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
 
 let run_point_export p =
   let result, export = run_with p ~tracing:Thc_sim.Engine.Full in

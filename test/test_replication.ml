@@ -1746,7 +1746,7 @@ let test_core_reset () =
     (Thc_replication.Kv_store.digest (Thc_replication.Kv_store.create ()))
     (Thc_replication.Kv_store.digest c.store)
 
-(* --- byte pins for the three protocols -------------------------------------- *)
+(* --- byte pins for the three protocols ------------------------------------ *)
 
 (* The golden traces and the checkpoint MD5 pins cover MinBFT's fault-free
    and checkpoint paths; these pin each protocol's full exports on the paths
@@ -1777,7 +1777,8 @@ let export_pins protocol =
     ("batch 4, 3 clients", make ~batch:4 ~clients:3 ());
     ("crash-leader", make ~scenario:(H.Crash_leader 40_000L) ());
     ("explore script", explore ());
-    ("explore script, lan+race:0.5", explore ~network:(model "lan+race:0.5") ());
+    ( "explore script, lan+race:0.5",
+      explore ~network:(model "lan+race:0.5") () );
   ]
   @
   if protocol = H.Minbft then
@@ -1859,7 +1860,8 @@ let minbft_pins =
     ("explore script, lan+race:0.5", "00debe3c22fc6d4b4cd7c063302d7328");
     ("restart, ckpt 4", "e0f22cb112f84bd7dedaae6c71f2ad1e");
     ("loadtest point", "2bdc5b6d9e7fe86967d41772480fa436");
-    ("loadtest closed, lossy+lazy:0.3,2000", "c386d17e5217820d3a65eb5247948880");
+    ( "loadtest closed, lossy+lazy:0.3,2000",
+      "c386d17e5217820d3a65eb5247948880" );
   ]
 
 let pbft_pins =
@@ -1869,7 +1871,8 @@ let pbft_pins =
     ("explore script", "9b3f0b6081417835c7cef2bfaa53f140");
     ("explore script, lan+race:0.5", "7905e4d4436aeaab93bc2a09d2486e2b");
     ("loadtest point", "7d041e9f77a2c0ab2c3f8008dddcf0d0");
-    ("loadtest closed, lossy+lazy:0.3,2000", "a6b17469f406ec1caf6c8be6ca6ffb11");
+    ( "loadtest closed, lossy+lazy:0.3,2000",
+      "a6b17469f406ec1caf6c8be6ca6ffb11" );
   ]
 
 let ubft_pins =
@@ -1879,7 +1882,8 @@ let ubft_pins =
     ("explore script", "4b19de7e2b5fd86c2949373c2c66ebae");
     ("explore script, lan+race:0.5", "a2208dea98f4ec2375c25c187684b2a8");
     ("loadtest point", "00fa232543c18a4381efa8f119236a26");
-    ("loadtest closed, lossy+lazy:0.3,2000", "eea3bf04f9fed67cf7b9dcb67c03a29c");
+    ( "loadtest closed, lossy+lazy:0.3,2000",
+      "eea3bf04f9fed67cf7b9dcb67c03a29c" );
   ]
 
 let () =
