@@ -147,21 +147,27 @@ let test_restart_without_checkpoints_still_recovers () =
   Alcotest.(check bool) "safe" true (o.H.safety_violations = []);
   Alcotest.(check bool) "live" true (o.H.liveness_violations = [])
 
+(* Only a MinBFT replica restarts, and only at a positive time. *)
 let test_restart_rejected_off_minbft () =
   List.iter
-    (fun protocol ->
+    (fun (what, protocol, pid, at) ->
       Alcotest.(check bool)
-        (P.to_string protocol ^ " restart raises")
+        (what ^ " restart raises")
         true
         (try
            ignore
              (H.run
                 (H.Setup.make ~protocol ~f:1 ~ops:4
-                   ~scenario:(H.Restart_replica { pid = 1; at = 10_000L })
+                   ~scenario:(H.Restart_replica { pid; at })
                    ~seed:1L ()));
            false
          with Invalid_argument _ -> true))
-    [ H.Pbft; H.Ubft ]
+    [
+      ("pbft", H.Pbft, 1, 10_000L);
+      ("ubft", H.Ubft, 1, 10_000L);
+      ("minbft client pid", H.Minbft, 3, 10_000L);
+      ("minbft at time 0", H.Minbft, 1, 0L);
+    ]
 
 let () =
   Alcotest.run "durability"
