@@ -1752,7 +1752,7 @@ let test_core_reset () =
    and checkpoint paths; these pin each protocol's full exports on the paths
    the golden corpus misses: batching with several clients, a crashed
    leader, an explorer script with and without a network model (a rational
-   client strategy, and the model re-lowered at the script's heal), an
+   client strategy), a heal that the model must be re-lowered after, an
    open- and a closed-loop loadtest point, and MinBFT's restart.  The PBFT
    and uBFT pins were recorded before the replica front ends moved into
    [Replica_core], the rest before the clusters moved into [Cluster]; a
@@ -1763,15 +1763,31 @@ let export_pins protocol =
   let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
   (* The explorer's shape: an admissible random script over every replica
      of the protocol at f = 1. *)
+  let n = if protocol = H.Pbft then 4 else 3 in
   let script =
     Thc_sim.Adversary.random
       (Thc_util.Rng.create 42L)
-      ~n:(if protocol = H.Pbft then 4 else 3)
-      ~horizon:200_000L ~crash_budget:1 ~partition_budget:1 ()
+      ~n ~horizon:200_000L ~crash_budget:1 ~partition_budget:1 ()
   in
   let explore ?network () =
     H.Setup.make ~protocol ~f:1 ~ops:6 ~delay:fast ~scenario:(H.Scripted script)
       ?network ~seed:42L ()
+  in
+  (* The explorer's scripts heal after their six requests are done; this one
+     isolates the leader and heals while requests are still flowing, so the
+     network model's re-lowering after the heal shapes the run. *)
+  let heal_mid_run =
+    {
+      Thc_sim.Adversary.horizon = 100_000L;
+      events =
+        [
+          {
+            at = 20_000L;
+            action = Block_groups [ [ 0 ]; List.init (n - 1) succ ];
+          };
+          { at = 60_000L; action = Heal };
+        ];
+    }
   in
   [
     ("batch 4, 3 clients", make ~batch:4 ~clients:3 ());
@@ -1779,6 +1795,9 @@ let export_pins protocol =
     ("explore script", explore ());
     ( "explore script, lan+race:0.5",
       explore ~network:(model "lan+race:0.5") () );
+    ( "heal mid-run, lan+race:0.5",
+      make ~scenario:(H.Scripted heal_mid_run)
+        ~network:(model "lan+race:0.5") () );
   ]
   @
   if protocol = H.Minbft then
@@ -1858,6 +1877,7 @@ let minbft_pins =
     ("crash-leader", "007c7b823b27efbe2bc080b6d59a5a2a");
     ("explore script", "f1696197e2026ac8bf6d624906505b8e");
     ("explore script, lan+race:0.5", "00debe3c22fc6d4b4cd7c063302d7328");
+    ("heal mid-run, lan+race:0.5", "21076356f180fccba7a6a4f1d197ca2e");
     ("restart, ckpt 4", "e0f22cb112f84bd7dedaae6c71f2ad1e");
     ("loadtest point", "2bdc5b6d9e7fe86967d41772480fa436");
     ( "loadtest closed, lossy+lazy:0.3,2000",
@@ -1870,6 +1890,7 @@ let pbft_pins =
     ("crash-leader", "1fcd3002b2bdd45dcd8e4b303ddedd90");
     ("explore script", "9b3f0b6081417835c7cef2bfaa53f140");
     ("explore script, lan+race:0.5", "7905e4d4436aeaab93bc2a09d2486e2b");
+    ("heal mid-run, lan+race:0.5", "968ac9276cd07be58e9a10cfc58c01a6");
     ("loadtest point", "7d041e9f77a2c0ab2c3f8008dddcf0d0");
     ( "loadtest closed, lossy+lazy:0.3,2000",
       "a6b17469f406ec1caf6c8be6ca6ffb11" );
@@ -1881,6 +1902,7 @@ let ubft_pins =
     ("crash-leader", "ecaf7415e64b479c5873beefa2db4b1b");
     ("explore script", "4b19de7e2b5fd86c2949373c2c66ebae");
     ("explore script, lan+race:0.5", "a2208dea98f4ec2375c25c187684b2a8");
+    ("heal mid-run, lan+race:0.5", "5dcb22ab0a8b340a16890a8bcd723154");
     ("loadtest point", "00fa232543c18a4381efa8f119236a26");
     ( "loadtest closed, lossy+lazy:0.3,2000",
       "eea3bf04f9fed67cf7b9dcb67c03a29c" );
