@@ -1761,9 +1761,9 @@ let model term = Result.get_ok (Thc_network.Model.of_string term)
 
 let export_pins protocol =
   let make = H.Setup.make ~protocol ~f:1 ~ops:30 ~seed:11L in
+  let n = if protocol = H.Pbft then 4 else 3 in
   (* The explorer's shape: an admissible random script over every replica
      of the protocol at f = 1. *)
-  let n = if protocol = H.Pbft then 4 else 3 in
   let script =
     Thc_sim.Adversary.random
       (Thc_util.Rng.create 42L)
