@@ -56,7 +56,7 @@ val sweep :
   t
 (** Run the full cross product ({!Attack.run} per cell).  Defaults: seeds
     1-3, corruption at 2ms/5ms/20ms, all attacks, both targets.  [jobs]
-    fans cells out over worker processes; cells merge in key order, so
+    fans cells out over pool domains; cells merge in key order, so
     the matrix — and its export — is byte-identical at every value. *)
 
 val all_hold : t -> bool

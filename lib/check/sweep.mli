@@ -56,8 +56,8 @@ val sweep :
 (** Seeds [base_seed, base_seed + 1, ..., base_seed + runs - 1].
     [progress] is invoked after every run with the number of seeds finished
     and failures seen so far — callers decide how often to surface it; it
-    never affects the summary.  [jobs] fans the runs out over that many
-    worker processes ({!Thc_exec.Pool}); outcomes are merged in seed order,
+    never affects the summary.  [jobs] fans the runs out over up to that
+    many domains ({!Thc_exec.Pool}); outcomes are merged in seed order,
     so the summary — and the [progress] call sequence — is identical at
     every [jobs] value.  [stats] receives the pool's wall-clock
     accounting. *)

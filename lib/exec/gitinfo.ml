@@ -1,4 +1,4 @@
-let cached = ref None
+let cached = Atomic.make None
 
 let compute () =
   match
@@ -13,9 +13,9 @@ let compute () =
   | _ | (exception _) -> "unknown"
 
 let describe () =
-  match !cached with
+  match Atomic.get cached with
   | Some v -> v
   | None ->
     let v = compute () in
-    cached := Some v;
+    Atomic.set cached (Some v);
     v

@@ -1,5 +1,3 @@
-let can_fork = not Sys.win32
-
 type stats = {
   requested_jobs : int;
   workers : int;
@@ -45,230 +43,79 @@ let record registry ~name s =
       c (Printf.sprintf "worker%d.keys" w) s.keys_per_worker.(w))
     s.busy_us
 
-(* --- sequential fallback ------------------------------------------------- *)
-
-let run_job f k =
-  match f k with
-  | r -> Ok r
-  | exception e -> Error (Printexc.to_string e)
-
-let map_sequential ~requested_jobs ?on_result f keys =
+(* Worker 0 is the calling domain, which also fires [on_result]; workers
+   1 .. w-1 are spawned domains.  Every worker claims the next key index
+   from [next] and stores its result at that index under [lock]. *)
+let map_stats ?(jobs = 1) ?on_result f keys =
   let t0 = now_us () in
-  let failed = ref 0 in
-  let results =
-    List.mapi
-      (fun i k ->
-        let r = run_job f k in
-        (match r with Error _ -> incr failed | Ok _ -> ());
-        Option.iter (fun g -> g i r) on_result;
-        r)
-      keys
-  in
-  ( results,
-    {
-      requested_jobs;
-      workers = 0;
-      keys = List.length keys;
-      failed = !failed;
-      wall_us = Int64.sub (now_us ()) t0;
-      busy_us = [||];
-      keys_per_worker = [||];
-    } )
-
-(* --- pipe framing --------------------------------------------------------- *)
-
-(* A worker streams one frame per completed key:
-     4-byte big-endian payload length, then Marshal of
-     (key index, job result, busy_us for that job).
-   Marshalling happens in the same executable image on both ends, so the
-   representation is trivially compatible. *)
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write fd bytes !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
-
-let frame payload =
-  let body = Marshal.to_bytes payload [] in
-  let len = Bytes.length body in
-  let out = Bytes.create (4 + len) in
-  Bytes.set_int32_be out 0 (Int32.of_int len);
-  Bytes.blit body 0 out 4 len;
-  out
-
-(* --- worker --------------------------------------------------------------- *)
-
-let worker_main fd f assigned =
-  List.iter
-    (fun (i, k) ->
-      let t0 = now_us () in
-      let r = run_job f k in
-      let busy = Int64.sub (now_us ()) t0 in
-      (* An outcome that cannot be marshalled (a closure smuggled into the
-         result type) degrades to a failed job, not a crashed worker. *)
-      let payload =
-        match frame (i, r, busy) with
-        | fr -> fr
-        | exception e ->
-          frame (i, (Error (Printexc.to_string e) : (_, string) result), busy)
+  let jobs = max 1 jobs in
+  let keys = Array.of_list keys in
+  let n = Array.length keys in
+  let w = max 1 (min jobs (min n (Domain.recommended_domain_count ()))) in
+  let results = Array.make n None in
+  let busy_us = Array.make w 0L and keys_per_worker = Array.make w 0 in
+  let next = Atomic.make 0 in
+  let lock = Mutex.create () and filled = Condition.create () in
+  let rec work worker ~after_each =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let start = now_us () in
+      let r =
+        match f keys.(i) with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e)
       in
-      write_all fd payload)
-    assigned
-
-(* --- parent read loop ------------------------------------------------------ *)
-
-type channel = {
-  fd : Unix.file_descr;
-  pid : int;
-  worker : int;
-  assigned : int list;  (** Key indices this worker owns. *)
-  mutable pending : Bytes.t;  (** Unparsed tail of the stream. *)
-  mutable open_ : bool;
-}
-
-let status_string = function
-  | Unix.WEXITED 0 -> "exited before finishing its keys"
-  | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
-  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
-
-let drain_frames ch ~deliver =
-  let buf = ch.pending in
-  let len = Bytes.length buf in
-  let off = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if len - !off >= 4 then begin
-      let flen = Int32.to_int (Bytes.get_int32_be buf !off) in
-      if len - !off - 4 >= flen then begin
-        let (i, r, busy) : int * ('r, string) result * int64 =
-          Marshal.from_bytes buf (!off + 4)
-        in
-        deliver ch.worker i r busy;
-        off := !off + 4 + flen
-      end
-      else continue := false
-    end
-    else continue := false
-  done;
-  if !off > 0 then ch.pending <- Bytes.sub buf !off (len - !off)
-
-let map_forked ~jobs ?on_result f keys =
-  let t0 = now_us () in
-  let key_arr = Array.of_list keys in
-  let n = Array.length key_arr in
-  let workers = max 1 (min jobs n) in
-  let results : ('r, string) result option array = Array.make n None in
-  let busy_us = Array.make workers 0L in
-  let keys_per_worker = Array.make workers 0 in
-  (* Deliver on_result strictly in key order: fire for the contiguous
-     prefix of filled slots each time the prefix grows. *)
-  let next_to_report = ref 0 in
-  let advance () =
-    while !next_to_report < n && results.(!next_to_report) <> None do
-      (match (on_result, results.(!next_to_report)) with
-      | Some g, Some r -> g !next_to_report r
-      | _ -> ());
-      incr next_to_report
-    done
-  in
-  (* Forking with unflushed channel buffers would let a dying child replay
-     buffered parent output; flush first, and children exit via [_exit]. *)
-  flush stdout;
-  flush stderr;
-  let channels =
-    List.init workers (fun w ->
-        let assigned = ref [] in
-        for i = n - 1 downto 0 do
-          if i mod workers = w then assigned := i :: !assigned
-        done;
-        let rd, wr = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 ->
-          Unix.close rd;
-          (match
-             worker_main wr f
-               (List.map (fun i -> (i, key_arr.(i))) !assigned)
-           with
-          | () -> ()
-          | exception _ -> ());
-          (try Unix.close wr with Unix.Unix_error _ -> ());
-          Unix._exit 0
-        | pid ->
-          Unix.close wr;
-          { fd = rd; pid; worker = w; assigned = !assigned;
-            pending = Bytes.create 0; open_ = true })
-  in
-  let deliver w i r busy =
-    if results.(i) = None then begin
-      results.(i) <- Some r;
-      busy_us.(w) <- Int64.add busy_us.(w) busy;
-      keys_per_worker.(w) <- keys_per_worker.(w) + 1
+      busy_us.(worker) <- Int64.(add busy_us.(worker) (sub (now_us ()) start));
+      keys_per_worker.(worker) <- keys_per_worker.(worker) + 1;
+      Mutex.protect lock (fun () ->
+          results.(i) <- Some r;
+          Condition.signal filled);
+      after_each ();
+      work worker ~after_each
     end
   in
-  let chunk = Bytes.create 65536 in
-  let live () = List.filter (fun ch -> ch.open_) channels in
-  let close_channel ch =
-    ch.open_ <- false;
-    (try Unix.close ch.fd with Unix.Unix_error _ -> ());
-    let _, status = Unix.waitpid [] ch.pid in
-    (* Whatever the worker never reported is a failed job, attributed to
-       how the process died — the pool never hangs on a killed child. *)
-    List.iter
-      (fun i ->
-        if results.(i) = None then
-          results.(i) <-
-            Some (Error (Printf.sprintf "worker %d %s" ch.worker
-                           (status_string status))))
-      ch.assigned
+  (* Fire [on_result] for the filled prefix; with [~wait], block until
+     every key is filled. *)
+  let reported = ref 0 in
+  let rec report ~wait =
+    let i = !reported in
+    if i < n then
+      match
+        Mutex.protect lock (fun () ->
+            while wait && Option.is_none results.(i) do
+              Condition.wait filled lock
+            done;
+            results.(i))
+      with
+      | None -> ()
+      | Some r ->
+        Option.iter (fun g -> g i r) on_result;
+        reported := i + 1;
+        report ~wait
   in
-  while live () <> [] do
-    let fds = List.map (fun ch -> ch.fd) (live ()) in
-    match Unix.select fds [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-      List.iter
-        (fun ch ->
-          if ch.open_ && List.mem ch.fd ready then
-            match Unix.read ch.fd chunk 0 (Bytes.length chunk) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | 0 -> close_channel ch
-            | got ->
-              ch.pending <-
-                Bytes.cat ch.pending (Bytes.sub chunk 0 got);
-              drain_frames ch ~deliver)
-        channels;
-      advance ()
-  done;
-  advance ();
-  let results =
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> Error "worker lost the key")
-         results)
+  let spawned =
+    List.init (w - 1) (fun j ->
+        Domain.spawn (fun () -> work (j + 1) ~after_each:ignore))
   in
-  let failed =
-    List.length (List.filter (function Error _ -> true | Ok _ -> false) results)
-  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* A raising [on_result] stops the other workers at their next claim. *)
+      Atomic.set next n;
+      List.iter Domain.join spawned)
+    (fun () ->
+      work 0 ~after_each:(fun () -> report ~wait:false);
+      report ~wait:true);
+  let results = Array.to_list (Array.map Option.get results) in
+  let workers = if w > 1 then w else 0 in
   ( results,
     {
       requested_jobs = jobs;
       workers;
       keys = n;
-      failed;
+      failed = List.length (List.filter Result.is_error results);
       wall_us = Int64.sub (now_us ()) t0;
-      busy_us;
-      keys_per_worker;
+      busy_us = (if workers = 0 then [||] else busy_us);
+      keys_per_worker = (if workers = 0 then [||] else keys_per_worker);
     } )
-
-let map_stats ?(jobs = 1) ?on_result f keys =
-  let jobs = max 1 jobs in
-  if jobs <= 1 || List.length keys <= 1 || not can_fork then
-    map_sequential ~requested_jobs:jobs ?on_result f keys
-  else map_forked ~jobs ?on_result f keys
 
 let map ?jobs ?on_result f keys = fst (map_stats ?jobs ?on_result f keys)

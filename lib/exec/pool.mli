@@ -1,32 +1,29 @@
-(** Process-pool parallel execution over [Unix.fork].
+(** Parallel execution over OCaml domains.
 
-    A pool maps a pure job function over a list of keys, fanning the work
-    out to forked worker processes that stream results back over pipes.
-    The merge is {e deterministic}: results come back in key order no
-    matter which worker finishes first, and the optional [on_result] hook
-    fires in key order too, so a caller that prints progress or counts
-    failures produces byte-identical output at every [jobs] value.  That
-    property is what lets the sweep drivers expose [--jobs N] without
-    giving up the repository's reproducibility invariant.
+    A pool maps a job function over a list of keys, fanning the work out
+    to domains of this process.  The merge is {e deterministic}: results
+    come back in key order no matter which domain finishes first, and the
+    optional [on_result] hook fires in key order too, from the calling
+    domain, so a caller that prints progress or counts failures produces
+    byte-identical output at every [jobs] value.  That property is what
+    lets the sweep drivers expose [--jobs N] without giving up the
+    repository's reproducibility invariant.
 
-    Jobs must be pure functions of their key (every sweep driver in this
-    repository already is): a forked child sees a copy-on-write snapshot
-    of the parent heap, and nothing it mutates is visible back in the
-    parent except the marshalled outcome.
+    Jobs share one heap.  A job must not mutate state that another key's
+    job can reach: everything it writes is built from its own key (every
+    sweep driver in this repository already works this way), and
+    per-domain scratch lives in [Domain.DLS].  Results are handed back as
+    they are, so a result may carry any value, closures included.
 
-    Failure is data, not a hang: a job that raises reports
-    [Error (Printexc.to_string exn)], and a worker that dies outright
-    (killed, segfault, [exit]) turns every one of its unfinished keys into
-    an [Error] naming the exit status.  The pool always returns one result
-    per key. *)
-
-val can_fork : bool
-(** Whether this platform supports [Unix.fork] (false on Windows).  When
-    false every map runs sequentially whatever [jobs] says. *)
+    A job that raises reports [Error (Printexc.to_string exn)]; the pool
+    always returns one result per key.  A job that ends the process
+    ([exit], a fatal signal) ends the sweep with it. *)
 
 type stats = {
   requested_jobs : int;  (** The [jobs] argument, clamped to ≥ 1. *)
-  workers : int;  (** Forked workers; 0 when the map ran sequentially. *)
+  workers : int;
+      (** Domains that ran jobs, the calling one included; 0 when the
+          calling domain ran every key alone. *)
   keys : int;
   failed : int;  (** Keys whose result is [Error _]. *)
   wall_us : int64;  (** Real (not virtual) elapsed time for the map. *)
@@ -54,12 +51,13 @@ val map :
   ('k -> 'r) ->
   'k list ->
   ('r, string) result list
-(** [map ~jobs f keys] is [f] applied to every key, in key order.  With
-    [jobs <= 1], an empty or singleton key list, or no fork support, it
-    runs in-process; otherwise [min jobs (length keys)] workers are forked
-    and keys are striped across them.  [on_result i r] is invoked exactly
-    once per key, in ascending key order (result [i] is delivered only
-    after results [0..i-1]), whatever order workers finish in. *)
+(** [map ~jobs f keys] is [f] applied to every key, in key order.  The
+    work runs on [min jobs (length keys) (Domain.recommended_domain_count ())]
+    domains, the calling one among them, each taking the next unclaimed
+    key; at one domain no other is spawned.  [on_result i r] is invoked
+    exactly once per key, from the calling domain, in ascending key order
+    (result [i] is delivered only after results [0..i-1]), whatever order
+    the domains finish in. *)
 
 val map_stats :
   ?jobs:int ->

@@ -4,12 +4,17 @@
     order}.  {!Check.Sweep}, {!Byz.Matrix}, {!Workload.Loadtest} and the
     bench tables all instantiate this signature, which is what lets one
     {!Pool} give them all the same [--jobs N] semantics: identical keys +
-    identical [run_one] ⇒ identical summary, at any parallelism. *)
+    identical [run_one] ⇒ identical summary, at any parallelism.
+
+    [run_one] runs on several domains of one heap at once, so it must not
+    mutate state that another key's [run_one] can reach. *)
 
 type ('k, 'o, 's) t = {
   name : string;  (** For metrics names and failure messages. *)
   keys : 'k list;
-  run_one : 'k -> 'o;  (** Pure: forked workers run it on heap copies. *)
+  run_one : 'k -> 'o;
+      (** A function of its key alone: pool domains run it side by side
+          on one heap. *)
   summarize : 'o list -> 's;  (** Receives outcomes in key order. *)
 }
 
@@ -19,10 +24,9 @@ exception
     index : int;
     reason : string;
   }
-(** Raised by {!run} when a job raised or its worker died.  Sweep jobs are
-    deterministic pure functions, so a failure is a bug (or a killed
-    worker), never load-dependent — surfacing it beats folding a hole into
-    the summary. *)
+(** Raised by {!run} when a job raised.  Sweep jobs are deterministic
+    functions of their key, so a failure is a bug, never load-dependent —
+    surfacing it beats folding a hole into the summary. *)
 
 val outcomes :
   ?jobs:int ->

@@ -174,8 +174,8 @@ let attribute t label n =
 
 (* --- frozen views -------------------------------------------------------- *)
 
-(* Plain immutable snapshots: no functions, no custom blocks, safe to
-   Marshal across the exec pool and merge in key order. *)
+(* Plain immutable snapshots, detached from the recorder, so exec pool
+   results can carry them and merge in key order. *)
 type view = {
   v_rid : int;
   v_client : int;

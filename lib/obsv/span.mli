@@ -74,8 +74,8 @@ type view = {
   v_marks : int64 array;  (** Per mark, virtual µs; -1 = never reached. *)
   v_ops : int array;  (** Per phase, trusted ops charged to this span. *)
 }
-(** Plain immutable snapshot — no closures, safe to [Marshal] across the
-    exec pool and merge in key order. *)
+(** Plain immutable snapshot, detached from the recorder, so exec pool
+    results can carry it and merge in key order. *)
 
 val views : t -> view list
 (** All spans, ascending rid. *)

@@ -68,8 +68,7 @@ let client_behaviors (type m) p (c : m Thc_replication.Cluster.t) =
       (pid, behavior))
 
 (* Per-phase p50s from the run's span recorder: [(phase, µs)] in causal
-   order, traversed phases only.  Plain data so results stay Marshal-safe
-   across sweep workers. *)
+   order, traversed phases only. *)
 let phase_p50s spans =
   List.filter_map
     (fun (r : Thc_obsv.Span.phase_row) ->

@@ -89,7 +89,7 @@ val sweep :
   result list
 (** [run_point] over the full (arrival × batch) grid, arrival-major, with
     every other field taken from the template point.  [jobs] fans points
-    out over worker processes; results merge in grid order, so the list —
+    out over pool domains; results merge in grid order, so the list —
     and its export — is byte-identical at every value. *)
 
 (** {1 JSONL export} *)

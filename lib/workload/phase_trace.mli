@@ -23,7 +23,7 @@ type run_data = {
   rd_completed : int;
   rd_commits : int;
 }
-(** One seed's results, as plain data (Marshal-safe across workers). *)
+(** One seed's results, as plain data. *)
 
 type report = {
   runs : run_data list;  (** Seed order. *)

@@ -9,8 +9,8 @@
    checked property.
 
    Regeneration goes through Thc_exec.Pool, so THC_GOLDEN_JOBS=2 also
-   proves the traces survive fork/marshal worker boundaries unchanged
-   (CI runs the suite at both --jobs 1 and --jobs 2).
+   proves the traces come out unchanged when built on several domains at
+   once (CI runs the suite at both --jobs 1 and --jobs 2).
 
    To re-record after an INTENTIONAL observable change (a new trace entry
    kind, a protocol change — never a silent engine regression):
@@ -82,7 +82,7 @@ let jobs () =
   | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
 
-(* Regenerate every corpus trace, optionally across forked workers. *)
+(* Regenerate every corpus trace, optionally across pool domains. *)
 let regenerate () =
   let results =
     Thc_exec.Pool.map ~jobs:(jobs ()) (fun (_, f) -> f ()) corpus

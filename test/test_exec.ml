@@ -1,7 +1,7 @@
 (* Tests for the parallel execution subsystem: pool determinism, failure
-   containment (including killed workers), the runner shape, the export
-   envelope, and the promise the CLI makes everywhere — that `--jobs N`
-   output is byte-identical to a sequential run for every sweep driver. *)
+   containment, the runner shape, the export envelope, and the promise the
+   CLI makes everywhere — that `--jobs N` output is byte-identical to a
+   sequential run for every sweep driver. *)
 
 module Pool = Thc_exec.Pool
 module Runner = Thc_exec.Runner
@@ -34,7 +34,7 @@ let test_on_result_fires_in_key_order () =
   (* Jobs with deliberately inverted runtimes: later keys finish first in
      wall-clock terms, so in-order delivery is doing real work here. *)
   let f k =
-    if Pool.can_fork then ignore (Unix.select [] [] [] (float_of_int (7 - k) /. 500.));
+    Unix.sleepf (float_of_int (7 - k) /. 500.);
     k
   in
   ignore (Pool.map ~jobs:4 ~on_result f [ 0; 1; 2; 3; 4; 5; 6 ]);
@@ -57,61 +57,56 @@ let test_job_exception_is_error_result () =
   Alcotest.(check int) "one failure" 1
     (List.length (List.filter Result.is_error rs))
 
-let test_killed_worker_reports_and_terminates () =
-  if Pool.can_fork then begin
-    (* Key 2 runs on worker 0 (striping: keys 0,2,4 -> worker 0) and kills
-       its own process outright — no exception, no result frame.  The pool
-       must finish anyway, with every unreported key on that worker an
-       Error and the other worker's keys untouched. *)
-    let f k =
-      if k = 2 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-      k * 10
-    in
-    let rs = Pool.map ~jobs:2 f [ 0; 1; 2; 3; 4 ] in
-    Alcotest.(check int) "one result per key" 5 (List.length rs);
-    let ok, err =
-      List.partition Result.is_ok
-        (List.filteri (fun i _ -> i mod 2 = 0) rs)
-    in
-    Alcotest.(check int) "key 0 completed before the kill" 1 (List.length ok);
-    Alcotest.(check int) "keys 2 and 4 fail" 2 (List.length err);
-    List.iter
-      (function
-        | Error e ->
-          Alcotest.(check bool) "error names the signal death" true
-            (contains ~affix:"killed" e)
-        | Ok _ -> ())
-      err;
-    List.iteri
-      (fun i r ->
-        if i mod 2 = 1 then
-          Alcotest.(check bool)
-            (Printf.sprintf "worker 1's key %d unaffected" i)
-            true
-            (r = Ok (i * 10)))
-      rs
-  end
+let test_closure_results_cross_domains () =
+  (* Results stay in the one heap, so a result carrying a closure comes
+     back [Ok] at any [jobs] value. *)
+  let rs = Pool.map ~jobs:2 (fun k () -> k * 3) [ 0; 1; 2; 3 ] in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok g -> Alcotest.(check int) "closure result" (i * 3) (g ())
+      | Error e -> Alcotest.failf "key %d: %s" i e)
+    rs
+
+let test_on_result_exception_propagates () =
+  let on_result i _ = if i = 1 then failwith "hook" in
+  (match Pool.map ~jobs:2 ~on_result (fun k -> k) [ 0; 1; 2; 3 ] with
+  | _ -> Alcotest.fail "expected the hook's exception"
+  | exception Failure e -> Alcotest.(check string) "hook exception" "hook" e);
+  Alcotest.(check bool) "the pool still maps afterwards" true
+    (Pool.map ~jobs:2 (fun k -> k) [ 4; 5 ] = [ Ok 4; Ok 5 ])
+
+(* The worker count the pool promises: one per job, key and recommended
+   core, and 0 when that leaves the calling domain alone. *)
+let expected_workers ~jobs ~keys =
+  match min jobs (min keys (Domain.recommended_domain_count ())) with
+  | 1 -> 0
+  | w -> w
 
 let test_stats_accounting () =
   let keys = List.init 8 (fun i -> i) in
   let _, seq = Pool.map_stats ~jobs:1 (fun k -> k) keys in
   Alcotest.(check int) "sequential: no workers" 0 seq.Pool.workers;
   Alcotest.(check int) "sequential: all keys" 8 seq.Pool.keys;
-  if Pool.can_fork then begin
-    let _, par = Pool.map_stats ~jobs:3 (fun k -> k) keys in
-    Alcotest.(check int) "parallel: three workers" 3 par.Pool.workers;
-    Alcotest.(check int) "parallel: all keys" 8 par.Pool.keys;
-    Alcotest.(check int) "parallel: no failures" 0 par.Pool.failed;
+  let _, par = Pool.map_stats ~jobs:3 (fun k -> k) keys in
+  Alcotest.(check int) "parallel: min jobs keys cores"
+    (expected_workers ~jobs:3 ~keys:8)
+    par.Pool.workers;
+  Alcotest.(check int) "parallel: all keys" 8 par.Pool.keys;
+  Alcotest.(check int) "parallel: no failures" 0 par.Pool.failed;
+  if par.Pool.workers > 0 then
     Alcotest.(check int) "per-worker counts cover the keys" 8
       (Array.fold_left ( + ) 0 par.Pool.keys_per_worker);
-    let u = Pool.utilization par in
-    Alcotest.(check bool) "utilization in [0,1]" true (u >= 0. && u <= 1.)
-  end
+  let u = Pool.utilization par in
+  Alcotest.(check bool) "utilization in [0,1]" true (u >= 0. && u <= 1.)
 
 let test_workers_never_exceed_keys () =
   let _, st = Pool.map_stats ~jobs:16 (fun k -> k) [ 1; 2; 3 ] in
-  if Pool.can_fork then
-    Alcotest.(check int) "clamped to key count" 3 st.Pool.workers
+  Alcotest.(check int) "clamped to keys and cores"
+    (expected_workers ~jobs:16 ~keys:3)
+    st.Pool.workers;
+  let _, one = Pool.map_stats ~jobs:16 (fun k -> k) [ 1 ] in
+  Alcotest.(check int) "one key runs on the calling domain" 0 one.Pool.workers
 
 (* --- runner --------------------------------------------------------------- *)
 
@@ -165,12 +160,18 @@ let test_envelope_field_order () =
 let render pp v = Format.asprintf "%a" pp v
 
 let test_check_sweep_jobs_identical () =
-  let h = Option.get (Thc_check.Harness.find "minbft") in
-  let run jobs =
-    render Thc_check.Sweep.pp_summary
-      (Thc_check.Sweep.sweep h ~jobs ~base_seed:1L ~runs:6 ())
-  in
-  Alcotest.check str "rendered summary identical" (run 1) (run 4)
+  (* The checkpoint harness runs MinBFT's per-domain decode table and
+     Digest's per-domain scratch buffer in spawned domains. *)
+  List.iter
+    (fun name ->
+      let h = Option.get (Thc_check.Harness.find name) in
+      let run jobs =
+        render Thc_check.Sweep.pp_summary
+          (Thc_check.Sweep.sweep h ~jobs ~base_seed:1L ~runs:6 ())
+      in
+      Alcotest.check str (name ^ ": rendered summary identical") (run 1)
+        (run 4))
+    [ "minbft"; "minbft-forged-checkpoint" ]
 
 let test_byz_matrix_jobs_identical () =
   let run jobs =
@@ -234,7 +235,7 @@ let test_loadtest_headerless_parse_compat () =
 
 let test_phase_trace_export_jobs_identical () =
   (* The span campaign behind `thc trace`: run_spans outcomes (span views
-     plus attribution rows) crossing the worker pipe, merged in seed order
+     plus attribution rows) built on pool domains, merged in seed order
      — export bytes must not depend on the worker count. *)
   let module PT = Thc_workload.Phase_trace in
   let campaign =
@@ -263,7 +264,7 @@ let test_phase_trace_export_jobs_identical () =
 
 let test_replication_grid_jobs_identical () =
   (* The bench S1 table's exact shape: Harness.run outcomes (records with
-     nested stats and a metrics registry) crossing the worker pipe. *)
+     nested stats and a metrics registry) built on pool domains. *)
   let cells =
     [
       (Thc_replication.Harness.Minbft, 1);
@@ -300,8 +301,10 @@ let () =
             test_on_result_fires_in_key_order;
           Alcotest.test_case "job exception becomes Error" `Quick
             test_job_exception_is_error_result;
-          Alcotest.test_case "killed worker contained" `Quick
-            test_killed_worker_reports_and_terminates;
+          Alcotest.test_case "closure results cross domains" `Quick
+            test_closure_results_cross_domains;
+          Alcotest.test_case "on_result exception propagates" `Quick
+            test_on_result_exception_propagates;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "workers clamp to keys" `Quick
             test_workers_never_exceed_keys;
