@@ -59,7 +59,8 @@ let create ?(spans = Thc_obsv.Span.nop) ?restart (protocol : Protocol.t) ~f
       match restart with
       | None -> fun _ -> None
       | Some (pid, at) ->
-        if pid >= n then invalid_arg "Cluster: only a replica can restart";
+        if pid < 0 || pid >= n then
+          invalid_arg "Cluster: only a replica can restart";
         if at <= 0L then invalid_arg "Cluster: restart time must be positive";
         fun self -> if self = pid then Some at else None
     in

@@ -166,6 +166,7 @@ let test_restart_rejected_off_minbft () =
       ("pbft", H.Pbft, 1, 10_000L);
       ("ubft", H.Ubft, 1, 10_000L);
       ("minbft client pid", H.Minbft, 3, 10_000L);
+      ("minbft negative pid", H.Minbft, -1, 10_000L);
       ("minbft at time 0", H.Minbft, 1, 0L);
     ]
 
