@@ -37,7 +37,7 @@ let run ~f ~inputs ?(seed = 1L) ?(delay = Thc_sim.Delay.Uniform (50L, 500L))
   let (Thc_replication.Cluster.Cluster
         { engine; keyring; client; final_view; _ }) =
     Thc_replication.Cluster.create Minbft ~f ~batch:1 ~checkpoint_interval:0
-      ~clients:n ~seed ~delay ~tracing:Thc_sim.Engine.Full
+      ~clients:n ~seed ~delay ~tracing:Thc_sim.Engine.Outputs_only
   in
   Array.iteri
     (fun i input ->
@@ -80,7 +80,7 @@ let run ~f ~inputs ?(seed = 1L) ?(delay = Thc_sim.Delay.Uniform (50L, 500L))
     validity;
     termination;
     final_view = final_view ();
-    messages = Thc_sim.Trace.messages_sent trace;
+    messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
     duration_us = trace.Thc_sim.Trace.end_time;
   }
 

@@ -29,7 +29,8 @@ let split_run ~world_of ~f ~seed ~configure ~until =
   let keyring = Thc_crypto.Keyring.create rng ~n:total in
   let world = world_of rng ~n in
   let net = Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L)) in
-  let engine = Thc_sim.Engine.create ~seed ~n:total ~net () in
+  let tracing = Thc_sim.Engine.Outputs_only in
+  let engine = Thc_sim.Engine.create ~seed ~tracing ~n:total ~net () in
   for pid = 1 to n - 1 do
     Thc_sim.Engine.set_behavior engine pid
       (Minbft.replica
@@ -64,7 +65,7 @@ let split_run ~world_of ~f ~seed ~configure ~until =
   {
     violations = Smr_spec.check_safety trace ~replicas:n;
     distinct_ops_at_seq1 = Smr_spec.distinct_ops_at_seq1 trace ~replicas:n;
-    messages = Thc_sim.Trace.messages_sent trace;
+    messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
     duration_us = trace.Thc_sim.Trace.end_time;
     commits = Smr_spec.commits trace ~replicas:n;
     trusted_ops = Thc_obsv.Ledger.rows (Thc_hardware.Trinc.ledger world);
