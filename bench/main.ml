@@ -6,7 +6,7 @@
    model, never the machine: wall-clock cost belongs to bench/perf.
 
    The sweep-shaped tables run through Thc_exec.Pool, so `--jobs N` fans
-   their cells out over forked workers; results merge in key order and both
+   their cells out over domains; results merge in key order and both
    stdout and BENCH_results.json stay byte-identical at every value. *)
 
 let fast = Thc_sim.Delay.Uniform (10L, 400L)
@@ -1260,7 +1260,7 @@ let tables =
   ]
 
 let main jobs_n only network =
-  jobs := max 1 jobs_n;
+  jobs := jobs_n;
   bench_network := network;
   (match
      List.filter (fun id -> not (List.mem_assoc id tables)) only

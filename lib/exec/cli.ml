@@ -28,12 +28,12 @@ let top ?(default = 5) ~doc () =
 
 let jobs () =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker processes for the sweep; 1 runs sequentially.  Results \
-           are merged in key order, so summaries and exports are \
-           byte-identical at every value.")
+          "Domains for the sweep, at most one per key and per recommended \
+           core; 1 runs sequentially.  Results are merged in key order, so \
+           summaries and exports are byte-identical at every value.")
 
 let network_conv =
   let parse s =

@@ -8,8 +8,8 @@
     - [--runs N] — campaign size (seeds swept from the base seed),
     - [--seed S] — base RNG seed, default 1,
     - [--export FILE] — write the run's JSONL export,
-    - [--jobs N] — worker processes, default 1; output is byte-identical
-      at every value. *)
+    - [--jobs N] — domains of this process, default 1; output is
+      byte-identical at every value. *)
 
 val checked :
   'a Cmdliner.Arg.conv -> ('a -> bool) -> string -> 'a Cmdliner.Arg.conv
@@ -34,8 +34,10 @@ val top : ?default:int -> doc:string -> unit -> int Cmdliner.Term.t
     requests in [thc trace], stalled spans in [thc attack]). *)
 
 val jobs : unit -> int Cmdliner.Term.t
-(** [--jobs N], default 1 (sequential).  Values above 1 fork worker
-    processes; summaries and exports stay byte-identical. *)
+(** [--jobs N], a positive integer, default 1 (sequential).  Values above
+    1 run the sweep on up to [N] domains of this process, no more than the
+    keys or [Domain.recommended_domain_count ()]; summaries and exports
+    stay byte-identical. *)
 
 val network : unit -> Thc_network.Model.t option Cmdliner.Term.t
 (** [--network MODEL] — the shared network-model flag: a preset name
