@@ -22,8 +22,8 @@
 type stats = {
   requested_jobs : int;  (** The [jobs] argument, clamped to ≥ 1. *)
   workers : int;
-      (** Domains that ran jobs, the calling one included; 0 when the
-          calling domain ran every key alone. *)
+      (** Domains the keys were spread over, the calling one included;
+          0 when the calling domain ran every key alone. *)
   keys : int;
   failed : int;  (** Keys whose result is [Error _]. *)
   wall_us : int64;  (** Real (not virtual) elapsed time for the map. *)
