@@ -184,6 +184,7 @@ type result = {
   trusted_ops : (string * int) list;
   messages : int;
   duration_us : int64;
+  events : int;
   client_finished : bool;
   detail : string;
   stalled_spans : Thc_obsv.Span.view list;
@@ -253,6 +254,7 @@ let result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger ~spans ~plan
     trusted_ops = Thc_obsv.Ledger.rows ledger;
     messages = Thc_obsv.Link_stats.sends (E.stats engine);
     duration_us = trace.Thc_sim.Trace.end_time;
+    events = E.events_processed engine;
     client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
     detail;
     stalled_spans =

@@ -113,6 +113,10 @@ type result = {
   trusted_ops : (string * int) list;  (** Full ledger rows. *)
   messages : int;  (** Messages sent, from the engine's link counter. *)
   duration_us : int64;  (** Virtual end time of the run. *)
+  events : int;
+      (** Engine events the run dispatched or counted
+          ({!Thc_sim.Engine.events_processed}).  Not part of the JSONL
+          export. *)
   client_finished : bool;
       (** Did the honest client get all its replies? *)
   detail : string;  (** What mechanically happened, for the report. *)

@@ -98,30 +98,27 @@ let matches expect (verdict : Monitor.verdict) =
   | `Fail [], _ -> false
   | `Fail (primary :: _), v -> List.mem primary (Monitor.monitors_of v)
 
-let script_pids (script : Thc_sim.Adversary.t) =
-  List.concat_map
-    (fun (e : Thc_sim.Adversary.event) ->
-      match e.action with
-      | Thc_sim.Adversary.Crash pid | Thc_sim.Adversary.Corrupt { pid; _ } ->
-        [ pid ]
-      | Thc_sim.Adversary.Block_groups groups -> List.concat groups
-      | Thc_sim.Adversary.Block_link (src, dst) -> [ src; dst ]
-      | Thc_sim.Adversary.Heal -> [])
-    script.events
-
-(* A hand-written repro may name any pid; the harness's engine would raise
-   on one outside its replicas, so refuse it up front. *)
+(* A hand-written repro may hold a script the explorer could never draw:
+   a pid outside the replicas (the engine would raise), an event before
+   time 0, or a horizon past the profile's (a run for hours that ends in
+   the engine's event limit).  Refuse those up front.  The budgets are
+   [n], not the profile's: [thc explore --crashes] may exceed those. *)
 let replay r =
   match Harness.find r.protocol with
   | None -> Error (Printf.sprintf "unknown protocol %S" r.protocol)
   | Some h -> (
-    let n = h.Harness.profile.Harness.n in
-    match List.find_opt (fun pid -> pid < 0 || pid >= n) (script_pids r.script) with
-    | Some pid ->
+    let profile = h.Harness.profile in
+    let n = profile.Harness.n in
+    let horizon = r.script.Thc_sim.Adversary.horizon in
+    match
+      Thc_sim.Adversary.admissible r.script ~n ~crash_budget:n ~corrupt_budget:n ()
+    with
+    | Error e -> Error (Printf.sprintf "script not admissible for %s: %s" r.protocol e)
+    | Ok () when horizon < 0L || horizon > profile.Harness.horizon ->
       Error
-        (Printf.sprintf "script names pid %d, outside %s's replicas 0..%d" pid
-           r.protocol (n - 1))
-    | None ->
+        (Printf.sprintf "script horizon %Ld outside %s's 0..%Ld" horizon
+           r.protocol profile.Harness.horizon)
+    | Ok () ->
       let report = h.Harness.run ~seed:r.seed ~script:r.script () in
       Ok { repro = r; report; matched = matches r.expect report.Harness.verdict })
 

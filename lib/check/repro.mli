@@ -44,8 +44,10 @@ type replay = {
 
 val replay : t -> (replay, string) result
 (** Re-run the repro deterministically against the registry harness.
-    [Error] for an unknown protocol name or a script naming a pid outside
-    the harness's replicas [0 .. profile.n - 1]; a verdict mismatch is
-    [Ok { matched = false; _ }]. *)
+    [Error] for an unknown protocol name or a script the explorer could
+    never draw: one that fails {!Thc_sim.Adversary.admissible} over the
+    harness's replicas [0 .. profile.n - 1] (with crash and corruption
+    budgets of [n]), or whose horizon lies outside [0 .. profile.horizon].
+    A verdict mismatch is [Ok { matched = false; _ }]. *)
 
 val pp_replay : Format.formatter -> replay -> unit

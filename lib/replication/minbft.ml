@@ -82,10 +82,19 @@ type stable_ckpt = {
   c_state : (string * string) list option;
 }
 
+(* A sealed payload as the replicas of a cluster read it: decoded, with
+   its batch's digest for a Prepare or Commit ([0L] otherwise).  [proto]
+   is [None] for bytes that do not decode. *)
+type payload = { message : string; proto : proto option; digest : int64 }
+
+(* One trinket's payloads, slot [c] holding counter [c]'s. *)
+type stream = { mutable slots : payload array }
+
 type t = {
   config : config;
   keyring : Thc_crypto.Keyring.t;
   world : Thc_hardware.Trinc.world;
+  payloads : stream array;  (* by owner; shared by the cluster's replicas *)
   self : int;
   out : Attested_link.Out.t;
   inbox : Attested_link.In.t;
@@ -95,7 +104,8 @@ type t = {
   votes : (int * int * int64, (int, unit) Hashtbl.t) Hashtbl.t;
       (* (view, seq, batch digest) -> voters *)
   commit_sent : (int * int, unit) Hashtbl.t;  (* (view, seq) voted already *)
-  committed : (int, Command.batch) Hashtbl.t;
+  committed : (int, Command.batch * int64) Hashtbl.t;
+      (* seq -> committed batch and its digest *)
   rvc_votes : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* new_view -> supporters *)
   vc_evidence : (int, (int, Thc_hardware.Trinc.attestation) Hashtbl.t) Hashtbl.t;
       (* new_view -> owner -> View_change attestation (new leader role) *)
@@ -123,6 +133,27 @@ type t = {
   suffix_batches : (int * int64, Command.batch) Hashtbl.t;
 }
 
+let vacant =
+  { message = String.make 1 '\000'; proto = None; digest = 0L }
+
+(* Replicas built over one TrInc world share one payload table: the first
+   replica of another world starts a fresh one.  The domain holds the
+   latest world and table only weakly (two weak slots made once, so a
+   cluster allocates no ephemeron), so a table dies with its cluster and
+   no later run can hit it. *)
+let cluster_payloads =
+  Domain.DLS.new_key (fun () -> (Weak.create 1, Weak.create 1))
+
+let payloads_of world ~n =
+  let worlds, tables = Domain.DLS.get cluster_payloads in
+  match (Weak.get worlds 0, Weak.get tables 0) with
+  | Some w, Some payloads when w == world -> payloads
+  | _ ->
+    let payloads = Array.init n (fun _ -> { slots = Array.make 16 vacant }) in
+    Weak.set worlds 0 (Some world);
+    Weak.set tables 0 (Some payloads);
+    payloads
+
 let create_replica ~config ~keyring ~world ~trinket ~self =
   if config.n <> (2 * config.f) + 1 then
     invalid_arg "Minbft: config requires n = 2f + 1";
@@ -130,6 +161,7 @@ let create_replica ~config ~keyring ~world ~trinket ~self =
     config;
     keyring;
     world;
+    payloads = payloads_of world ~n:config.n;
     self;
     out = Attested_link.Out.create trinket;
     inbox = Attested_link.In.create ~world ~n:config.n;
@@ -191,6 +223,50 @@ let decode_sealed (a : Thc_hardware.Trinc.attestation) =
       Some p
     | exception _ -> None
 
+let payload_of_proto message proto =
+  let digest =
+    match proto with
+    | Some (Prepare { batch; _ } | Commit { batch; _ }) ->
+      Command.batch_digest batch
+    | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _) | None -> 0L
+  in
+  { message; proto; digest }
+
+(* Store [p] at its attestation's slot: a seal ([own]) overwrites, a
+   decode fills only a vacant slot.  Counters far past a stream's end
+   (none of a correct replica's) are not stored. *)
+let remember t (a : Thc_hardware.Trinc.attestation) p ~own =
+  if a.owner >= 0 && a.owner < Array.length t.payloads && a.counter >= 0 then begin
+    let s = t.payloads.(a.owner) in
+    let len = Array.length s.slots in
+    if a.counter >= len && a.counter < 2 * len then begin
+      let grown = Array.make (2 * len) vacant in
+      Array.blit s.slots 0 grown 0 len;
+      s.slots <- grown
+    end;
+    if a.counter < Array.length s.slots && (own || s.slots.(a.counter) == vacant)
+    then s.slots.(a.counter) <- p
+  end
+
+(* [a]'s payload, decoded and digested once per cluster: the sealer stored
+   its own, and a miss (a payload sealed outside [seal_and_send], or
+   another message under a used counter) decodes through {!decode_sealed}.
+   A hit needs the stored message to equal [a.message] ([==] first), so it
+   is what a fresh decode would give. *)
+let payload t (a : Thc_hardware.Trinc.attestation) =
+  let stored =
+    if a.owner >= 0 && a.owner < Array.length t.payloads && a.counter >= 0 then
+      let slots = t.payloads.(a.owner).slots in
+      if a.counter < Array.length slots then slots.(a.counter) else vacant
+    else vacant
+  in
+  if stored != vacant && String.equal stored.message a.message then stored
+  else begin
+    let p = payload_of_proto a.message (decode_sealed a) in
+    remember t a p ~own:false;
+    p
+  end
+
 (* Which span phase a sealed protocol message belongs to, and on behalf of
    which requests — used to attribute the trusted ops the seal/accept
    charges (attest on the way out, counter checks on the way in). *)
@@ -200,9 +276,11 @@ let span_phase_of_proto = function
   | Rvc _ | View_change _ | New_view _ | Checkpoint _ ->
     (Thc_obsv.Span.Other_phase, [])
 
-(* The sealer's own [p] goes into the decode table, so every receiver
-   decodes to it and their batches hold the clients' signed requests. *)
-let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) p =
+(* The sealer's own [p] goes into the payload table with [digest] (its
+   batch's, for a Prepare or Commit), so every receiver reads it and their
+   batches hold the clients' signed requests.  It goes into the domain's
+   decode table too, for {!classify_msg}. *)
+let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) ~digest p =
   let a =
     if Thc_obsv.Span.enabled ctx.spans then begin
       let phase, rids = span_phase_of_proto p in
@@ -212,6 +290,7 @@ let seal_and_send t (ctx : msg Thc_sim.Engine.ctx) p =
     else Attested_link.Out.seal t.out (encode_proto p)
   in
   Thc_util.Identity_table.add (Domain.DLS.get decoded) ~tag:a.tag a.message p;
+  remember t a { message = a.message; proto = Some p; digest } ~own:true;
   ctx.broadcast (Sealed a)
 
 (* --- durability: checkpoints, truncation, state transfer --------------- *)
@@ -309,7 +388,7 @@ let maybe_checkpoint t (ctx : msg Thc_sim.Engine.ctx) =
   if ival > 0 && upto mod ival = 0 && upto > t.last_ckpt then begin
     t.last_ckpt <- upto;
     Hashtbl.replace t.own_snaps upto (Kv_store.snapshot t.core.store);
-    seal_and_send t ctx
+    seal_and_send t ctx ~digest:0L
       (Checkpoint
          {
            upto;
@@ -326,7 +405,7 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
   else
   match Hashtbl.find_opt t.committed (t.core.exec_upto + 1) with
   | None -> ()
-  | Some batch ->
+  | Some (batch, _) ->
     C.execute_slot t.core ctx batch;
     maybe_checkpoint t ctx;
     try_execute t ctx
@@ -339,7 +418,7 @@ let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
     Hashtbl.length tbl >= t.config.f + 1
     && not (Hashtbl.mem t.committed seq)
   then begin
-    Hashtbl.replace t.committed seq batch;
+    Hashtbl.replace t.committed seq (batch, digest);
     t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed);
     C.output_committed ctx ~view ~seq batch;
     try_execute t ctx
@@ -355,7 +434,7 @@ let handle_fetch t (ctx : msg Thc_sim.Engine.ctx) ~src ~have =
     | Some ({ c_state = Some state; _ } as c) when c.c_upto >= have ->
       let suffix =
         Hashtbl.fold
-          (fun seq batch acc ->
+          (fun seq (batch, _) acc ->
             if seq > c.c_upto then (seq, batch) :: acc else acc)
           t.committed []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -381,7 +460,7 @@ let snapshot_cert_valid t (s : snapshot) =
     List.filter_map
       (fun (att : Thc_hardware.Trinc.attestation) ->
         if Thc_hardware.Trinc.check t.world att ~id:att.owner then
-          match decode_sealed att with
+          match (payload t att).proto with
           | Some (Checkpoint { upto; digest; exec_count }) ->
             Some { Durability.owner = att.owner; upto; digest; exec_count }
           | Some (Prepare _ | Commit _ | Rvc _ | View_change _ | New_view _)
@@ -436,7 +515,7 @@ let note_suffix_votes t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
           Hashtbl.length tbl >= t.config.f + 1
           && not (Hashtbl.mem t.committed seq)
         then begin
-          Hashtbl.replace t.committed seq batch;
+          Hashtbl.replace t.committed seq (batch, digest);
           t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed)
         end
       end)
@@ -521,7 +600,7 @@ let restart t (ctx : msg Thc_sim.Engine.ctx) =
    recovered. *)
 let proposal_acceptable t ~seq ~digest =
   (match Hashtbl.find_opt t.committed seq with
-  | Some b -> Command.batch_digest b = digest
+  | Some (_, d) -> d = digest
   | None -> true)
   && (seq > t.recovered_bound
      ||
@@ -529,14 +608,14 @@ let proposal_acceptable t ~seq ~digest =
      | Some d -> d = digest
      | None -> false)
 
-let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
+let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch
+    ~digest =
   if
     owner = C.leader_of t.core view
     && view = t.core.view
     && t.core.status = C.Normal
     && Command.batch_valid t.keyring batch
   then begin
-    let digest = Command.batch_digest batch in
     if proposal_acceptable t ~seq ~digest then begin
       Hashtbl.replace t.proposals seq (batch, digest);
       C.mark_proposed t.core seq batch;
@@ -546,7 +625,7 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch =
         if Thc_obsv.Span.enabled ctx.spans then
           Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
             Thc_obsv.Span.Commit_send ~at:(ctx.now ());
-        seal_and_send t ctx (Commit { view; seq; batch })
+        seal_and_send t ctx ~digest (Commit { view; seq; batch })
       end
     end
   end
@@ -558,7 +637,8 @@ let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
   if Thc_obsv.Span.enabled ctx.spans then
     Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
       Thc_obsv.Span.Propose ~at:(ctx.now ());
-  seal_and_send t ctx (Prepare { view = t.core.view; seq; batch })
+  seal_and_send t ctx ~digest:(Command.batch_digest batch)
+    (Prepare { view = t.core.view; seq; batch })
 
 let flush_queue t ctx ~force = C.flush t.core ctx ~force propose_batch t
 
@@ -566,30 +646,30 @@ let flush_queue t ctx ~force = C.flush t.core ctx ~force propose_batch t
 
 (* Deterministic recovery from view-change evidence: for every sequence
    number, adopt the batch carried by the highest-view Prepare/Commit
-   found in any of the validated logs. *)
+   found in any of the validated logs, with its digest. *)
 let recover_from_evidence t evidence =
-  let best : (int, int * Command.batch) Hashtbl.t = Hashtbl.create 32 in
-  let consider ~view ~seq ~batch =
+  let best : (int, int * payload) Hashtbl.t = Hashtbl.create 32 in
+  let consider ~view ~seq entry =
     match Hashtbl.find_opt best seq with
     | Some (v, _) when v >= view -> ()
-    | Some _ | None -> Hashtbl.replace best seq (view, batch)
+    | Some _ | None -> Hashtbl.replace best seq (view, entry)
   in
   List.iter
     (fun (att : Thc_hardware.Trinc.attestation) ->
-      match decode_sealed att with
+      match (payload t att).proto with
       | Some (View_change { log; _ }) ->
-        (* [check_log]'s payloads are the log entries' messages, decoded
-           here through their attestations. *)
+        (* [check_log]'s payloads are the log entries' messages, read here
+           through their attestations. *)
         if Attested_link.check_log ~world:t.world ~owner:att.owner log <> None
         then
           List.iter
             (fun entry ->
-              match decode_sealed entry with
-              | Some (Prepare { view; seq; batch }) ->
+              let p = payload t entry in
+              match p.proto with
+              | Some (Prepare { view; seq; _ }) ->
                 (* A Prepare is leader evidence only from that view's leader. *)
-                if att.owner = C.leader_of t.core view then
-                  consider ~view ~seq ~batch
-              | Some (Commit { view; seq; batch }) -> consider ~view ~seq ~batch
+                if att.owner = C.leader_of t.core view then consider ~view ~seq p
+              | Some (Commit { view; seq; _ }) -> consider ~view ~seq p
               | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _)
               | None ->
                 ())
@@ -598,8 +678,14 @@ let recover_from_evidence t evidence =
         ->
         ())
     evidence;
-  Hashtbl.fold (fun seq (_, batch) acc -> (seq, batch) :: acc) best []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Hashtbl.fold
+    (fun seq (_, p) acc ->
+      match p.proto with
+      | Some (Prepare { batch; _ } | Commit { batch; _ }) ->
+        (seq, batch, p.digest) :: acc
+      | Some (Rvc _ | View_change _ | New_view _ | Checkpoint _) | None -> acc)
+    best []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let evidence_valid t ~new_view evidence =
   let owners = Hashtbl.create 8 in
@@ -607,7 +693,7 @@ let evidence_valid t ~new_view evidence =
     (fun (att : Thc_hardware.Trinc.attestation) ->
       Thc_hardware.Trinc.check t.world att ~id:att.owner
       &&
-      match decode_sealed att with
+      match (payload t att).proto with
       | Some (View_change { new_view = nv; log }) ->
         nv = new_view
         && (not (Hashtbl.mem owners att.owner))
@@ -625,10 +711,10 @@ let adopt_new_view t ctx ~new_view evidence =
   C.enter_view t.core ctx ~view:new_view;
   Hashtbl.reset t.expected;
   t.recovered_bound <-
-    List.fold_left (fun acc (seq, _) -> max acc seq) 0 recovered;
+    List.fold_left (fun acc (seq, _, _) -> max acc seq) 0 recovered;
   List.iter
-    (fun (seq, (batch : Command.batch)) ->
-      Hashtbl.replace t.expected seq (Command.batch_digest batch);
+    (fun (seq, batch, digest) ->
+      Hashtbl.replace t.expected seq digest;
       C.mark_proposed t.core seq batch)
     recovered;
   (* The new leader re-proposes everything recovered, then continues with
@@ -637,27 +723,20 @@ let adopt_new_view t ctx ~new_view evidence =
   if t.self = C.leader_of t.core new_view then begin
     t.core.next_seq <- t.recovered_bound + 1;
     List.iter
-      (fun (seq, batch) ->
-        seal_and_send t ctx (Prepare { view = new_view; seq; batch }))
+      (fun (seq, batch, digest) ->
+        seal_and_send t ctx ~digest (Prepare { view = new_view; seq; batch }))
       recovered;
     C.requeue_pending t.core;
     flush_queue t ctx ~force:true
   end
 
-let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
+let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner ~digest (p : proto) =
   match p with
-  | Prepare { view; seq; batch } -> handle_prepare t ctx ~owner ~view ~seq ~batch
+  | Prepare { view; seq; batch } ->
+    handle_prepare t ctx ~owner ~view ~seq ~batch ~digest
   | Commit { view; seq; batch } ->
-    if Command.batch_valid t.keyring batch then begin
-      (* A Commit repeating the accepted proposal's very batch reuses its
-         digest. *)
-      let digest =
-        match Hashtbl.find_opt t.proposals seq with
-        | Some (proposed, digest) when proposed == batch -> digest
-        | Some _ | None -> Command.batch_digest batch
-      in
+    if Command.batch_valid t.keyring batch then
       record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner
-    end
   | Rvc { new_view } ->
     if new_view > t.core.view then begin
       let tbl = C.table t.rvc_votes new_view 8 in
@@ -666,12 +745,12 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner (p : proto) =
          targets aligned across replicas. *)
       if owner <> t.self && new_view > t.core.max_vc_sent then begin
         t.core.max_vc_sent <- new_view;
-        seal_and_send t ctx (Rvc { new_view })
+        seal_and_send t ctx ~digest:0L (Rvc { new_view })
       end;
       if
         Hashtbl.length tbl >= t.config.f + 1 && C.start_change t.core new_view
       then
-        seal_and_send t ctx
+        seal_and_send t ctx ~digest:0L
           (View_change { new_view; log = Attested_link.Out.sent_log t.out })
     end
   | View_change _ | Checkpoint _ ->
@@ -690,11 +769,10 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
      replay/forge rejections) to the phase of the carried message; that
      decode is reused when [accept] releases it.  Attestations released
      from behind a gap are decoded as they come out. *)
-  let received = lazy (decode_sealed att) in
   let released =
     if Thc_obsv.Span.enabled ctx.spans then begin
       let phase, rids =
-        match Lazy.force received with
+        match (payload t att).proto with
         | Some p -> span_phase_of_proto p
         | None -> (Thc_obsv.Span.Other_phase, [])
       in
@@ -707,7 +785,8 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (fun (a : Thc_hardware.Trinc.attestation) ->
       (* View_change needs the attestation itself (evidence); everything
          else is handled from the payload. *)
-      (match if a == att then Lazy.force received else decode_sealed a with
+      let p = payload t a in
+      match p.proto with
       | Some (View_change { new_view; log }) ->
         if
           t.self = C.leader_of t.core new_view
@@ -718,7 +797,7 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
           Hashtbl.replace tbl a.owner a;
           if Hashtbl.length tbl >= t.config.f + 1 then begin
             let evidence = Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] in
-            seal_and_send t ctx (New_view { new_view; evidence });
+            seal_and_send t ctx ~digest:0L (New_view { new_view; evidence });
             adopt_new_view t ctx ~new_view evidence
           end
         end
@@ -726,9 +805,9 @@ let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
         (* Like View_change, a Checkpoint is consumed together with its
            attestation: the attestation itself is the certificate share. *)
         note_ckpt_vote t ctx ~att:a ~upto ~digest ~exec_count
-      | Some ((Prepare _ | Commit _ | Rvc _ | New_view _) as p) ->
-        handle_proto t ctx ~owner:a.owner p
-      | None -> ()))
+      | Some ((Prepare _ | Commit _ | Rvc _ | New_view _) as proto) ->
+        handle_proto t ctx ~owner:a.owner ~digest:p.digest proto
+      | None -> ())
     released
 
 let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
@@ -743,7 +822,7 @@ let handle_request t (ctx : msg Thc_sim.Engine.ctx) sr =
 let handle_check t (ctx : msg Thc_sim.Engine.ctx) =
   (if not t.awaiting_fetch then
      let new_view = C.escalation t.core ~now:(ctx.now ()) in
-     if new_view > 0 then seal_and_send t ctx (Rvc { new_view }));
+     if new_view > 0 then seal_and_send t ctx ~digest:0L (Rvc { new_view }));
   C.arm_check_timer t.core ctx
 
 let replica ?restart_at t : msg Thc_sim.Engine.behavior =

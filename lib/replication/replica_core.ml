@@ -197,8 +197,13 @@ let batch_timer_fired c =
   c.batch_armed <- false;
   leading c
 
+(* With nothing pending, [escalation] finds nothing stuck and changes
+   nothing, so every protocol's check handler only re-arms the tick: the
+   engine's idle contract. *)
 let arm_check_timer c (ctx : _ Thc_sim.Engine.ctx) =
-  ctx.set_timer ~delay:c.check_interval ~tag:check_timer_tag
+  if Hashtbl.length c.pending = 0 then
+    ctx.set_idle_timer ~delay:c.check_interval ~tag:check_timer_tag
+  else ctx.set_timer ~delay:c.check_interval ~tag:check_timer_tag
 
 let stuck c ~now =
   Hashtbl.length c.pending > 0

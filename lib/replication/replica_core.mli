@@ -112,7 +112,12 @@ val batch_timer_fired : 'm t -> bool
     should force a flush. *)
 
 val arm_check_timer : 'm t -> 'm Thc_sim.Engine.ctx -> unit
-(** Schedule the next stuck-request check, [check_interval] from now. *)
+(** Schedule the next stuck-request check, [check_interval] from now: an
+    idle timer ({!Thc_sim.Engine.ctx}'s [set_idle_timer]) while no request
+    is pending, a plain one otherwise.  A protocol's check handler must do
+    nothing but {!escalation} and this re-arm, and nothing at all while
+    [escalation] returns [0], so that the idle tick keeps the idle
+    contract. *)
 
 val escalation : 'm t -> now:int64 -> int
 (** The view to ask for at [now], or [0] for none.  A replica escalates

@@ -7,6 +7,7 @@ type 'm ctx = {
   others : 'm -> unit;
   set_timer : delay:int64 -> tag:int -> unit;
   set_poll : delay:int64 -> tag:int -> unit;
+  set_idle_timer : delay:int64 -> tag:int -> unit;
   quiet : bool -> unit;
   output : Obs.t -> unit;
   rng : Thc_util.Rng.t;
@@ -36,7 +37,7 @@ type tracing = Full | Outputs_only | Off
 type 'm ev = {
   mutable kind : int;
   mutable a : int;  (* Start/Fire/Crash: pid; Deliver: src *)
-  mutable b : int;  (* Deliver: dst *)
+  mutable b : int;  (* Deliver: dst; Idle: delay *)
   mutable c : int;  (* Deliver: seq; Fire: tag *)
   mutable msg : 'm option;  (* Deliver payload *)
   mutable script : (unit -> unit) option;  (* Script payload *)
@@ -57,6 +58,10 @@ let k_poll = 5
 (* A delivery whose message sat in a held queue first: dispatched like
    [k_deliver], and its arrival at a live destination settles the hold. *)
 let k_released = 6
+
+(* A timer whose firing, while no other event is dispatched, only re-arms
+   it (see [set_idle_timer]).  Dispatched exactly like [k_fire]. *)
+let k_idle = 7
 
 type ending = Drained | Quiescent | Horizon
 
@@ -98,6 +103,17 @@ type 'm t = {
   polls : int array;  (* pending poll events per pid *)
   quiet_at : int array;  (* [changes] at the pid's last quiet sweep *)
   quiet_runs : int array;  (* consecutive quiet sweeps at [quiet_at] *)
+  (* Idle-tail bookkeeping (see [idle_tail]). *)
+  mutable idle_queued : int;  (* idle ticks in the queue *)
+  idle_of : int array;  (* idle ticks queued per pid *)
+  mutable idle_dead : int;  (* queued idle ticks of crashed pids *)
+  mutable idle_fresh : int;
+      (* queued idle ticks of live pids pushed after [other_tie] *)
+  mutable other_tie : int;
+      (* the last tie pushed by the end of the last dispatch of another
+         event *)
+  mutable in_idle : bool;  (* the dispatch now running is an idle tick's *)
+  mutable tail_refused : bool;  (* the tail would cross [max_events] *)
   mutable ended : ending option;
 }
 
@@ -153,6 +169,13 @@ let create ?(seed = 1L) ?(tracing = Full) ?(recycle = true)
     polls = Array.make n 0;
     quiet_at = Array.make n (-1);
     quiet_runs = Array.make n 0;
+    idle_queued = 0;
+    idle_of = Array.make n 0;
+    idle_dead = 0;
+    idle_fresh = 0;
+    other_tie = 0;
+    in_idle = false;
+    tail_refused = false;
     ended = None;
   }
 
@@ -325,6 +348,24 @@ let arm t ~kind ~pid ~delay ~tag =
   ev.c <- tag;
   push t (t.clock_i + Int64.to_int delay) ev
 
+(* A tick armed while an idle tick is dispatched comes after the last
+   other dispatch: it is fresh. *)
+let arm_idle t ~pid ~delay ~tag =
+  let delay_i = Int64.to_int delay in
+  if delay_i <= 0 then arm t ~kind:k_fire ~pid ~delay ~tag
+  else begin
+    let ev = alloc t in
+    ev.kind <- k_idle;
+    ev.a <- pid;
+    ev.b <- delay_i;
+    ev.c <- tag;
+    t.idle_queued <- t.idle_queued + 1;
+    t.idle_of.(pid) <- t.idle_of.(pid) + 1;
+    if t.crashed.(pid) then t.idle_dead <- t.idle_dead + 1
+    else if t.in_idle then t.idle_fresh <- t.idle_fresh + 1;
+    push t (t.clock_i + delay_i) ev
+  end
+
 let ctx_of t pid =
   match t.ctxs.(pid) with
   | Some c -> c
@@ -351,6 +392,7 @@ let ctx_of t pid =
             t.polls.(pid) <- t.polls.(pid) + 1;
             t.pending_polls <- t.pending_polls + 1;
             arm t ~kind:k_poll ~pid ~delay ~tag);
+        set_idle_timer = (fun ~delay ~tag -> arm_idle t ~pid ~delay ~tag);
         quiet =
           (fun quiet ->
             if not quiet then t.changes <- t.changes + 1
@@ -375,7 +417,7 @@ let ctx_of t pid =
 (* Copy the fields out, return the record to the arena, then act: by the
    time a behavior runs (and pushes fresh events) the record is already
    reusable. *)
-let dispatch t ev =
+let dispatch t ev ~tie =
   let kind = ev.kind and a = ev.a and b = ev.b and c = ev.c in
   let msg = ev.msg and script = ev.script in
   release t ev;
@@ -384,6 +426,17 @@ let dispatch t ev =
     t.pending_polls <- t.pending_polls - 1
   end
   else t.changes <- t.changes + 1;
+  t.in_idle <- kind = k_idle;
+  if kind = k_idle then begin
+    t.idle_queued <- t.idle_queued - 1;
+    t.idle_of.(a) <- t.idle_of.(a) - 1;
+    if t.crashed.(a) then t.idle_dead <- t.idle_dead - 1
+    else if tie > t.other_tie then t.idle_fresh <- t.idle_fresh - 1
+  end
+  else
+    (* Every queued idle tick was pushed before this dispatch ends
+       ([run] then moves [other_tie] past them). *)
+    t.idle_fresh <- 0;
   if kind = k_deliver || kind = k_released then begin
     Thc_obsv.Link_stats.on_dequeue t.stats;
     if not t.crashed.(b) then begin
@@ -397,7 +450,7 @@ let dispatch t ev =
       t.behaviors.(b).on_message (ctx_of t b) ~src:a m
     end
   end
-  else if kind = k_fire || kind = k_poll then begin
+  else if kind = k_fire || kind = k_idle || kind = k_poll then begin
     if not t.crashed.(a) then begin
       if t.trace_full then
         t.entries <-
@@ -411,6 +464,7 @@ let dispatch t ev =
   else if kind = k_crash then begin
     if not t.crashed.(a) then begin
       t.crashed.(a) <- true;
+      t.idle_dead <- t.idle_dead + t.idle_of.(a);
       if t.trace_key then
         t.entries <- Trace.Crashed { time = t.clock; pid = a } :: t.entries
     end
@@ -448,6 +502,50 @@ let settled t =
   in
   go 0
 
+(* Only idle ticks are queued, and each belongs to a crashed pid or was
+   armed after the last other dispatch.  From here on the slow loop would
+   dispatch nothing but those ticks up to [until]: a crashed pid's once,
+   and a live pid's every [d] µs, each firing re-arming it. *)
+let idle_tail_ready t =
+  t.idle_queued > 0
+  && Thc_util.Calendar_queue.length t.q = t.idle_queued
+  && t.idle_fresh + t.idle_dead = t.idle_queued
+  && not t.tail_refused
+
+(* Count the tail's firings at or before [until_i] instead of dispatching
+   them: [Some (n, last, ending)] for [n] firings, the last at [last],
+   ending as the slow loop would: [Horizon] while a tick stays queued (a
+   live pid's re-arms for ever), [Drained] when only crashed pids' ticks
+   were left and all of them fired.  [None] when the firings would take
+   the run past [budget] events; the queue is then left as it was. *)
+let idle_tail t ~until_i ~budget =
+  let rec drain acc =
+    match Thc_util.Calendar_queue.pop t.q with
+    | None -> List.rev acc
+    | Some (time, _, ev) -> drain ((time, ev) :: acc)
+  in
+  let ticks = drain [] in
+  let rec count n last queued = function
+    | [] -> Some (n, last, if queued then Horizon else Drained)
+    | (time, ev) :: rest ->
+      let live = not t.crashed.(ev.a) in
+      if time > until_i then count n last true rest
+      else
+        let k = if live then ((until_i - time) / ev.b) + 1 else 1 in
+        if k > budget - n then None
+        else count (n + k) (max last (time + ((k - 1) * ev.b))) (queued || live) rest
+  in
+  let counted = count 0 t.clock_i false ticks in
+  (match counted with
+  | Some _ -> List.iter (fun (_, ev) -> release t ev) ticks
+  | None ->
+    List.iter
+      (fun (time, ev) ->
+        t.tie <- t.tie + 1;
+        Thc_util.Calendar_queue.push t.q ~time ~tie:t.tie ev)
+      ticks);
+  counted
+
 let run ?(max_events = 2_000_000) ?until t =
   for pid = 0 to t.n - 1 do
     let ev = alloc t in
@@ -459,6 +557,9 @@ let run ?(max_events = 2_000_000) ?until t =
     match until with None -> max_int | Some limit -> Int64.to_int limit
   in
   let processed = ref 0 in
+  (* [Full] records every [Timer_fired], so only the lighter modes may
+     count an idle tail instead of running it. *)
+  let tail_counts = (not t.trace_full) && until <> None in
   let continue = ref true in
   let stop ending =
     t.ended <- Some ending;
@@ -467,7 +568,7 @@ let run ?(max_events = 2_000_000) ?until t =
   while !continue do
     match Thc_util.Calendar_queue.pop t.q with
     | None -> stop Drained
-    | Some (time, _, ev) ->
+    | Some (time, tie, ev) ->
       if time > until_i then
         (* Engines are single-shot: events past [until] stay
            unprocessed, and the popped one is simply not dispatched. *)
@@ -476,12 +577,22 @@ let run ?(max_events = 2_000_000) ?until t =
         t.clock_i <- time;
         t.clock <- Int64.of_int time;
         let poll = ev.kind = k_poll in
-        dispatch t ev;
+        dispatch t ev ~tie;
+        if not t.in_idle then t.other_tie <- t.tie;
         incr processed;
         t.events <- t.events + 1;
         if !processed > max_events then
           failwith "Engine.run: event limit exceeded (livelocked protocol?)";
         if poll && settled t then stop Quiescent
+        else if tail_counts && idle_tail_ready t then
+          match idle_tail t ~until_i ~budget:(max_events - !processed) with
+          | Some (n, last, ending) ->
+            processed := !processed + n;
+            t.events <- t.events + n;
+            t.clock_i <- last;
+            t.clock <- Int64.of_int last;
+            stop ending
+          | None -> t.tail_refused <- true
       end
   done;
   to_trace t

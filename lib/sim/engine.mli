@@ -30,6 +30,15 @@ type 'm ctx = {
           [set_timer], but its firing does not count as a change of the
           world, so a run whose queue holds only polls can end at
           quiescence (see {!run}). *)
+  set_idle_timer : delay:int64 -> tag:int -> unit;
+      (** A one-shot timer armed under the idle contract: while no event
+          other than idle ticks is dispatched, firing it does nothing
+          except re-arm the same tick with the same [delay] and [tag]
+          (no send, output, RNG draw, other timer or state change).  It is
+          scheduled, traced and dispatched exactly like [set_timer], and
+          counts as a change of the world like one.  A [delay] that is not
+          positive arms a plain [set_timer].  The contract is what lets
+          {!run} count an idle tail instead of running it. *)
   quiet : bool -> unit;
       (** Quiescence declaration for a polling process.  [quiet true]: the
           sweep over shared state this process just finished found nothing
@@ -79,7 +88,10 @@ val create :
 
     [tracing] (default [Full]) selects how much of the run is recorded;
     it changes {e only} what {!run}'s trace contains — scheduling, RNG
-    consumption and behavior execution are bit-identical across modes.
+    consumption, outputs, {!events_processed} and the end time are
+    identical across modes.  Outside [Full], an idle tail is counted
+    rather than executed (see {!run}): its ticks' [on_timer] calls are
+    skipped, which the idle contract makes invisible.
 
     [spans] (default {!Thc_obsv.Span.nop}) is the request-span recorder
     handed to every behavior via [ctx.spans].  [tracing = Off] forces the
@@ -163,7 +175,8 @@ val ended_by : 'm t -> ending option
 val events_processed : 'm t -> int
 (** Events the run loop has dispatched so far — the numerator of the
     events/sec throughput metric.  Counts every popped event (including
-    deliveries to crashed processes), not trace entries. *)
+    deliveries to crashed processes), not trace entries, and every tick of
+    an idle tail that {!run} counted instead of dispatching. *)
 
 val run : ?max_events:int -> ?until:int64 -> 'm t -> 'm Trace.t
 (** Process events in time order until quiescence, [until] (events after it
@@ -185,4 +198,16 @@ val run : ?max_events:int -> ?until:int64 -> 'm t -> 'm Trace.t
     further sweep would read the same and hold again.  The trace is then
     an entry-for-entry prefix of the run to [until], whose remainder would
     be [Timer_fired] entries only.  Polls pending at a crashed process
-    never hold the run open. *)
+    never hold the run open.
+
+    An idle tail ends the run at once, outside [Full] tracing and only
+    with [until].  It starts when the queue holds only idle ticks
+    ([set_idle_timer]), each either of a crashed pid or armed after the
+    last dispatch of any other event.  By the idle contract the slow loop
+    would then dispatch nothing but those ticks: a crashed pid's once, a
+    live pid's every [delay] µs.  {!run} adds the firings at or before
+    [until] to {!events_processed}, sets the clock to the last of them and
+    ends as the slow loop would have: with [Horizon], or [Drained] when
+    only crashed pids' ticks were left and all of them fired.  A tail that
+    would cross [max_events] is run by the slow loop, which raises as it
+    always did. *)

@@ -378,6 +378,7 @@ let check_same_result label (a : A.result) (b : A.result) =
     b.A.trusted_ops a.A.trusted_ops;
   Alcotest.(check int) (field "messages") b.A.messages a.A.messages;
   Alcotest.(check int64) (field "duration_us") b.A.duration_us a.A.duration_us;
+  Alcotest.(check int) (field "events") b.A.events a.A.events;
   Alcotest.(check bool) (field "client_finished") b.A.client_finished
     a.A.client_finished;
   Alcotest.(check string) (field "detail") b.A.detail a.A.detail;
@@ -385,26 +386,41 @@ let check_same_result label (a : A.result) (b : A.result) =
     (a.A.stalled_spans = b.A.stalled_spans);
   Alcotest.(check bool) (field "whole record") true (a = b)
 
+(* Outside [Full] the run counts its idle tail instead of running it, so
+   the inputs include crash scripts (a crashed replica's queued tick) and
+   a lossy network as well as the explorer's scripts.  The checkpoint
+   family skips the lossy network: its [Full] export there takes seconds
+   per run. *)
 let test_outputs_only_matches_full () =
+  let lossy = Result.get_ok (Thc_network.Model.of_string "lossy") in
   List.iter
     (fun attack ->
       let h = get_harness ("minbft-" ^ A.name attack) in
       for s = 1 to 5 do
         let seed = Int64.of_int s in
         List.iter
-          (fun (what, script) ->
+          (fun (what, script, network) ->
             let label = Printf.sprintf "%s seed %d %s" (A.name attack) s what in
-            let r = A.run ~seed ?script ~target:A.Minbft ~attack () in
-            let full, jsonl = A.run_export ~seed ?script ~attack () in
+            let r = A.run ~seed ?script ?network ~target:A.Minbft ~attack () in
+            let full, jsonl = A.run_export ~seed ?script ?network ~attack () in
             Alcotest.(check int) (label ^ ": sends in the full trace")
               (Thc_sim.Trace.messages_sent
                  (Result.get_ok (Thc_sim.Trace.of_jsonl jsonl)))
               r.A.messages;
             check_same_result label r full)
-          [
-            ("no script", None);
-            ("explorer script", Some (Thc_check.Sweep.script_for h ~seed ()));
-          ]
+          ([
+             ("no script", None, None);
+             ("explorer script", Some (Thc_check.Sweep.script_for h ~seed ()), None);
+           ]
+          @
+          if s <= 2 then
+            [
+              ( "crash script",
+                Some (Thc_check.Sweep.script_for h ~crashes:2 ~partitions:0 ~seed ()),
+                None );
+            ]
+            @ if List.mem attack A.ckpt_all then [] else [ ("lossy network", None, Some lossy) ]
+          else [])
       done)
     (A.all @ A.ckpt_all)
 

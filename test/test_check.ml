@@ -199,6 +199,25 @@ let test_repro_out_of_range_pids () =
       Thc_sim.Adversary.Block_groups [ [ 0; 1 ]; [ 2; 9 ] ];
     ]
 
+(* Scripts the explorer could never draw: an event before time 0, a
+   negative horizon (with and without events) and a horizon far past the
+   profile's, which used to run for seconds and raise from the engine. *)
+let test_repro_inadmissible_scripts () =
+  let crash = { Thc_sim.Adversary.at = 1_000L; action = Thc_sim.Adversary.Crash 2 } in
+  List.iter
+    (fun (what, script) ->
+      let r = { Thc_check.Repro.protocol = "minbft"; seed = 1L; expect = `Pass; script } in
+      match Thc_check.Repro.replay r with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "replayed %s" what)
+    [
+      ( "an event at -5",
+        { events = [ { crash with at = -5L } ]; horizon = 2_000L } );
+      ("horizon -10 with an event", { events = [ crash ]; horizon = -10L });
+      ("horizon -10", { events = []; horizon = -10L });
+      ("horizon 10^12", { events = [ crash ]; horizon = 1_000_000_000_000L });
+    ]
+
 (* --- corpus --------------------------------------------------------------- *)
 
 (* `dune runtest` runs the suite from the test build directory; `dune exec
@@ -265,6 +284,8 @@ let () =
           Alcotest.test_case "unknown protocol" `Quick test_repro_unknown_protocol;
           Alcotest.test_case "out-of-range pids" `Quick
             test_repro_out_of_range_pids;
+          Alcotest.test_case "inadmissible scripts" `Quick
+            test_repro_inadmissible_scripts;
         ] );
       ( "corpus",
         [

@@ -1434,19 +1434,25 @@ let check_outputs_only label (setup : H.setup) =
        (Thc_obsv.Json.to_string
           (Thc_obsv.Metrics.snapshot_to_json (Thc_obsv.Metrics.snapshot o.metrics))))
     (exported_snapshot export);
+  (* [run] counts the idle tail that [run_export]'s [Full] trace runs. *)
+  Alcotest.(check int) (field "events") full.events o.events;
+  Alcotest.(check int64) (field "duration_us") full.duration_us o.duration_us;
   Alcotest.(check bool) (field "run = run_export") true (o = full);
   Alcotest.(check bool) (field "run = run_spans") true (o = spans)
 
 (* The explorer's setup (ops 6, f = 1) under 50 of its admissible scripts
    with up to one crash and two partitions: partitions hold messages, and
-   some are released towards a replica that has crashed since. *)
+   some are released towards a replica that has crashed since.  Ten more
+   crash two or all three replicas, so crashed replicas' queued check
+   ticks end the run, and with every replica down it drains. *)
 let test_outputs_only_scripted protocol () =
   let name = Thc_replication.Protocol.to_string protocol in
   let h = Option.get (Thc_check.Harness.find name) in
-  for i = 1 to 50 do
+  for i = 1 to 60 do
     let seed = Int64.of_int i in
+    let crashes = if i <= 50 then 1 else 2 + (i mod 2) in
     let script =
-      Thc_check.Sweep.script_for h ~crashes:1 ~partitions:2 ~seed ()
+      Thc_check.Sweep.script_for h ~crashes ~partitions:2 ~seed ()
     in
     check_outputs_only
       (Printf.sprintf "%s seed %d" name i)
@@ -1469,6 +1475,8 @@ let test_outputs_only_scenarios () =
            ("checkpoint 8", make ~checkpoint_interval:8 ());
            ("lossy", make ~network:(model "lossy") ());
            ("geo3", make ~network:(model "geo3") ());
+           ( "crash-leader, lossy",
+             make ~scenario:(H.Crash_leader 40_000L) ~network:(model "lossy") () );
          ]
         @
         if protocol = H.Minbft then
@@ -1477,6 +1485,10 @@ let test_outputs_only_scenarios () =
               make
                 ~scenario:(H.Restart_replica { pid = 2; at = 60_000L })
                 ~checkpoint_interval:4 () );
+            ( "restart, lossy",
+              make
+                ~scenario:(H.Restart_replica { pid = 2; at = 60_000L })
+                ~checkpoint_interval:4 ~network:(model "lossy") () );
           ]
         else []))
     Thc_replication.Protocol.all
@@ -1582,6 +1594,7 @@ type recorded =
   | Sent of int * Thc_replication.Command.reply
   | Output of Thc_sim.Obs.t
   | Timer of int64 * int
+  | Idle_timer of int64 * int
 
 let recording_ctx ~self =
   let log = ref [] in
@@ -1596,6 +1609,7 @@ let recording_ctx ~self =
       others = (fun _ -> Alcotest.fail "core sent to others");
       set_timer = (fun ~delay ~tag -> record (Timer (delay, tag)));
       set_poll = (fun ~delay:_ ~tag:_ -> Alcotest.fail "core polled");
+      set_idle_timer = (fun ~delay ~tag -> record (Idle_timer (delay, tag)));
       quiet = (fun _ -> ());
       output = (fun o -> record (Output o));
       rng = Thc_util.Rng.create 1L;
@@ -1682,6 +1696,28 @@ let test_core_flush () =
   Alcotest.(check (list (list (pair int int))))
     "proposed and executed keys skipped" [ [ (4, 3) ] ] !proposed;
   Alcotest.(check int) "queue drained" 0 (Hashtbl.length c.queued)
+
+(* The check tick is idle exactly while nothing is pending: then firing
+   it only re-arms it, which lets the engine count an idle tail. *)
+let test_core_check_timer () =
+  let kr = core_keyring () in
+  let c = core kr ~self:1 in
+  let ctx, log = recording_ctx ~self:1 in
+  RC.arm_check_timer c ctx;
+  ignore (RC.intake c ctx (core_request kr (3, 1)));
+  RC.arm_check_timer c ctx;
+  RC.execute_slot c ctx [ core_request kr (3, 1) ];
+  RC.arm_check_timer c ctx;
+  let timers =
+    List.filter (function Timer _ | Idle_timer _ -> true | _ -> false) (log ())
+  in
+  Alcotest.(check bool) "idle, plain while pending, idle again" true
+    (timers
+    = [
+        Idle_timer (10_000L, RC.check_timer_tag);
+        Timer (10_000L, RC.check_timer_tag);
+        Idle_timer (10_000L, RC.check_timer_tag);
+      ])
 
 let test_core_escalation () =
   let kr = core_keyring () in
@@ -2026,6 +2062,8 @@ let () =
           Alcotest.test_case "intake" `Quick test_core_intake;
           Alcotest.test_case "flush" `Quick test_core_flush;
           Alcotest.test_case "escalation" `Quick test_core_escalation;
+          Alcotest.test_case "check timer idle iff nothing pending" `Quick
+            test_core_check_timer;
           Alcotest.test_case "requeue pending" `Quick test_core_requeue;
           Alcotest.test_case "reset keeps view and clock" `Quick test_core_reset;
         ] );

@@ -460,6 +460,141 @@ let test_tracing_modes () =
   Alcotest.(check int) "lite event count" e_full e_lite;
   Alcotest.(check int) "off event count" e_full e_off
 
+(* --- idle tails ---------------------------------------------------------------- *)
+
+(* A random small world for the idle-tail property.  Each pid has a check
+   tick (tag 0) every [periods.(pid)] µs, armed idle exactly while its
+   work count is 0: then firing it only re-arms it.  A message adds one
+   unit of work; a tick with work does one unit, outputs, and sometimes
+   sends.  Plain one-shot timers (tags >= 1) send and output.  Scripts add
+   work from outside (another event, so ticks armed before it are stale),
+   and crashes stop pids, some with an idle tick queued. *)
+type idle_world = {
+  iw_n : int;
+  periods : int64 array;
+  plain : (int * int64) list;  (* pid, delay *)
+  crashes : (int * int64) list;
+  scripts : (int64 * int) list;  (* time, pid whose work grows *)
+  iw_seed : int64;
+}
+
+let idle_world seed =
+  let rng = Thc_util.Rng.create seed in
+  let int k = Thc_util.Rng.int rng k in
+  let n = 1 + int 4 in
+  let times k lo hi = List.init k (fun _ -> Int64.of_int (lo + int (hi - lo))) in
+  {
+    iw_n = n;
+    periods = Array.init n (fun _ -> Int64.of_int (3 + int 40));
+    plain = List.map (fun at -> (int n, at)) (times (int 4) 0 300);
+    crashes = List.map (fun at -> (int n, at)) (times (int 3) 0 900);
+    scripts = List.map (fun at -> (at, int n)) (times (int 4) 0 1_500);
+    iw_seed = seed;
+  }
+
+let run_idle_world w ~tracing ~until ~max_events =
+  let n = w.iw_n in
+  let engine : msg Thc_sim.Engine.t =
+    Thc_sim.Engine.create ~seed:w.iw_seed ~tracing ~n
+      ~net:(net ~delay:(Thc_sim.Delay.Uniform (5L, 60L)) n)
+      ()
+  in
+  let work = Array.make n 0 in
+  let arm (ctx : msg Thc_sim.Engine.ctx) =
+    let delay = w.periods.(ctx.self) in
+    if work.(ctx.self) = 0 then ctx.set_idle_timer ~delay ~tag:0
+    else ctx.set_timer ~delay ~tag:0
+  in
+  let note (ctx : msg Thc_sim.Engine.ctx) what =
+    ctx.output (Thc_sim.Obs.Note (Printf.sprintf "%s p%d" what ctx.self))
+  in
+  let send (ctx : msg Thc_sim.Engine.ctx) k =
+    ctx.send (Thc_util.Rng.int ctx.rng n) (Ping k)
+  in
+  for pid = 0 to n - 1 do
+    Thc_sim.Engine.set_behavior engine pid
+      {
+        init =
+          (fun ctx ->
+            arm ctx;
+            List.iteri
+              (fun i (p, delay) ->
+                if p = pid then ctx.set_timer ~delay ~tag:(i + 1))
+              w.plain);
+        on_message =
+          (fun ctx ~src:_ (Ping k) ->
+            work.(pid) <- work.(pid) + 1;
+            note ctx (Printf.sprintf "got %d" k));
+        on_timer =
+          (fun ctx tag ->
+            if tag = 0 then begin
+              if work.(pid) > 0 then begin
+                work.(pid) <- work.(pid) - 1;
+                note ctx "worked";
+                if Thc_util.Rng.int ctx.rng 3 = 0 then send ctx 0
+              end;
+              arm ctx
+            end
+            else begin
+              note ctx "plain";
+              send ctx tag
+            end);
+      }
+  done;
+  List.iter (fun (pid, at) -> Thc_sim.Engine.schedule_crash engine ~pid ~at) w.crashes;
+  List.iter
+    (fun (at, pid) -> Thc_sim.Engine.at engine at (fun () -> work.(pid) <- work.(pid) + 1))
+    w.scripts;
+  match Thc_sim.Engine.run ~until ~max_events engine with
+  | trace ->
+    let kept =
+      List.filter
+        (function Thc_sim.Trace.Output _ | Thc_sim.Trace.Crashed _ -> true | _ -> false)
+        trace.Thc_sim.Trace.entries
+    in
+    Ok
+      ( Thc_sim.Engine.events_processed engine,
+        trace.Thc_sim.Trace.end_time,
+        Thc_sim.Engine.ended_by engine,
+        Thc_util.Codec.encode kept )
+  | exception Failure e -> Error e
+
+(* The idle tail is counted, not run, outside [Full]; [Full] always runs
+   the slow loop, so it is the reference.  Every field must agree, at
+   several horizons and at event limits inside the tail, where both modes
+   must raise. *)
+let prop_idle_tail_exact =
+  QCheck.Test.make ~name:"idle tail counted = run" ~count:150 QCheck.int64
+    (fun seed ->
+      let w = idle_world seed in
+      let rng = Thc_util.Rng.create (Int64.add seed 1L) in
+      (* [Some r] when the lighter modes give [Full]'s result [r] ([Off]
+         records no outputs, so only its counts are compared). *)
+      let agreed ~until ~max_events =
+        let run tracing = run_idle_world w ~tracing ~until ~max_events in
+        let counts = Result.map (fun (events, ended_at, ending, _) -> (events, ended_at, ending, "")) in
+        let full = run Thc_sim.Engine.Full in
+        if
+          run Thc_sim.Engine.Outputs_only = full
+          && counts (run Thc_sim.Engine.Off) = counts full
+        then Some full
+        else None
+      in
+      List.for_all
+        (fun until ->
+          match agreed ~until ~max_events:1_000_000 with
+          | Some (Ok (events, _, _, _)) ->
+            let inside = max 0 (events - 1 - Thc_util.Rng.int rng (1 + (events / 4))) in
+            (match agreed ~until ~max_events:inside with
+            | Some (Error _) -> true
+            | Some (Ok _) | None -> false)
+            &&
+            (match agreed ~until ~max_events:events with
+            | Some (Ok _) -> true
+            | Some (Error _) | None -> false)
+          | Some (Error _) | None -> false)
+        [ 0L; Int64.of_int (Thc_util.Rng.int rng 400); 2_000L; 20_000L ])
+
 (* The explorer builds thousands of engines for runs of a few hundred
    events, so a fresh engine's cost is on its hot path.  At the queue's
    default geometry a 5-pid engine allocates ~1.8k minor words; a
@@ -901,6 +1036,7 @@ let () =
           Alcotest.test_case "recycle equivalence" `Quick
             test_recycle_equivalence;
           Alcotest.test_case "tracing modes" `Quick test_tracing_modes;
+          qcheck prop_idle_tail_exact;
           Alcotest.test_case "create allocation" `Quick test_create_allocation;
         ] );
       ( "trace",
