@@ -764,11 +764,11 @@ let handle_proto t (ctx : msg Thc_sim.Engine.ctx) ~owner ~digest (p : proto) =
 
 let handle_sealed t (ctx : msg Thc_sim.Engine.ctx)
     (att : Thc_hardware.Trinc.attestation) =
-  (* With spans live, the received attestation is decoded before [accept],
-     to attribute the inbound verification ops (counter checks,
-     replay/forge rejections) to the phase of the carried message; that
-     decode is reused when [accept] releases it.  Attestations released
-     from behind a gap are decoded as they come out. *)
+  (* With spans live, the received attestation's payload is read before
+     [accept], to attribute the inbound verification ops (counter checks,
+     replay/forge rejections) to the phase of the carried message.  Every
+     released attestation is read through the payload table, so that read
+     is paid once. *)
   let released =
     if Thc_obsv.Span.enabled ctx.spans then begin
       let phase, rids =

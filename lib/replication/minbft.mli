@@ -212,9 +212,13 @@ val decode_sealed : Thc_hardware.Trinc.attestation -> proto option
     attestation tag and message), which every seal fills with the sealer's
     own proto and every miss with a fresh decode.  A hit needs [a.message]
     to be the very string stored ([==]) with [a.tag], so it returns a value
-    equal to a fresh decode.  Replicas read every sealed payload through
-    it, so a payload is decoded about once per cluster, not once per
-    receiver, and receivers share the sealer's values. *)
+    equal to a fresh decode.  Replicas read sealed payloads through a
+    table of their cluster's own (by attestation owner and counter, filled
+    by every seal, with each Prepare's and Commit's batch digest), which
+    falls back on this one; so a payload is decoded and digested about
+    once per cluster, not once per receiver or per View_change log that
+    repeats it, and receivers share the sealer's values.  {!classify_msg}
+    reads through this table alone. *)
 
 val classify_msg : msg -> string
 (** Short label per wire-message kind (request/prepare/commit/...), for

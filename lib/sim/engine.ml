@@ -505,7 +505,7 @@ let settled t =
 (* Only idle ticks are queued, and each belongs to a crashed pid or was
    armed after the last other dispatch.  From here on the slow loop would
    dispatch nothing but those ticks up to [until]: a crashed pid's once,
-   and a live pid's every [d] µs, each firing re-arming it. *)
+   and a live pid's every [delay] µs, each firing re-arming it. *)
 let idle_tail_ready t =
   t.idle_queued > 0
   && Thc_util.Calendar_queue.length t.q = t.idle_queued

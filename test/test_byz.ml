@@ -398,6 +398,8 @@ let test_outputs_only_matches_full () =
       let h = get_harness ("minbft-" ^ A.name attack) in
       for s = 1 to 5 do
         let seed = Int64.of_int s in
+        let extra = s <= 2 in
+        let crashes = Thc_check.Sweep.script_for h ~crashes:2 ~partitions:0 ~seed () in
         List.iter
           (fun (what, script, network) ->
             let label = Printf.sprintf "%s seed %d %s" (A.name attack) s what in
@@ -412,14 +414,10 @@ let test_outputs_only_matches_full () =
              ("no script", None, None);
              ("explorer script", Some (Thc_check.Sweep.script_for h ~seed ()), None);
            ]
+          @ (if extra then [ ("crash script", Some crashes, None) ] else [])
           @
-          if s <= 2 then
-            [
-              ( "crash script",
-                Some (Thc_check.Sweep.script_for h ~crashes:2 ~partitions:0 ~seed ()),
-                None );
-            ]
-            @ if List.mem attack A.ckpt_all then [] else [ ("lossy network", None, Some lossy) ]
+          if extra && not (List.mem attack A.ckpt_all) then
+            [ ("lossy network", None, Some lossy) ]
           else [])
       done)
     (A.all @ A.ckpt_all)
