@@ -187,7 +187,7 @@ val run : ?max_events:int -> ?until:int64 -> 'm t -> 'm Trace.t
 
     Quiescence is either an empty queue or a world that provably cannot
     change.  The engine counts changes: every dispatch of an event other
-    than a poll (delivery, plain timer, script, crash, start), every send,
+    than a poll (delivery, plain or idle timer, script, crash, start), every send,
     every output and every [quiet false].  After a poll is dispatched, the
     run ends if the queue holds only polls and every live process with a
     poll pending ended its last two sweeps with [quiet true] at the current
