@@ -422,6 +422,128 @@ let test_outputs_only_matches_full () =
       done)
     (A.all @ A.ckpt_all)
 
+(* --- rig pins ------------------------------------------------------------- *)
+
+(* Every field of [Attack.run]'s result, stalled span views included, on
+   one line. *)
+let result_line (r : A.result) =
+  let join f a = String.concat "," (List.map f (Array.to_list a)) in
+  let span (v : Thc_obsv.Span.view) =
+    Printf.sprintf "%d/%d/%d/%s/%s" v.Thc_obsv.Span.v_rid v.v_client v.v_seq
+      (join Int64.to_string v.v_marks)
+      (join string_of_int v.v_ops)
+  in
+  Printf.sprintf "%s %s %Ld %Ld sv=%d d1=%d c=%d rej=%d ops=%s m=%d dur=%Ld \
+                  ev=%d fin=%b %s spans=%s\n"
+    (A.name r.A.attack) (A.target_name r.A.target) r.A.seed r.A.corrupt_at
+    r.A.safety_violations r.A.distinct_ops_at_seq1 r.A.commits r.A.rejections
+    (String.concat ","
+       (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) r.A.trusted_ops))
+    r.A.messages r.A.duration_us r.A.events r.A.client_finished r.A.detail
+    (String.concat ";" (List.map span r.A.stalled_spans))
+
+let ablation_line (r : Thc_replication.Ablation.result) =
+  Format.asprintf "v=[%a] d1=%d m=%d dur=%Ld c=%d ops=%s %s\n"
+    (Format.pp_print_list Thc_replication.Smr_spec.pp_violation)
+    r.Thc_replication.Ablation.violations r.distinct_ops_at_seq1 r.messages
+    r.duration_us r.commits
+    (String.concat ","
+       (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) r.trusted_ops))
+    r.detail
+
+let md5 s = Stdlib.Digest.to_hex (Stdlib.Digest.string s)
+
+(* One MD5 per catalog cell over seeds 1-3, each without a script and with
+   its explorer harness's script, on no network model and on geo3.  The
+   checkpoint family skips lossy: its View_change logs nest every earlier
+   View_change attestation, so each escalation doubles the message and a
+   lossy run's heap reaches 58-95 MiB (forged-checkpoint seed 1:
+   View_changes grow from 89 to 763,844 words by 480 ms). *)
+let rig_md5 =
+  [
+    ("minbft-equivocation", "a21770cc48ebd4a899fccfc7c1d4a8bb");
+    ("minbft-replay", "c0fa260d4b63ade21ee6709c38781e7c");
+    ("minbft-reuse", "e77c12d623a2315bca382b9f35ca6d6f");
+    ("minbft-mismatched-vc", "78fa90cc651fb3e3726ffa786818b74d");
+    ("minbft-selective-send", "be0d9e93e9e7f6266ceed0820445870b");
+    ("minbft-silent-then-lie", "f92e8b138db812c5437d7efea8177fcc");
+    ("minbft-forged-checkpoint", "5a946db540cc755d1d64915f69ba214a");
+    ("minbft-stale-transfer", "f0ea12917d807f1960823afc350e9378");
+    ("minbft-join-equivocation", "843b347b777b65726cf63516ac3debdd");
+    ("unattested-equivocation", "6f5ca4f3f35041b971aa2a72c2539ae0");
+    ("ubft-register-forge", "a13b4432c0a3fbc0572779b8c9ed4cec");
+    ("ubft-ack-forge", "674f75a218f330b3761afb24934f5a3d");
+    ("ubft-stale-read", "9d3b749ec788e5a11bd2f9054c3c4fc6");
+    ("ubft-withheld-append", "561991cae04ba91e2b0eab6406782eb8");
+  ]
+
+(* The three [Ablation] entry points at f = 1, 2 and 3. *)
+let ablation_md5 =
+  [
+    (1, "ce819a4ef8f30a8e4fe9397271a4f980");
+    (2, "dddb6dac873b1d428dc0ed9d8c04d56e");
+    (3, "d1ce98a768eca2001e083fd041a6e384");
+  ]
+
+let test_rigs_pinned () =
+  let model s = Some (Result.get_ok (Thc_network.Model.of_string s)) in
+  let cells =
+    List.concat_map
+      (fun target ->
+        List.filter_map
+          (fun attack ->
+            if A.applies ~target ~attack then
+              Some (A.target_name target ^ "-" ^ A.name attack, target, attack)
+            else None)
+          (A.all @ A.ckpt_all @ A.ubft_all))
+      [ A.Minbft; A.Unattested; A.Ubft ]
+  in
+  Alcotest.(check (list string)) "every catalog cell pinned"
+    (List.map fst rig_md5)
+    (List.map (fun (name, _, _) -> name) cells);
+  List.iter2
+    (fun (name, target, attack) (_, expected) ->
+      let h = get_harness name in
+      let networks =
+        [ None; model "geo3" ]
+        @ if List.mem attack A.ckpt_all then [] else [ model "lossy" ]
+      in
+      let b = Buffer.create 4096 in
+      for s = 1 to 3 do
+        let seed = Int64.of_int s in
+        List.iter
+          (fun script ->
+            List.iter
+              (fun network ->
+                Buffer.add_string b
+                  (result_line
+                     (A.run ~seed ?script ?network ~target ~attack ())))
+              networks)
+          [ None; Some (Thc_check.Sweep.script_for h ~seed ()) ]
+      done;
+      Alcotest.(check string) (name ^ " results md5") expected
+        (md5 (Buffer.contents b)))
+    cells rig_md5;
+  let h = get_harness "minbft-unattested" in
+  List.iter
+    (fun (f, expected) ->
+      let module Ab = Thc_replication.Ablation in
+      let script = Thc_check.Sweep.script_for h ~seed:(Int64.of_int f) () in
+      let lines =
+        [
+          Ab.equivocation_splits_unattested ~f ();
+          Ab.equivocation_fails_against_minbft ~f ();
+          Ab.unattested_under_script ~f ~seed:(Int64.of_int f) ~script ();
+          Ab.unattested_under_script ~f ?network:(model "geo3")
+            ~seed:(Int64.of_int f) ~script ();
+        ]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "ablation f=%d md5" f)
+        expected
+        (md5 (String.concat "" (List.map ablation_line lines))))
+    ablation_md5
+
 let () =
   Alcotest.run "thc_byz"
     [
@@ -473,4 +595,6 @@ let () =
           Alcotest.test_case "matches full trace" `Quick
             test_outputs_only_matches_full;
         ] );
+      ( "pins",
+        [ Alcotest.test_case "rig results pinned" `Quick test_rigs_pinned ] );
     ]
