@@ -13,18 +13,6 @@ let fast = Thc_sim.Delay.Uniform (10L, 400L)
 
 let keyring ~n ~seed = Thc_crypto.Keyring.create (Thc_util.Rng.create seed) ~n
 
-let chatter pid ~rounds : Thc_rounds.Round_app.app =
-  {
-    first_payload = (fun _ -> Some (Printf.sprintf "r1-p%d" pid));
-    on_receive = (fun _ ~round:_ ~from:_ _ -> ());
-    on_round_check =
-      (fun h ~round ->
-        if round >= rounds then Thc_rounds.Round_app.Stop
-        else
-          Thc_rounds.Round_app.Advance
-            (Some (Printf.sprintf "r%d-p%d" (round + 1) h.self)));
-  }
-
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -158,26 +146,10 @@ let run_driver_once ~driver ~n ~seed ~rounds =
   let keyring = keyring ~n ~seed in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  let install pid =
-    match driver with
-    | `Swmr registers ->
-      Thc_sim.Engine.set_behavior engine pid
-        (Thc_rounds.Swmr_rounds.behavior ~registers
-           ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-           (chatter pid ~rounds))
-    | `Sticky board ->
-      Thc_sim.Engine.set_behavior engine pid
-        (Thc_rounds.Sticky_rounds.behavior ~board
-           ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-           (chatter pid ~rounds))
-    | `Peats space ->
-      Thc_sim.Engine.set_behavior engine pid
-        (Thc_rounds.Peats_rounds.behavior ~space ~n
-           ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-           (chatter pid ~rounds))
-  in
+  let behavior = Thc_rounds.Shared_rounds.behaviors driver ~n ~keyring in
   for pid = 0 to n - 1 do
-    install pid
+    Thc_sim.Engine.set_behavior engine pid
+      (behavior ~pid (Thc_rounds.Round_app.chatter ~rounds))
   done;
   Thc_sim.Engine.run ~until:60_000_000L engine
 
@@ -190,9 +162,9 @@ let table_c1 () =
   List.iter
     (fun n ->
       List.iter
-        (fun (name, mk) ->
+        (fun (name, driver) ->
           let rounds = 3 in
-          let trace = run_driver_once ~driver:(mk n) ~n ~seed:7L ~rounds in
+          let trace = run_driver_once ~driver ~n ~seed:7L ~rounds in
           let viol = Thc_rounds.Directionality.check_unidirectional trace in
           let us_per_round =
             Int64.to_float trace.Thc_sim.Trace.end_time /. float_of_int rounds
@@ -208,15 +180,7 @@ let table_c1 () =
               Printf.sprintf "%.0f" us_per_round;
               string_of_int (List.length viol);
             ])
-        [
-          ("swmr", fun n -> `Swmr (Thc_sharedmem.Swmr.log_array ~n));
-          ("sticky", fun n -> `Sticky (Thc_rounds.Sticky_rounds.create_board ~n));
-          ( "peats",
-            fun _ ->
-              `Peats
-                (Thc_sharedmem.Peats.create
-                   ~policy:Thc_sharedmem.Peats.owned_field_policy) );
-        ])
+        Thc_rounds.Shared_rounds.all)
     [ 3; 5; 9 ];
   Thc_util.Table.print t
 
@@ -257,49 +221,17 @@ let srb_latency trace ~sender =
     (Thc_sim.Trace.outputs trace);
   if !last_dlv = 0L then None else Some (Int64.sub !last_dlv !first_bcast)
 
+let messages msgs = List.init msgs (fun i -> Printf.sprintf "m%d" (i + 1))
+
 let run_srb_uni ~n ~faults ~seed ~msgs =
-  let keyring = keyring ~n ~seed in
-  let net = Thc_sim.Net.create ~n ~default:fast in
-  let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  let registers = Thc_sharedmem.Swmr.log_array ~n in
-  let srbs =
-    Array.init n (fun pid ->
-        Thc_broadcast.Srb_from_uni.create ~keyring
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-          ~sender:0 ~faults)
-  in
-  for i = 1 to msgs do
-    Thc_broadcast.Srb_from_uni.broadcast srbs.(0) (Printf.sprintf "m%d" i)
-  done;
-  for pid = 0 to n - 1 do
-    Thc_sim.Engine.set_behavior engine pid
-      (Thc_rounds.Swmr_rounds.behavior ~registers
-         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-         (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
-  done;
-  Thc_sim.Engine.run ~until:5_000_000L ~max_events:10_000_000 engine
+  Thc_sim.Engine.run ~until:5_000_000L ~max_events:10_000_000
+    (Thc_broadcast.Srb_harness.uni_cluster ~seed ~n ~faults
+       ~values:(messages msgs))
 
 let run_srb_trinc ~n ~seed ~msgs =
-  let rng = Thc_util.Rng.create seed in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n ~default:fast in
-  let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  for pid = 0 to n - 1 do
-    let st =
-      Thc_broadcast.Srb_from_trinc.create ~world
-        ~trinket:(Some (Thc_hardware.Trinc.trinket world ~owner:pid))
-        ~n ~self:pid
-    in
-    let plan =
-      if pid = 0 then
-        List.init msgs (fun i ->
-            (Int64.of_int (100 + (i * 50)), Printf.sprintf "m%d" (i + 1)))
-      else []
-    in
-    Thc_sim.Engine.set_behavior engine pid
-      (Thc_broadcast.Srb_from_trinc.behavior st ~broadcast_plan:plan)
-  done;
-  Thc_sim.Engine.run ~until:5_000_000L engine
+  let plan = List.mapi (fun i m -> (Int64.of_int (100 + (i * 50)), m)) (messages msgs) in
+  Thc_sim.Engine.run ~until:5_000_000L
+    (fst (Thc_broadcast.Srb_harness.trinc_cluster ~seed ~n ~plan))
 
 let table_l1 () =
   section "L1/T1 — SRB implementations: virtual latency and messages";
@@ -836,7 +768,7 @@ let table_s2 () =
             Thc_sim.Engine.set_behavior engine pid
               (Thc_rounds.Delta_rounds.behavior ~wait
                  ~start_offset:(Int64.of_int (Thc_util.Rng.int rng 3_000))
-                 (chatter pid ~rounds:3))
+                 (Thc_rounds.Round_app.chatter ~rounds:3))
           done;
           let trace = Thc_sim.Engine.run ~until:1_000_000L engine in
           if Thc_rounds.Directionality.check_unidirectional trace <> [] then

@@ -133,10 +133,10 @@ let rounds_cmd =
     Arg.(
       value
       & opt (enum
-               [ ("swmr", `Swmr); ("sticky", `Sticky); ("peats", `Peats);
-                 ("async", `Async); ("sync", `Sync); ("delta", `Delta);
-                 ("rb1", `Rb1) ])
-          `Swmr
+               (List.map (fun (s, d) -> (s, `Shared d)) Thc_rounds.Shared_rounds.all
+               @ [ ("async", `Async); ("sync", `Sync); ("delta", `Delta);
+                   ("rb1", `Rb1) ]))
+          (`Shared Thc_rounds.Shared_rounds.Swmr)
       & info [ "driver" ] ~doc:"Round driver: swmr|sticky|peats|async|sync|delta|rb1.")
   in
   let n = Arg.(value & opt positive_int 5 & info [ "n" ] ~doc:"Processes.") in
@@ -148,18 +148,7 @@ let rounds_cmd =
     let rng = Thc_util.Rng.create seed in
     let keyring = Thc_crypto.Keyring.create rng ~n in
     let net = Thc_sim.Net.create ~n ~default:(Thc_sim.Delay.Uniform (10L, 400L)) in
-    let app pid : Thc_rounds.Round_app.app =
-      {
-        first_payload = (fun _ -> Some (Printf.sprintf "r1-p%d" pid));
-        on_receive = (fun _ ~round:_ ~from:_ _ -> ());
-        on_round_check =
-          (fun h ~round ->
-            if round >= rounds then Thc_rounds.Round_app.Stop
-            else
-              Thc_rounds.Round_app.Advance
-                (Some (Printf.sprintf "r%d-p%d" (round + 1) h.self)));
-      }
-    in
+    let app = Thc_rounds.Round_app.chatter ~rounds in
     (* Drivers have distinct wire types, so each branch runs its own engine
        and reports through this polymorphic summary. *)
     let report (type m) (trace : m Thc_sim.Trace.t) =
@@ -176,63 +165,32 @@ let rounds_cmd =
         (Thc_sim.Trace.messages_sent trace)
         trace.Thc_sim.Trace.end_time
     in
-    let install_and_run engine behavior_of =
+    let install_and_run behavior_of =
+      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
       for pid = 0 to n - 1 do
         Thc_sim.Engine.set_behavior engine pid (behavior_of pid)
       done;
-      Thc_sim.Engine.run ~until:10_000_000L engine
+      report (Thc_sim.Engine.run ~until:10_000_000L engine)
     in
     match driver with
     | `Async ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Async_rounds.behavior ~f:((n - 1) / 2) (app pid)))
+      install_and_run (fun _ ->
+          Thc_rounds.Async_rounds.behavior ~f:((n - 1) / 2) app)
     | `Sync ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Sync_rounds.behavior ~period:1_000L (app pid)))
+      install_and_run (fun _ -> Thc_rounds.Sync_rounds.behavior ~period:1_000L app)
     | `Delta ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Delta_rounds.behavior ~wait:500L
-               ~start_offset:(Int64.of_int (pid * 137))
-               (app pid)))
+      install_and_run (fun pid ->
+          Thc_rounds.Delta_rounds.behavior ~wait:500L
+            ~start_offset:(Int64.of_int (pid * 137))
+            app)
     | `Rb1 ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Rb_rounds_f1.behavior ~keyring
-               ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-               (app pid)))
-    | `Swmr ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      let registers = Thc_sharedmem.Swmr.log_array ~n in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Swmr_rounds.behavior ~registers
-               ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-               (app pid)))
-    | `Sticky ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      let board = Thc_rounds.Sticky_rounds.create_board ~n in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Sticky_rounds.behavior ~board
-               ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-               (app pid)))
-    | `Peats ->
-      let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-      let space =
-        Thc_sharedmem.Peats.create ~policy:Thc_sharedmem.Peats.owned_field_policy
-      in
-      report
-        (install_and_run engine (fun pid ->
-             Thc_rounds.Peats_rounds.behavior ~space ~n
-               ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-               (app pid)))
+      install_and_run (fun pid ->
+          Thc_rounds.Rb_rounds_f1.behavior ~keyring
+            ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+            app)
+    | `Shared d ->
+      let behavior = Thc_rounds.Shared_rounds.behaviors d ~n ~keyring in
+      install_and_run (fun pid -> behavior ~pid app)
   in
   Cmd.v
     (Cmd.info "rounds" ~doc:"Run a round driver and report its directionality.")
@@ -693,26 +651,13 @@ let report_ablation ~f ~seed ~export =
   List.length mb.violations
 
 let report_srb ~n ~ops ~seed ~export =
-  let rng = Thc_util.Rng.create seed in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
-  let net = Thc_sim.Net.create ~n ~default:(Thc_sim.Delay.Uniform (10L, 400L)) in
-  let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  for pid = 0 to n - 1 do
-    let st =
-      Thc_broadcast.Srb_from_trinc.create ~world
-        ~trinket:(Some (Thc_hardware.Trinc.trinket world ~owner:pid))
-        ~n ~self:pid
-    in
-    let plan =
-      if pid = 0 then
-        List.init ops (fun i ->
-            (Int64.add 100L (Int64.mul (Int64.of_int i) 1_000L),
-             Printf.sprintf "m%d" (i + 1)))
-      else []
-    in
-    Thc_sim.Engine.set_behavior engine pid
-      (Thc_broadcast.Srb_from_trinc.behavior st ~broadcast_plan:plan)
-  done;
+  let engine, world =
+    Thc_broadcast.Srb_harness.trinc_cluster ~seed ~n
+      ~plan:
+        (List.init ops (fun i ->
+             (Int64.add 100L (Int64.mul (Int64.of_int i) 1_000L),
+              Printf.sprintf "m%d" (i + 1))))
+  in
   let until = Int64.add 2_000_000L (Int64.mul (Int64.of_int ops) 1_000L) in
   let trace = Thc_sim.Engine.run ~until ~max_events:10_000_000 engine in
   let violations = Thc_broadcast.Srb_spec.check trace ~sender:0 in
@@ -957,7 +902,7 @@ let report_cmd =
       | None, Some n -> max 1 ((n - 1) / per_fault)
       | None, None -> 1
     in
-    let problems =
+    let problems () =
       match experiment with
       | `Minbft ->
         report_smr Thc_replication.Harness.Minbft
@@ -975,7 +920,12 @@ let report_cmd =
       | `Srb -> report_srb ~n:(Option.value n ~default:4) ~ops ~seed ~export
       | `Loadtest -> report_loadtest ~from
     in
-    if problems > 0 then exit 1
+    if experiment = `Ablation && fault_bound ~per_fault:2 < 1 then
+      `Error (false, "-f: the ablation's equivocating leader needs -f 1 or more")
+    else begin
+      if problems () > 0 then exit 1;
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "report"
@@ -984,7 +934,7 @@ let report_cmd =
           latency quantiles, message-kind breakdown, per-process sends, \
           network counters, and the trusted-op ledger.  The $(b,loadtest) \
           view instead renders a file exported by $(b,thc loadtest).")
-    Term.(const run $ experiment $ n $ f $ ops $ seed $ export $ from)
+    Term.(ret (const run $ experiment $ n $ f $ ops $ seed $ export $ from))
 
 (* --- explore --------------------------------------------------------------- *)
 
@@ -1184,7 +1134,12 @@ let attack_cmd =
           ~doc:"Attack name (see $(b,--list)) or $(b,all).")
   in
   let seed = Cli.seed () in
-  let f = Arg.(value & opt non_negative_int 1 & info [ "f" ] ~doc:"Fault bound (n = 2f+1).") in
+  let f =
+    Arg.(
+      value & opt positive_int 1
+      & info [ "f" ]
+          ~doc:"Fault bound (n = 2f+1); the corrupted replica is one fault.")
+  in
   let corrupt_at =
     Arg.(
       value & opt int64 5_000L

@@ -28,9 +28,8 @@ let plan_times ~horizon ~values =
   List.init values (fun i ->
       Int64.add 100L (Int64.mul (Int64.of_int i) (Int64.div horizon (Int64.of_int (4 * values)))))
 
-let run_trinc ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 4) ?(values = 3) () =
-  let rng = Thc_util.Rng.create seed in
-  let world = Thc_hardware.Trinc.create_world rng ~n in
+let trinc_cluster ~seed ~n ~plan =
+  let world = Thc_hardware.Trinc.create_world (Thc_util.Rng.create seed) ~n in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
   for pid = 0 to n - 1 do
@@ -39,23 +38,12 @@ let run_trinc ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 4) ?(values =
         ~trinket:(Some (Thc_hardware.Trinc.trinket world ~owner:pid))
         ~n ~self:pid
     in
-    let plan =
-      if pid = 0 then
-        List.mapi
-          (fun i at -> (at, Printf.sprintf "m%d" (i + 1)))
-          (plan_times ~horizon:script.horizon ~values)
-      else []
-    in
-    Thc_sim.Engine.set_behavior engine pid (Srb_from_trinc.behavior st ~broadcast_plan:plan)
+    Thc_sim.Engine.set_behavior engine pid
+      (Srb_from_trinc.behavior st ~broadcast_plan:(if pid = 0 then plan else []))
   done;
-  Thc_sim.Adversary.install script engine;
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas:n ~script ())
-    network;
-  let until = Int64.add script.horizon 2_000_000L in
-  finish (Thc_sim.Engine.run ~until ~max_events:10_000_000 engine)
+  (engine, world)
 
-let run_uni ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2) ?(values = 2) () =
+let uni_cluster ~seed ~n ~faults ~values =
   let keyring = Thc_crypto.Keyring.create (Thc_util.Rng.create seed) ~n in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
@@ -66,18 +54,36 @@ let run_uni ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2
           ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
           ~sender:0 ~faults)
   in
-  List.iter
-    (fun i -> Srb_from_uni.broadcast srbs.(0) (Printf.sprintf "v%d" i))
-    (List.init values (fun i -> i + 1));
+  List.iter (Srb_from_uni.broadcast srbs.(0)) values;
   for pid = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine pid
       (Thc_rounds.Swmr_rounds.behavior ~registers
          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
          (Srb_from_uni.app srbs.(pid)))
   done;
+  engine
+
+(* The script first, then the network model: the model's re-lowering at
+   each heal runs after the heal itself. *)
+let run_scripted ?network ~script ~until engine ~n =
   Thc_sim.Adversary.install script engine;
   Option.iter
     (fun m -> Thc_network.Model.install m engine ~replicas:n ~script ())
     network;
-  let until = max 600_000L (Int64.add script.horizon 300_000L) in
   finish (Thc_sim.Engine.run ~until ~max_events:10_000_000 engine)
+
+let run_trinc ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 4) ?(values = 3) () =
+  let plan =
+    List.mapi
+      (fun i at -> (at, Printf.sprintf "m%d" (i + 1)))
+      (plan_times ~horizon:script.horizon ~values)
+  in
+  run_scripted ?network ~script ~n
+    ~until:(Int64.add script.horizon 2_000_000L)
+    (fst (trinc_cluster ~seed ~n ~plan))
+
+let run_uni ?network ~seed ~(script : Thc_sim.Adversary.t) ?(n = 5) ?(faults = 2) ?(values = 2) () =
+  run_scripted ?network ~script ~n
+    ~until:(max 600_000L (Int64.add script.horizon 300_000L))
+    (uni_cluster ~seed ~n ~faults
+       ~values:(List.init values (fun i -> Printf.sprintf "v%d" (i + 1))))

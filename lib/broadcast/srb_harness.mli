@@ -1,11 +1,29 @@
-(** Scripted-fault adapters for the SRB implementations — the broadcast
-    layer's entry points into the {!Thc_check} fault explorer.
+(** The SRB clusters, and the scripted-fault adapters over them — the
+    broadcast layer's entry points into the {!Thc_check} fault explorer.
 
-    Each run builds the usual cluster, installs an {!Thc_sim.Adversary}
-    script on top of it, runs past the script's horizon (so every temporary
-    partition has healed and held messages have drained), and judges the
-    full four-property SRB specification ({!Srb_spec.check}) on the trace.
-    The designated sender is process 0. *)
+    Each cluster is built in one place: processes [0..n-1] on a clique of
+    uniform 10–400 µs links, an engine that records [Full], and the
+    designated sender at process 0.  Each scripted run installs an
+    {!Thc_sim.Adversary} script on top of its cluster, runs past the
+    script's horizon (so every temporary partition has healed and held
+    messages have drained), and judges the full four-property SRB
+    specification ({!Srb_spec.check}) on the trace. *)
+
+val trinc_cluster :
+  seed:int64 ->
+  n:int ->
+  plan:(int64 * string) list ->
+  Srb_from_trinc.msg Thc_sim.Engine.t * Thc_hardware.Trinc.world
+(** {!Srb_from_trinc} at every process, on a TrInc world drawn from a
+    stream seeded by [seed]: sender 0 broadcasts [plan] (time, value);
+    the others chain and echo. *)
+
+val uni_cluster :
+  seed:int64 -> n:int -> faults:int -> values:string list -> 'm Thc_sim.Engine.t
+(** Algorithm 1 ({!Srb_from_uni}, bound [t = faults]) over SWMR-register
+    rounds, with a keyring drawn from a stream seeded by [seed]: sender 0
+    queues [values] in order.  Register operations send no message, so
+    the engine's message type is free. *)
 
 type report = {
   violations : Srb_spec.violation list;

@@ -233,36 +233,6 @@ let client_finished trace ~pid ~expected =
   in
   done_count >= expected
 
-(* The verdict every rig reports, read off its trace, ledger and link
-   counters.  The trace needs only outputs and crashes, so [messages]
-   comes from the engine's send counter ([Trace.messages_sent] of a
-   [Full] trace by construction).  Stalled spans are the requests that
-   never reached their reply — the injected conflicting writes and any
-   honest request the attack starved; their views show which phase the
-   pipeline stopped at. *)
-let result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger ~spans ~plan
-    ~detail ~engine trace =
-  {
-    attack;
-    target;
-    seed;
-    corrupt_at;
-    safety_violations = List.length (R.Smr_spec.check_safety trace ~replicas:n);
-    distinct_ops_at_seq1 = R.Smr_spec.distinct_ops_at_seq1 trace ~replicas:n;
-    commits = R.Smr_spec.commits trace ~replicas:n;
-    rejections = Thc_obsv.Ledger.rejections ledger;
-    trusted_ops = Thc_obsv.Ledger.rows ledger;
-    messages = Thc_obsv.Link_stats.sends (E.stats engine);
-    duration_us = trace.Thc_sim.Trace.end_time;
-    events = E.events_processed engine;
-    client_finished = client_finished trace ~pid:n ~expected:(List.length plan);
-    detail;
-    stalled_spans =
-      List.filter
-        (fun v -> not (Thc_obsv.Span.complete v))
-        (Thc_obsv.Span.views spans);
-  }
-
 (* --- the MinBFT side ----------------------------------------------------- *)
 
 (* Every corruption starts with a rewind: the attacker asks its own trinket
@@ -454,7 +424,7 @@ let ckpt_inject ~attack ~engine ~wrap ~f ~(byz : R.Minbft.t) ~attacker_ident
   (* From its corruption to the heal the byz donor drops everything it
      sends the joiner: its snapshot replies, and its attested protocol
      stream too.  From the crash the link script also holds the honest
-     donors' links to the joiner (see [run_minbft]), so during the window
+     donors' links to the joiner (see [minbft_fixture]), so during the window
      the only snapshots the joiner sees are the attack's.  The heal lifts
      the drop, but a dropped message is gone, not held: the joiner's
      stream from the byz donor stays stuck below the first counter it
@@ -507,135 +477,6 @@ let ckpt_inject ~attack ~engine ~wrap ~f ~(byz : R.Minbft.t) ~attacker_ident
               ~suffix:[ (R.Minbft.stable_upto byz + 1, [ forged ]) ])
       | _ -> ())
     [ 6_000L; 12_000L; 18_000L ]
-
-(* Lower the optional network model onto a rig's engine.  Installed after
-   every [Adversary.install] so the re-lowering scheduled at each heal time
-   runs after the heal itself (the engine breaks same-time ties by
-   installation order).  Rational client strategies are skipped: the rigs'
-   scripted clients are part of the attack fixture, not a workload. *)
-let install_network network engine ~replicas ~script =
-  Option.iter
-    (fun m -> Thc_network.Model.install m engine ~replicas ?script ())
-    network
-
-(* The one MinBFT rig.  [target] picks the world the trinkets come from;
-   the attack family picks the fixture.  pids: replicas 0..n-1, honest
-   client n, and n+1 the identity of a colluding client whose signing key
-   the corrupted replica holds.
-
-   Live kinds corrupt the leader (a view-change member for mismatched-vc)
-   under a four-request plan.  Checkpoint kinds corrupt donor 1, with
-   checkpoints every [ckpt_interval] slots and joiner n-1 restarting at
-   [ckpt_restart_at]; the leader stays honest so the service keeps running.
-   Every honest donor's link to the joiner is held from the crash to the
-   heal, and the byz donor drops all it sends the joiner from its
-   corruption (see [ckpt_inject]), so the attack's snapshots are the only
-   ones arriving while the joiner awaits — the rejection is a
-   deterministic fact of the rig, not a delivery race.  At the heal the
-   held genuine snapshots flow and the joiner installs one.  Its attested
-   stream from the byz donor stays stuck behind what the drop lost, so
-   the joiner finishes catching up through view changes. *)
-let run_minbft ?network ~tracing ~target ~attack ~f ~seed ~corrupt_at ~script
-    ~until () =
-  let ckpt = List.mem attack ckpt_all in
-  let config =
-    {
-      (R.Minbft.default_config ~f) with
-      R.Minbft.checkpoint_interval = (if ckpt then ckpt_interval else 0);
-    }
-  in
-  let n = config.R.Minbft.n in
-  let total = n + 2 in
-  let byz_pid =
-    if ckpt then 1 else match attack with Mismatched_vc -> n - 1 | _ -> 0
-  in
-  let joiner = n - 1 in
-  let plan = if ckpt then ckpt_plan else live_plan in
-  (* The checkpoint fixture needs the corruption in place before the crash
-     it preys on. *)
-  let corrupt_at = if ckpt then min corrupt_at 60_000L else corrupt_at in
-  let world_of =
-    match target with
-    | Unattested -> Trinc.create_unattested_world
-    | Minbft | Ubft -> Trinc.create_world
-  in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = world_of rng ~n in
-  let net =
-    Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
-  in
-  let spans = Thc_obsv.Span.create () in
-  let engine = E.create ~seed ~tracing ~spans ~n:total ~net () in
-  let replicas =
-    Array.init n (fun pid ->
-        R.Minbft.create_replica ~config ~keyring ~world
-          ~trinket:(Trinc.trinket world ~owner:pid) ~self:pid)
-  in
-  let wrap = Wrap.create () in
-  for pid = 0 to n - 1 do
-    let restart_at =
-      if ckpt && pid = joiner then Some ckpt_restart_at else None
-    in
-    let honest = R.Minbft.replica ?restart_at replicas.(pid) in
-    E.set_behavior engine pid
-      (if pid = byz_pid then Wrap.behavior wrap honest else honest)
-  done;
-  E.set_behavior engine n
-    (R.Minbft.client ~rid_base:0 ~config ~keyring
-       ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
-       ~plan);
-  let attacker_ident = Thc_crypto.Keyring.secret keyring ~pid:(n + 1) in
-  E.on_corrupt engine ~pid:byz_pid (fun _ ->
-      if ckpt then
-        ckpt_inject ~attack ~engine ~wrap ~f ~byz:replicas.(byz_pid)
-          ~attacker_ident ~joiner ()
-      else
-        minbft_inject ~attack ~engine ~wrap ~replica:replicas.(byz_pid)
-          ~attacker_ident ~n ());
-  (* Corruption rides the ordinary adversary machinery: a [Corrupt] event
-     marks the pid Byzantine and fires the handler above at [corrupt_at]. *)
-  let corrupt =
-    {
-      Thc_sim.Adversary.at = corrupt_at;
-      action = Thc_sim.Adversary.Corrupt { pid = byz_pid; attack = name attack };
-    }
-  in
-  let window =
-    List.filter_map
-      (fun donor ->
-        if donor = byz_pid || donor = joiner then None
-        else
-          Some
-            {
-              Thc_sim.Adversary.at = ckpt_restart_at;
-              action = Thc_sim.Adversary.Block_link (donor, joiner);
-            })
-      (List.init n Fun.id)
-  in
-  Thc_sim.Adversary.install
-    (if ckpt then
-       {
-         Thc_sim.Adversary.events =
-           (corrupt :: window)
-           @ [ { Thc_sim.Adversary.at = ckpt_heal_at; action = Thc_sim.Adversary.Heal } ];
-         horizon = ckpt_heal_at;
-       }
-     else { Thc_sim.Adversary.events = [ corrupt ]; horizon = corrupt_at })
-    engine;
-  Option.iter (fun s -> Thc_sim.Adversary.install s engine) script;
-  install_network network engine ~replicas:n ~script;
-  Thc_obsv.Ledger.set_observer (Trinc.ledger world)
-    (Thc_obsv.Span.attribute spans);
-  let trace = E.run ~until engine in
-  ( result_of ~attack ~target ~seed ~corrupt_at ~n ~ledger:(Trinc.ledger world)
-      ~spans ~plan
-      ~detail:
-        (match target with
-        | Unattested -> unattested_detail attack
-        | Minbft | Ubft -> minbft_detail attack)
-      ~engine trace,
-    trace )
 
 (* --- the uBFT-sim side --------------------------------------------------- *)
 
@@ -705,97 +546,209 @@ let ubft_inject ~attack ~(registers : R.Ubft.registers) ~wrap ~replica
   | Join_equivocation ->
     ()
 
-let run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until () =
-  let config = R.Ubft.default_config ~f in
-  let n = config.R.Ubft.n in
-  (* Same pid layout as the MinBFT rig: replicas 0..n-1, honest client n,
-     colluding-client identity n+1. *)
-  let total = n + 2 in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let net =
-    Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L))
+(* --- the one rig -------------------------------------------------------- *)
+
+(* What a target adds to its cluster: the corrupted pid, the honest
+   client's plan, the injection fired at the corruption, the corruption
+   time and the link script around it. *)
+type 'm fixture = {
+  byz_pid : int;
+  plan : (int64 * R.Kv_store.op) list;
+  inject :
+    wrap:'m Wrap.t -> attacker_ident:Thc_crypto.Keyring.secret -> unit -> unit;
+  corrupt_at : int64;
+  links : Thc_sim.Adversary.event list;
+}
+
+let delay = Thc_sim.Delay.Uniform (50L, 500L)
+
+(* MinBFT on the target's world.  Live kinds corrupt the leader (a
+   view-change member for mismatched-vc) under a four-request plan.
+   Checkpoint kinds corrupt donor 1, with checkpoints every
+   [ckpt_interval] slots and joiner n-1 restarting at [ckpt_restart_at];
+   the leader stays honest so the service keeps running.  Every honest
+   donor's link to the joiner is held from the crash to the heal, and the
+   byz donor drops all it sends the joiner from its corruption (see
+   [ckpt_inject]), so the attack's snapshots are the only ones arriving
+   while the joiner awaits — the rejection is a deterministic fact of the
+   rig, not a delivery race.  At the heal the held genuine snapshots flow
+   and the joiner installs one.  Its attested stream from the byz donor
+   stays stuck behind what the drop lost, so the joiner finishes catching
+   up through view changes. *)
+let minbft_fixture ~spans ~tracing ~target ~attack ~f ~seed ~corrupt_at =
+  let ckpt = List.mem attack ckpt_all in
+  let joiner = (R.Minbft.default_config ~f).R.Minbft.n - 1 in
+  let c, replicas =
+    R.Cluster.minbft ~spans
+      ?restart:(if ckpt then Some (joiner, ckpt_restart_at) else None)
+      ~world:
+        (match target with
+        | Unattested -> Trinc.create_unattested_world
+        | Minbft | Ubft -> Trinc.create_world)
+      ~f ~batch:1
+      ~checkpoint_interval:(if ckpt then ckpt_interval else 0)
+      ~clients:2 ~seed ~delay ~tracing ()
   in
-  let spans = Thc_obsv.Span.create () in
-  let registers : R.Ubft.registers = Swmr.log_array ~n in
-  let hw = Thc_obsv.Ledger.create () in
-  Swmr.attach_ledger_all registers hw;
-  Thc_obsv.Ledger.set_observer hw (Thc_obsv.Span.attribute spans);
-  let engine = E.create ~seed ~tracing:E.Outputs_only ~spans ~n:total ~net () in
-  (* The append-withholder must own the register followers read from; the
-     other attackers corrupt a follower. *)
+  let n = c.R.Cluster.replicas and engine = c.R.Cluster.engine in
+  if ckpt then
+    let byz_pid = 1 in
+    let block donor =
+      if donor = byz_pid || donor = joiner then None
+      else
+        Some
+          {
+            Thc_sim.Adversary.at = ckpt_restart_at;
+            action = Thc_sim.Adversary.Block_link (donor, joiner);
+          }
+    in
+    ( c,
+      {
+        byz_pid;
+        plan = ckpt_plan;
+        inject = ckpt_inject ~attack ~engine ~f ~byz:replicas.(byz_pid) ~joiner;
+        (* The fixture needs the corruption in place before the crash it
+           preys on. *)
+        corrupt_at = min corrupt_at 60_000L;
+        links =
+          List.filter_map block (List.init n Fun.id)
+          @ [ { at = ckpt_heal_at; action = Thc_sim.Adversary.Heal } ];
+      } )
+  else
+    let byz_pid = match attack with Mismatched_vc -> n - 1 | _ -> 0 in
+    ( c,
+      {
+        byz_pid;
+        plan = live_plan;
+        inject = minbft_inject ~attack ~engine ~replica:replicas.(byz_pid) ~n;
+        corrupt_at;
+        links = [];
+      } )
+
+(* uBFT-sim on SWMR registers.  The append-withholder must own the
+   register followers read from; the other attackers corrupt a
+   follower. *)
+let ubft_fixture ~spans ~tracing ~attack ~f ~seed ~corrupt_at =
+  let c, replicas, registers =
+    R.Cluster.ubft ~spans ~f ~batch:1 ~checkpoint_interval:0 ~clients:2 ~seed
+      ~delay ~tracing ()
+  in
+  let n = c.R.Cluster.replicas in
   let byz_pid = match attack with Withheld_append -> 0 | _ -> n - 1 in
-  let replicas =
-    Array.init n (fun pid ->
-        R.Ubft.create_replica ~config ~keyring ~registers
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-          ~self:pid)
-  in
+  let byz_ident = Thc_crypto.Keyring.secret c.R.Cluster.keyring ~pid:byz_pid in
+  ( c,
+    {
+      byz_pid;
+      plan = live_plan;
+      inject =
+        ubft_inject ~attack ~registers ~replica:replicas.(byz_pid) ~byz_ident
+          ~byz_pid ~n;
+      corrupt_at;
+      links = [];
+    } )
+
+(* The one rig, over a cluster built with two client identities: replicas
+   0..n-1, the honest client n, and n+1 the identity of a colluding client
+   whose signing key the corrupted replica holds.  The builder installed
+   every replica honest; the rig wraps the corrupted one in place and adds
+   the client.  Corruption rides the ordinary adversary machinery: a
+   [Corrupt] event marks the pid Byzantine and fires the fixture's
+   injection.  The corruption with the fixture's links, the extra script
+   and the network model install in that order, because the engine breaks
+   same-time ties by installation order (the model's re-lowering at each
+   heal must run after the heal itself).  Rational client strategies are
+   skipped: the rig's scripted client is part of the fixture, not a
+   workload.
+
+   The trace needs only outputs and crashes, so [messages] comes from the
+   engine's send counter ([Trace.messages_sent] of a [Full] trace by
+   construction).  Stalled spans are the requests that never reached their
+   reply — the injected conflicting writes and any honest request the
+   attack starved; their views show which phase the pipeline stopped
+   at. *)
+let rig ?network ~spans ~target ~attack ~seed ~script ~until
+    ((c : 'm R.Cluster.t), (fx : 'm fixture)) =
+  let { R.Cluster.engine; replicas = n; keyring; hw; client; _ } = c in
+  let secret pid = Thc_crypto.Keyring.secret keyring ~pid in
   let wrap = Wrap.create () in
-  for pid = 0 to n - 1 do
-    let honest = R.Ubft.replica replicas.(pid) in
-    E.set_behavior engine pid
-      (if pid = byz_pid then Wrap.behavior wrap honest else honest)
-  done;
-  let plan =
-    [
-      (0L, R.Kv_store.Put ("x", "1"));
-      (10_000L, R.Kv_store.Put ("y", "2"));
-      (40_000L, R.Kv_store.Put ("x", "3"));
-      (90_000L, R.Kv_store.Get "x");
-    ]
+  E.set_behavior engine fx.byz_pid
+    (Wrap.behavior wrap (E.behavior_of engine fx.byz_pid));
+  E.set_behavior engine n (client ~rid_base:0 ~ident:(secret n) ~plan:fx.plan);
+  let attacker_ident = secret (n + 1) in
+  E.on_corrupt engine ~pid:fx.byz_pid (fun _ ->
+      fx.inject ~wrap ~attacker_ident ());
+  let corrupt =
+    {
+      Thc_sim.Adversary.at = fx.corrupt_at;
+      action = Corrupt { pid = fx.byz_pid; attack = name attack };
+    }
   in
-  E.set_behavior engine n
-    (R.Ubft.client ~rid_base:0 ~config ~keyring
-       ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
-       ~plan);
-  let attacker_ident = Thc_crypto.Keyring.secret keyring ~pid:(n + 1) in
-  let byz_ident = Thc_crypto.Keyring.secret keyring ~pid:byz_pid in
-  E.on_corrupt engine ~pid:byz_pid (fun _ ->
-      ubft_inject ~attack ~registers ~wrap ~replica:replicas.(byz_pid)
-        ~attacker_ident ~byz_ident ~byz_pid ~n ());
+  let events = corrupt :: fx.links in
   Thc_sim.Adversary.install
     {
-      Thc_sim.Adversary.events =
-        [
-          {
-            Thc_sim.Adversary.at = corrupt_at;
-            action =
-              Thc_sim.Adversary.Corrupt { pid = byz_pid; attack = name attack };
-          };
-        ];
-      horizon = corrupt_at;
+      events;
+      horizon =
+        List.fold_left (fun h e -> max h e.Thc_sim.Adversary.at) 0L events;
     }
     engine;
   Option.iter (fun s -> Thc_sim.Adversary.install s engine) script;
-  install_network network engine ~replicas:n ~script;
+  Option.iter
+    (fun m -> Thc_network.Model.install m engine ~replicas:n ?script ())
+    network;
   let trace = E.run ~until engine in
-  result_of ~attack ~target:Ubft ~seed ~corrupt_at ~n ~ledger:hw ~spans ~plan
-    ~detail:(ubft_detail attack) ~engine trace
+  ( {
+      attack;
+      target;
+      seed;
+      corrupt_at = fx.corrupt_at;
+      safety_violations =
+        List.length (R.Smr_spec.check_safety trace ~replicas:n);
+      distinct_ops_at_seq1 = R.Smr_spec.distinct_ops_at_seq1 trace ~replicas:n;
+      commits = R.Smr_spec.commits trace ~replicas:n;
+      rejections = Thc_obsv.Ledger.rejections hw;
+      trusted_ops = Thc_obsv.Ledger.rows hw;
+      messages = Thc_obsv.Link_stats.sends (E.stats engine);
+      duration_us = trace.Thc_sim.Trace.end_time;
+      events = E.events_processed engine;
+      client_finished =
+        client_finished trace ~pid:n ~expected:(List.length fx.plan);
+      detail =
+        (match target with
+        | Minbft -> minbft_detail attack
+        | Unattested -> unattested_detail attack
+        | Ubft -> ubft_detail attack);
+      stalled_spans =
+        List.filter
+          (fun v -> not (Thc_obsv.Span.complete v))
+          (Thc_obsv.Span.views spans);
+    },
+    fun () -> Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace )
 
-let script_slack = function
-  | None -> 0L
-  | Some s -> s.Thc_sim.Adversary.horizon
-
-let until_of ~corrupt_at ~script =
-  Int64.add 500_000L (Int64.add corrupt_at (script_slack script))
-
-let run ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network ~target
-    ~attack () =
-  let corrupt_at = if corrupt_at < 1L then 1L else corrupt_at in
-  let until = until_of ~corrupt_at ~script in
+let run_with ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network
+    ~tracing ~target ~attack () =
+  (* A corrupted replica is one of the f faults. *)
+  if f < 1 then invalid_arg "Attack: the corrupted replica is a fault, f >= 1";
+  let corrupt_at = max 1L corrupt_at in
+  let slack =
+    Option.fold ~none:0L ~some:(fun s -> s.Thc_sim.Adversary.horizon) script
+  in
+  let until = Int64.add 500_000L (Int64.add corrupt_at slack) in
+  let spans = Thc_obsv.Span.create () in
+  let rig fixture =
+    rig ?network ~spans ~target ~attack ~seed ~script ~until fixture
+  in
   match target with
   | Minbft | Unattested ->
-    fst
-      (run_minbft ?network ~tracing:E.Outputs_only ~target ~attack ~f ~seed
-         ~corrupt_at ~script ~until ())
-  | Ubft -> run_ubft ?network ~attack ~f ~seed ~corrupt_at ~script ~until ()
+    rig (minbft_fixture ~spans ~tracing ~target ~attack ~f ~seed ~corrupt_at)
+  | Ubft -> rig (ubft_fixture ~spans ~tracing ~attack ~f ~seed ~corrupt_at)
 
-let run_export ?(f = 1) ?(seed = 1L) ?(corrupt_at = 5_000L) ?script ?network
-    ~attack () =
-  let corrupt_at = if corrupt_at < 1L then 1L else corrupt_at in
-  let result, trace =
-    run_minbft ?network ~tracing:E.Full ~target:Minbft ~attack ~f ~seed
-      ~corrupt_at ~script ~until:(until_of ~corrupt_at ~script) ()
+let run ?f ?seed ?corrupt_at ?script ?network ~target ~attack () =
+  fst
+    (run_with ?f ?seed ?corrupt_at ?script ?network ~tracing:E.Outputs_only
+       ~target ~attack ())
+
+let run_export ?f ?seed ?corrupt_at ?script ?network ~attack () =
+  let result, jsonl =
+    run_with ?f ?seed ?corrupt_at ?script ?network ~tracing:E.Full
+      ~target:Minbft ~attack ()
   in
-  (result, Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode trace)
+  (result, jsonl ())

@@ -10,20 +10,7 @@ let seeds = [ 1L; 7L; 42L; 1337L; 99991L ]
 
 let fast = Thc_sim.Delay.Uniform (10L, 400L)
 
-(* A small round application exercising three rounds of chatter. *)
-let chatter_app pid ~rounds : Thc_rounds.Round_app.app =
-  {
-    first_payload = (fun _ -> Some (Printf.sprintf "r1-p%d" pid));
-    on_receive = (fun _ ~round:_ ~from:_ _ -> ());
-    on_round_check =
-      (fun h ~round ->
-        if round >= rounds then Thc_rounds.Round_app.Stop
-        else
-          Thc_rounds.Round_app.Advance
-            (Some (Printf.sprintf "r%d-p%d" (round + 1) h.self)));
-  }
-
-let uni_driver_witness ~id ~claim ~driver_of =
+let uni_driver_witness ~id ~claim driver =
   let run () =
     let n = 5 in
     let failures = ref [] in
@@ -33,10 +20,10 @@ let uni_driver_witness ~id ~claim ~driver_of =
         let keyring = Thc_crypto.Keyring.create rng ~n in
         let net = Thc_sim.Net.create ~n ~default:fast in
         let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-        let install = driver_of ~n ~keyring in
+        let behavior = Thc_rounds.Shared_rounds.behaviors driver ~n ~keyring in
         for pid = 0 to n - 1 do
           Thc_sim.Engine.set_behavior engine pid
-            (install ~pid (chatter_app pid ~rounds:3))
+            (behavior ~pid (Thc_rounds.Round_app.chatter ~rounds:3))
         done;
         let trace = Thc_sim.Engine.run ~until:5_000_000L engine in
         let violations = Thc_rounds.Directionality.check_unidirectional trace in
@@ -61,35 +48,17 @@ let uni_driver_witness ~id ~claim ~driver_of =
 let uni_from_swmr =
   uni_driver_witness ~id:"uni-from-swmr"
     ~claim:"SWMR registers implement unidirectional rounds (paper 3.2)"
-    ~driver_of:(fun ~n ~keyring ->
-      let registers = Thc_sharedmem.Swmr.log_array ~n in
-      fun ~pid app ->
-        Thc_rounds.Swmr_rounds.behavior ~registers
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-          app)
+    Thc_rounds.Shared_rounds.Swmr
 
 let uni_from_sticky =
   uni_driver_witness ~id:"uni-from-sticky"
     ~claim:"sticky bits implement unidirectional rounds (paper 3.2)"
-    ~driver_of:(fun ~n ~keyring ->
-      let board = Thc_rounds.Sticky_rounds.create_board ~n in
-      fun ~pid app ->
-        Thc_rounds.Sticky_rounds.behavior ~board
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-          app)
+    Thc_rounds.Shared_rounds.Sticky
 
 let uni_from_peats =
   uni_driver_witness ~id:"uni-from-peats"
     ~claim:"PEATS implements unidirectional rounds (paper 3.2)"
-    ~driver_of:(fun ~n ~keyring ->
-      let space =
-        Thc_sharedmem.Peats.create
-          ~policy:Thc_sharedmem.Peats.owned_field_policy
-      in
-      fun ~pid app ->
-        Thc_rounds.Peats_rounds.behavior ~space ~n
-          ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-          app)
+    Thc_rounds.Shared_rounds.Peats
 
 let uni_from_rb_f1 =
   {
@@ -111,7 +80,7 @@ let uni_from_rb_f1 =
               Thc_sim.Engine.set_behavior engine pid
                 (Thc_rounds.Rb_rounds_f1.behavior ~keyring
                    ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-                   (chatter_app pid ~rounds:2))
+                   (Thc_rounds.Round_app.chatter ~rounds:2))
             done;
             (* Total partition between 0 and 1: the protocol must relay
                their values through the rest. *)
@@ -143,26 +112,10 @@ let srb_from_uni =
         let detail = ref "" in
         List.iter
           (fun seed ->
-            let rng = Thc_util.Rng.create seed in
-            let keyring = Thc_crypto.Keyring.create rng ~n in
-            let net = Thc_sim.Net.create ~n ~default:fast in
-            let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-            let registers = Thc_sharedmem.Swmr.log_array ~n in
-            let srbs =
-              Array.init n (fun pid ->
-                  Thc_broadcast.Srb_from_uni.create ~keyring
-                    ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-                    ~sender:0 ~faults)
+            let engine =
+              Thc_broadcast.Srb_harness.uni_cluster ~seed ~n ~faults
+                ~values:[ "alpha"; "beta"; "gamma" ]
             in
-            List.iter
-              (Thc_broadcast.Srb_from_uni.broadcast srbs.(0))
-              [ "alpha"; "beta"; "gamma" ];
-            for pid = 0 to n - 1 do
-              Thc_sim.Engine.set_behavior engine pid
-                (Thc_rounds.Swmr_rounds.behavior ~registers
-                   ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-                   (Thc_broadcast.Srb_from_uni.app srbs.(pid)))
-            done;
             let trace =
               Thc_sim.Engine.run ~until:20_000_000L ~max_events:10_000_000
                 engine
@@ -255,22 +208,10 @@ let srb_from_trinc =
         let ok = ref true in
         List.iter
           (fun seed ->
-            let rng = Thc_util.Rng.create seed in
-            let world = Thc_hardware.Trinc.create_world rng ~n in
-            let net = Thc_sim.Net.create ~n ~default:fast in
-            let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-            for pid = 0 to n - 1 do
-              let trinket = Some (Thc_hardware.Trinc.trinket world ~owner:pid) in
-              let st =
-                Thc_broadcast.Srb_from_trinc.create ~world ~trinket ~n ~self:pid
-              in
-              let broadcast_plan =
-                if pid = 0 then [ (100L, "x"); (150L, "y"); (200L, "z") ]
-                else []
-              in
-              Thc_sim.Engine.set_behavior engine pid
-                (Thc_broadcast.Srb_from_trinc.behavior st ~broadcast_plan)
-            done;
+            let engine, _ =
+              Thc_broadcast.Srb_harness.trinc_cluster ~seed ~n
+                ~plan:[ (100L, "x"); (150L, "y"); (200L, "z") ]
+            in
             let trace = Thc_sim.Engine.run ~until:5_000_000L engine in
             if Thc_broadcast.Srb_spec.check trace ~sender:0 <> [] then
               ok := false;
@@ -689,7 +630,7 @@ let delta_wait_above_delta_uni =
               in
               Thc_sim.Engine.set_behavior engine pid
                 (Thc_rounds.Delta_rounds.behavior ~wait:delta ~start_offset
-                   (chatter_app pid ~rounds:3))
+                   (Thc_rounds.Round_app.chatter ~rounds:3))
             done;
             let trace = Thc_sim.Engine.run ~until:1_000_000L engine in
             if Thc_rounds.Directionality.check_unidirectional trace <> [] then

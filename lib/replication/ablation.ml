@@ -20,28 +20,20 @@ let pp_result ppf r =
    and then re-attests proposal B at the counter A just used.  TrInc refuses
    that rewind, so B takes the next counter and hides behind a gap; the
    unattested world grants it, and each half holds a proposal at the same
-   counter. *)
-let split_run ~world_of ~f ~seed ~configure ~until =
-  let config = Minbft.default_config ~f in
-  let n = config.Minbft.n in
-  let total = n + 1 (* one client identity for signing requests *) in
-  let rng = Thc_util.Rng.create seed in
-  let keyring = Thc_crypto.Keyring.create rng ~n:total in
-  let world = world_of rng ~n in
-  let net = Thc_sim.Net.create ~n:total ~default:(Thc_sim.Delay.Uniform (50L, 500L)) in
-  let tracing = Thc_sim.Engine.Outputs_only in
-  let engine = Thc_sim.Engine.create ~seed ~tracing ~n:total ~net () in
-  for pid = 1 to n - 1 do
-    Thc_sim.Engine.set_behavior engine pid
-      (Minbft.replica
-         (Minbft.create_replica ~config ~keyring ~world
-            ~trinket:(Thc_hardware.Trinc.trinket world ~owner:pid)
-            ~self:pid))
-  done;
-  let ident = Thc_crypto.Keyring.secret keyring ~pid:n in
+   counter.  The one client identity at pid n signs both requests. *)
+let split_run ?world ~f ~seed ~configure ~until () =
+  if f < 1 then invalid_arg "Ablation: the leader is one of f >= 1 faults";
+  let c, states =
+    Cluster.minbft ?world ~f ~batch:1 ~checkpoint_interval:0 ~clients:1 ~seed
+      ~delay:(Thc_sim.Delay.Uniform (50L, 500L))
+      ~tracing:Thc_sim.Engine.Outputs_only ()
+  in
+  let n = c.replicas and engine = c.engine in
+  let ident = Thc_crypto.Keyring.secret c.keyring ~pid:n in
   let req_a = Command.make ~ident ~rid:0 (Kv_store.Put ("k", "A")) in
   let req_b = Command.make ~ident ~rid:1 (Kv_store.Put ("k", "B")) in
-  let out = Attested_link.Out.create (Thc_hardware.Trinc.trinket world ~owner:0) in
+  (* A trinket is claimed once: the attacker seals on replica 0's link. *)
+  let out = Minbft.attack_out states.(0) in
   let wire_a = Minbft.adversarial_prepare ~out ~view:0 ~seq:1 ~request:req_a in
   let rewound = Minbft.rewound_prepare ~out ~view:0 ~seq:1 ~request:req_b in
   let wire_b =
@@ -68,7 +60,7 @@ let split_run ~world_of ~f ~seed ~configure ~until =
     messages = Thc_obsv.Link_stats.sends (Thc_sim.Engine.stats engine);
     duration_us = trace.Thc_sim.Trace.end_time;
     commits = Smr_spec.commits trace ~replicas:n;
-    trusted_ops = Thc_obsv.Ledger.rows (Thc_hardware.Trinc.ledger world);
+    trusted_ops = Thc_obsv.Ledger.rows c.hw;
     detail =
       (if Option.is_some rewound then
          "the rewind is granted: both proposals carry one counter, each half \
@@ -78,16 +70,16 @@ let split_run ~world_of ~f ~seed ~configure ~until =
           gap, at most one operation can commit");
   }
 
+let unattested = Thc_hardware.Trinc.create_unattested_world
+
 let equivocation_splits_unattested ?(f = 1) ?(seed = 3L) () =
-  split_run ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed
-    ~configure:ignore ~until:1_000_000L
+  split_run ~world:unattested ~f ~seed ~configure:ignore ~until:1_000_000L ()
 
 let equivocation_fails_against_minbft ?(f = 1) ?(seed = 3L) () =
-  split_run ~world_of:Thc_hardware.Trinc.create_world ~f ~seed
-    ~configure:ignore ~until:1_000_000L
+  split_run ~f ~seed ~configure:ignore ~until:1_000_000L ()
 
 let unattested_under_script ?(f = 1) ?network ~seed ~script () =
-  split_run ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed
+  split_run ~world:unattested ~f ~seed
     ~configure:(fun engine ->
       Thc_sim.Adversary.install script engine;
       Option.iter
@@ -95,3 +87,4 @@ let unattested_under_script ?(f = 1) ?network ~seed ~script () =
           Thc_network.Model.install m engine ~replicas:((2 * f) + 1) ~script ())
         network)
     ~until:(max 1_000_000L (Int64.add script.Thc_sim.Adversary.horizon 1_000_000L))
+    ()

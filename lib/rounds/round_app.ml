@@ -21,3 +21,13 @@ let silent_app =
     on_receive = (fun _ ~round:_ ~from:_ _ -> ());
     on_round_check = (fun _ ~round:_ -> Advance None);
   }
+
+let chatter ~rounds =
+  {
+    first_payload = (fun h -> Some (Printf.sprintf "r1-p%d" h.self));
+    on_receive = (fun _ ~round:_ ~from:_ _ -> ());
+    on_round_check =
+      (fun h ~round ->
+        if round >= rounds then Stop
+        else Advance (Some (Printf.sprintf "r%d-p%d" (round + 1) h.self)));
+  }

@@ -227,6 +227,8 @@ let push t time ev =
 
 let set_behavior t pid behavior = t.behaviors.(pid) <- behavior
 
+let behavior_of t pid = t.behaviors.(pid)
+
 let mark_byzantine t pid = t.byzantine.(pid) <- true
 
 let on_corrupt t ~pid handler = Hashtbl.replace t.corrupt_handlers pid handler

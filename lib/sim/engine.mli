@@ -119,6 +119,9 @@ val stats : 'm t -> Thc_obsv.Link_stats.t
 val set_behavior : 'm t -> int -> 'm behavior -> unit
 (** Install a process.  Pids without behaviors act as crashed from start. *)
 
+val behavior_of : 'm t -> int -> 'm behavior
+(** The behavior installed at a pid, e.g. to wrap it in place. *)
+
 val mark_byzantine : 'm t -> int -> unit
 (** Tag a pid as faulty for the monitors; does not change its execution. *)
 
