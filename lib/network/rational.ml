@@ -39,50 +39,64 @@ let to_sexp = function
     Sexp.list
       [ Sexp.atom "lazy"; Sexp.atom (float_str alpha); Sexp.int64_atom slack_us ]
 
-let of_sexp = function
-  | Sexp.List [ Sexp.Atom "race"; a ] ->
-    Racing_client { alpha = float_of_string (Sexp.to_atom a) }
-  | Sexp.List [ Sexp.Atom "lazy"; a; s ] ->
-    Lazy_replica
-      { alpha = float_of_string (Sexp.to_atom a); slack_us = Sexp.to_int64 s }
-  | s -> failwith ("Rational: bad strategy sexp: " ^ Sexp.to_string s)
+(* The one range check, for the term and the s-expression forms alike. *)
+let validate = function
+  | (Racing_client { alpha } | Lazy_replica { alpha; _ })
+    when not (alpha >= 0.0 && alpha <= 1.0) ->
+    Error (Printf.sprintf "alpha %s out of [0, 1]" (float_str alpha))
+  | Lazy_replica { slack_us; _ } when slack_us < 0L ->
+    Error (Printf.sprintf "negative lazy slack %Ld µs" slack_us)
+  | t -> Ok t
+
+let of_sexp sexp =
+  let t =
+    match sexp with
+    | Sexp.List [ Sexp.Atom "race"; a ] ->
+      Racing_client { alpha = float_of_string (Sexp.to_atom a) }
+    | Sexp.List [ Sexp.Atom "lazy"; a; s ] ->
+      Lazy_replica
+        { alpha = float_of_string (Sexp.to_atom a); slack_us = Sexp.to_int64 s }
+    | s -> failwith ("Rational: bad strategy sexp: " ^ Sexp.to_string s)
+  in
+  match validate t with Ok t -> t | Error e -> failwith ("Rational: " ^ e)
 
 let of_term s =
   let parse_alpha a =
     match float_of_string_opt a with
-    | Some f when f >= 0.0 && f <= 1.0 -> Ok f
-    | Some _ -> Error (Printf.sprintf "alpha %S out of [0, 1]" a)
+    | Some f -> Ok f
     | None -> Error (Printf.sprintf "bad alpha %S" a)
   in
-  match String.index_opt s ':' with
-  | Some i -> (
-    let kind = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    match kind with
-    | "race" ->
-      Result.map (fun alpha -> Racing_client { alpha }) (parse_alpha rest)
-    | "lazy" -> (
-      let alpha_s, slack_s =
-        match String.index_opt rest ',' with
-        | Some j ->
-          ( String.sub rest 0 j,
-            Some (String.sub rest (j + 1) (String.length rest - j - 1)) )
-        | None -> (rest, None)
-      in
-      Result.bind (parse_alpha alpha_s) (fun alpha ->
-          match slack_s with
-          | None -> Ok (Lazy_replica { alpha; slack_us = 2_000L })
-          | Some sl -> (
-            match Int64.of_string_opt sl with
-            | Some slack_us when slack_us >= 0L ->
-              Ok (Lazy_replica { alpha; slack_us })
-            | _ -> Error (Printf.sprintf "bad lazy slack %S (µs)" sl))))
-    | k -> Error (Printf.sprintf "unknown rational strategy %S" k))
-  | None ->
-    Error
-      (Printf.sprintf
-         "bad rational term %S (expected race:<alpha> or lazy:<alpha>[,<slack_us>])"
-         s)
+  let parsed =
+    match String.index_opt s ':' with
+    | Some i -> (
+      let kind = String.sub s 0 i in
+      let rest = String.sub s (i + 1) (String.length s - i - 1) in
+      match kind with
+      | "race" ->
+        Result.map (fun alpha -> Racing_client { alpha }) (parse_alpha rest)
+      | "lazy" -> (
+        let alpha_s, slack_s =
+          match String.index_opt rest ',' with
+          | Some j ->
+            ( String.sub rest 0 j,
+              Some (String.sub rest (j + 1) (String.length rest - j - 1)) )
+          | None -> (rest, None)
+        in
+        Result.bind (parse_alpha alpha_s) (fun alpha ->
+            match slack_s with
+            | None -> Ok (Lazy_replica { alpha; slack_us = 2_000L })
+            | Some sl -> (
+              match Int64.of_string_opt sl with
+              | Some slack_us -> Ok (Lazy_replica { alpha; slack_us })
+              | None -> Error (Printf.sprintf "bad lazy slack %S (µs)" sl))))
+      | k -> Error (Printf.sprintf "unknown rational strategy %S" k))
+    | None ->
+      Error
+        (Printf.sprintf
+           "bad rational term %S (expected race:<alpha> or lazy:<alpha>[,<slack_us>])"
+           s)
+  in
+  Result.bind parsed validate
 
 let racing_quorum t ~topology ~client ~replicas ~f =
   match t with

@@ -40,11 +40,13 @@ val describe : t -> string
 val to_sexp : t -> Thc_util.Sexp.t
 
 val of_sexp : Thc_util.Sexp.t -> t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, on an alpha outside [0, 1] (NaN
+    included) and on a negative lazy slack. *)
 
 val of_term : string -> (t, string) result
 (** One [+]-joined component of a [--network] term: [race:0.5] or
-    [lazy:0.5] / [lazy:0.5,2000] (slack in µs, default 2000). *)
+    [lazy:0.5] / [lazy:0.5,2000] (slack in µs, default 2000).  Refuses
+    what {!of_sexp} refuses. *)
 
 val racing_quorum :
   t -> topology:Topology.t -> client:int -> replicas:int -> f:int -> int list

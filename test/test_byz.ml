@@ -97,6 +97,29 @@ let test_ubft_run_deterministic () =
   let run () = A.run ~seed:3L ~target:A.Ubft ~attack:A.Register_forge () in
   Alcotest.(check bool) "identical results" true (run () = run ())
 
+(* A corrupted replica is one of the f faults: at f = 0 there is no
+   replica left to corrupt, so every target refuses before any run. *)
+let test_f0_refused () =
+  let refused run =
+    match run () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (target, attack) ->
+      Alcotest.(check bool)
+        (A.target_name target ^ " " ^ A.name attack ^ " at f = 0")
+        true
+        (refused (fun () -> A.run ~f:0 ~target ~attack ())))
+    [
+      (A.Minbft, A.Equivocate);
+      (A.Minbft, A.Forged_checkpoint);
+      (A.Minbft, A.Stale_transfer);
+      (A.Minbft, A.Join_equivocation);
+      (A.Unattested, A.Equivocate);
+      (A.Ubft, A.Register_forge);
+    ];
+  Alcotest.(check bool) "run_export at f = 0" true
+    (refused (fun () -> A.run_export ~f:0 ~attack:A.Equivocate ()))
+
 let small_sweep () =
   M.sweep ~seeds:[ 1L ] ~timings:[ 5_000L ]
     ~attacks:[ A.Equivocate; A.Reuse_attestation ]
@@ -561,6 +584,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_run_deterministic;
           Alcotest.test_case "ubft deterministic" `Quick
             test_ubft_run_deterministic;
+          Alcotest.test_case "zero f refused" `Quick test_f0_refused;
         ] );
       ( "matrix",
         [

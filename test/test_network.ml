@@ -110,6 +110,11 @@ let test_model_roundtrip () =
       "(lossy (base (uniform 50 500)) (drop 1.5) (heal 300000) (seed 7))";
       "(lossy (base (uniform 50 500)) (drop -0.1) (heal 300000) (seed 7))";
       "(model (asym (fast (const -1)) (slow (uniform 2000 8000))))";
+      (* the s-expression form refuses what race:/lazy: terms refuse *)
+      "(model (clique (delay (const 1))) (rational (race 5)))";
+      "(model (clique (delay (const 1))) (rational (race nan)))";
+      "(model (clique (delay (const 1))) (rational (race -1)))";
+      "(model (clique (delay (const 1))) (rational (lazy 0.5 -3)))";
     ];
   (* The bounds themselves are accepted. *)
   List.iter

@@ -756,39 +756,44 @@ let test_ablation_minbft_holds () =
    dense counter stream its attestations are TrInc's, so fault-free MinBFT
    traces are byte-identical on both worlds. *)
 let test_ablation_worlds_identical_fault_free () =
-  let trace ~world_of ~f ~seed =
-    let config = Thc_replication.Minbft.default_config ~f in
-    let n = config.Thc_replication.Minbft.n in
-    let rng = Thc_util.Rng.create seed in
-    let keyring = Thc_crypto.Keyring.create rng ~n:(n + 1) in
-    let world = world_of rng ~n in
-    let net =
-      Thc_sim.Net.create ~n:(n + 1) ~default:(Thc_sim.Delay.Uniform (50L, 500L))
+  let trace ~world ~f ~seed =
+    let c, _ =
+      Thc_replication.Cluster.minbft ~world ~f ~batch:1 ~checkpoint_interval:0
+        ~clients:1 ~seed ~delay:(Thc_sim.Delay.Uniform (50L, 500L))
+        ~tracing:Thc_sim.Engine.Full ()
     in
-    let engine = Thc_sim.Engine.create ~seed ~n:(n + 1) ~net () in
-    for pid = 0 to n - 1 do
-      Thc_sim.Engine.set_behavior engine pid
-        (Thc_replication.Minbft.replica
-           (Thc_replication.Minbft.create_replica ~config ~keyring ~world
-              ~trinket:(Thc_hardware.Trinc.trinket world ~owner:pid)
-              ~self:pid))
-    done;
-    Thc_sim.Engine.set_behavior engine n
-      (Thc_replication.Minbft.client ~rid_base:0 ~config ~keyring
-         ~ident:(Thc_crypto.Keyring.secret keyring ~pid:n)
+    let n = c.replicas in
+    Thc_sim.Engine.set_behavior c.engine n
+      (c.client ~rid_base:0
+         ~ident:(Thc_crypto.Keyring.secret c.keyring ~pid:n)
          ~plan:
            (List.init 8 (fun i ->
                 (Int64.of_int (i * 4_000), Thc_replication.Kv_store.Incr "c"))));
     Thc_sim.Trace.to_jsonl ~encode_msg:Thc_util.Codec.encode
-      (Thc_sim.Engine.run ~until:200_000L engine)
+      (Thc_sim.Engine.run ~until:200_000L c.engine)
   in
   List.iter
     (fun (f, seed) ->
       Alcotest.(check string)
         (Printf.sprintf "f=%d seed=%Ld" f seed)
-        (trace ~world_of:Thc_hardware.Trinc.create_world ~f ~seed)
-        (trace ~world_of:Thc_hardware.Trinc.create_unattested_world ~f ~seed))
+        (trace ~world:Thc_hardware.Trinc.create_world ~f ~seed)
+        (trace ~world:Thc_hardware.Trinc.create_unattested_world ~f ~seed))
     [ (1, 1L); (1, 7L); (2, 1L); (2, 7L) ]
+
+(* The equivocating leader is one of the f faults: every entry point
+   refuses f = 0 before building a cluster. *)
+let test_ablation_f0_refused () =
+  let module Ab = Thc_replication.Ablation in
+  let refused run =
+    match run () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let script = { Thc_sim.Adversary.events = []; horizon = 0L } in
+  Alcotest.(check bool) "splits_unattested" true
+    (refused (fun () -> Ab.equivocation_splits_unattested ~f:0 ()));
+  Alcotest.(check bool) "fails_against_minbft" true
+    (refused (fun () -> Ab.equivocation_fails_against_minbft ~f:0 ()));
+  Alcotest.(check bool) "unattested_under_script" true
+    (refused (fun () -> Ab.unattested_under_script ~f:0 ~seed:1L ~script ()))
 
 let prop_ablation_across_f =
   QCheck.Test.make ~name:"ablation holds for f in 1..3" ~count:3
@@ -2002,6 +2007,7 @@ let () =
           Alcotest.test_case "worlds identical fault-free" `Quick
             test_ablation_worlds_identical_fault_free;
           qcheck prop_ablation_across_f;
+          Alcotest.test_case "zero f refused" `Quick test_ablation_f0_refused;
         ] );
       ( "scripted",
         [
