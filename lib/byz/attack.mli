@@ -28,7 +28,9 @@
     replica in place (via {!Wrap} and an adversary-script [Corrupt]
     event), inheriting its state, its signing secret and its claimed
     trinket or register — everything except the ability to make the
-    hardware lie. *)
+    hardware lie.  One rig runs every target over the typed
+    {!Thc_replication.Cluster} builders; the targets differ only in the
+    cluster and in what the corrupted replica does. *)
 
 type kind =
   | Equivocate  (** Two proposals, one slot, different audiences. *)
@@ -148,14 +150,16 @@ val run :
   unit ->
   result
 (** One attack run, deterministic in [(f, seed, corrupt_at, script)].
-    Defaults: [f = 1], [seed = 1], [corrupt_at = 5000]µs.  [script]
-    composes an additional network-fault schedule (crashes, partitions —
-    e.g. drawn by {!Thc_sim.Adversary.random}) on top of the corruption;
+    Defaults: [f = 1], [seed = 1], [corrupt_at = 5000]µs.  The corrupted
+    replica is one of the f faults: raises [Invalid_argument] if
+    [f < 1].  [script] composes an additional network-fault schedule
+    (crashes, partitions — e.g. drawn by {!Thc_sim.Adversary.random}) on
+    top of the corruption;
     the run horizon is extended past the script's horizon so held traffic
     drains before verdicts are read.  [network] lowers a named topology
     onto the rig's links ({!Thc_network.Model.install}; re-lowered after
     every scripted heal); rational client strategies are ignored — the
-    rigs' scripted clients are attack fixtures, not a workload.
+    rig's scripted client is an attack fixture, not a workload.
 
     The rig's engine records outputs and crashes only
     ({!Thc_sim.Engine.Outputs_only}): that is all the verdict reads, and

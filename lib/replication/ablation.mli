@@ -39,7 +39,9 @@ type result = {
 }
 
 val equivocation_splits_unattested : ?f:int -> ?seed:int64 -> unit -> result
-(** Expected: [violations <> []] and [distinct_ops_at_seq1 = 2]. *)
+(** Expected: [violations <> []] and [distinct_ops_at_seq1 = 2].  Like
+    every entry point here, raises [Invalid_argument] if [f < 1]: the
+    equivocating leader is one of the f faults. *)
 
 val equivocation_fails_against_minbft : ?f:int -> ?seed:int64 -> unit -> result
 (** Expected: [violations = []] and [distinct_ops_at_seq1 <= 1]. *)
