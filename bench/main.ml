@@ -229,7 +229,9 @@ let run_srb_uni ~n ~faults ~seed ~msgs =
        ~values:(messages msgs))
 
 let run_srb_trinc ~n ~seed ~msgs =
-  let plan = List.mapi (fun i m -> (Int64.of_int (100 + (i * 50)), m)) (messages msgs) in
+  let plan =
+    List.mapi (fun i m -> (Int64.of_int (100 + (i * 50)), m)) (messages msgs)
+  in
   Thc_sim.Engine.run ~until:5_000_000L
     (fst (Thc_broadcast.Srb_harness.trinc_cluster ~seed ~n ~plan))
 
@@ -288,15 +290,13 @@ let table_a1 () =
       let keyring = keyring ~n ~seed:13L in
       let net = Thc_sim.Net.create ~n ~default:fast in
       let engine = Thc_sim.Engine.create ~seed:13L ~n ~net () in
-      let registers = Thc_sharedmem.Swmr.log_array ~n in
-      Array.iter
-        (fun pid ->
-          Thc_sim.Engine.set_behavior engine pid
-            (Thc_rounds.Swmr_rounds.behavior ~registers
-               ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-               (Thc_agreement.Very_weak.app
-                  (Thc_agreement.Very_weak.create ~input:"v"))))
-        (Array.init n (fun i -> i));
+      let behavior = Thc_rounds.Shared_rounds.(behaviors Swmr) ~n ~keyring in
+      for pid = 0 to n - 1 do
+        Thc_sim.Engine.set_behavior engine pid
+          (behavior ~pid
+             (Thc_agreement.Very_weak.app
+                (Thc_agreement.Very_weak.create ~input:"v")))
+      done;
       let trace = Thc_sim.Engine.run ~until:5_000_000L engine in
       let ok =
         Thc_agreement.Agreement_spec.check `Very_weak

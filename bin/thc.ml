@@ -133,7 +133,9 @@ let rounds_cmd =
     Arg.(
       value
       & opt (enum
-               (List.map (fun (s, d) -> (s, `Shared d)) Thc_rounds.Shared_rounds.all
+               (List.map
+                  (fun (s, d) -> (s, `Shared d))
+                  Thc_rounds.Shared_rounds.all
                @ [ ("async", `Async); ("sync", `Sync); ("delta", `Delta);
                    ("rb1", `Rb1) ]))
           (`Shared Thc_rounds.Shared_rounds.Swmr)
@@ -177,7 +179,8 @@ let rounds_cmd =
       install_and_run (fun _ ->
           Thc_rounds.Async_rounds.behavior ~f:((n - 1) / 2) app)
     | `Sync ->
-      install_and_run (fun _ -> Thc_rounds.Sync_rounds.behavior ~period:1_000L app)
+      install_and_run (fun _ ->
+          Thc_rounds.Sync_rounds.behavior ~period:1_000L app)
     | `Delta ->
       install_and_run (fun pid ->
           Thc_rounds.Delta_rounds.behavior ~wait:500L

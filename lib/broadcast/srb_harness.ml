@@ -38,8 +38,9 @@ let trinc_cluster ~seed ~n ~plan =
         ~trinket:(Some (Thc_hardware.Trinc.trinket world ~owner:pid))
         ~n ~self:pid
     in
+    let broadcast_plan = if pid = 0 then plan else [] in
     Thc_sim.Engine.set_behavior engine pid
-      (Srb_from_trinc.behavior st ~broadcast_plan:(if pid = 0 then plan else []))
+      (Srb_from_trinc.behavior st ~broadcast_plan)
   done;
   (engine, world)
 
@@ -47,7 +48,7 @@ let uni_cluster ~seed ~n ~faults ~values =
   let keyring = Thc_crypto.Keyring.create (Thc_util.Rng.create seed) ~n in
   let net = Thc_sim.Net.create ~n ~default:fast in
   let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-  let registers = Thc_sharedmem.Swmr.log_array ~n in
+  let behavior = Thc_rounds.Shared_rounds.(behaviors Swmr) ~n ~keyring in
   let srbs =
     Array.init n (fun pid ->
         Srb_from_uni.create ~keyring
@@ -57,15 +58,13 @@ let uni_cluster ~seed ~n ~faults ~values =
   List.iter (Srb_from_uni.broadcast srbs.(0)) values;
   for pid = 0 to n - 1 do
     Thc_sim.Engine.set_behavior engine pid
-      (Thc_rounds.Swmr_rounds.behavior ~registers
-         ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-         (Srb_from_uni.app srbs.(pid)))
+      (behavior ~pid (Srb_from_uni.app srbs.(pid)))
   done;
   engine
 
 (* The script first, then the network model: the model's re-lowering at
    each heal runs after the heal itself. *)
-let run_scripted ?network ~script ~until engine ~n =
+let run_scripted ?network ~script ~n ~until engine =
   Thc_sim.Adversary.install script engine;
   Option.iter
     (fun m -> Thc_network.Model.install m engine ~replicas:n ~script ())

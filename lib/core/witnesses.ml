@@ -320,12 +320,13 @@ let very_weak_from_uni =
               let keyring = Thc_crypto.Keyring.create rng ~n in
               let net = Thc_sim.Net.create ~n ~default:fast in
               let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-              let registers = Thc_sharedmem.Swmr.log_array ~n in
+              let behavior =
+                Thc_rounds.Shared_rounds.(behaviors Swmr) ~n ~keyring
+              in
               Array.iteri
                 (fun pid input ->
                   Thc_sim.Engine.set_behavior engine pid
-                    (Thc_rounds.Swmr_rounds.behavior ~registers
-                       ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
+                    (behavior ~pid
                        (Thc_agreement.Very_weak.app
                           (Thc_agreement.Very_weak.create ~input))))
                 inputs;
@@ -485,7 +486,9 @@ let neb_from_uni =
             let keyring = Thc_crypto.Keyring.create rng ~n in
             let net = Thc_sim.Net.create ~n ~default:fast in
             let engine = Thc_sim.Engine.create ~seed ~n ~net () in
-            let registers = Thc_sharedmem.Swmr.log_array ~n in
+            let behavior =
+              Thc_rounds.Shared_rounds.(behaviors Swmr) ~n ~keyring
+            in
             let states =
               Array.init n (fun pid ->
                   Thc_broadcast.Neb.create ~keyring
@@ -496,9 +499,7 @@ let neb_from_uni =
             Array.iteri
               (fun pid st ->
                 Thc_sim.Engine.set_behavior engine pid
-                  (Thc_rounds.Swmr_rounds.behavior ~registers
-                     ~ident:(Thc_crypto.Keyring.secret keyring ~pid)
-                     (Thc_broadcast.Neb.app st)))
+                  (behavior ~pid (Thc_broadcast.Neb.app st)))
               states;
             let _ = Thc_sim.Engine.run ~until:5_000_000L engine in
             Array.iter
