@@ -241,7 +241,7 @@ let client_finished trace ~pid ~expected =
    non-equivocation guarantee, and the rest of each attack is the
    attacker's fallback.  The unattested world grants it, and the attacker
    sends the rewound message instead. *)
-let minbft_inject ~attack ~engine ~wrap ~replica ~attacker_ident ~n () =
+let minbft_inject ~attack ~engine ~wrap ~replica ~attacker_ident ~f ~n () =
   let ctx = Wrap.raw_ctx wrap in
   let out = R.Minbft.attack_out replica in
   let conflicting () =
@@ -267,9 +267,10 @@ let minbft_inject ~attack ~engine ~wrap ~replica ~attacker_ident ~n () =
     R.Minbft.rewound_prepare ~out ~view:(R.Minbft.view_of replica) ~seq
       ~request:(snd (conflicting ()))
   in
-  (* Seal A, then rewind B onto A's counter.  Refused, B takes the next
-     counter and hides behind a gap; granted, the two receivers hold
-     different proposals under one counter. *)
+  (* Seal A, then rewind B onto A's counter, and send A to replicas 1..f
+     and B to f+1..2f.  Refused, B takes the next counter and hides behind
+     a gap; granted, the two halves hold different proposals under one
+     counter. *)
   let equivocate_now () =
     let req_a, req_b = conflicting () in
     let view = R.Minbft.view_of replica in
@@ -280,8 +281,8 @@ let minbft_inject ~attack ~engine ~wrap ~replica ~attacker_ident ~n () =
       | Some w -> w
       | None -> R.Minbft.adversarial_prepare ~out ~view ~seq ~request:req_b
     in
-    ctx.E.send 1 wire_a;
-    ctx.E.send (n - 1) wire_b
+    for dst = 1 to f do ctx.E.send dst wire_a done;
+    for dst = f + 1 to 2 * f do ctx.E.send dst wire_b done
   in
   match attack with
   | Equivocate -> equivocate_now ()
@@ -619,7 +620,8 @@ let minbft_fixture ~spans ~tracing ~target ~attack ~f ~seed ~corrupt_at =
       {
         byz_pid;
         plan = live_plan;
-        inject = minbft_inject ~attack ~engine ~replica:replicas.(byz_pid) ~n;
+        inject =
+          minbft_inject ~attack ~engine ~replica:replicas.(byz_pid) ~f ~n;
         corrupt_at;
         links = [];
       } )

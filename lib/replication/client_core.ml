@@ -2,7 +2,6 @@ let behavior ~rid_base ~n_replicas ~quorum ~ident ~plan ~wrap ~unwrap :
     'm Thc_sim.Engine.behavior =
   let plan = Array.of_list plan in
   let collector = Command.Collector.create ~quorum in
-  let sent_at : (int, int64) Hashtbl.t = Hashtbl.create 32 in
   {
     init =
       (fun ctx ->
@@ -12,17 +11,14 @@ let behavior ~rid_base ~n_replicas ~quorum ~ident ~plan ~wrap ~unwrap :
         match unwrap m with
         | Some reply ->
           (match Command.Collector.add collector reply with
-          | Some _result ->
-            (match Hashtbl.find_opt sent_at reply.rid with
-            | Some t0 ->
-              if Thc_obsv.Span.enabled ctx.spans then
-                Thc_obsv.Span.mark ctx.spans ~client:ctx.self ~rid:reply.rid
-                  Thc_obsv.Span.Reply_done ~at:(ctx.now ());
-              ctx.output
-                (Thc_sim.Obs.Client_done
-                   { rid = reply.rid; latency_us = Int64.sub (ctx.now ()) t0 })
-            | None -> ())
-          | None -> ())
+          | Some { sent_at = Some t0; _ } ->
+            if Thc_obsv.Span.enabled ctx.spans then
+              Thc_obsv.Span.mark ctx.spans ~client:ctx.self ~rid:reply.rid
+                Thc_obsv.Span.Reply_done ~at:(ctx.now ());
+            ctx.output
+              (Thc_sim.Obs.Client_done
+                 { rid = reply.rid; latency_us = Int64.sub (ctx.now ()) t0 })
+          | Some { sent_at = None; _ } | None -> ())
         | None -> ());
     on_timer =
       (fun ctx tag ->
@@ -30,7 +26,7 @@ let behavior ~rid_base ~n_replicas ~quorum ~ident ~plan ~wrap ~unwrap :
           let _, op = plan.(tag) in
           let rid = rid_base + tag in
           let sr = Command.make ~ident ~rid op in
-          Hashtbl.replace sent_at rid (ctx.now ());
+          Command.Collector.sent collector ~rid ~at:(ctx.now ());
           if Thc_obsv.Span.enabled ctx.spans then
             Thc_obsv.Span.mark ctx.spans ~client:ctx.self ~rid
               Thc_obsv.Span.Submit ~at:(ctx.now ());

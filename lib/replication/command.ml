@@ -48,11 +48,25 @@ module Collector = struct
   type t = {
     quorum : int;
     votes : (int, (int * string) list) Hashtbl.t;  (* rid -> (replica, result) *)
+    send_times : (int, int64) Hashtbl.t;
     done_ : (int, unit) Hashtbl.t;
   }
 
-  let create ~quorum = { quorum; votes = Hashtbl.create 32; done_ = Hashtbl.create 32 }
+  type completion = { result : string; sent_at : int64 option }
 
+  let create ~quorum =
+    {
+      quorum;
+      votes = Hashtbl.create 32;
+      send_times = Hashtbl.create 32;
+      done_ = Hashtbl.create 32;
+    }
+
+  let sent t ~rid ~at =
+    if not (Hashtbl.mem t.done_ rid) then Hashtbl.replace t.send_times rid at
+
+  (* A completed request keeps only its [done_] mark: that alone answers
+     every later reply, so its votes and send time go. *)
   let add t (r : reply) =
     if Hashtbl.mem t.done_ r.rid then None
     else begin
@@ -60,17 +74,24 @@ module Collector = struct
       if List.mem_assoc r.replica votes then None
       else begin
         let votes = (r.replica, r.result) :: votes in
-        Hashtbl.replace t.votes r.rid votes;
         let matching result =
           List.length (List.filter (fun (_, res) -> String.equal res result) votes)
         in
         if matching r.result >= t.quorum then begin
+          let sent_at = Hashtbl.find_opt t.send_times r.rid in
+          Hashtbl.remove t.votes r.rid;
+          Hashtbl.remove t.send_times r.rid;
           Hashtbl.replace t.done_ r.rid ();
-          Some r.result
+          Some { result = r.result; sent_at }
         end
-        else None
+        else begin
+          Hashtbl.replace t.votes r.rid votes;
+          None
+        end
       end
     end
 
   let completed t ~rid = Hashtbl.mem t.done_ rid
+
+  let outstanding t ~rid = Hashtbl.mem t.send_times rid || Hashtbl.mem t.votes rid
 end

@@ -50,13 +50,28 @@ type reply = { replica : int; rid : int; result : string }
 module Collector : sig
   type t
   (** Client-side reply matching: a request is complete when [quorum]
-      replicas returned the same result for its [rid]. *)
+      replicas returned the same result for its [rid].  Each request's
+      replies and send time are kept until it completes; after that only
+      its completion mark is. *)
 
   val create : quorum:int -> t
 
-  val add : t -> reply -> string option
-  (** [Some result] the first time [rid] reaches a quorum of matching
-      results; [None] otherwise. *)
+  val sent : t -> rid:int -> at:int64 -> unit
+  (** [rid] was sent at [at] (a resend replaces the time).  Ignored once
+      [rid] has completed. *)
+
+  type completion = {
+    result : string;
+    sent_at : int64 option;  (** From {!sent}; [None] if never sent. *)
+  }
+
+  val add : t -> reply -> completion option
+  (** [Some] the first time [rid] reaches a quorum of matching results;
+      [None] otherwise, and for every reply after that. *)
 
   val completed : t -> rid:int -> bool
+
+  val outstanding : t -> rid:int -> bool
+  (** [rid] has a send time or replies held: it was sent or answered and
+      has not completed. *)
 end

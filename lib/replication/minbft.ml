@@ -99,10 +99,8 @@ type t = {
   out : Attested_link.Out.t;
   inbox : Attested_link.In.t;
   core : msg C.t;
-  proposals : (int, Command.batch * int64) Hashtbl.t;
-      (* seq -> accepted proposal and its batch digest *)
   votes : (int * int * int64, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* (view, seq, batch digest) -> voters *)
+      (* (view, seq, batch digest) -> voters, until the slot commits *)
   commit_sent : (int * int, unit) Hashtbl.t;  (* (view, seq) voted already *)
   committed : (int, Command.batch * int64) Hashtbl.t;
       (* seq -> committed batch and its digest *)
@@ -170,7 +168,6 @@ let create_replica ~config ~keyring ~world ~trinket ~self =
         ~request_timeout:config.request_timeout
         ~check_interval:config.check_interval ~batch_size:config.batch_size
         ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
-    proposals = Hashtbl.create 64;
     votes = Hashtbl.create 64;
     commit_sent = Hashtbl.create 64;
     committed = Hashtbl.create 64;
@@ -308,7 +305,6 @@ let truncate_log t =
     if bound > t.truncated_upto then begin
       for seq = t.truncated_upto + 1 to bound do
         Hashtbl.remove t.committed seq;
-        Hashtbl.remove t.proposals seq;
         Hashtbl.remove t.expected seq
       done;
       Hashtbl.filter_map_inplace
@@ -410,18 +406,20 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
     maybe_checkpoint t ctx;
     try_execute t ctx
 
+(* A committed slot's votes change nothing, so its set goes as it
+   commits and later votes are not kept. *)
 let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
     ~(batch : Command.batch) ~digest ~voter =
-  let tbl = C.table t.votes (view, seq, digest) 8 in
-  Hashtbl.replace tbl voter ();
-  if
-    Hashtbl.length tbl >= t.config.f + 1
-    && not (Hashtbl.mem t.committed seq)
-  then begin
-    Hashtbl.replace t.committed seq (batch, digest);
-    t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed);
-    C.output_committed ctx ~view ~seq batch;
-    try_execute t ctx
+  if not (Hashtbl.mem t.committed seq) then begin
+    let tbl = C.table t.votes (view, seq, digest) 8 in
+    Hashtbl.replace tbl voter ();
+    if Hashtbl.length tbl >= t.config.f + 1 then begin
+      Hashtbl.remove t.votes (view, seq, digest);
+      Hashtbl.replace t.committed seq (batch, digest);
+      t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed);
+      C.output_committed ctx ~view ~seq batch;
+      try_execute t ctx
+    end
   end
 
 (* --- state transfer ---------------------------------------------------- *)
@@ -571,7 +569,6 @@ let handle_snapshot t (ctx : msg Thc_sim.Engine.ctx) ~src (s : snapshot) =
    stale state transfer detectable).  Service state comes back only via a
    verified Snapshot. *)
 let restart t (ctx : msg Thc_sim.Engine.ctx) =
-  Hashtbl.reset t.proposals;
   Hashtbl.reset t.votes;
   Hashtbl.reset t.commit_sent;
   Hashtbl.reset t.committed;
@@ -617,7 +614,6 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch
     && Command.batch_valid t.keyring batch
   then begin
     if proposal_acceptable t ~seq ~digest then begin
-      Hashtbl.replace t.proposals seq (batch, digest);
       C.mark_proposed t.core seq batch;
       record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner;
       if t.self <> owner && not (Hashtbl.mem t.commit_sent (view, seq)) then begin

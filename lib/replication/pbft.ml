@@ -81,9 +81,9 @@ type t = {
          leader's signature *)
   prepare_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
   commit_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
-  prepare_sent : (int * int, unit) Hashtbl.t;
-  commit_sent : (int * int, unit) Hashtbl.t;
-  mutable prepared : (int * int, cert) Hashtbl.t;
+      (* Vote sets until their slot prepares (commits): the certificate
+         then holds the signatures, and later votes are ignored. *)
+  prepared : (int * int, cert) Hashtbl.t;
   committed : (int, Command.batch) Hashtbl.t;
   commit_certs : (int, final_cert) Hashtbl.t;
   vc_store : (int, (int, wire) Hashtbl.t) Hashtbl.t;  (* new_view -> signer -> VC *)
@@ -110,8 +110,6 @@ let create_replica ~config ~keyring ~ident ~self =
     preprepares = Hashtbl.create 64;
     prepare_votes = Hashtbl.create 64;
     commit_votes = Hashtbl.create 64;
-    prepare_sent = Hashtbl.create 64;
-    commit_sent = Hashtbl.create 64;
     prepared = Hashtbl.create 64;
     committed = Hashtbl.create 64;
     commit_certs = Hashtbl.create 64;
@@ -139,12 +137,10 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
 
 let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
-  | Some (batch, d, _) when Int64.equal d digest ->
+  | Some (batch, d, _)
+    when Int64.equal d digest && not (Hashtbl.mem t.committed seq) ->
     let votes = C.table t.commit_votes (view, seq, digest) 8 in
-    if
-      Hashtbl.length votes >= (2 * t.config.f) + 1
-      && not (Hashtbl.mem t.committed seq)
-    then begin
+    if Hashtbl.length votes >= (2 * t.config.f) + 1 then begin
       Hashtbl.replace t.committed seq batch;
       Hashtbl.replace t.commit_certs seq
         {
@@ -153,6 +149,7 @@ let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
           fbatch = batch;
           commits = Hashtbl.fold (fun _ s acc -> s :: acc) votes [];
         };
+      Hashtbl.remove t.commit_votes (view, seq, digest);
       C.output_committed ctx ~view ~seq batch;
       try_execute t ctx
     end
@@ -160,22 +157,18 @@ let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
 
 let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   match Hashtbl.find_opt t.preprepares (view, seq) with
-  | Some (batch, d, preprepare_sig) when Int64.equal d digest ->
+  | Some (batch, d, preprepare_sig)
+    when Int64.equal d digest && not (Hashtbl.mem t.prepared (view, seq)) ->
     let votes = C.table t.prepare_votes (view, seq, digest) 8 in
-    if
-      Hashtbl.length votes >= 2 * t.config.f
-      && not (Hashtbl.mem t.prepared (view, seq))
-    then begin
+    if Hashtbl.length votes >= 2 * t.config.f then begin
       let prepares = Hashtbl.fold (fun _ s acc -> s :: acc) votes [] in
+      Hashtbl.remove t.prepare_votes (view, seq, digest);
       Hashtbl.replace t.prepared (view, seq)
         { cview = view; cseq = seq; cbatch = batch; preprepare_sig; prepares };
-      if not (Hashtbl.mem t.commit_sent (view, seq)) then begin
-        Hashtbl.replace t.commit_sent (view, seq) ();
-        if Thc_obsv.Span.enabled ctx.spans then
-          Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
-            Thc_obsv.Span.Commit_send ~at:(ctx.now ());
-        send_signed t ctx (Commit { view; seq; digest })
-      end
+      if Thc_obsv.Span.enabled ctx.spans then
+        Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
+          Thc_obsv.Span.Commit_send ~at:(ctx.now ());
+      send_signed t ctx (Commit { view; seq; digest })
     end
   | Some _ | None -> ()
 
@@ -365,19 +358,17 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         if proposal_acceptable t ~seq ~digest then begin
           Hashtbl.replace t.preprepares (view, seq) (batch, digest, w.signature);
           C.mark_proposed t.core seq batch;
-          if
-            t.self <> C.leader_of t.core view
-            && not (Hashtbl.mem t.prepare_sent (view, seq))
-          then begin
-            Hashtbl.replace t.prepare_sent (view, seq) ();
-            send_signed t ctx (Prepare { view; seq; digest })
-          end;
+          if t.self <> C.leader_of t.core view then
+            send_signed t ctx (Prepare { view; seq; digest });
           try_prepare t ctx ~view ~seq ~digest;
           try_commit t ctx ~view ~seq ~digest
         end
       end
     | Prepare { view; seq; digest } ->
-      if signer <> C.leader_of t.core view then begin
+      if
+        signer <> C.leader_of t.core view
+        && not (Hashtbl.mem t.prepared (view, seq))
+      then begin
         let votes = C.table t.prepare_votes (view, seq, digest) 8 in
         if not (Hashtbl.mem votes signer) then begin
           (* Keep the signature itself: it becomes certificate material. *)
@@ -386,10 +377,12 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         end
       end
     | Commit { view; seq; digest } ->
-      let votes = C.table t.commit_votes (view, seq, digest) 8 in
-      if not (Hashtbl.mem votes signer) then begin
-        Hashtbl.replace votes signer w.signature;
-        try_commit t ctx ~view ~seq ~digest
+      if not (Hashtbl.mem t.committed seq) then begin
+        let votes = C.table t.commit_votes (view, seq, digest) 8 in
+        if not (Hashtbl.mem votes signer) then begin
+          Hashtbl.replace votes signer w.signature;
+          try_commit t ctx ~view ~seq ~digest
+        end
       end
     | View_change { new_view; _ } ->
       if new_view > t.core.view && vc_valid t ~new_view w then begin

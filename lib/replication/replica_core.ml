@@ -120,6 +120,7 @@ let execute_one c (ctx : _ Thc_sim.Engine.ctx) (sr : Command.signed_request) =
       r
   in
   Hashtbl.remove c.pending key;
+  Hashtbl.remove c.proposed_keys key;
   c.exec_count <- c.exec_count + 1;
   if Thc_obsv.Span.enabled ctx.spans then
     Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid

@@ -40,7 +40,9 @@ type 'm t = {
   mutable batch_armed : bool;  (** A batch timer is outstanding. *)
   pending : (int * int, Command.signed_request * int64) Hashtbl.t;
       (** Request key -> (request, arrival time or last clock restart). *)
-  proposed_keys : (int * int, int) Hashtbl.t;  (** Request key -> seq. *)
+  proposed_keys : (int * int, int) Hashtbl.t;
+      (** Request key -> seq, until the request executes: from then on
+          [executed] answers every question this table would. *)
   executed : (int * int, string) Hashtbl.t;  (** Request key -> result. *)
   mutable max_vc_sent : int;  (** Highest view this replica asked for. *)
   mutable last_vc_at : int64;  (** When it last escalated. *)
@@ -83,7 +85,8 @@ val execute_slot : 'm t -> 'm Thc_sim.Engine.ctx -> Command.batch -> unit
 (** Execute slot [exec_upto + 1]: apply every request of the batch in
     order, emit [Obs.Executed] with the dense [exec_count] index, and reply
     to its client.  A request executed before is answered from [executed],
-    not applied again. *)
+    not applied again.  Each request leaves [pending] and
+    [proposed_keys]. *)
 
 val intake : 'm t -> 'm Thc_sim.Engine.ctx -> Command.signed_request -> bool
 (** A client request arrives.  An invalid one is dropped; an executed one

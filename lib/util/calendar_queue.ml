@@ -30,7 +30,9 @@
      tie counter is a total insertion order at equal times. *)
 
 (* Live entries sit in slots [bhd, blen), ascending (time, tie); an
-   empty bucket has bhd = blen = 0. *)
+   empty bucket has bhd = blen = 0.  Every bucket starts as the queue's
+   one [vacant] record, which stays empty, and gets its own record on
+   its first push, so a queue pays only for the buckets it uses. *)
 type 'v bucket = {
   mutable bt : int array;  (* times *)
   mutable bs : int array;  (* ties *)
@@ -43,6 +45,7 @@ type 'v t = {
   null : 'v;  (* sentinel written into vacated value slots *)
   nbuckets : int;
   width : int;
+  vacant : 'v bucket;  (* shared by the buckets never pushed to *)
   buckets : 'v bucket array;
   mutable year_start : int;  (* inclusive, a multiple of width *)
   mutable ys_slice : int;  (* year_start / width, cached for push *)
@@ -61,13 +64,13 @@ type 'v t = {
 let create ?(nbuckets = 256) ?(width = 32) ~null () =
   if nbuckets < 1 then invalid_arg "Calendar_queue.create: nbuckets < 1";
   if width < 1 then invalid_arg "Calendar_queue.create: width < 1";
+  let vacant = { bt = [||]; bs = [||]; bv = [||]; bhd = 0; blen = 0 } in
   {
     null;
     nbuckets;
     width;
-    buckets =
-      Array.init nbuckets (fun _ ->
-          { bt = [||]; bs = [||]; bv = [||]; bhd = 0; blen = 0 });
+    vacant;
+    buckets = Array.make nbuckets vacant;
     year_start = 0;
     ys_slice = 0;
     year_end = nbuckets * width;
@@ -135,6 +138,12 @@ let bucket_push t b time tie v =
   b.bs.(!i) <- tie;
   b.bv.(!i) <- v;
   b.blen <- b.blen + 1
+
+(* Bucket [idx] to push into: its own record, made on first use. *)
+let own_bucket t idx =
+  if t.buckets.(idx) == t.vacant then
+    t.buckets.(idx) <- { bt = [||]; bs = [||]; bv = [||]; bhd = 0; blen = 0 };
+  t.buckets.(idx)
 
 (* Drop the head entry, resetting a drained bucket to slot 0. *)
 let bucket_drop_head t b =
@@ -217,7 +226,7 @@ let push t ~time ~tie v =
        bucket, whose sorted insert puts it before every later entry. *)
     let rel = (time / t.width) - t.ys_slice in
     let idx = if rel <= t.cursor then t.cursor else rel in
-    bucket_push t t.buckets.(idx) time tie v;
+    bucket_push t (own_bucket t idx) time tie v;
     t.bucketed <- t.bucketed + 1
   end
 
@@ -259,7 +268,7 @@ let re_anchor t =
     if is_cancelled t tie then Hashtbl.remove t.cancelled tie
     else begin
       let rel = (time / t.width) - t.ys_slice in
-      bucket_push t t.buckets.(rel) time tie v;
+      bucket_push t (own_bucket t rel) time tie v;
       t.bucketed <- t.bucketed + 1
     end
   done

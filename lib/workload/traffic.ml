@@ -5,7 +5,6 @@ let closed_loop ~rid_base ~n_replicas ~quorum ~ident ~window ~think_us ~ops
   if window <= 0 then invalid_arg "Traffic.closed_loop: window must be positive";
   let ops = Array.of_list ops in
   let collector = Command.Collector.create ~quorum in
-  let sent_at : (int, int64) Hashtbl.t = Hashtbl.create 64 in
   let next = ref 0 in
   let send_next (ctx : 'm Thc_sim.Engine.ctx) =
     if !next < Array.length ops then begin
@@ -13,7 +12,7 @@ let closed_loop ~rid_base ~n_replicas ~quorum ~ident ~window ~think_us ~ops
       incr next;
       let rid = rid_base + i in
       let sr = Command.make ~ident ~rid ops.(i) in
-      Hashtbl.replace sent_at rid (ctx.now ());
+      Command.Collector.sent collector ~rid ~at:(ctx.now ());
       if Thc_obsv.Span.enabled ctx.spans then
         Thc_obsv.Span.mark ctx.spans ~client:ctx.self ~rid Thc_obsv.Span.Submit
           ~at:(ctx.now ());
@@ -37,8 +36,8 @@ let closed_loop ~rid_base ~n_replicas ~quorum ~ident ~window ~think_us ~ops
         | Some (reply : Command.reply) ->
           (match Command.Collector.add collector reply with
           | None -> ()
-          | Some _result ->
-            (match Hashtbl.find_opt sent_at reply.rid with
+          | Some { sent_at; _ } ->
+            (match sent_at with
             | Some t0 ->
               if Thc_obsv.Span.enabled ctx.spans then
                 Thc_obsv.Span.mark ctx.spans ~client:ctx.self ~rid:reply.rid

@@ -69,6 +69,27 @@ let test_attack_forks_unattested () =
     r.A.trusted_ops;
   Alcotest.(check bool) "prediction holds" true (A.holds r)
 
+(* The equivocating leader sends A to replicas 1..f and B to f+1..2f, so
+   each half completes an f+1 quorum with the leader's own vote at every f;
+   one receiver per side would fork only at f = 1.  On the attested world
+   both attacks that equivocate still bounce. *)
+let test_equivocation_at_larger_f () =
+  List.iter
+    (fun f ->
+      let r = A.run ~f ~target:A.Unattested ~attack:A.Equivocate () in
+      Alcotest.(check bool)
+        (Printf.sprintf "unattested forks at f = %d" f)
+        true
+        (r.A.safety_violations > 0 && A.holds r);
+      List.iter
+        (fun attack ->
+          Alcotest.(check bool)
+            (Printf.sprintf "minbft %s holds at f = %d" (A.name attack) f)
+            true
+            (A.holds (A.run ~f ~target:A.Minbft ~attack ())))
+        [ A.Equivocate; A.Silent_then_lie ])
+    [ 2; 3 ]
+
 let test_run_deterministic () =
   let run () = A.run ~seed:7L ~target:A.Minbft ~attack:A.Replay_stale () in
   Alcotest.(check bool) "identical results" true (run () = run ())
@@ -582,6 +603,8 @@ let () =
             test_attack_bounces_off_minbft;
           Alcotest.test_case "forks unattested" `Quick
             test_attack_forks_unattested;
+          Alcotest.test_case "equivocation splits at f = 2 and 3" `Quick
+            test_equivocation_at_larger_f;
           Alcotest.test_case "bounces off ubft" `Quick
             test_register_attacks_bounce_off_ubft;
           Alcotest.test_case "deterministic" `Quick test_run_deterministic;

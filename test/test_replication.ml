@@ -285,22 +285,47 @@ let prop_link_accept_matches_reference =
 (* --- client collector -------------------------------------------------------------- *)
 
 let test_collector_quorum () =
-  let c = Thc_replication.Command.Collector.create ~quorum:2 in
-  let reply replica result : Thc_replication.Command.reply =
-    { replica; rid = 0; result }
+  let module Co = Thc_replication.Command.Collector in
+  let c = Co.create ~quorum:2 in
+  let reply ?(rid = 0) replica result : Thc_replication.Command.reply =
+    { replica; rid; result }
   in
-  Alcotest.(check (option string)) "first vote pending" None
-    (Thc_replication.Command.Collector.add c (reply 0 "r"));
+  let add r = Option.map (fun (d : Co.completion) -> d.result) (Co.add c r) in
+  Alcotest.(check (option string)) "first vote pending" None (add (reply 0 "r"));
   Alcotest.(check (option string)) "duplicate replica ignored" None
-    (Thc_replication.Command.Collector.add c (reply 0 "r"));
+    (add (reply 0 "r"));
   Alcotest.(check (option string)) "disagreeing vote pending" None
-    (Thc_replication.Command.Collector.add c (reply 1 "other"));
+    (add (reply 1 "other"));
   Alcotest.(check (option string)) "matching quorum completes" (Some "r")
-    (Thc_replication.Command.Collector.add c (reply 2 "r"));
-  Alcotest.(check bool) "marked complete" true
-    (Thc_replication.Command.Collector.completed c ~rid:0);
-  Alcotest.(check (option string)) "late votes ignored" None
-    (Thc_replication.Command.Collector.add c (reply 3 "r"))
+    (add (reply 2 "r"));
+  Alcotest.(check bool) "marked complete" true (Co.completed c ~rid:0);
+  Alcotest.(check (option string)) "late votes ignored" None (add (reply 3 "r"));
+  Alcotest.(check bool) "completion drops every vote" false
+    (Co.outstanding c ~rid:0);
+  (* Send times ride with the votes and retire with them. *)
+  let completion r =
+    Option.map (fun (d : Co.completion) -> (d.result, d.sent_at)) (Co.add c r)
+  in
+  let done_with = Alcotest.(option (pair string (option int64))) in
+  Co.sent c ~rid:1 ~at:100L;
+  Co.sent c ~rid:1 ~at:150L;
+  Alcotest.(check bool) "sent, outstanding" true (Co.outstanding c ~rid:1);
+  Alcotest.check done_with "one vote pending" None (completion (reply ~rid:1 0 "x"));
+  Alcotest.check done_with "completes with the latest send time"
+    (Some ("x", Some 150L))
+    (completion (reply ~rid:1 1 "x"));
+  Alcotest.(check bool) "send time retired" false (Co.outstanding c ~rid:1);
+  Co.sent c ~rid:1 ~at:200L;
+  Alcotest.(check bool) "no send time kept after completion" false
+    (Co.outstanding c ~rid:1);
+  Alcotest.check done_with "late reply after a resend" None
+    (completion (reply ~rid:1 2 "x"));
+  (* Replies can complete a request this client never sent. *)
+  Alcotest.check done_with "unsent, pending" None (completion (reply ~rid:2 0 "y"));
+  Alcotest.(check bool) "its votes are held" true (Co.outstanding c ~rid:2);
+  Alcotest.check done_with "completes without a send time" (Some ("y", None))
+    (completion (reply ~rid:2 1 "y"));
+  Alcotest.(check bool) "and keeps nothing" false (Co.outstanding c ~rid:2)
 
 let test_command_validation () =
   let keyring = Thc_crypto.Keyring.create (Thc_util.Rng.create 122L) ~n:4 in
@@ -1787,6 +1812,50 @@ let test_core_reset () =
     (Thc_replication.Kv_store.digest (Thc_replication.Kv_store.create ()))
     (Thc_replication.Kv_store.digest c.store)
 
+(* --- retention: decided slots keep no quorum state ---------------------- *)
+
+(* Four clients of 250 requests each, wired as Harness wires a fault-free
+   smr cell at f = 1 and seed 1, run to that cell's horizon.  What the
+   engine still reaches afterwards, per commit, is what a replica and a
+   client keep per decided slot or completed request.  The bounds sit
+   above what a run keeps (340, 501 and 164 words for MinBFT, PBFT and
+   uBFT) and below what it keeps when every vote set, proposal and send
+   time lives to the end (537, 965 and 211). *)
+let retained_words_per_commit protocol =
+  let module C = Thc_replication.Cluster in
+  let ops = 250 and clients = 4 and interval = 5_000L and seed = 1L in
+  let (C.Cluster c) =
+    C.create protocol ~f:1 ~batch:1 ~checkpoint_interval:0 ~clients ~seed
+      ~delay:(Thc_sim.Delay.Uniform (50L, 500L))
+      ~tracing:Thc_sim.Engine.Outputs_only
+  in
+  for k = 0 to clients - 1 do
+    let pid = c.replicas + k in
+    let plan =
+      List.mapi
+        (fun i op -> (Int64.mul (Int64.of_int (i + 1)) interval, op))
+        (H.default_workload ~ops ~seed:(Int64.add seed (Int64.of_int (7919 * k))))
+    in
+    Thc_sim.Engine.set_behavior c.engine pid
+      (c.client ~rid_base:(k * ops)
+         ~ident:(Thc_crypto.Keyring.secret c.keyring ~pid)
+         ~plan)
+  done;
+  let until = Int64.add (Int64.mul (Int64.of_int (ops + 2)) interval) 2_000_000L in
+  let trace = Thc_sim.Engine.run ~until c.engine in
+  let commits = Thc_replication.Smr_spec.commits trace ~replicas:c.replicas in
+  (commits, Obj.reachable_words (Obj.repr c.engine) / max 1 commits)
+
+let test_retained_words () =
+  List.iter
+    (fun (protocol, bound) ->
+      let name = Thc_replication.Protocol.to_string protocol in
+      let commits, words = retained_words_per_commit protocol in
+      Alcotest.(check int) (name ^ " commits") 1_000 commits;
+      if words > bound then
+        Alcotest.failf "%s keeps %d words per commit, above %d" name words bound)
+    [ (H.Minbft, 400); (H.Pbft, 600); (H.Ubft, 190) ]
+
 (* --- byte pins for the three protocols ------------------------------------ *)
 
 (* The golden traces and the checkpoint MD5 pins cover MinBFT's fault-free
@@ -2072,6 +2141,11 @@ let () =
             test_core_check_timer;
           Alcotest.test_case "requeue pending" `Quick test_core_requeue;
           Alcotest.test_case "reset keeps view and clock" `Quick test_core_reset;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "decided slots keep no quorum state" `Quick
+            test_retained_words;
         ] );
       ( "byte-pins",
         [
