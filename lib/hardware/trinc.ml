@@ -6,7 +6,7 @@ type attestation = {
   tag : int64;
 }
 
-module Tags = Hashtbl.Make (Int64)
+module Tags = Thc_util.Keyed.Tag
 
 (* [verified] remembers, by tag, every attestation this world's trinkets
    produced or [check] accepted.  It holds host work only: an entry's tag

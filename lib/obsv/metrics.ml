@@ -130,8 +130,6 @@ let set_gauge g v =
   g.last <- v;
   if v > g.hwm then g.hwm <- v
 
-let gauge_value g = g.last
-
 let gauge_hwm g = g.hwm
 
 let histogram ?buckets t name =

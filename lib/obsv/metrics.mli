@@ -62,7 +62,6 @@ val gauge : t -> string -> gauge
 (** Gauges remember both the last set value and the high-water mark. *)
 
 val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
 val gauge_hwm : gauge -> int
 
 val histogram : ?buckets:int64 array -> t -> string -> Histogram.t

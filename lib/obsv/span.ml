@@ -75,7 +75,7 @@ type span = {
 
 type t = {
   enabled : bool;
-  spans : (int, span) Hashtbl.t;
+  spans : span Thc_util.Keyed.Int.t;  (* by rid *)
   mutable cur_phase : int;  (* phase index; -1 = outside any phase *)
   mutable cur_rids : int list;  (* rids the current phase is serving *)
   phase_label_ops : Label_counts.t array;  (* per phase index *)
@@ -84,7 +84,7 @@ type t = {
 let create () =
   {
     enabled = true;
-    spans = Hashtbl.create 256;
+    spans = Thc_util.Keyed.Int.create 256;
     cur_phase = -1;
     cur_rids = [];
     phase_label_ops = Array.init phase_count (fun _ -> Label_counts.create ());
@@ -93,7 +93,7 @@ let create () =
 let nop =
   {
     enabled = false;
-    spans = Hashtbl.create 1;
+    spans = Thc_util.Keyed.Int.create 1;
     cur_phase = -1;
     cur_rids = [];
     phase_label_ops = [||];
@@ -102,7 +102,7 @@ let nop =
 let enabled t = t.enabled
 
 let span_of t rid =
-  match Hashtbl.find_opt t.spans rid with
+  match Thc_util.Keyed.Int.find_opt t.spans rid with
   | Some s -> s
   | None ->
     let s =
@@ -114,7 +114,7 @@ let span_of t rid =
         s_ops = Array.make phase_count 0;
       }
     in
-    Hashtbl.add t.spans rid s;
+    Thc_util.Keyed.Int.add t.spans rid s;
     s
 
 let mark t ?client ?seq ~rid kind ~at =
@@ -185,7 +185,7 @@ type view = {
 }
 
 let views t =
-  Hashtbl.fold
+  Thc_util.Keyed.Int.fold
     (fun _ s acc ->
       {
         v_rid = s.s_rid;

@@ -25,8 +25,10 @@ module Out = struct
 end
 
 module In = struct
+  module Counters = Thc_util.Keyed.Int
+
   type stream = {
-    pending : (int, Thc_hardware.Trinc.attestation) Hashtbl.t;
+    pending : Thc_hardware.Trinc.attestation Counters.t;
     mutable released : int;  (* last counter released *)
   }
 
@@ -36,7 +38,7 @@ module In = struct
     {
       world;
       streams =
-        Array.init n (fun _ -> { pending = Hashtbl.create 8; released = 0 });
+        Array.init n (fun _ -> { pending = Counters.create 8; released = 0 });
     }
 
   let reject t label =
@@ -46,11 +48,11 @@ module In = struct
   (* Release the pending attestations that now follow [s.released] in
      counter order, appending them to [acc] (newest first). *)
   let rec drain s acc =
-    if Hashtbl.length s.pending = 0 then List.rev acc
+    if Counters.length s.pending = 0 then List.rev acc
     else
-      match Hashtbl.find_opt s.pending (s.released + 1) with
+      match Counters.find_opt s.pending (s.released + 1) with
       | Some next ->
-        Hashtbl.remove s.pending next.counter;
+        Counters.remove s.pending next.counter;
         s.released <- next.counter;
         drain s (next :: acc)
       | None -> List.rev acc
@@ -71,11 +73,11 @@ module In = struct
         s.released <- a.counter;
         drain s [ a ]
       end
-      else if a.counter <= s.released || Hashtbl.mem s.pending a.counter then
+      else if a.counter <= s.released || Counters.mem s.pending a.counter then
         reject t "link.reject_replay"
       else begin
         (* Past a gap: hold it until the gap fills. *)
-        Hashtbl.replace s.pending a.counter a;
+        Counters.replace s.pending a.counter a;
         []
       end
     end

@@ -45,11 +45,13 @@ let pp_batch ppf (b : batch) =
 type reply = { replica : int; rid : int; result : string }
 
 module Collector = struct
+  module Rids = Thc_util.Keyed.Int
+
   type t = {
     quorum : int;
-    votes : (int, (int * string) list) Hashtbl.t;  (* rid -> (replica, result) *)
-    send_times : (int, int64) Hashtbl.t;
-    done_ : (int, unit) Hashtbl.t;
+    votes : (int * string) list Rids.t;  (* rid -> (replica, result) *)
+    send_times : int64 Rids.t;
+    done_ : unit Rids.t;
   }
 
   type completion = { result : string; sent_at : int64 option }
@@ -57,41 +59,45 @@ module Collector = struct
   let create ~quorum =
     {
       quorum;
-      votes = Hashtbl.create 32;
-      send_times = Hashtbl.create 32;
-      done_ = Hashtbl.create 32;
+      votes = Rids.create 32;
+      send_times = Rids.create 32;
+      done_ = Rids.create 32;
     }
 
   let sent t ~rid ~at =
-    if not (Hashtbl.mem t.done_ rid) then Hashtbl.replace t.send_times rid at
+    if not (Rids.mem t.done_ rid) then Rids.replace t.send_times rid at
+
+  let rec voted replica = function
+    | [] -> false
+    | (r, _) :: rest -> r = replica || voted replica rest
 
   (* A completed request keeps only its [done_] mark: that alone answers
      every later reply, so its votes and send time go. *)
   let add t (r : reply) =
-    if Hashtbl.mem t.done_ r.rid then None
+    if Rids.mem t.done_ r.rid then None
     else begin
-      let votes = Option.value ~default:[] (Hashtbl.find_opt t.votes r.rid) in
-      if List.mem_assoc r.replica votes then None
+      let votes = Option.value ~default:[] (Rids.find_opt t.votes r.rid) in
+      if voted r.replica votes then None
       else begin
         let votes = (r.replica, r.result) :: votes in
         let matching result =
           List.length (List.filter (fun (_, res) -> String.equal res result) votes)
         in
         if matching r.result >= t.quorum then begin
-          let sent_at = Hashtbl.find_opt t.send_times r.rid in
-          Hashtbl.remove t.votes r.rid;
-          Hashtbl.remove t.send_times r.rid;
-          Hashtbl.replace t.done_ r.rid ();
+          let sent_at = Rids.find_opt t.send_times r.rid in
+          Rids.remove t.votes r.rid;
+          Rids.remove t.send_times r.rid;
+          Rids.replace t.done_ r.rid ();
           Some { result = r.result; sent_at }
         end
         else begin
-          Hashtbl.replace t.votes r.rid votes;
+          Rids.replace t.votes r.rid votes;
           None
         end
       end
     end
 
-  let completed t ~rid = Hashtbl.mem t.done_ rid
+  let completed t ~rid = Rids.mem t.done_ rid
 
-  let outstanding t ~rid = Hashtbl.mem t.send_times rid || Hashtbl.mem t.votes rid
+  let outstanding t ~rid = Rids.mem t.send_times rid || Rids.mem t.votes rid
 end

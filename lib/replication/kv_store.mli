@@ -45,5 +45,4 @@ val encode_op : op -> string
 val decode_op : string -> op
 val encode_result : result -> string
 val decode_result : string -> result
-val pp_op : Format.formatter -> op -> unit
 val pp_result : Format.formatter -> result -> unit

@@ -64,6 +64,7 @@ let pp_msg ppf = function
   | Snapshot s -> Format.fprintf ppf "snapshot(s%d,x%d)" s.s_upto s.s_exec_count
 
 module C = Replica_core
+module K = Thc_util.Keyed
 
 let restart_timer_tag = 1_000_002
 
@@ -99,10 +100,10 @@ type t = {
   out : Attested_link.Out.t;
   inbox : Attested_link.In.t;
   core : msg C.t;
-  votes : (int * int * int64, (int, unit) Hashtbl.t) Hashtbl.t;
+  votes : unit K.Int.t K.Triple.t;
       (* (view, seq, batch digest) -> voters, until the slot commits *)
-  commit_sent : (int * int, unit) Hashtbl.t;  (* (view, seq) voted already *)
-  committed : (int, Command.batch * int64) Hashtbl.t;
+  commit_sent : unit K.Pair.t;  (* (view, seq) voted already *)
+  committed : (Command.batch * int64) K.Int.t;
       (* seq -> committed batch and its digest *)
   rvc_votes : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* new_view -> supporters *)
   vc_evidence : (int, (int, Thc_hardware.Trinc.attestation) Hashtbl.t) Hashtbl.t;
@@ -168,9 +169,9 @@ let create_replica ~config ~keyring ~world ~trinket ~self =
         ~request_timeout:config.request_timeout
         ~check_interval:config.check_interval ~batch_size:config.batch_size
         ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
-    votes = Hashtbl.create 64;
-    commit_sent = Hashtbl.create 64;
-    committed = Hashtbl.create 64;
+    votes = K.Triple.create 64;
+    commit_sent = K.Pair.create 64;
+    committed = K.Int.create 64;
     rvc_votes = Hashtbl.create 8;
     vc_evidence = Hashtbl.create 8;
     recovered_bound = 0;
@@ -304,13 +305,13 @@ let truncate_log t =
     let bound = min c.c_upto t.core.exec_upto in
     if bound > t.truncated_upto then begin
       for seq = t.truncated_upto + 1 to bound do
-        Hashtbl.remove t.committed seq;
+        K.Int.remove t.committed seq;
         Hashtbl.remove t.expected seq
       done;
-      Hashtbl.filter_map_inplace
+      K.Triple.filter_map_inplace
         (fun (_, seq, _) tbl -> if seq <= bound then None else Some tbl)
         t.votes;
-      Hashtbl.filter_map_inplace
+      K.Pair.filter_map_inplace
         (fun (_, seq) () -> if seq <= bound then None else Some ())
         t.commit_sent;
       (* Certificate votes and our retained snapshots below the stable
@@ -366,7 +367,7 @@ let note_ckpt_vote t (ctx : msg Thc_sim.Engine.ctx)
       if
         (not t.awaiting_fetch)
         && upto - t.core.exec_upto >= 2 * t.config.checkpoint_interval
-        && not (Hashtbl.mem t.committed (t.core.exec_upto + 1))
+        && not (K.Int.mem t.committed (t.core.exec_upto + 1))
       then begin
         t.awaiting_fetch <- true;
         ctx.others (Fetch { have = stable_upto t });
@@ -399,24 +400,33 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
      Commits still accumulate — installation drains them. *)
   if t.awaiting_fetch then ()
   else
-  match Hashtbl.find_opt t.committed (t.core.exec_upto + 1) with
+  match K.Int.find_opt t.committed (t.core.exec_upto + 1) with
   | None -> ()
   | Some (batch, _) ->
     C.execute_slot t.core ctx batch;
     maybe_checkpoint t ctx;
     try_execute t ctx
 
+let voters t key =
+  match K.Triple.find_opt t.votes key with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = K.Int.create 8 in
+    K.Triple.add t.votes key tbl;
+    tbl
+
 (* A committed slot's votes change nothing, so its set goes as it
    commits and later votes are not kept. *)
 let record_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq
     ~(batch : Command.batch) ~digest ~voter =
-  if not (Hashtbl.mem t.committed seq) then begin
-    let tbl = C.table t.votes (view, seq, digest) 8 in
-    Hashtbl.replace tbl voter ();
-    if Hashtbl.length tbl >= t.config.f + 1 then begin
-      Hashtbl.remove t.votes (view, seq, digest);
-      Hashtbl.replace t.committed seq (batch, digest);
-      t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed);
+  if not (K.Int.mem t.committed seq) then begin
+    let key = (view, seq, digest) in
+    let tbl = voters t key in
+    K.Int.replace tbl voter ();
+    if K.Int.length tbl >= t.config.f + 1 then begin
+      K.Triple.remove t.votes key;
+      K.Int.replace t.committed seq (batch, digest);
+      t.log_hwm <- max t.log_hwm (K.Int.length t.committed);
       C.output_committed ctx ~view ~seq batch;
       try_execute t ctx
     end
@@ -431,7 +441,7 @@ let handle_fetch t (ctx : msg Thc_sim.Engine.ctx) ~src ~have =
     match t.stable with
     | Some ({ c_state = Some state; _ } as c) when c.c_upto >= have ->
       let suffix =
-        Hashtbl.fold
+        K.Int.fold
           (fun seq (batch, _) acc ->
             if seq > c.c_upto then (seq, batch) :: acc else acc)
           t.committed []
@@ -488,7 +498,7 @@ let note_suffix_votes t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
       if
         seq > s.s_upto
         && seq > t.truncated_upto
-        && (not (Hashtbl.mem t.committed seq))
+        && (not (K.Int.mem t.committed seq))
         && Command.batch_valid t.keyring batch
       then begin
         let digest = Command.batch_digest batch in
@@ -511,10 +521,10 @@ let note_suffix_votes t (ctx : msg Thc_sim.Engine.ctx) ~donor (s : snapshot) =
         Hashtbl.replace tbl donor ();
         if
           Hashtbl.length tbl >= t.config.f + 1
-          && not (Hashtbl.mem t.committed seq)
+          && not (K.Int.mem t.committed seq)
         then begin
-          Hashtbl.replace t.committed seq (batch, digest);
-          t.log_hwm <- max t.log_hwm (Hashtbl.length t.committed)
+          K.Int.replace t.committed seq (batch, digest);
+          t.log_hwm <- max t.log_hwm (K.Int.length t.committed)
         end
       end)
     s.s_suffix;
@@ -569,9 +579,9 @@ let handle_snapshot t (ctx : msg Thc_sim.Engine.ctx) ~src (s : snapshot) =
    stale state transfer detectable).  Service state comes back only via a
    verified Snapshot. *)
 let restart t (ctx : msg Thc_sim.Engine.ctx) =
-  Hashtbl.reset t.votes;
-  Hashtbl.reset t.commit_sent;
-  Hashtbl.reset t.committed;
+  K.Triple.reset t.votes;
+  K.Pair.reset t.commit_sent;
+  K.Int.reset t.committed;
   C.reset t.core;
   Hashtbl.reset t.rvc_votes;
   Hashtbl.reset t.vc_evidence;
@@ -596,7 +606,7 @@ let restart t (ctx : msg Thc_sim.Engine.ctx) =
    contradicts what it committed or what the latest view change
    recovered. *)
 let proposal_acceptable t ~seq ~digest =
-  (match Hashtbl.find_opt t.committed seq with
+  (match K.Int.find_opt t.committed seq with
   | Some (_, d) -> d = digest
   | None -> true)
   && (seq > t.recovered_bound
@@ -616,8 +626,8 @@ let handle_prepare t (ctx : msg Thc_sim.Engine.ctx) ~owner ~view ~seq ~batch
     if proposal_acceptable t ~seq ~digest then begin
       C.mark_proposed t.core seq batch;
       record_commit t ctx ~view ~seq ~batch ~digest ~voter:owner;
-      if t.self <> owner && not (Hashtbl.mem t.commit_sent (view, seq)) then begin
-        Hashtbl.replace t.commit_sent (view, seq) ();
+      if t.self <> owner && not (K.Pair.mem t.commit_sent (view, seq)) then begin
+        K.Pair.replace t.commit_sent (view, seq) ();
         if Thc_obsv.Span.enabled ctx.spans then
           Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
             Thc_obsv.Span.Commit_send ~at:(ctx.now ());
@@ -906,7 +916,7 @@ let attestation_of = function
 
 let durability t =
   {
-    Durability.live = Hashtbl.length t.committed;
+    Durability.live = K.Int.length t.committed;
     hwm = t.log_hwm;
     stable_upto = stable_upto t;
     truncations = t.truncations;
@@ -950,7 +960,3 @@ let adversarial_snapshot ~upto ~digest ~exec_count ~cert ~state ~suffix =
       s_state = state;
       s_suffix = suffix;
     }
-
-let snapshot_cert = function
-  | Snapshot s -> Some s.s_cert
-  | Request _ | Sealed _ | Reply _ | Fetch _ -> None

@@ -195,10 +195,6 @@ val adversarial_snapshot :
     suffixes.  The joiner's verification is the only defense, which is the
     point of the forged-checkpoint attack family. *)
 
-val snapshot_cert : msg -> Thc_hardware.Trinc.attestation list option
-(** The certificate inside a [Snapshot] message, if any — lets attack rigs
-    splice genuine certificates into forged payloads. *)
-
 type proto
 (** A sealed protocol payload: the [message] of every attestation a replica
     seals (Prepare, Commit, view-change and checkpoint messages). *)

@@ -68,6 +68,7 @@ let pp_msg ppf = function
   | Reply r -> Format.fprintf ppf "reply(p%d,#%d)" r.replica r.rid
 
 module C = Replica_core
+module K = Thc_util.Keyed
 
 type t = {
   config : config;
@@ -75,17 +76,19 @@ type t = {
   ident : Thc_crypto.Keyring.secret;
   self : int;
   core : msg C.t;
-  preprepares :
-    (int * int, Command.batch * int64 * Thc_crypto.Signature.t) Hashtbl.t;
+  preprepares : (Command.batch * int64 * Thc_crypto.Signature.t) K.Pair.t;
       (* (view, seq) -> first pre-prepare, its batch digest and the
          leader's signature *)
-  prepare_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
-  commit_votes : (int * int * int64, (int, Thc_crypto.Signature.t) Hashtbl.t) Hashtbl.t;
+  prepare_votes : Thc_crypto.Signature.t K.Hash_order.Int.t K.Triple.t;
+  commit_votes : Thc_crypto.Signature.t K.Hash_order.Int.t K.Triple.t;
       (* Vote sets until their slot prepares (commits): the certificate
-         then holds the signatures, and later votes are ignored. *)
-  prepared : (int * int, cert) Hashtbl.t;
-  committed : (int, Command.batch) Hashtbl.t;
-  commit_certs : (int, final_cert) Hashtbl.t;
+         then holds the signatures, in the set's hash order, and later
+         votes are ignored. *)
+  prepared : cert K.Hash_order.Pair.t;
+  committed : Command.batch K.Int.t;
+  commit_certs : final_cert K.Hash_order.Int.t;
+      (* [send_view_change] folds [prepared] and [commit_certs] into its
+         certificates in hash order. *)
   vc_store : (int, (int, wire) Hashtbl.t) Hashtbl.t;  (* new_view -> signer -> VC *)
   mutable recovered_bound : int;
   expected : (int, int64) Hashtbl.t;
@@ -107,12 +110,12 @@ let create_replica ~config ~keyring ~ident ~self =
         ~request_timeout:config.request_timeout
         ~check_interval:config.check_interval ~batch_size:config.batch_size
         ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
-    preprepares = Hashtbl.create 64;
-    prepare_votes = Hashtbl.create 64;
-    commit_votes = Hashtbl.create 64;
-    prepared = Hashtbl.create 64;
-    committed = Hashtbl.create 64;
-    commit_certs = Hashtbl.create 64;
+    preprepares = K.Pair.create 64;
+    prepare_votes = K.Triple.create 64;
+    commit_votes = K.Triple.create 64;
+    prepared = K.Hash_order.Pair.create 64;
+    committed = K.Int.create 64;
+    commit_certs = K.Hash_order.Int.create 64;
     vc_store = Hashtbl.create 8;
     recovered_bound = 0;
     expected = Hashtbl.create 16;
@@ -129,41 +132,54 @@ let send_signed t (ctx : msg Thc_sim.Engine.ctx) p =
   ctx.broadcast (Signed (Thc_crypto.Signature.seal t.ident p))
 
 let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
-  match Hashtbl.find_opt t.committed (t.core.exec_upto + 1) with
+  match K.Int.find_opt t.committed (t.core.exec_upto + 1) with
   | None -> ()
   | Some batch ->
     C.execute_slot t.core ctx batch;
     try_execute t ctx
 
+let vote_set tbl key =
+  match K.Triple.find_opt tbl key with
+  | Some votes -> votes
+  | None ->
+    let votes = K.Hash_order.Int.create 8 in
+    K.Triple.add tbl key votes;
+    votes
+
+let signatures votes = K.Hash_order.Int.fold (fun _ s acc -> s :: acc) votes []
+
 let try_commit t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
-  match Hashtbl.find_opt t.preprepares (view, seq) with
+  match K.Pair.find_opt t.preprepares (view, seq) with
   | Some (batch, d, _)
-    when Int64.equal d digest && not (Hashtbl.mem t.committed seq) ->
-    let votes = C.table t.commit_votes (view, seq, digest) 8 in
-    if Hashtbl.length votes >= (2 * t.config.f) + 1 then begin
-      Hashtbl.replace t.committed seq batch;
-      Hashtbl.replace t.commit_certs seq
+    when Int64.equal d digest && not (K.Int.mem t.committed seq) ->
+    let key = (view, seq, digest) in
+    let votes = vote_set t.commit_votes key in
+    if K.Hash_order.Int.length votes >= (2 * t.config.f) + 1 then begin
+      K.Int.replace t.committed seq batch;
+      K.Hash_order.Int.replace t.commit_certs seq
         {
           fview = view;
           fseq = seq;
           fbatch = batch;
-          commits = Hashtbl.fold (fun _ s acc -> s :: acc) votes [];
+          commits = signatures votes;
         };
-      Hashtbl.remove t.commit_votes (view, seq, digest);
+      K.Triple.remove t.commit_votes key;
       C.output_committed ctx ~view ~seq batch;
       try_execute t ctx
     end
   | Some _ | None -> ()
 
 let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
-  match Hashtbl.find_opt t.preprepares (view, seq) with
+  match K.Pair.find_opt t.preprepares (view, seq) with
   | Some (batch, d, preprepare_sig)
-    when Int64.equal d digest && not (Hashtbl.mem t.prepared (view, seq)) ->
-    let votes = C.table t.prepare_votes (view, seq, digest) 8 in
-    if Hashtbl.length votes >= 2 * t.config.f then begin
-      let prepares = Hashtbl.fold (fun _ s acc -> s :: acc) votes [] in
-      Hashtbl.remove t.prepare_votes (view, seq, digest);
-      Hashtbl.replace t.prepared (view, seq)
+    when Int64.equal d digest
+         && not (K.Hash_order.Pair.mem t.prepared (view, seq)) ->
+    let key = (view, seq, digest) in
+    let votes = vote_set t.prepare_votes key in
+    if K.Hash_order.Int.length votes >= 2 * t.config.f then begin
+      let prepares = signatures votes in
+      K.Triple.remove t.prepare_votes key;
+      K.Hash_order.Pair.replace t.prepared (view, seq)
         { cview = view; cseq = seq; cbatch = batch; preprepare_sig; prepares };
       if Thc_obsv.Span.enabled ctx.spans then
         Thc_obsv.Span.mark_all ctx.spans ~seq ~rids:(C.batch_rids batch)
@@ -173,7 +189,7 @@ let try_prepare t (ctx : msg Thc_sim.Engine.ctx) ~view ~seq ~digest =
   | Some _ | None -> ()
 
 let proposal_acceptable t ~seq ~digest =
-  (match Hashtbl.find_opt t.committed seq with
+  (match K.Int.find_opt t.committed seq with
   | Some b -> Command.batch_digest b = digest
   | None -> true)
   && (seq > t.recovered_bound
@@ -329,12 +345,12 @@ let adopt_new_view t ctx ~new_view view_changes =
 let send_view_change t ctx ~new_view =
   t.core.status <- C.Changing new_view;
   let certs =
-    Hashtbl.fold
+    K.Hash_order.Pair.fold
       (fun (_, seq) c acc ->
-        if not (Hashtbl.mem t.commit_certs seq) then c :: acc else acc)
+        if not (K.Hash_order.Int.mem t.commit_certs seq) then c :: acc else acc)
       t.prepared []
   in
-  let finals = Hashtbl.fold (fun _ c acc -> c :: acc) t.commit_certs [] in
+  let finals = K.Hash_order.Int.fold (fun _ c acc -> c :: acc) t.commit_certs [] in
   send_signed t ctx (View_change { new_view; certs; finals })
 
 (* Full dispatch needs the wire (for the leader's signature). *)
@@ -352,11 +368,11 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
         && view = t.core.view
         && t.core.status = C.Normal
         && Command.batch_valid t.keyring batch
-        && not (Hashtbl.mem t.preprepares (view, seq))
+        && not (K.Pair.mem t.preprepares (view, seq))
       then begin
         let digest = Command.batch_digest batch in
         if proposal_acceptable t ~seq ~digest then begin
-          Hashtbl.replace t.preprepares (view, seq) (batch, digest, w.signature);
+          K.Pair.replace t.preprepares (view, seq) (batch, digest, w.signature);
           C.mark_proposed t.core seq batch;
           if t.self <> C.leader_of t.core view then
             send_signed t ctx (Prepare { view; seq; digest });
@@ -367,20 +383,20 @@ let handle_wire t (ctx : msg Thc_sim.Engine.ctx) (w : wire) =
     | Prepare { view; seq; digest } ->
       if
         signer <> C.leader_of t.core view
-        && not (Hashtbl.mem t.prepared (view, seq))
+        && not (K.Hash_order.Pair.mem t.prepared (view, seq))
       then begin
-        let votes = C.table t.prepare_votes (view, seq, digest) 8 in
-        if not (Hashtbl.mem votes signer) then begin
+        let votes = vote_set t.prepare_votes (view, seq, digest) in
+        if not (K.Hash_order.Int.mem votes signer) then begin
           (* Keep the signature itself: it becomes certificate material. *)
-          Hashtbl.replace votes signer w.signature;
+          K.Hash_order.Int.replace votes signer w.signature;
           try_prepare t ctx ~view ~seq ~digest
         end
       end
     | Commit { view; seq; digest } ->
-      if not (Hashtbl.mem t.committed seq) then begin
-        let votes = C.table t.commit_votes (view, seq, digest) 8 in
-        if not (Hashtbl.mem votes signer) then begin
-          Hashtbl.replace votes signer w.signature;
+      if not (K.Int.mem t.committed seq) then begin
+        let votes = vote_set t.commit_votes (view, seq, digest) in
+        if not (K.Hash_order.Int.mem votes signer) then begin
+          K.Hash_order.Int.replace votes signer w.signature;
           try_commit t ctx ~view ~seq ~digest
         end
       end

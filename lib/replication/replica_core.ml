@@ -1,3 +1,5 @@
+module Pair = Thc_util.Keyed.Pair
+
 type status = Normal | Changing of int
 
 let check_timer_tag = 1_000_000
@@ -20,11 +22,11 @@ type 'm t = {
   mutable exec_upto : int;
   mutable exec_count : int;
   queue : Command.signed_request Queue.t;
-  queued : (int * int, unit) Hashtbl.t;
+  queued : unit Pair.t;
   mutable batch_armed : bool;
-  pending : (int * int, Command.signed_request * int64) Hashtbl.t;
-  proposed_keys : (int * int, int) Hashtbl.t;
-  executed : (int * int, string) Hashtbl.t;
+  pending : (Command.signed_request * int64) Pair.t;
+  proposed_keys : int Pair.t;
+  executed : string Pair.t;
   mutable max_vc_sent : int;
   mutable last_vc_at : int64;
 }
@@ -47,11 +49,11 @@ let create ~self ~n ~keyring ~request_timeout ~check_interval ~batch_size
     exec_upto = 0;
     exec_count = 0;
     queue = Queue.create ();
-    queued = Hashtbl.create 64;
+    queued = Pair.create 64;
     batch_armed = false;
-    pending = Hashtbl.create 64;
-    proposed_keys = Hashtbl.create 64;
-    executed = Hashtbl.create 64;
+    pending = Pair.create 64;
+    proposed_keys = Pair.create 64;
+    executed = Pair.create 64;
     max_vc_sent = 0;
     last_vc_at = 0L;
   }
@@ -76,7 +78,7 @@ let table tbl key size =
 let rec mark_proposed c seq = function
   | [] -> ()
   | (sr : Command.signed_request) :: rest ->
-    Hashtbl.replace c.proposed_keys (Command.key sr.value) seq;
+    Pair.replace c.proposed_keys (Command.key sr.value) seq;
     mark_proposed c seq rest
 
 let next_slot c batch =
@@ -109,18 +111,18 @@ let answer c (ctx : _ Thc_sim.Engine.ctx) (sr : Command.signed_request) result =
 let execute_one c (ctx : _ Thc_sim.Engine.ctx) (sr : Command.signed_request) =
   let key = Command.key sr.value in
   let result =
-    match Hashtbl.find_opt c.executed key with
+    match Pair.find_opt c.executed key with
     | Some r -> r  (* duplicate commit of one request: do not re-apply *)
     | None ->
       let r =
         Kv_store.encode_result
           (Kv_store.apply c.store (Kv_store.decode_op sr.value.op))
       in
-      Hashtbl.replace c.executed key r;
+      Pair.replace c.executed key r;
       r
   in
-  Hashtbl.remove c.pending key;
-  Hashtbl.remove c.proposed_keys key;
+  Pair.remove c.pending key;
+  Pair.remove c.proposed_keys key;
   c.exec_count <- c.exec_count + 1;
   if Thc_obsv.Span.enabled ctx.spans then
     Thc_obsv.Span.mark ctx.spans ~client:sr.value.client ~rid:sr.value.rid
@@ -140,8 +142,8 @@ let execute_slot c ctx batch =
   execute_all c ctx batch
 
 let enqueue c sr key =
-  if not (Hashtbl.mem c.queued key) then begin
-    Hashtbl.replace c.queued key ();
+  if not (Pair.mem c.queued key) then begin
+    Pair.replace c.queued key ();
     Queue.push sr c.queue
   end
 
@@ -149,15 +151,15 @@ let intake c (ctx : _ Thc_sim.Engine.ctx) (sr : Command.signed_request) =
   Command.valid c.keyring sr
   &&
   let key = Command.key sr.value in
-  match Hashtbl.find_opt c.executed key with
+  match Pair.find_opt c.executed key with
   | Some result ->
     answer c ctx sr result;
     false
   | None ->
-    if not (Hashtbl.mem c.pending key) then
-      Hashtbl.replace c.pending key (sr, ctx.now ());
+    if not (Pair.mem c.pending key) then
+      Pair.replace c.pending key (sr, ctx.now ());
     leading c
-    && (not (Hashtbl.mem c.proposed_keys key))
+    && (not (Pair.mem c.proposed_keys key))
     && begin
          if Thc_obsv.Span.enabled ctx.spans then
            Thc_obsv.Span.mark ctx.spans ~client:sr.value.client
@@ -171,8 +173,8 @@ let rec take_batch c acc k =
   else begin
     let sr = Queue.pop c.queue in
     let key = Command.key sr.Thc_crypto.Signature.value in
-    Hashtbl.remove c.queued key;
-    if Hashtbl.mem c.proposed_keys key || Hashtbl.mem c.executed key then
+    Pair.remove c.queued key;
+    if Pair.mem c.proposed_keys key || Pair.mem c.executed key then
       take_batch c acc k
     else take_batch c (sr :: acc) (k - 1)
   end
@@ -202,13 +204,13 @@ let batch_timer_fired c =
    nothing, so every protocol's check handler only re-arms the tick: the
    engine's idle contract. *)
 let arm_check_timer c (ctx : _ Thc_sim.Engine.ctx) =
-  if Hashtbl.length c.pending = 0 then
+  if Pair.length c.pending = 0 then
     ctx.set_idle_timer ~delay:c.check_interval ~tag:check_timer_tag
   else ctx.set_timer ~delay:c.check_interval ~tag:check_timer_tag
 
 let stuck c ~now =
-  Hashtbl.length c.pending > 0
-  && Hashtbl.fold
+  Pair.length c.pending > 0
+  && Pair.fold
        (fun _ (_, since) acc ->
          acc || Int64.sub now since > c.request_timeout)
        c.pending false
@@ -239,12 +241,12 @@ let enter_view c (ctx : _ Thc_sim.Engine.ctx) ~view =
   c.view <- view;
   c.status <- Normal;
   let now = ctx.now () in
-  Hashtbl.filter_map_inplace (fun _ (r, _) -> Some (r, now)) c.pending
+  Pair.filter_map_inplace (fun _ (r, _) -> Some (r, now)) c.pending
 
 let requeue_pending c =
-  Hashtbl.fold
+  Pair.fold
     (fun key (request, _) acc ->
-      if Hashtbl.mem c.proposed_keys key then acc else (key, request) :: acc)
+      if Pair.mem c.proposed_keys key then acc else (key, request) :: acc)
     c.pending []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.iter (fun (key, sr) -> enqueue c sr key)
@@ -255,8 +257,8 @@ let reset c =
   c.exec_upto <- 0;
   c.exec_count <- 0;
   Queue.clear c.queue;
-  Hashtbl.reset c.queued;
+  Pair.reset c.queued;
   c.batch_armed <- false;
-  Hashtbl.reset c.pending;
-  Hashtbl.reset c.proposed_keys;
-  Hashtbl.reset c.executed
+  Pair.reset c.pending;
+  Pair.reset c.proposed_keys;
+  Pair.reset c.executed

@@ -36,14 +36,14 @@ type 'm t = {
   mutable exec_count : int;  (** Dense per-request execution index. *)
   queue : Command.signed_request Queue.t;
       (** Leader: requests accumulating into the next batch. *)
-  queued : (int * int, unit) Hashtbl.t;  (** Request keys now queued. *)
+  queued : unit Thc_util.Keyed.Pair.t;  (** Request keys now queued. *)
   mutable batch_armed : bool;  (** A batch timer is outstanding. *)
-  pending : (int * int, Command.signed_request * int64) Hashtbl.t;
+  pending : (Command.signed_request * int64) Thc_util.Keyed.Pair.t;
       (** Request key -> (request, arrival time or last clock restart). *)
-  proposed_keys : (int * int, int) Hashtbl.t;
+  proposed_keys : int Thc_util.Keyed.Pair.t;
       (** Request key -> seq, until the request executes: from then on
           [executed] answers every question this table would. *)
-  executed : (int * int, string) Hashtbl.t;  (** Request key -> result. *)
+  executed : string Thc_util.Keyed.Pair.t;  (** Request key -> result. *)
   mutable max_vc_sent : int;  (** Highest view this replica asked for. *)
   mutable last_vc_at : int64;  (** When it last escalated. *)
 }
@@ -67,7 +67,9 @@ val batch_rids : Command.batch -> int list
 val table :
   ('k, ('a, 'b) Hashtbl.t) Hashtbl.t -> 'k -> int -> ('a, 'b) Hashtbl.t
 (** [table tbl key size]: the inner table at [key], added as
-    [Hashtbl.create size] if absent (vote and supporter sets). *)
+    [Hashtbl.create size] if absent (the view-change and checkpoint vote
+    and supporter sets; the per-slot vote sets are {!Thc_util.Keyed}
+    tables). *)
 
 val mark_proposed : 'm t -> int -> Command.batch -> unit
 (** [mark_proposed c seq batch] records every request of [batch] as

@@ -1,3 +1,5 @@
+module K = Thc_util.Keyed
+
 type violation = {
   property : [ `Order | `Result | `Liveness | `Replay ];
   info : string;
@@ -33,10 +35,10 @@ let check_safety trace ~replicas =
     List.map
       (fun pid ->
         let ep = executions trace pid in
-        let by_seq = Hashtbl.create 64 in
+        let by_seq = K.Int.create 64 in
         List.iter
           (fun (seq, e) ->
-            if not (Hashtbl.mem by_seq seq) then Hashtbl.add by_seq seq e)
+            if not (K.Int.mem by_seq seq) then K.Int.add by_seq seq e)
           ep;
         (pid, ep, by_seq))
       correct
@@ -48,7 +50,7 @@ let check_safety trace ~replicas =
           if p < q then
             List.iter
               (fun (seq, (op, result)) ->
-                match Hashtbl.find_opt eq seq with
+                match K.Int.find_opt eq seq with
                 | None -> ()  (* prefix difference is fine mid-run *)
                 | Some (op', result') ->
                   if not (String.equal op op') then
@@ -112,18 +114,18 @@ let check_state_determinism trace ~replicas =
   List.rev !violations
 
 let check_liveness trace ~expected =
-  let completed = Hashtbl.create 64 in
+  let completed = K.Pair.create 64 in
   List.iter
     (fun (_, pid, obs) ->
       match (obs : Thc_sim.Obs.t) with
-      | Client_done { rid; _ } -> Hashtbl.replace completed (pid, rid) ()
+      | Client_done { rid; _ } -> K.Pair.replace completed (pid, rid) ()
       | _ -> ())
     (Thc_sim.Trace.outputs trace);
   List.concat_map
     (fun (client, rids) ->
       List.filter_map
         (fun rid ->
-          if Hashtbl.mem completed (client, rid) then None
+          if K.Pair.mem completed (client, rid) then None
           else
             Some
               {
@@ -140,16 +142,16 @@ let expect_range ~clients ~per_client ~first_client_pid =
         List.init per_client (fun r -> (i * per_client) + r) ))
 
 let latencies_by_client trace =
-  let tbl : (int, float list) Hashtbl.t = Hashtbl.create 8 in
+  let tbl : float list K.Int.t = K.Int.create 8 in
   List.iter
     (fun (_, pid, obs) ->
       match (obs : Thc_sim.Obs.t) with
       | Client_done { latency_us; _ } ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt tbl pid) in
-        Hashtbl.replace tbl pid (Int64.to_float latency_us :: prev)
+        let prev = Option.value ~default:[] (K.Int.find_opt tbl pid) in
+        K.Int.replace tbl pid (Int64.to_float latency_us :: prev)
       | _ -> ())
     (Thc_sim.Trace.outputs trace);
-  Hashtbl.fold (fun pid ls acc -> (pid, List.rev ls) :: acc) tbl []
+  K.Int.fold (fun pid ls acc -> (pid, List.rev ls) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let client_latencies trace =
@@ -167,7 +169,8 @@ let commits trace ~replicas =
   List.filter_map
     (fun (_, pid, obs) ->
       match (obs : Thc_sim.Obs.t) with
-      | Committed { seq; _ } when pid < replicas && List.mem pid correct ->
+      | Committed { seq; _ }
+        when pid < replicas && List.exists (Int.equal pid) correct ->
         Some seq
       | _ -> None)
     (Thc_sim.Trace.outputs trace)

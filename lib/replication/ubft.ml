@@ -49,6 +49,7 @@ let pp_msg ppf = function
   | Reply r -> Format.fprintf ppf "reply(p%d,#%d)" r.replica r.rid
 
 module C = Replica_core
+module K = Thc_util.Keyed
 
 type t = {
   config : config;
@@ -57,14 +58,14 @@ type t = {
   ident : Thc_crypto.Keyring.secret;
   self : int;
   core : msg C.t;
-  slots : (int, Command.batch * int64) Hashtbl.t;
+  slots : (Command.batch * int64) K.Int.t;
       (* seq -> adopted batch and its digest (first valid Slot per seq
          wins, so every reader of the same register resolves
          identically) *)
   acked : int array;
       (* leader: per-follower ack frontier for the current view, verified
          against the follower's register on each Ack_note doorbell *)
-  acked_keys : (int * int, unit) Hashtbl.t;  (* (view, seq) we acked *)
+  acked_keys : unit K.Pair.t;  (* (view, seq) we acked *)
   rvc_votes : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable trunc_base : int;  (* own register pruned up to this slot *)
   mutable own_len : int;
@@ -90,9 +91,9 @@ let create_replica ~config ~keyring ~registers ~ident ~self =
         ~request_timeout:config.request_timeout
         ~check_interval:config.check_interval ~batch_size:config.batch_size
         ~batch_delay:config.batch_delay ~reply:(fun r -> Reply r);
-    slots = Hashtbl.create 64;
+    slots = K.Int.create 64;
     acked = Array.make config.n 0;
-    acked_keys = Hashtbl.create 64;
+    acked_keys = K.Pair.create 64;
     rvc_votes = Hashtbl.create 8;
     trunc_base = 0;
     own_len = 0;
@@ -176,17 +177,17 @@ let truncate_own t ~upto =
     t.own_len <- List.length keep + 1;
     t.truncations <- t.truncations + 1;
     let stale =
-      Hashtbl.fold
+      K.Int.fold
         (fun seq _ acc -> if seq <= upto then seq :: acc else acc)
         t.slots []
     in
-    List.iter (Hashtbl.remove t.slots) stale;
+    List.iter (K.Int.remove t.slots) stale;
     let stale_acks =
-      Hashtbl.fold
+      K.Pair.fold
         (fun ((_, seq) as key) _ acc -> if seq <= upto then key :: acc else acc)
         t.acked_keys []
     in
-    List.iter (Hashtbl.remove t.acked_keys) stale_acks
+    List.iter (K.Pair.remove t.acked_keys) stale_acks
   end
 
 let maybe_checkpoint t ~seq =
@@ -229,7 +230,7 @@ let slot_covered t ~seq =
 
 let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
   let seq = t.core.exec_upto + 1 in
-  match Hashtbl.find_opt t.slots seq with
+  match K.Int.find_opt t.slots seq with
   | None -> ()
   | Some _
     when t.self = C.leader_of t.core t.core.view && not (slot_covered t ~seq)
@@ -244,7 +245,7 @@ let rec try_execute t (ctx : msg Thc_sim.Engine.ctx) =
 (* --- fast path --------------------------------------------------------- *)
 
 let adopt_slot t ~seq ~(batch : Command.batch) ~digest =
-  Hashtbl.replace t.slots seq (batch, digest);
+  K.Int.replace t.slots seq (batch, digest);
   C.mark_proposed t.core seq batch
 
 (* Count registers carrying a view-change vote above our view.  An
@@ -294,11 +295,11 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
           match r with
           | Slot { view; seq; batch }
             when view = t.core.view && seq > t.core.exec_upto
-                 && (not (Hashtbl.mem t.acked_keys (view, seq)))
+                 && (not (K.Pair.mem t.acked_keys (view, seq)))
                  && Command.batch_valid t.keyring batch ->
             let digest = Command.batch_digest batch in
             let adoptable =
-              match Hashtbl.find_opt t.slots seq with
+              match K.Int.find_opt t.slots seq with
               | None ->
                 adopt_slot t ~seq ~batch ~digest;
                 true
@@ -309,7 +310,7 @@ let refresh t (ctx : msg Thc_sim.Engine.ctx) =
                 Int64.equal prev digest
             in
             if adoptable then begin
-              Hashtbl.replace t.acked_keys (view, seq) ();
+              K.Pair.replace t.acked_keys (view, seq) ();
               acked_max := max !acked_max seq;
               let rids = C.batch_rids batch in
               if Thc_obsv.Span.enabled ctx.spans then
@@ -349,7 +350,7 @@ let handle_ack_note t (ctx : msg Thc_sim.Engine.ctx) ~src ~view =
           match r with
           | Ack { view = v; seq; digest } when v = t.core.view ->
             let ok =
-              match Hashtbl.find_opt t.slots seq with
+              match K.Int.find_opt t.slots seq with
               | Some (_, d) -> Int64.equal d digest
               | None -> seq <= t.core.exec_upto
             in
@@ -381,7 +382,7 @@ let propose_batch t (ctx : msg Thc_sim.Engine.ctx) (batch : Command.batch) =
      is in trusted memory and cannot be equivocated or withdrawn. *)
   own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
     (Slot { view = t.core.view; seq; batch });
-  Hashtbl.replace t.slots seq (batch, Command.batch_digest batch)
+  K.Int.replace t.slots seq (batch, Command.batch_digest batch)
 
 (* Propose everything due and ring the doorbell once for the whole flush
    (followers learn the data from the register, not the message).  Our
@@ -454,7 +455,7 @@ let adopt_new_view t (ctx : msg Thc_sim.Engine.ctx) ~new_view =
       let rids = C.batch_rids batch in
       own_append t ctx ~phase:Thc_obsv.Span.Prepare_phase ~rids
         (Slot { view = new_view; seq; batch });
-      if seq > t.core.exec_upto && not (Hashtbl.mem t.slots seq) then
+      if seq > t.core.exec_upto && not (K.Int.mem t.slots seq) then
         adopt_slot t ~seq ~batch ~digest:(Command.batch_digest batch))
     recovered;
   ctx.others (New_view_note { new_view; upto = t.core.next_seq - 1 });

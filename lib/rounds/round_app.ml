@@ -15,13 +15,6 @@ type app = {
   on_round_check : handle -> round:int -> verdict;
 }
 
-let silent_app =
-  {
-    first_payload = (fun _ -> None);
-    on_receive = (fun _ ~round:_ ~from:_ _ -> ());
-    on_round_check = (fun _ ~round:_ -> Advance None);
-  }
-
 let chatter ~rounds =
   {
     first_payload = (fun h -> Some (Printf.sprintf "r1-p%d" h.self));

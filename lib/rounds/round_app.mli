@@ -60,9 +60,6 @@ type app = {
           next check must [Hold] again as the last one did. *)
 }
 
-val silent_app : app
-(** Participates forever, never sends, never stops.  Base for tests. *)
-
 val chatter : rounds:int -> app
 (** Sends ["r<r>-p<self>"] in each round [r] and stops after round
     [rounds].  The round drivers' demonstration and benchmark app. *)

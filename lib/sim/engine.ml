@@ -568,9 +568,10 @@ let run ?(max_events = 2_000_000) ?until t =
     continue := false
   in
   while !continue do
-    match Thc_util.Calendar_queue.pop t.q with
-    | None -> stop Drained
-    | Some (time, tie, ev) ->
+    if Thc_util.Calendar_queue.is_empty t.q then stop Drained
+    else begin
+      let ev = Thc_util.Calendar_queue.take t.q in
+      let time = Thc_util.Calendar_queue.taken_time t.q in
       if time > until_i then
         (* Engines are single-shot: events past [until] stay
            unprocessed, and the popped one is simply not dispatched. *)
@@ -579,7 +580,7 @@ let run ?(max_events = 2_000_000) ?until t =
         t.clock_i <- time;
         t.clock <- Int64.of_int time;
         let poll = ev.kind = k_poll in
-        dispatch t ev ~tie;
+        dispatch t ev ~tie:(Thc_util.Calendar_queue.taken_tie t.q);
         if not t.in_idle then t.other_tie <- t.tie;
         incr processed;
         t.events <- t.events + 1;
@@ -596,5 +597,6 @@ let run ?(max_events = 2_000_000) ?until t =
             stop ending
           | None -> t.tail_refused <- true
       end
+    end
   done;
   to_trace t

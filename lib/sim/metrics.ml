@@ -1,20 +1,24 @@
+(* Kinds hash in [Hashtbl.hash] order: both folds below sort by count
+   only, so kinds of equal count keep the table's order. *)
+module Kinds = Thc_util.Keyed.Hash_order.String
+
 let kind_counts trace ~classify =
-  let counts = Hashtbl.create 16 in
+  let counts = Kinds.create 16 in
   List.iter
     (fun entry ->
       match entry with
       | Trace.Sent { msg; _ } ->
         let kind = classify msg in
-        Hashtbl.replace counts kind
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts kind))
+        Kinds.replace counts kind
+          (1 + Option.value ~default:0 (Kinds.find_opt counts kind))
       | _ -> ())
     trace.Trace.entries;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+  Kinds.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 type 'm kind_tally = {
   classify : 'm -> string;
-  counts : (string, int ref) Hashtbl.t;
+  counts : int ref Kinds.t;
   mutable last : ('m * int ref) option;
       (* A broadcast sends one message value to every destination in a
          row, so the previous send's label is usually the answer. *)
@@ -23,7 +27,7 @@ type 'm kind_tally = {
 (* The same table as [kind_counts], fed the labels in the same order
    (a first occurrence adds, later ones only count), so its fold lists
    equal counts in the same order. *)
-let kind_tally ~classify = { classify; counts = Hashtbl.create 16; last = None }
+let kind_tally ~classify = { classify; counts = Kinds.create 16; last = None }
 
 let tally_send t msg =
   match t.last with
@@ -31,18 +35,18 @@ let tally_send t msg =
   | Some _ | None ->
     let kind = t.classify msg in
     let count =
-      match Hashtbl.find_opt t.counts kind with
+      match Kinds.find_opt t.counts kind with
       | Some count -> count
       | None ->
         let count = ref 0 in
-        Hashtbl.add t.counts kind count;
+        Kinds.add t.counts kind count;
         count
     in
     incr count;
     t.last <- Some (msg, count)
 
 let tally_counts t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counts []
+  Kinds.fold (fun k v acc -> (k, !v) :: acc) t.counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let sends_by_source trace =

@@ -74,16 +74,6 @@ let set_to t ~dst policy =
     t.links.(src).(dst) <- policy
   done
 
-let set_between t ~group_a ~group_b policy =
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          set t ~src:a ~dst:b policy;
-          set t ~src:b ~dst:a policy)
-        group_b)
-    group_a
-
 let isolate_groups t ~groups policy =
   let group_of = Array.make (n t) (-1) in
   List.iteri

@@ -70,9 +70,6 @@ val set_from : t -> src:int -> policy -> unit
 val set_to : t -> dst:int -> policy -> unit
 (** Set all links into [dst]. *)
 
-val set_between : t -> group_a:int list -> group_b:int list -> policy -> unit
-(** Set all links in both directions between the two groups. *)
-
 val isolate_groups : t -> groups:int list list -> policy -> unit
 (** Apply [policy] to every link whose endpoints lie in different groups.
     Processes not mentioned in any group form an implicit extra group. *)

@@ -64,21 +64,9 @@ let reception_transcript t pid =
       | _ -> None)
     t.entries
 
-let full_local_view t pid =
-  List.filter_map
-    (function
-      | Delivered { dst; src; msg; _ } when dst = pid ->
-        Some (Printf.sprintf "recv:%d:%s" src (Thc_util.Codec.encode msg))
-      | Timer_fired { pid = p; tag; _ } when p = pid ->
-        Some (Printf.sprintf "timer:%d" tag)
-      | _ -> None)
-    t.entries
-
 let count t pred = List.length (List.filter pred t.entries)
 
 let messages_sent t = count t (function Sent _ -> true | _ -> false)
-
-let messages_delivered t = count t (function Delivered _ -> true | _ -> false)
 
 let map_msg f t =
   {

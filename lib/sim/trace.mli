@@ -47,18 +47,13 @@ val decision_of : 'm t -> int -> string option option
 val reception_transcript : 'm t -> int -> (int * string) list
 (** The local receive history of a process: [(src, canonical msg bytes)] in
     delivery order.  Two runs are indistinguishable to [pid] up to a point
-    iff their transcripts (plus timer firings — see
-    {!full_local_view}) coincide; the separation scenarios compare these. *)
-
-val full_local_view : 'm t -> int -> string list
-(** Receive history interleaved with timer firings, canonical strings. *)
+    iff their transcripts (plus timer firings) coincide; the separation
+    scenarios compare these. *)
 
 val count : 'm t -> ('m entry -> bool) -> int
 
 val messages_sent : 'm t -> int
 (** Total [Sent] entries (message-complexity metric). *)
-
-val messages_delivered : 'm t -> int
 
 val pp : (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit
 (** Full dump (for debugging small runs). *)

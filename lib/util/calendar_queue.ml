@@ -59,6 +59,8 @@ type 'v t = {
   mutable hlen : int;
   cancelled : (int, unit) Hashtbl.t;  (* ties cancelled, not yet purged *)
   mutable live : int;  (* pushed - popped - cancelled *)
+  mutable taken_time : int;  (* key of the entry [take] last removed *)
+  mutable taken_tie : int;
 }
 
 let create ?(nbuckets = 256) ?(width = 32) ~null () =
@@ -82,6 +84,8 @@ let create ?(nbuckets = 256) ?(width = 32) ~null () =
     hlen = 0;
     cancelled = Hashtbl.create 16;
     live = 0;
+    taken_time = 0;
+    taken_tie = 0;
   }
 
 let length t = t.live
@@ -310,18 +314,31 @@ let peek t =
     let i = b.bhd in
     Some (b.bt.(i), b.bs.(i), b.bv.(i))
 
-let pop t =
+let take t =
   let idx = locate t in
-  if idx < 0 then None
+  if idx < 0 then t.null
   else begin
     let b = t.buckets.(idx) in
     let i = b.bhd in
-    let time = b.bt.(i) and tie = b.bs.(i) and v = b.bv.(i) in
+    let v = b.bv.(i) in
+    t.taken_time <- b.bt.(i);
+    t.taken_tie <- b.bs.(i);
     bucket_drop_head t b;
     t.bucketed <- t.bucketed - 1;
     t.live <- t.live - 1;
-    Some (time, tie, v)
+    v
   end
+
+let taken_time t = t.taken_time
+
+let taken_tie t = t.taken_tie
+
+(* [null] may itself be a pushed value, so emptiness is read off [live]. *)
+let pop t =
+  if t.live = 0 then None
+  else
+    let v = take t in
+    Some (t.taken_time, t.taken_tie, v)
 
 let clear t =
   Array.iter

@@ -51,6 +51,19 @@ val peek : 'v t -> (int * int * 'v) option
 val pop : 'v t -> (int * int * 'v) option
 (** Remove and return the minimum entry. *)
 
+val take : 'v t -> 'v
+(** Remove the minimum entry and return its value, allocating nothing;
+    {!taken_time} and {!taken_tie} then read its key.  On an empty queue
+    it returns the [null] given to {!create} and changes nothing, so a
+    caller whose [null] can also be a pushed value tests {!is_empty}
+    first. *)
+
+val taken_time : 'v t -> int
+(** The [time] of the entry {!take} last removed. *)
+
+val taken_tie : 'v t -> int
+(** The [tie] of the entry {!take} last removed. *)
+
 val cancel : 'v t -> tie:int -> unit
 (** Cancel the pending entry pushed with [tie].  The entry is dropped
     lazily on a later [pop]/[peek] sweep; [length] reflects the

@@ -1661,14 +1661,14 @@ let test_core_intake () =
   let sr = core_request kr (3, 1) in
   let forged = { sr with value = { sr.value with rid = 2 } } in
   Alcotest.(check bool) "invalid: dropped" false (RC.intake follower ctx forged);
-  Alcotest.(check int) "invalid: not tracked" 0 (Hashtbl.length follower.pending);
+  Alcotest.(check int) "invalid: not tracked" 0 (Thc_util.Keyed.Pair.length follower.pending);
   Alcotest.(check bool) "follower: false" false (RC.intake follower ctx sr);
   Alcotest.(check bool) "follower: tracked" true
-    (Hashtbl.mem follower.pending (3, 1));
+    (Thc_util.Keyed.Pair.mem follower.pending (3, 1));
   Alcotest.(check int) "follower: nothing queued" 0 (Queue.length follower.queue);
   RC.execute_slot follower ctx [ sr ];
   Alcotest.(check bool) "executed: no longer pending" false
-    (Hashtbl.mem follower.pending (3, 1));
+    (Thc_util.Keyed.Pair.mem follower.pending (3, 1));
   let result = Thc_replication.Kv_store.(encode_result (Counter 1)) in
   let replied = Sent (3, { replica = 1; rid = 1; result }) in
   Alcotest.(check bool) "executed: output then reply" true
@@ -1677,13 +1677,13 @@ let test_core_intake () =
   Alcotest.(check bool) "executed: re-replied" true
     (List.length (log ()) = 3 && List.nth (log ()) 2 = replied);
   Alcotest.(check bool) "executed: not tracked again" false
-    (Hashtbl.mem follower.pending (3, 1));
+    (Thc_util.Keyed.Pair.mem follower.pending (3, 1));
   let leader = core kr ~self:0 in
   leader.status <- RC.Changing 1;
   Alcotest.(check bool) "changing leader: false" false
     (RC.intake leader ctx (core_request kr (3, 2)));
   Alcotest.(check bool) "changing leader: tracked" true
-    (Hashtbl.mem leader.pending (3, 2));
+    (Thc_util.Keyed.Pair.mem leader.pending (3, 2));
   leader.status <- RC.Normal;
   Alcotest.(check bool) "normal leader: true" true
     (RC.intake leader ctx (core_request kr (3, 3)));
@@ -1721,11 +1721,11 @@ let test_core_flush () =
     (fun key -> ignore (RC.intake c ctx (core_request kr key)))
     [ (4, 1); (4, 2); (4, 3) ];
   RC.mark_proposed c 7 [ core_request kr (4, 1) ];
-  Hashtbl.replace c.executed (4, 2) "done";
+  Thc_util.Keyed.Pair.replace c.executed (4, 2) "done";
   RC.flush c ctx ~force:true propose proposed;
   Alcotest.(check (list (list (pair int int))))
     "proposed and executed keys skipped" [ [ (4, 3) ] ] !proposed;
-  Alcotest.(check int) "queue drained" 0 (Hashtbl.length c.queued)
+  Alcotest.(check int) "queue drained" 0 (Thc_util.Keyed.Pair.length c.queued)
 
 (* The check tick is idle exactly while nothing is pending: then firing
    it only re-arms it, which lets the engine count an idle tail. *)
@@ -1802,10 +1802,10 @@ let test_core_reset () =
       c.exec_upto;
       c.exec_count;
       Queue.length c.queue;
-      Hashtbl.length c.queued;
-      Hashtbl.length c.pending;
-      Hashtbl.length c.proposed_keys;
-      Hashtbl.length c.executed;
+      Thc_util.Keyed.Pair.length c.queued;
+      Thc_util.Keyed.Pair.length c.pending;
+      Thc_util.Keyed.Pair.length c.proposed_keys;
+      Thc_util.Keyed.Pair.length c.executed;
     ];
   Alcotest.(check bool) "batch timer disarmed" false c.batch_armed;
   Alcotest.(check int64) "store emptied"

@@ -242,6 +242,38 @@ let test_cq_degenerate_geometry () =
     "sorted drain" [ 0; 2; 2; 9; 77; 1_000_000 ]
     (List.map (fun (t, _, _) -> t) (drain_cq q))
 
+(* [take] is the engine's pop: it returns the value and leaves the key to
+   read, allocating nothing; an empty queue returns [null]. *)
+let test_cq_take () =
+  let fill q =
+    for i = 1 to 64 do
+      Cq.push q ~time:(i * 37 mod 500) ~tie:i i
+    done
+  in
+  let q = Cq.create ~null:(-1) () and reference = Cq.create ~null:(-1) () in
+  fill q;
+  fill reference;
+  let expected = drain_cq reference in
+  let taken =
+    List.map
+      (fun _ ->
+        let v = Cq.take q in
+        (Cq.taken_time q, Cq.taken_tie q, v))
+      expected
+  in
+  Alcotest.(check (list (triple int int int))) "same order as pop" expected taken;
+  Alcotest.(check int) "empty: null" (-1) (Cq.take q);
+  fill q;
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  while not (Cq.is_empty q) do
+    sum := !sum + Cq.take q
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every value taken" (64 * 65 / 2) !sum;
+  (* Reading the counter boxes one float; 64 pops would take 384 words. *)
+  Alcotest.(check bool) "take allocates nothing" true (words < 8.)
+
 (* The reference model: the binary heap plus the set of cancelled ties it
    skips on the way out, and the ties still live (pushed, not popped or
    cancelled). *)
@@ -482,6 +514,91 @@ let test_identity_table () =
   Alcotest.(check (option int)) "newest kept" (Some 3) (found ~tag:69L k3);
   Alcotest.(check (option int)) "other pair untouched" (Some 9) (found ~tag:6L other)
 
+(* --- keyed tables ------------------------------------------------------------ *)
+
+(* A [Keyed] table and a polymorphic [Stdlib.Hashtbl] fed the same random
+   operations must agree on every lookup and on their bindings.  Keys come
+   from a small space, so they repeat, shadow, collide and get removed;
+   both tables start at one bucket, so both resize many times.  A
+   [Hash_order] table must also fold in the model's order. *)
+let keyed_agrees (type k) (module T : Hashtbl.S with type key = k) ~name
+    ~(key : Thc_util.Rng.t -> k) ~same_order seed =
+  let rng = Thc_util.Rng.create seed in
+  let t = T.create 1 and m = Hashtbl.create 1 in
+  let fail step what =
+    QCheck.Test.fail_reportf "%s, step %d (seed %Ld): %s differs" name step
+      seed what
+  in
+  let bindings_agree step =
+    let got = T.fold (fun k v acc -> (k, v) :: acc) t []
+    and want = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] in
+    if same_order then (if got <> want then fail step "fold order")
+    else if List.sort compare got <> List.sort compare want then
+      fail step "bindings"
+  in
+  let drop_thirds _ v = if v mod 3 = 0 then None else Some (v + 1) in
+  for step = 1 to 800 do
+    let k = key rng in
+    (match Thc_util.Rng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      T.add t k step;
+      Hashtbl.add m k step
+    | 6 | 7 | 8 | 9 ->
+      T.replace t k step;
+      Hashtbl.replace m k step
+    | 10 | 11 | 12 | 13 ->
+      T.remove t k;
+      Hashtbl.remove m k
+    | 14 ->
+      T.filter_map_inplace drop_thirds t;
+      Hashtbl.filter_map_inplace drop_thirds m
+    | 15 -> if T.find_all t k <> Hashtbl.find_all m k then fail step "find_all"
+    | 16 when Thc_util.Rng.int rng 40 = 0 ->
+      T.reset t;
+      Hashtbl.reset m
+    | _ -> ());
+    if T.find_opt t k <> Hashtbl.find_opt m k then fail step "find_opt";
+    if T.mem t k <> Hashtbl.mem m k then fail step "mem";
+    if T.length t <> Hashtbl.length m then fail step "length";
+    if step mod 50 = 0 then bindings_agree step
+  done;
+  bindings_agree 800;
+  true
+
+let small_int rng = Thc_util.Rng.int rng 300 - 50
+
+let small_pair rng = (Thc_util.Rng.int rng 6, Thc_util.Rng.int rng 120)
+
+let digests =
+  let rng = Thc_util.Rng.create 5L in
+  Array.init 16 (fun _ -> Thc_util.Rng.next_int64 rng)
+
+let keyed_props =
+  let module K = Thc_util.Keyed in
+  let prop name table ~key ~same_order =
+    QCheck.Test.make ~name:(name ^ " as Hashtbl") ~count:40
+      QCheck.(int64)
+      (keyed_agrees table ~name ~key ~same_order)
+  in
+  [
+    prop "Int" (module K.Int) ~key:small_int ~same_order:false;
+    prop "Pair" (module K.Pair) ~key:small_pair ~same_order:false;
+    prop "Triple" (module K.Triple) ~same_order:false ~key:(fun rng ->
+        ( Thc_util.Rng.int rng 3,
+          Thc_util.Rng.int rng 60,
+          Thc_util.Rng.pick rng digests ));
+    prop "Tag" (module K.Tag) ~same_order:false ~key:(fun rng ->
+        Int64.logxor
+          (Thc_util.Rng.pick rng digests)
+          (Int64.of_int (Thc_util.Rng.int rng 40)));
+    prop "Hash_order.Int" (module K.Hash_order.Int) ~key:small_int
+      ~same_order:true;
+    prop "Hash_order.Pair" (module K.Hash_order.Pair) ~key:small_pair
+      ~same_order:true;
+    prop "Hash_order.String" (module K.Hash_order.String) ~same_order:true
+      ~key:(fun rng -> "kind-" ^ string_of_int (Thc_util.Rng.int rng 250));
+  ]
+
 (* --- codec ------------------------------------------------------------------ *)
 
 let test_codec_roundtrip () =
@@ -616,6 +733,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_cq_cancel;
           Alcotest.test_case "degenerate geometry" `Quick
             test_cq_degenerate_geometry;
+          Alcotest.test_case "take" `Quick test_cq_take;
           qcheck prop_cq_matches_heap_model;
           qcheck prop_cq_default_geometry;
           qcheck prop_cq_bursts;
@@ -636,6 +754,7 @@ let () =
         ] );
       ( "identity-table",
         [ Alcotest.test_case "by tag and identity" `Quick test_identity_table ] );
+      ("keyed", List.map qcheck keyed_props);
       ( "codec",
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
