@@ -2,18 +2,26 @@
    low bits a table indexes by. *)
 let mix a b = (a * 0x9E3779B1) + b
 
-module Int = Hashtbl.Make (struct
+module Int_key = struct
   type t = int
 
   let equal = Stdlib.Int.equal
+end
+
+module Pair_key = struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+end
+
+module Int = Hashtbl.Make (struct
+  include Int_key
 
   let hash x = x
 end)
 
 module Pair = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal ((a, b) : t) (c, d) = a = c && b = d
+  include Pair_key
 
   let hash (k : t) =
     let a, b = k in
@@ -40,17 +48,13 @@ end)
 
 module Hash_order = struct
   module Int = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Stdlib.Int.equal
+    include Int_key
 
     let hash = Hashtbl.hash
   end)
 
   module Pair = Hashtbl.Make (struct
-    type t = int * int
-
-    let equal ((a, b) : t) (c, d) = a = c && b = d
+    include Pair_key
 
     let hash = Hashtbl.hash
   end)

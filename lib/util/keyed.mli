@@ -33,6 +33,7 @@ module Tag : Hashtbl.S with type key = int64
 (** Keyed by a digest-derived tag, hashed by its low bits: the key must
     already be well mixed. *)
 
+(** The same keys, and string keys, hashed by [Hashtbl.hash]. *)
 module Hash_order : sig
   module Int : Hashtbl.S with type key = int
 
